@@ -13,6 +13,7 @@ from .errors import (
     ComplexFactorError,
     DimensionMismatchError,
     EigensolverError,
+    HiddenDrawError,
     HvsimError,
     MalformedDecompositionError,
     MissingLeafValueError,
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .operators import (
     Branch,
-    ComplexVector,
     HermitianOperator,
     PureState,
     SpectralDecomposition,

@@ -75,21 +75,18 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
     )
 
 
-def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
-                  rng, scenario_label: str | None = None) -> ConsistencyReport:
-    """Measure the distinct leaves sequentially in the given order and compare
-    f(measured values) with predicting f's operator on the initial state.
-
-    The first step consumes the initial hidden scalar; every later step runs
-    on the collapsed state re-armed from `rng` (one draw per event).
-    """
+def _measure_leaves(f: ObservableExpression, initial: HiddenState, permutation,
+                    rng, scenario_label: str | None = None):
+    """Predict f on the initial state, then measure its leaves in the given order.
+    Returns (predicted value, composed value, report); report() builds the
+    full ConsistencyReport, which only a kept case needs."""
     ops = f.operators
     permutation = tuple(int(k) for k in permutation)
     if sorted(permutation) != list(range(len(ops))):
         raise ValueError(
             f"permutation {permutation} does not arrange {len(ops)} leaves"
         )
-    lhs = predict(eval_operator(f), initial)
+    lhs = float(predict(eval_operator(f), initial))
     hidden = initial
     records = []
     leaf_values = {}
@@ -99,21 +96,35 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
                                  label=_leaf_label(op, position))
         records.append(record)
         leaf_values[op] = record.value
-    rhs = eval_real(f, leaf_values)
-    trace = MeasurementTrace(tuple(records), seed=None)
-    details = {
-        "permutation": list(permutation),
-        "initial_c": float(initial.c),
-        "c_values": [float(r.c_used) for r in records],
-        "steps": [r.as_dict() for r in trace.records],
-    }
-    return ConsistencyReport(
-        scenario_label=scenario_label or f.describe(),
-        lhs_value=float(lhs),
-        rhs_value=float(rhs),
-        holds=abs(lhs - rhs) <= VALUE_TOL,
-        details=details,
-    )
+    rhs = float(eval_real(f, leaf_values))
+
+    def report() -> ConsistencyReport:
+        trace = MeasurementTrace(tuple(records), seed=None)
+        return ConsistencyReport(
+            scenario_label=scenario_label or f.describe(),
+            lhs_value=lhs,
+            rhs_value=rhs,
+            holds=abs(lhs - rhs) <= VALUE_TOL,
+            details={
+                "permutation": list(permutation),
+                "initial_c": float(initial.c),
+                "c_values": [float(r.c_used) for r in records],
+                "steps": [r.as_dict() for r in trace.records],
+            },
+        )
+    return lhs, rhs, report
+
+
+def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
+                  rng, scenario_label: str | None = None) -> ConsistencyReport:
+    """Measure the distinct leaves sequentially in the given order and compare
+    f(measured values) with predicting f's operator on the initial state.
+
+    The first step consumes the initial hidden scalar; every later step runs
+    on the collapsed state re-armed from `rng` (one draw per event).
+    """
+    _, _, report = _measure_leaves(f, initial, permutation, rng, scenario_label)
+    return report()
 
 
 @dataclass(frozen=True)
@@ -169,32 +180,26 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
         )
     permutations = list(itertools.permutations(range(len(f.operators))))
     passes = 0
-    failures = 0
     examples: list[ConsistencyReport] = []
     rows = []
-    case = 0
-    for _ in range(trials):
-        for permutation in permutations:
-            initial = HiddenState.draw(state, rng)
-            report = check_weak_fc(f, initial, permutation, rng)
-            if report.holds:
-                passes += 1
-            else:
-                failures += 1
-                if len(examples) < max_failure_examples:
-                    examples.append(report)
-            if keep_cases:
-                order = ",".join(str(k) for k in permutation)
-                rows.append((case, f"perm({order})", float(initial.c),
-                             float(report.rhs_value)))
-            case += 1
+    for case, permutation in enumerate(permutations * trials):
+        initial = HiddenState.draw(state, rng)
+        lhs, rhs, report = _measure_leaves(f, initial, permutation, rng)
+        if abs(lhs - rhs) <= VALUE_TOL:
+            passes += 1
+        elif len(examples) < max_failure_examples:
+            examples.append(report())
+        if keep_cases:
+            order = ",".join(str(k) for k in permutation)
+            rows.append((case, f"perm({order})", float(initial.c), rhs))
+    cases = trials * len(permutations)
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,
         permutation_count=len(permutations),
-        cases=trials * len(permutations),
+        cases=cases,
         passes=passes,
-        failures=failures,
+        failures=cases - passes,
         failure_examples=tuple(examples),
         case_rows=tuple(rows),
     )

@@ -21,6 +21,10 @@ class MalformedDecompositionError(HvsimError, ValueError):
     """Branch weights do not cover the state (cumulative total below 1)."""
 
 
+class HiddenDrawError(HvsimError, RuntimeError):
+    """The uniform source kept returning values outside the open interval (0, 1)."""
+
+
 class BranchNotFoundError(HvsimError, ValueError):
     """Requested value does not match any eigenvalue branch."""
 

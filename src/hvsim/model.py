@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BranchNotFoundError,
     DimensionMismatchError,
+    HiddenDrawError,
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
@@ -34,6 +35,7 @@ from .operators import (
 MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
+MAX_DRAW_ATTEMPTS = 64  # per hidden scalar; numpy redraws with probability 2**-53
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -50,21 +52,27 @@ def draw_hidden(rng) -> float:
 
     Accepts anything exposing .random(); numpy generators return values in
     [0, 1), so an exact 0.0 is redrawn to keep zero-weight branches
-    unreachable.
+    unreachable. A source that stays outside (0, 1) for MAX_DRAW_ATTEMPTS
+    draws raises HiddenDrawError.
     """
-    while True:
+    for _ in range(MAX_DRAW_ATTEMPTS):
         u = float(rng.random())
         if 0.0 < u < 1.0:
             return u
+    raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
 
 
 def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     """Vectorized draw_hidden: `count` scalars, all strictly inside (0, 1)."""
     u = rng.random(count)
     bad = u <= 0.0
+    attempts = 1
     while bad.any():
+        if attempts == MAX_DRAW_ATTEMPTS:
+            raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
         u[bad] = rng.random(int(bad.sum()))
         bad = u <= 0.0
+        attempts += 1
     return u
 
 
@@ -188,15 +196,35 @@ def as_decomposition(obs) -> SpectralDecomposition:
     )
 
 
-def _cumulative_weights(decomp: SpectralDecomposition, amplitudes) -> np.ndarray:
-    w = decomp.weights(amplitudes)
-    w = np.where(w < MIN_BRANCH_WEIGHT, 0.0, w)
+def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
+    """Branch index picked by each hidden scalar in `cs`: the selection rule.
+
+    Branch weights below MIN_BRANCH_WEIGHT are zeroed, then each c picks the
+    first branch whose cumulative weight reaches it, so the set of c choosing
+    branch i is (cum[i-1], cum[i]]. A c above the last cumulative weight
+    (rounding leaves cum[-1] a hair under 1) falls to the last branch that
+    carries weight, never onto a zeroed one. Callers keep every c inside
+    (0, 1), as HiddenState and branch_indices enforce.
+    """
+    w = decomp.weights(amplitudes)  # also rejects a state of the wrong dimension
+    w[w < MIN_BRANCH_WEIGHT] = 0.0
     cum = np.cumsum(w)
     if cum[-1] < 1.0 - COVERAGE_TOL:
         raise MalformedDecompositionError(
             f"branch weights cover only {cum[-1]:.12f} of the state"
         )
-    return cum
+    return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
+
+
+def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:
+    """Normalized projection of `state` onto branch `index`."""
+    projected = decomp.project(state, index)
+    weight = float(np.real(np.vdot(projected, projected)))
+    if weight <= MIN_BRANCH_WEIGHT:
+        raise ZeroProbabilityBranchError(
+            f"state carries no weight on the branch with eigenvalue {decomp.values[index]:g}"
+        )
+    return PureState(projected / np.sqrt(weight))
 
 
 def predict(obs, hidden: HiddenState) -> float:
@@ -207,15 +235,7 @@ def predict(obs, hidden: HiddenState) -> float:
     of (observable, state, c).
     """
     decomp = as_decomposition(obs)
-    if decomp.dim != hidden.state.dim:
-        raise DimensionMismatchError(
-            f"observable dimension {decomp.dim} != state dimension {hidden.state.dim}"
-        )
-    cum = _cumulative_weights(decomp, hidden.state.amplitudes)
-    index = int(np.searchsorted(cum, hidden.c, side="left"))
-    if index >= len(cum):
-        index = len(cum) - 1
-    return float(decomp.values[index])
+    return float(decomp.values[select(decomp, hidden.state.amplitudes, hidden.c)])
 
 
 def branch_indices(obs, state, cs) -> np.ndarray:
@@ -227,16 +247,10 @@ def branch_indices(obs, state, cs) -> np.ndarray:
     decomp = as_decomposition(obs)
     if not isinstance(state, PureState):
         state = PureState(state)
-    if decomp.dim != state.dim:
-        raise DimensionMismatchError(
-            f"observable dimension {decomp.dim} != state dimension {state.dim}"
-        )
     cs = np.asarray(cs, dtype=float)
     if cs.size and not ((cs > 0.0) & (cs < 1.0)).all():
         raise ValueError("all hidden scalars must lie strictly inside (0, 1)")
-    cum = _cumulative_weights(decomp, state.amplitudes)
-    indices = np.searchsorted(cum, cs, side="left")
-    return np.minimum(indices, len(cum) - 1)
+    return select(decomp, state.amplitudes, cs)
 
 
 def predict_batch(obs, state, cs) -> np.ndarray:
@@ -253,37 +267,28 @@ def update(obs, hidden: HiddenState, value: float) -> PureState:
     than a silent NaN.
     """
     decomp = as_decomposition(obs)
-    if decomp.dim != hidden.state.dim:
-        raise DimensionMismatchError(
-            f"observable dimension {decomp.dim} != state dimension {hidden.state.dim}"
-        )
     index = decomp.branch_index(value)
     if index is None:
         raise BranchNotFoundError(
             f"no eigenvalue branch matches value {value!r}"
             f" among {list(decomp.values)}"
         )
-    projected = decomp.branches[index].projector.matrix @ hidden.state.amplitudes
-    weight = float(np.real(np.vdot(projected, projected)))
-    if weight <= MIN_BRANCH_WEIGHT:
-        raise ZeroProbabilityBranchError(
-            f"state carries no weight on the branch with eigenvalue {value!r}"
-        )
-    return PureState(projected / np.sqrt(weight))
+    return _collapse(decomp, hidden.state, index)
 
 
 def measure(obs, hidden: HiddenState, rng,
             label: str | None = None) -> tuple[MeasurementRecord, HiddenState]:
-    """One measurement event: predict, collapse, re-arm.
+    """One measurement event: select a branch, collapse onto it, re-arm.
 
     The stored scalar hidden.c decides this event's value; the returned
     HiddenState carries the collapsed state armed with a fresh draw from
     `rng`, so chained calls consume exactly one draw per event.
     """
     decomp = as_decomposition(obs)
-    value = predict(decomp, hidden)
-    post = update(decomp, hidden, value)
+    index = int(select(decomp, hidden.state.amplitudes, hidden.c))
+    post = _collapse(decomp, hidden.state, index)
     if label is None:
         label = decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
-    record = MeasurementRecord(label, hidden.c, value, hidden.state, post)
+    record = MeasurementRecord(label, hidden.c, float(decomp.values[index]),
+                               hidden.state, post)
     return record, HiddenState(post, draw_hidden(rng))

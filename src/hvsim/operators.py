@@ -1,9 +1,9 @@
 """Dense complex linear algebra for finite-dimensional observables.
 
 States are unit vectors in C^d, observables are Hermitian matrices, and a
-spectral decomposition groups near-degenerate eigenvalues into branches
-carrying orthogonal projectors. Everything here is plain numpy; objects are
-treated as immutable after construction (arrays are marked read-only).
+spectral decomposition groups near-degenerate eigenvalues into blocks of
+eigenvector columns. Everything here is plain numpy; objects are treated as
+immutable after construction (arrays are marked read-only).
 """
 
 from __future__ import annotations
@@ -21,55 +21,26 @@ EQUALITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 
 
-def _as_complex_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("amplitudes must form a nonempty 1-d sequence")
-    arr.setflags(write=False)
-    return arr
-
-
-class ComplexVector:
-    """Ordered complex amplitudes, the raw coordinates behind a ket."""
+class PureState:
+    """Unit-norm state vector; construction rejects unnormalized input."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        self.amplitudes = _as_complex_vector(amplitudes)
-
-    @property
-    def dim(self) -> int:
-        return int(self.amplitudes.size)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def __repr__(self) -> str:
-        return f"ComplexVector(dim={self.dim})"
-
-
-class PureState:
-    """Unit-norm state vector. Construction rejects unnormalized input."""
-
-    __slots__ = ("vector",)
-
-    def __init__(self, vector):
-        if not isinstance(vector, ComplexVector):
-            vector = ComplexVector(vector)
-        norm = vector.norm()
+        arr = np.array(amplitudes, dtype=complex)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("amplitudes must form a nonempty 1-d sequence")
+        norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}"
             )
-        self.vector = vector
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self.vector.amplitudes
+        arr.setflags(write=False)
+        self.amplitudes = arr
 
     @property
     def dim(self) -> int:
-        return self.vector.dim
+        return int(self.amplitudes.size)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -203,19 +174,21 @@ class Branch(NamedTuple):
 
 
 class SpectralDecomposition:
-    """Ascending distinct eigenvalues with orthogonal projectors summing to I.
+    """Ascending distinct eigenvalues over one orthonormal eigenvector matrix.
 
-    Construction re-checks the resolution-of-identity invariants (projector
-    sum, pairwise orthogonality, idempotence, value separation) so that a
-    hand-built decomposition gets the same guarantees as a computed one.
+    Columns offsets[i]:offsets[i + 1] of `vectors` span the eigenspace of
+    values[i], so Born weights are segment sums of |V^H psi|^2 and collapse
+    onto branch i is V_i (V_i^H psi); `branches` builds projectors on demand.
+    spectral() fills the fields from eigensolver output unchecked; this
+    constructor takes hand-built (eigenvalue, projector) pairs and first checks
+    the resolution of the identity (projector sum, pairwise orthogonality,
+    idempotence, value separation).
     """
 
-    __slots__ = ("branches", "degeneracy_tol", "label", "_values")
+    __slots__ = ("values", "vectors", "offsets", "degeneracy_tol", "label", "_branches")
 
     def __init__(self, branches, degeneracy_tol: float, label: str | None = None):
-        branches = tuple(
-            b if isinstance(b, Branch) else Branch(*b) for b in branches
-        )
+        branches = tuple(Branch(*b) for b in branches)
         if not branches:
             raise ValueError("decomposition needs at least one branch")
         dim = branches[0].projector.dim
@@ -225,68 +198,82 @@ class SpectralDecomposition:
                 "branch eigenvalues must be strictly ascending with gaps above"
                 f" the degeneracy tolerance {degeneracy_tol:.3e}"
             )
-        for b in branches:
-            if b.projector.dim != dim:
-                raise DimensionMismatchError("branch projectors differ in dimension")
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, bi in enumerate(branches):
-            pi = bi.projector.matrix
-            total += pi
-            for j in range(i, len(branches)):
-                pj = branches[j].projector.matrix
+        if any(b.projector.dim != dim for b in branches):
+            raise DimensionMismatchError("branch projectors differ in dimension")
+        projectors = [b.projector.matrix for b in branches]
+        for i, pi in enumerate(projectors):
+            for j, pj in enumerate(projectors[i:], start=i):
                 target = pi if i == j else 0.0
                 if float(np.linalg.norm(pi @ pj - target)) > PROJECTOR_TOL:
                     raise ValueError(
                         f"projectors for branches {i} and {j} are not"
                         " orthogonal idempotents"
                     )
-        if float(np.linalg.norm(total - np.eye(dim))) > PROJECTOR_TOL:
+        if float(np.linalg.norm(sum(projectors) - np.eye(dim))) > PROJECTOR_TOL:
             raise ValueError("branch projectors do not sum to the identity")
-        values.setflags(write=False)
-        self.branches = branches
+        # An orthonormal basis of each projector's range: its unit eigenvalues.
+        blocks = [basis[:, occupation > 0.5]
+                  for occupation, basis in map(np.linalg.eigh, projectors)]
+        offsets = np.cumsum([0] + [block.shape[1] for block in blocks])
+        self._assign(values, np.hstack(blocks), offsets, degeneracy_tol, label, branches)
+
+    def _assign(self, values, vectors, offsets, degeneracy_tol, label, branches=None):
+        for arr in (values, vectors, offsets):
+            arr.setflags(write=False)
+        self.values, self.vectors, self.offsets = values, vectors, offsets
         self.degeneracy_tol = float(degeneracy_tol)
         self.label = label
-        self._values = values
+        self._branches = branches
 
     @property
     def dim(self) -> int:
-        return self.branches[0].projector.dim
+        return int(self.vectors.shape[0])
+
+    def _block(self, index: int) -> np.ndarray:
+        return self.vectors[:, self.offsets[index]:self.offsets[index + 1]]
 
     @property
-    def values(self) -> np.ndarray:
-        """Distinct eigenvalues, ascending."""
-        return self._values
+    def branches(self) -> tuple[Branch, ...]:
+        """(eigenvalue, projector) pairs; projectors are built on first access."""
+        if self._branches is None:
+            self._branches = tuple(
+                Branch(float(v), HermitianOperator(self._block(i) @ self._block(i).conj().T))
+                for i, v in enumerate(self.values))
+        return self._branches
 
-    def weights(self, state) -> np.ndarray:
-        """Born weights ||P_a psi||^2 for each branch, clipped at zero."""
-        amps = state.amplitudes if isinstance(state, PureState) else np.asarray(
-            state, dtype=complex)
+    def _amplitudes(self, state) -> np.ndarray:
+        amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
         if amps.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"state of shape {amps.shape} does not match dimension {self.dim}"
             )
-        w = np.empty(len(self.branches))
-        for i, branch in enumerate(self.branches):
-            w[i] = np.real(np.vdot(amps, branch.projector.matrix @ amps))
-        return np.clip(w, 0.0, None)
+        return amps
+
+    def weights(self, state) -> np.ndarray:
+        """Born weights ||P_a psi||^2 for each branch: segment sums of |V^H psi|^2."""
+        overlaps = self._amplitudes(state).conj() @ self.vectors  # conj(V^H psi)
+        return np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, self.offsets[:-1])
+
+    def project(self, state, index: int) -> np.ndarray:
+        """Unnormalized P_index psi, computed as V_index (V_index^H psi)."""
+        block = self._block(index)
+        return block @ (block.conj().T @ self._amplitudes(state))
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * projector; equals the source matrix."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for branch in self.branches:
-            out += branch.eigenvalue * branch.projector.matrix
-        return out
+        """V diag(eigenvalues) V^H; equals the source matrix."""
+        spread = np.repeat(self.values, np.diff(self.offsets))
+        return (self.vectors * spread) @ self.vectors.conj().T
 
     def branch_index(self, value: float, tol: float | None = None) -> int | None:
         """Index of the branch whose eigenvalue matches, or None."""
         if tol is None:
             tol = max(self.degeneracy_tol, 1e-9)
-        gaps = np.abs(self._values - float(value))
+        gaps = np.abs(self.values - float(value))
         i = int(np.argmin(gaps))
         return i if gaps[i] <= tol else None
 
     def __repr__(self) -> str:
-        vals = ", ".join(f"{v:g}" for v in self._values)
+        vals = ", ".join(f"{v:g}" for v in self.values)
         return f"SpectralDecomposition([{vals}], dim={self.dim})"
 
 
@@ -295,9 +282,9 @@ def spectral(a: HermitianOperator,
     """Eigendecompose with near-degenerate eigenvalues merged into one branch.
 
     The default tolerance scales with the operator: 1e-9 * max(1, ||a||_F).
-    Consecutive gaps at or below the tolerance are chained into one group, and
-    each branch takes the group's mean eigenvalue and basis-independent
-    projector V V^dagger.
+    Consecutive gaps at or below the tolerance are chained into one group;
+    each branch takes the group's mean eigenvalue and its eigenvector columns.
+    The eigensolver guarantees the invariants, so nothing is re-checked.
     """
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * max(1.0, float(np.linalg.norm(a.matrix)))
@@ -305,16 +292,13 @@ def spectral(a: HermitianOperator,
         eigenvalues, vectors = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigendecomposition failed for {a!r}") from exc
-    split_points = np.nonzero(np.diff(eigenvalues) > degeneracy_tol)[0] + 1
-    branches = []
-    for group in np.split(np.arange(a.dim), split_points):
-        block = vectors[:, group]
-        projector = block @ block.conj().T
-        projector = (projector + projector.conj().T) / 2.0
-        branches.append(
-            Branch(float(np.mean(eigenvalues[group])), HermitianOperator(projector))
-        )
-    return SpectralDecomposition(branches, degeneracy_tol, label=a.label)
+    split_points = np.flatnonzero(np.diff(eigenvalues) > degeneracy_tol) + 1
+    offsets = np.concatenate(([0], split_points, [a.dim]))
+    values = np.array([np.mean(eigenvalues[lo:hi])
+                       for lo, hi in zip(offsets[:-1], offsets[1:])])
+    decomp = object.__new__(SpectralDecomposition)
+    decomp._assign(values, vectors, offsets, degeneracy_tol, a.label)
+    return decomp
 
 
 def identity_scalar(matrix, tol: float = 1e-12) -> float:

@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hvsim import experiments
 from hvsim.cli import build_parser, main
+
+EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 
 def run(capsys, *argv):
@@ -105,6 +110,27 @@ class TestJsonOutput:
             "parity_odd_count": 64,
             "parity_even_count": 64,
         }
+
+
+@pytest.mark.parametrize("command", ["table1", "pm-square", "no-go",
+                                     "strong-fc", "implications"])
+def test_json_matches_frozen_bytes(capsys, command):
+    # The deterministic reports are pinned byte for byte.
+    code, out, _ = run(capsys, command, "--format", "json")
+    assert code == 0
+    assert out == (EXPECTED_DIR / f"{command}.json").read_text(encoding="utf-8")
+
+
+def test_stuck_uniform_source_exits_one(capsys, monkeypatch):
+    class Zeros:
+        def random(self, size=None):
+            return 0.0 if size is None else np.zeros(size)
+
+    monkeypatch.setattr(experiments, "substream", lambda *path: Zeros())
+    code, out, err = run(capsys, "born", "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no draw inside (0, 1)")
 
 
 class TestCsvOutput:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvsim import consistency
 from hvsim import (
     DimensionMismatchError,
     HermitianOperator,
@@ -139,6 +140,26 @@ class TestWeakFC:
 
 
 class TestVerifyProposition:
+    def test_kept_failures_match_check_weak_fc(self, monkeypatch):
+        # Offsetting the composed value makes every case fail. Only the kept
+        # cases get a full report, and it must equal check_weak_fc's report
+        # for the same case replayed from the same generator state.
+        eval_real = consistency.eval_real
+        monkeypatch.setattr(consistency, "eval_real",
+                            lambda f, values: eval_real(f, values) + 1.0)
+        f = column3_expression()
+        state = basis_ket(4, 0)
+        summary = verify_proposition(f, state, trials=3,
+                                     rng=np.random.default_rng(8),
+                                     max_failure_examples=2)
+        assert (summary.passes, summary.failures) == (0, 18)
+        assert len(summary.failure_examples) == 2
+        rng = np.random.default_rng(8)
+        for permutation, kept in zip([(0, 1, 2), (0, 2, 1)], summary.failure_examples):
+            initial = HiddenState.draw(state, rng)
+            assert kept == check_weak_fc(f, initial, permutation, rng)
+            assert not kept.holds
+
     def test_counts_and_rows(self):
         f = column3_expression()
         rng = np.random.default_rng(5)

@@ -11,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 from hvsim.errors import (
     BranchNotFoundError,
     DimensionMismatchError,
+    HiddenDrawError,
+    HvsimError,
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
+from hvsim.expressions import peres_mermin
 from hvsim.model import (
+    MIN_BRANCH_WEIGHT,
     HiddenState,
     MeasurementRecord,
     MeasurementTrace,
@@ -26,15 +30,16 @@ from hvsim.model import (
     measure,
     predict,
     predict_batch,
+    select,
     substream,
     update,
 )
 from hvsim.operators import (
-    Branch,
     HermitianOperator,
     PureState,
     SpectralDecomposition,
     basis_ket,
+    commuting_family,
     haar_state,
     normalized,
     pauli,
@@ -198,12 +203,12 @@ class TestPredict:
 
     def test_malformed_decomposition_guard(self):
         # White-box: bypass construction validation to pin the coverage error.
-        p0 = HermitianOperator(np.diag([1.0, 0.0]))
         bad = object.__new__(SpectralDecomposition)
-        bad.branches = (Branch(1.0, p0),)
+        bad.values = np.array([1.0])
+        bad.vectors = np.array([[1.0], [0.0]], dtype=complex)
+        bad.offsets = np.array([0, 1])
         bad.degeneracy_tol = 1e-9
         bad.label = None
-        bad._values = np.array([1.0])
         with pytest.raises(MalformedDecompositionError):
             predict(bad, HiddenState(normalized([1.0, 1.0]), 0.9))
 
@@ -323,3 +328,187 @@ class TestTraceSerialization:
         assert as_decomposition(pauli("x")).dim == 2
         with pytest.raises(TypeError):
             as_decomposition("Z")
+
+
+class TestZeroWeightClamp:
+    def test_c_above_last_cumulative_skips_zeroed_last_branch(self):
+        # The +1 branch carries weight ~1e-14, below MIN_BRANCH_WEIGHT, so it
+        # is zeroed; a c above the -1 branch's cumulative must still select
+        # -1 instead of clamping onto the zeroed +1 branch.
+        state = normalized([1e-7, 1.0])
+        hidden = HiddenState(state, np.nextafter(1.0, 0.0))
+        assert predict(pauli("z"), hidden) == -1.0
+        record, after = measure(pauli("z"), hidden, ScriptedUniforms([0.5]))
+        assert record.value == -1.0
+        assert phase_distance(after.state, basis_ket(2, 1)) <= 1e-12
+
+
+class _StuckSource:
+    """A .random() source that returns 0.0 for its first `stuck` draws."""
+
+    def __init__(self, stuck=None):
+        self.stuck = stuck
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        value = 0.0 if self.stuck is None or self.calls <= self.stuck else 0.25
+        return value if size is None else np.full(size, value)
+
+
+class TestBoundedRedraw:
+    def test_exact_zero_is_redrawn(self):
+        assert draw_hidden(_StuckSource(stuck=3)) == 0.25
+        np.testing.assert_array_equal(draw_hidden_batch(_StuckSource(stuck=3), 4),
+                                      np.full(4, 0.25))
+
+    def test_source_stuck_at_zero_raises(self):
+        assert issubclass(HiddenDrawError, HvsimError)
+        with pytest.raises(HiddenDrawError):
+            draw_hidden(_StuckSource())
+        with pytest.raises(HiddenDrawError):
+            draw_hidden_batch(_StuckSource(), 8)
+
+
+def _degenerate_family(seed):
+    # Shared-eigenbasis operators with rank-2 and rank-3 eigenspaces.
+    rng = np.random.default_rng(seed)
+    spectra = [[1, 1, -1, -1], [2, 2, 2, -3], [0, 1, 1, 1], [4, 4, 4, 4]]
+    return commuting_family(spectra, rng), rng
+
+
+def _assert_measure_matches_reference(op, hidden):
+    record, after = measure(op, hidden, ScriptedUniforms([0.5]))
+    value = predict(op, hidden)
+    assert record.value == value
+    np.testing.assert_array_equal(after.state.amplitudes,
+                                  update(op, hidden, value).amplitudes)
+
+
+class TestMeasureAgainstReference:
+    """measure() selects and collapses by index; predict() + update() go
+    through the eigenvalue. Both must give the same value and post-state."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10_000))
+    def test_random_hermitians(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 7))
+        op = random_hermitian(dim, rng)
+        state = haar_state(dim, rng)
+        for c in rng.uniform(1e-6, 1 - 1e-6, size=8):
+            _assert_measure_matches_reference(op, HiddenState(state, c))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10_000))
+    def test_degenerate_spectra(self, seed):
+        ops, rng = _degenerate_family(seed)
+        state = haar_state(4, rng)
+        for op in ops:
+            for c in rng.uniform(1e-6, 1 - 1e-6, size=8):
+                _assert_measure_matches_reference(op, HiddenState(state, c))
+
+    def test_peres_mermin_cells(self):
+        square = peres_mermin()
+        rng = substream(5)
+        for row in square.grid:
+            for op in row:
+                for _ in range(6):
+                    hidden = HiddenState.draw(haar_state(4, rng), rng)
+                    _assert_measure_matches_reference(op, hidden)
+
+
+class TestHandBuiltDecomposition:
+    """A decomposition validated from explicit projectors and the one spectral()
+    builds from the eigensolver must act identically."""
+
+    def _pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        ops, _ = _degenerate_family(seed)
+        return ops + [random_hermitian(4, rng)], rng
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10_000))
+    def test_weights_select_and_collapse_agree(self, seed):
+        ops, rng = self._pairs(seed)
+        for op in ops:
+            computed = spectral(op)
+            hand = SpectralDecomposition(computed.branches, computed.degeneracy_tol)
+            np.testing.assert_array_equal(hand.values, computed.values)
+            state = haar_state(4, rng)
+            np.testing.assert_allclose(hand.weights(state), computed.weights(state),
+                                       rtol=0, atol=1e-12)
+            cs = rng.uniform(1e-6, 1 - 1e-6, size=32)
+            np.testing.assert_array_equal(select(hand, state.amplitudes, cs),
+                                          select(computed, state.amplitudes, cs))
+            for i, branch in enumerate(computed.branches):
+                want = branch.projector.matrix @ state.amplitudes
+                for decomp in (hand, computed):
+                    np.testing.assert_allclose(
+                        decomp.project(state.amplitudes, i), want, rtol=0, atol=1e-12)
+
+
+def _zeroed_cumulative(decomp, state):
+    w = decomp.weights(state)
+    w[w < MIN_BRANCH_WEIGHT] = 0.0
+    return w, np.cumsum(w)
+
+
+def _assert_exact_born_intervals(decomp, state):
+    """Branch i is selected exactly by c in (cum[i-1], cum[i]], checked at
+    both ends of each interval one ulp apart; zeroed branches never are."""
+    w, cum = _zeroed_cumulative(decomp, state)
+    weighted = np.flatnonzero(w)
+
+    def pick(c):
+        return int(select(decomp, state.amplitudes, c))
+
+    for k, i in enumerate(weighted):
+        lower = cum[i - 1] if i > 0 else 0.0
+        assert pick(np.nextafter(lower, 1.0)) == i
+        if k > 0:
+            assert pick(lower) == weighted[k - 1]
+        if k + 1 < len(weighted):
+            assert pick(cum[i]) == i
+            assert pick(np.nextafter(cum[i], 1.0)) == weighted[k + 1]
+        else:
+            assert pick(np.nextafter(1.0, 0.0)) == i
+
+
+class TestSelectionProperties:
+    def test_exact_born_intervals_with_zeroed_branches(self):
+        op = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
+        for amps in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                     [1.0, 1e-7, 1.0, 1e-7], [1e-7, 1.0, 1.0, 1e-6]):
+            _assert_exact_born_intervals(spectral(op), normalized(amps))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10_000))
+    def test_exact_born_intervals(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 7))
+        _assert_exact_born_intervals(spectral(random_hermitian(dim, rng)),
+                                     haar_state(dim, rng))
+        ops, rng = _degenerate_family(seed)
+        state = haar_state(4, rng)
+        for op in ops:
+            _assert_exact_born_intervals(spectral(op), state)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 10_000),
+           st.lists(st.sampled_from([0.0, 1e-8, 1e-7, 1e-6, 1e-3, 1.0]),
+                    min_size=4, max_size=4))
+    def test_selected_branch_carries_weight(self, seed, scales):
+        # Amplitudes down to 1e-8 put branch weights on both sides of the
+        # MIN_BRANCH_WEIGHT cutoff; c covers both ends of (0, 1).
+        rng = np.random.default_rng(seed)
+        amps = np.array(scales) * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        if not np.any(amps):
+            amps[0] = 1.0
+        state = normalized(amps)
+        op = HermitianOperator(np.diag(rng.permutation(4).astype(float)))
+        cs = np.concatenate(([np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+                             rng.uniform(size=16)))
+        for decomp in (spectral(op), spectral(random_hermitian(4, rng))):
+            chosen = select(decomp, state.amplitudes, cs)
+            assert (decomp.weights(state)[chosen] >= MIN_BRANCH_WEIGHT).all()

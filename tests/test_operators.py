@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from hvsim.errors import DimensionMismatchError, EigensolverError, NonHermitianError
 from hvsim.operators import (
-    ComplexVector,
     HermitianOperator,
     PureState,
     SpectralDecomposition,
@@ -51,18 +50,18 @@ def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class TestStates:
-    def test_complex_vector_basics(self):
-        v = ComplexVector([1, 1j])
-        assert v.dim == 2
-        assert v.amplitudes.dtype == complex
+    def test_state_amplitudes_basics(self):
+        state = normalized([1, 1j])
+        assert state.dim == 2
+        assert state.amplitudes.dtype == complex
         with pytest.raises(ValueError):
-            v.amplitudes[0] = 0.0
+            state.amplitudes[0] = 0.0
 
-    def test_complex_vector_rejects_empty_and_matrix(self):
+    def test_state_rejects_empty_and_matrix(self):
         with pytest.raises(ValueError):
-            ComplexVector([])
+            PureState([])
         with pytest.raises(ValueError):
-            ComplexVector([[1, 0], [0, 1]])
+            PureState([[1, 0], [0, 1]])
 
     def test_pure_state_requires_unit_norm(self):
         PureState([1.0, 0.0])
