@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import HiddenState, MeasurementTrace, measure, predict
+from .model import (HiddenState, MeasurementTrace, ScriptedUniforms, draw_hidden_batch,
+                    measure, predict, predict_batch, run_sequence)
 from .expressions import ObservableExpression, PeresMerminSquare, eval_operator, eval_real
 
 import numpy as np
@@ -75,11 +76,14 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
     )
 
 
-def _measure_leaves(f: ObservableExpression, initial: HiddenState, permutation,
-                    rng, scenario_label: str | None = None):
-    """Predict f on the initial state, then measure its leaves in the given order.
-    Returns (predicted value, composed value, report); report() builds the
-    full ConsistencyReport, which only a kept case needs."""
+def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
+                  rng, scenario_label: str | None = None) -> ConsistencyReport:
+    """Measure the distinct leaves sequentially in the given order and compare
+    f(measured values) with predicting f's operator on the initial state.
+
+    The first step consumes the initial hidden scalar; every later step runs
+    on the collapsed state re-armed from `rng` (one draw per event).
+    """
     ops = f.operators
     permutation = tuple(int(k) for k in permutation)
     if sorted(permutation) != list(range(len(ops))):
@@ -97,34 +101,19 @@ def _measure_leaves(f: ObservableExpression, initial: HiddenState, permutation,
         records.append(record)
         leaf_values[op] = record.value
     rhs = float(eval_real(f, leaf_values))
-
-    def report() -> ConsistencyReport:
-        trace = MeasurementTrace(tuple(records), seed=None)
-        return ConsistencyReport(
-            scenario_label=scenario_label or f.describe(),
-            lhs_value=lhs,
-            rhs_value=rhs,
-            holds=abs(lhs - rhs) <= VALUE_TOL,
-            details={
-                "permutation": list(permutation),
-                "initial_c": float(initial.c),
-                "c_values": [float(r.c_used) for r in records],
-                "steps": [r.as_dict() for r in trace.records],
-            },
-        )
-    return lhs, rhs, report
-
-
-def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
-                  rng, scenario_label: str | None = None) -> ConsistencyReport:
-    """Measure the distinct leaves sequentially in the given order and compare
-    f(measured values) with predicting f's operator on the initial state.
-
-    The first step consumes the initial hidden scalar; every later step runs
-    on the collapsed state re-armed from `rng` (one draw per event).
-    """
-    _, _, report = _measure_leaves(f, initial, permutation, rng, scenario_label)
-    return report()
+    trace = MeasurementTrace(tuple(records), seed=None)
+    return ConsistencyReport(
+        scenario_label=scenario_label or f.describe(),
+        lhs_value=lhs,
+        rhs_value=rhs,
+        holds=abs(lhs - rhs) <= VALUE_TOL,
+        details={
+            "permutation": list(permutation),
+            "initial_c": float(initial.c),
+            "c_values": [float(r.c_used) for r in records],
+            "steps": [r.as_dict() for r in trace.records],
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -178,21 +167,32 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
             f"state is not an eigenvector of the expression operator"
             f" (residual {residual:.3e})"
         )
-    permutations = list(itertools.permutations(range(len(f.operators))))
+    ops = f.operators
+    permutations = list(itertools.permutations(range(len(ops))))
+    count = len(permutations)
+    cases = trials * count
+    # Case t * count + p runs permutation p. Like HiddenState.draw plus one
+    # measure per leaf, a case takes len(ops) + 1 scalars; the last decides nothing.
+    cs = draw_hidden_batch(rng, cases * (len(ops) + 1)).reshape(cases, len(ops) + 1)
+    lhs = predict_batch(op, state, cs[:, 0])
+    values = np.empty((cases, len(ops)))  # column k holds leaf k's reading
+    for p, permutation in enumerate(permutations):
+        values[p::count, list(permutation)] = run_sequence(
+            [ops[k] for k in permutation], state, cs[p::count, :-1])[0]
     passes = 0
     examples: list[ConsistencyReport] = []
     rows = []
-    for case, permutation in enumerate(permutations * trials):
-        initial = HiddenState.draw(state, rng)
-        lhs, rhs, report = _measure_leaves(f, initial, permutation, rng)
-        if abs(lhs - rhs) <= VALUE_TOL:
+    for case in range(cases):
+        permutation = permutations[case % count]
+        rhs = float(eval_real(f, dict(zip(ops, values[case].tolist()))))
+        if abs(lhs[case] - rhs) <= VALUE_TOL:
             passes += 1
         elif len(examples) < max_failure_examples:
-            examples.append(report())
+            examples.append(check_weak_fc(f, HiddenState(state, cs[case, 0]), permutation,
+                                          ScriptedUniforms(cs[case, 1:])))
         if keep_cases:
             order = ",".join(str(k) for k in permutation)
-            rows.append((case, f"perm({order})", float(initial.c), rhs))
-    cases = trials * len(permutations)
+            rows.append((case, f"perm({order})", float(cs[case, 0]), rhs))
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,

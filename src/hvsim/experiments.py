@@ -26,6 +26,7 @@ from .model import (
     measure,
     predict,
     predict_batch,
+    run_sequence,
     substream,
     update,
 )
@@ -188,7 +189,6 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
 
 
 def born_scenario_sweep(count: int, trials: int, seed: int,
-                        max_dim: int = 8,
                         tolerance_sigma: float = 5.0) -> list[StatReport]:
     """born_experiment over `count` random (state, observable) scenarios.
 
@@ -199,7 +199,7 @@ def born_scenario_sweep(count: int, trials: int, seed: int,
     reports = []
     for k in range(count):
         rng = substream(seed, _SWEEP_TAG, k)
-        dim = int(rng.integers(2, max_dim + 1))
+        dim = int(rng.integers(2, 9))  # 2 to 8
         state = haar_state(dim, rng)
         obs = random_hermitian(dim, rng, label=f"scenario{k}")
         child_cfg = ExperimentConfig(
@@ -533,21 +533,20 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
                     for t in range(cfg.trials)
                 )
         else:
-            first = tensor(a, identity(2), f"{a.label}I")
-            second = tensor(identity(2), b, f"I{b.label}")
-            total = 0.0
-            for t in range(cfg.trials):
-                rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k, t)
-                hidden = HiddenState.draw(state, rng)
-                rec1, hidden = measure(first, hidden, rng)
-                rec2, hidden = measure(second, hidden, rng)
-                total += rec1.value * rec2.value
-                if keep_trials:
-                    rows.append((t, f"{key}/{rec1.observable_label}",
-                                 float(rec1.c_used), float(rec1.value)))
-                    rows.append((t, f"{key}/{rec2.observable_label}",
-                                 float(rec2.c_used), float(rec2.value)))
-            correlator = total / cfg.trials
+            ops = (tensor(a, identity(2), f"{a.label}I"),
+                   tensor(identity(2), b, f"I{b.label}"))
+            cs = np.array([
+                draw_hidden_batch(substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k, t), 2)
+                for t in range(cfg.trials)
+            ])
+            values, _ = run_sequence(ops, state, cs)
+            # Summed left to right (np.sum pairs terms) so seeded reports keep every bit.
+            correlator = float(np.cumsum(values[:, 0] * values[:, 1])[-1]) / cfg.trials
+            if keep_trials:
+                rows.extend(
+                    (t, f"{key}/{op.label}", float(cs[t, s]), float(values[t, s]))
+                    for t in range(cfg.trials) for s, op in enumerate(ops)
+                )
         correlators[key] = correlator
         s_value += sign * correlator
     return ChshReport(
@@ -604,42 +603,37 @@ def column_product_experiment(square: PeresMerminSquare | None = None,
         square = peres_mermin()
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if axis == "column":
-        ops = square.column_operators(index)
-    elif axis == "row":
-        ops = square.row_operators(index)
-    else:
-        raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
-    forced = square.forced_value(axis, index)
+    forced = square.forced_value(axis, index)  # also rejects an unknown axis
+    ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
     permutations = list(itertools.permutations(range(3)))
-    passes = 0
-    failures = 0
-    rows = []
-    case = 0
-    for t in range(trials):
-        for p, permutation in enumerate(permutations):
+    count = len(permutations)
+    starts, cs = [], []
+    for t in range(trials):  # case t * count + p runs permutation p
+        for p in range(count):
             rng = substream(seed, _LINE_PRODUCT_TAG, t, p)
-            hidden = HiddenState.draw(haar_state(4, rng), rng)
-            product = 1.0
-            for position in permutation:
-                record, hidden = measure(ops[position], hidden, rng)
-                product *= record.value
-                if keep_events:
-                    rows.append((case, f"{axis}{index}:{record.observable_label}",
-                                 float(record.c_used), float(record.value)))
-            if abs(product - forced) <= VALUE_TOL:
-                passes += 1
-            else:
-                failures += 1
-            case += 1
+            starts.append(haar_state(4, rng).amplitudes)
+            cs.append(draw_hidden_batch(rng, 3))
+    starts, cs = np.array(starts), np.array(cs)
+    values = np.empty(cs.shape)  # readings in measurement order
+    for p, permutation in enumerate(permutations):
+        values[p::count] = run_sequence([ops[k] for k in permutation],
+                                        starts[p::count], cs[p::count])[0]
+    passes = int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
+    rows = []
+    if keep_events:
+        rows = [
+            (case, f"{axis}{index}:{ops[k].label}", float(cs[case, s]), float(values[case, s]))
+            for case in range(len(cs))
+            for s, k in enumerate(permutations[case % count])
+        ]
     return LineProductReport(
         axis=axis,
         index=index,
         forced_value=forced,
         trials=trials,
         permutation_count=len(permutations),
-        cases=case,
+        cases=len(cs),
         passes=passes,
-        failures=failures,
+        failures=len(cs) - passes,
         event_rows=tuple(rows),
     )

@@ -105,8 +105,7 @@ class ObservableExpression:
 
     __slots__ = ("root", "operators", "dim", "_matrix", "_leaf_slots", "_operator")
 
-    def __init__(self, root, *, commute_tol: float = COMMUTE_TOL,
-                 hermiticity_tol: float = EXPRESSION_HERMITICITY_TOL):
+    def __init__(self, root):
         self.root = _check_node(root)
         distinct: list[HermitianOperator] = []
         leaf_slots: dict[int, int] = {}
@@ -122,14 +121,14 @@ class ObservableExpression:
         for i, a in enumerate(distinct):
             for b in distinct[i + 1:]:
                 norm = commutator_norm(a, b)
-                if norm > commute_tol:
+                if norm > COMMUTE_TOL:
                     raise NoncommutingLeavesError(
                         f"leaves {a.label or i} and {b.label or '?'} fail to"
                         f" commute (commutator norm {norm:.3e})"
                     )
         matrix = _eval_matrix(self.root)
         deviation = float(np.linalg.norm(matrix - matrix.conj().T))
-        if deviation > hermiticity_tol:
+        if deviation > EXPRESSION_HERMITICITY_TOL:
             raise NonHermitianError(
                 f"expression evaluates to a non-Hermitian matrix"
                 f" (deviation {deviation:.3e})"
@@ -203,10 +202,12 @@ def eval_operator(f: ObservableExpression) -> HermitianOperator:
     return f._operator
 
 
-def _resolve_leaf_value(mapping, op: HermitianOperator):
+def _resolve_leaf_value(mapping, op: HermitianOperator, leaves):
     if op in mapping:
         return mapping[op]
     if op.label is not None and op.label in mapping:
+        if [leaf.label for leaf in leaves].count(op.label) > 1:
+            raise MissingLeafValueError(f"label {op.label!r} names several distinct leaves")
         return mapping[op.label]
     for key, value in mapping.items():
         if isinstance(key, HermitianOperator) and operators_equal(key, op):
@@ -220,10 +221,11 @@ def eval_real(f: ObservableExpression, leaf_values) -> float:
     """Evaluate the expression numerically from per-leaf measured values.
 
     `leaf_values` maps operators (or their labels) to real numbers; equal
-    leaves share one value. Scale factors must be real within 1e-12.
+    leaves share one value, and a label key must name exactly one distinct
+    leaf. Scale factors must be real within 1e-12.
     """
     resolved = [
-        float(_resolve_leaf_value(leaf_values, op)) for op in f.operators
+        float(_resolve_leaf_value(leaf_values, op, f.operators)) for op in f.operators
     ]
 
     def walk(node) -> float:

@@ -35,7 +35,7 @@ from .operators import (
 MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
-MAX_DRAW_ATTEMPTS = 64  # per hidden scalar; numpy redraws with probability 2**-53
+MAX_DRAW_ATTEMPTS = 64  # per scalar, or rounds per batch; numpy draws 0.0 w.p. 2**-53
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -63,17 +63,21 @@ def draw_hidden(rng) -> float:
 
 
 def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Vectorized draw_hidden: `count` scalars, all strictly inside (0, 1)."""
+    """Vectorized draw_hidden: the `count` scalars that `count` calls of
+    draw_hidden(rng) return, for a source with values in [0, 1).
+
+    Exact zeros are dropped from the stream as draw_hidden skips them; scalars
+    still missing after MAX_DRAW_ATTEMPTS rounds raise HiddenDrawError.
+    """
     u = rng.random(count)
-    bad = u <= 0.0
-    attempts = 1
-    while bad.any():
-        if attempts == MAX_DRAW_ATTEMPTS:
-            raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
-        u[bad] = rng.random(int(bad.sum()))
-        bad = u <= 0.0
-        attempts += 1
-    return u
+    if u.all():
+        return u
+    for _ in range(MAX_DRAW_ATTEMPTS - 1):
+        u = u[u != 0.0]
+        u = np.concatenate((u, rng.random(count - u.size)))
+        if u.all():
+            return u
+    raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
 
 
 class ScriptedUniforms:
@@ -204,16 +208,22 @@ def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
     branch i is (cum[i-1], cum[i]]. A c above the last cumulative weight
     (rounding leaves cum[-1] a hair under 1) falls to the last branch that
     carries weight, never onto a zeroed one. Callers keep every c inside
-    (0, 1), as HiddenState and branch_indices enforce.
+    (0, 1), as HiddenState, branch_indices and run_sequence enforce.
+    `amplitudes` is one state shared by every c, or an (N, d) stack with one
+    c per row.
     """
     w = decomp.weights(amplitudes)  # also rejects a state of the wrong dimension
     w[w < MIN_BRANCH_WEIGHT] = 0.0
-    cum = np.cumsum(w)
-    if cum[-1] < 1.0 - COVERAGE_TOL:
+    cum = np.cumsum(w, axis=-1)
+    cover = cum[..., -1].min(initial=1.0)
+    if cover < 1.0 - COVERAGE_TOL:
         raise MalformedDecompositionError(
-            f"branch weights cover only {cum[-1]:.12f} of the state"
+            f"branch weights cover only {cover:.12f} of the state"
         )
-    return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
+    if w.ndim == 1:
+        return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
+    last = w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
+    return np.minimum((cum < cs[:, None]).sum(axis=1), last)
 
 
 def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:
@@ -292,3 +302,37 @@ def measure(obs, hidden: HiddenState, rng,
     record = MeasurementRecord(label, hidden.c, float(decomp.values[index]),
                                hidden.state, post)
     return record, HiddenState(post, draw_hidden(rng))
+
+
+def run_sequence(ops, amplitudes, cs) -> tuple[np.ndarray, np.ndarray]:
+    """Measure `ops` in order on N states at once; cs[:, s] decides step s.
+
+    `amplitudes` is one state or an (N, d) stack. Row n reads the values of
+    chaining measure() from HiddenState(amplitudes[n], cs[n, 0]) with cs[n, 1:]
+    as the later draws. Collapse keeps each row's V^H psi coefficients on its
+    selected block and renormalises, as _collapse does for one state.
+    Returns (values[N, steps], final amplitudes[N, d]).
+    """
+    cs = np.asarray(cs, dtype=float)
+    if cs.ndim != 2 or cs.shape[1] != len(ops):
+        raise ValueError(f"cs of shape {cs.shape} does not give one column per operator")
+    if cs.size and not ((cs > 0.0) & (cs < 1.0)).all():
+        raise ValueError("all hidden scalars must lie strictly inside (0, 1)")
+    amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
+    amps = np.array(np.broadcast_to(amps, (len(cs), amps.shape[-1])))
+    values = np.empty(cs.shape)
+    for step, obs in enumerate(ops):
+        decomp = as_decomposition(obs)
+        indices = select(decomp, amps, cs[:, step])
+        values[:, step] = decomp.values[indices]
+        block_of_column = np.repeat(np.arange(len(decomp.values)), np.diff(decomp.offsets))
+        kept = (amps @ decomp.vectors.conj()) * (block_of_column == indices[:, None])
+        amps = kept @ decomp.vectors.T
+        weights = np.einsum("nd,nd->n", amps.conj(), amps).real
+        if (weights <= MIN_BRANCH_WEIGHT).any():
+            index = indices[np.argmax(weights <= MIN_BRANCH_WEIGHT)]
+            raise ZeroProbabilityBranchError(
+                f"state carries no weight on the branch with eigenvalue {decomp.values[index]:g}"
+            )
+        amps = amps / np.sqrt(weights)[:, None]
+    return values, amps

@@ -119,9 +119,7 @@ class HermitianOperator:
 
 def operators_equal(a: HermitianOperator, b: HermitianOperator,
                     tol: float = EQUALITY_TOL) -> bool:
-    """Label equality when both carry labels, else Frobenius distance <= tol."""
-    if a.label is not None and b.label is not None:
-        return a.label == b.label
+    """Frobenius distance <= tol; labels are for display and lookup only."""
     if a.dim != b.dim:
         return False
     return float(np.linalg.norm(a.matrix - b.matrix)) <= tol
@@ -241,18 +239,20 @@ class SpectralDecomposition:
                 for i, v in enumerate(self.values))
         return self._branches
 
-    def _amplitudes(self, state) -> np.ndarray:
+    def _amplitudes(self, state, stacked: bool = False) -> np.ndarray:
         amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-        if amps.shape != (self.dim,):
+        if amps.shape[-1:] != (self.dim,) or amps.ndim > 1 + stacked:
             raise DimensionMismatchError(
                 f"state of shape {amps.shape} does not match dimension {self.dim}"
             )
         return amps
 
     def weights(self, state) -> np.ndarray:
-        """Born weights ||P_a psi||^2 for each branch: segment sums of |V^H psi|^2."""
-        overlaps = self._amplitudes(state).conj() @ self.vectors  # conj(V^H psi)
-        return np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, self.offsets[:-1])
+        """Born weights ||P_a psi||^2 for each branch: segment sums of |V^H psi|^2
+        (one row per state for an (N, d) stack)."""
+        overlaps = self._amplitudes(state, stacked=True).conj() @ self.vectors  # conj(V^H psi)
+        return np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, self.offsets[:-1],
+                               axis=-1)
 
     def project(self, state, index: int) -> np.ndarray:
         """Unnormalized P_index psi, computed as V_index (V_index^H psi)."""
@@ -348,10 +348,10 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator,
-                     scale: float = 1.0, label: str | None = None) -> HermitianOperator:
+                     label: str | None = None) -> HermitianOperator:
     """GUE-style random Hermitian matrix."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * (g + g.conj().T) / 2.0, label)
+    return HermitianOperator((g + g.conj().T) / 2.0, label)
 
 
 def commuting_family(spectra, rng: np.random.Generator) -> list[HermitianOperator]:

@@ -1,6 +1,7 @@
 """Exit codes and output contracts of the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hvsim
 from hvsim import experiments
 from hvsim.cli import build_parser, main
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+SEEDED_DIR = Path(__file__).resolve().parent / "expected"
 
 
 def run(capsys, *argv):
@@ -121,6 +124,20 @@ def test_json_matches_frozen_bytes(capsys, command):
     assert out == (EXPECTED_DIR / f"{command}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, argv", [
+    ("weak-fc", ["weak-fc", "--trials", "5"]),
+    ("column-product", ["column-product", "--trials", "3"]),
+    ("chsh-sequential", ["chsh", "--sequential", "--trials", "20"]),
+])
+def test_seeded_sequential_reports_match_frozen_bytes(capsys, name, argv, fmt):
+    # The sequential sweeps at seed 0 are pinned byte for byte, per-event
+    # hidden scalars and readings included.
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
 def test_stuck_uniform_source_exits_one(capsys, monkeypatch):
     class Zeros:
         def random(self, size=None):
@@ -207,9 +224,13 @@ class TestOutFile:
 
 
 def test_module_entry_point():
+    # The child process imports the same package the tests do.
+    src = str(Path(hvsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "hvsim", "no-go"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "satisfying all six line constraints: 0" in result.stdout

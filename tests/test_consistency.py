@@ -65,6 +65,15 @@ class TestStrongFC:
             assert report.holds
             assert report.lhs_value == report.rhs_value == 12.0
 
+    def test_shared_label_is_no_witness(self):
+        # diag(1,-1) and diag(2,5) both labelled "A" are two leaves: at |0>
+        # they predict 1 and 2, and their sum operator diag(3,4) predicts 3.
+        f = ObservableExpression.of_sum(HermitianOperator(np.diag([1.0, -1.0]), "A"),
+                                        HermitianOperator(np.diag([2.0, 5.0]), "A"))
+        report = check_strong_fc(f, HiddenState(basis_ket(2, 0), 0.5))
+        assert (report.lhs_value, report.rhs_value) == (3.0, 3.0)
+        assert report.holds
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000))
     def test_single_leaf_always_holds(self, seed):
@@ -179,6 +188,25 @@ class TestVerifyProposition:
         assert 0.0 < c < 1.0
         assert value == -1.0
         assert [row[0] for row in summary.case_rows] == list(range(30))
+
+    def test_cases_match_check_weak_fc_replay(self):
+        # A + 2B = 5I, so every state qualifies and the readings are random,
+        # while swapping which leaf got which reading would change the sum.
+        a = HermitianOperator(np.diag([1.0, 3.0]), "A")
+        b = HermitianOperator(np.diag([2.0, 1.0]), "B")
+        f = ObservableExpression(Sum(Leaf(a), Scale(2.0, Leaf(b))))
+        state = normalized([1.0, 1.0])
+        summary = verify_proposition(f, state, trials=20, rng=np.random.default_rng(4),
+                                     keep_cases=True)
+        assert summary.all_passed
+        rng = np.random.default_rng(4)
+        readings = set()
+        for case, _, c, rhs in summary.case_rows:
+            permutation = [(0, 1), (1, 0)][case % 2]
+            report = check_weak_fc(f, HiddenState.draw(state, rng), permutation, rng)
+            assert (report.details["initial_c"], report.rhs_value) == (c, rhs)
+            readings.add((permutation[0], report.details["steps"][0]["value"]))
+        assert len(readings) == 4  # each leaf, measured first, read both its values
 
     def test_rows_dropped_by_default(self):
         f = column3_expression()

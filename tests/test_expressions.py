@@ -169,6 +169,17 @@ class TestEvalReal:
         with pytest.raises(MissingLeafValueError):
             eval_real(self.expr, {"XX": 1.0})
 
+    def test_shared_label_keeps_distinct_leaves(self):
+        # Two different matrices under one label stay two leaves; a label key
+        # cannot say which of them it means, so it is rejected.
+        a1 = HermitianOperator(np.diag([1.0, -1.0]), "A")
+        a2 = HermitianOperator(np.diag([2.0, 5.0]), "A")
+        expr = ObservableExpression.of_sum(a1, a2)
+        assert expr.operators == (a1, a2)
+        assert eval_real(expr, {a1: 1.0, a2: 2.0}) == 3.0
+        with pytest.raises(MissingLeafValueError):
+            eval_real(expr, {"A": 1.0})
+
     def test_sum_scale_arithmetic(self):
         z = pauli("z")
         expr = ObservableExpression(

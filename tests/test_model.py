@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -30,6 +31,7 @@ from hvsim.model import (
     measure,
     predict,
     predict_batch,
+    run_sequence,
     select,
     substream,
     update,
@@ -370,6 +372,44 @@ class TestBoundedRedraw:
             draw_hidden_batch(_StuckSource(), 8)
 
 
+class _Stream:
+    """A source replaying fixed values: .random() takes the next one and
+    .random(n) the next n, as a numpy generator's stream does."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.position = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        out = self.values[self.position:self.position + count]
+        assert out.size == count, "stream exhausted"
+        self.position += count
+        return float(out[0]) if size is None else out.copy()
+
+
+class TestBatchDrawDropsZeros:
+    """draw_hidden_batch(rng, n) returns what n draw_hidden(rng) calls return
+    and leaves the stream at the same position, exact zeros included."""
+
+    @pytest.mark.parametrize("zeros", [(), (0,), (3,), (0, 1, 2), (5, 6), (2, 5, 6, 7),
+                                       (9, 10)])
+    def test_batch_equals_sequential(self, zeros):
+        values = np.random.default_rng(11).random(24)
+        values[list(zeros)] = 0.0
+        batch_source, scalar_source = _Stream(values), _Stream(values)
+        batch = draw_hidden_batch(batch_source, 6)
+        np.testing.assert_array_equal(batch, [draw_hidden(scalar_source) for _ in range(6)])
+        assert 0.0 not in batch
+        assert batch_source.position == scalar_source.position
+
+    def test_numpy_generator(self):
+        for seed in range(5):
+            batch = draw_hidden_batch(substream(seed), 64)
+            rng = substream(seed)
+            np.testing.assert_array_equal(batch, [draw_hidden(rng) for _ in range(64)])
+
+
 def _degenerate_family(seed):
     # Shared-eigenbasis operators with rank-2 and rank-3 eigenspaces.
     rng = np.random.default_rng(seed)
@@ -512,3 +552,89 @@ class TestSelectionProperties:
         for decomp in (spectral(op), spectral(random_hermitian(4, rng))):
             chosen = select(decomp, state.amplitudes, cs)
             assert (decomp.weights(state)[chosen] >= MIN_BRANCH_WEIGHT).all()
+
+
+def _assert_sequence_matches_measure(ops, starts, cs):
+    """run_sequence against chained scalar measure() on the same scalars:
+    values equal exactly, final states within 1e-12 up to phase."""
+    values, finals = run_sequence(ops, starts, cs)
+    assert values.shape == cs.shape
+    for n, row in enumerate(cs):
+        start = starts[n] if np.ndim(starts) == 2 else starts
+        hidden = HiddenState(start, row[0])
+        script = ScriptedUniforms(list(row[1:]) + [0.5])
+        for step, op in enumerate(ops):
+            record, hidden = measure(op, hidden, script)
+            assert values[n, step] == record.value
+        assert phase_distance(finals[n], hidden.state) <= 1e-12
+
+
+class TestRunSequenceAgainstMeasure:
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10_000))
+    def test_random_hermitians(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 7))
+        ops = [random_hermitian(dim, rng) for _ in range(int(rng.integers(1, 5)))]
+        starts = np.array([haar_state(dim, rng).amplitudes for _ in range(12)])
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=(12, len(ops)))
+        _assert_sequence_matches_measure(ops, starts, cs)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10_000))
+    def test_degenerate_spectra(self, seed):
+        ops, rng = _degenerate_family(seed)
+        order = list(rng.permutation(len(ops)))
+        ops = [ops[k] for k in order + order]  # re-measuring repeats values
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=(12, len(ops)))
+        _assert_sequence_matches_measure(ops, haar_state(4, rng), cs)
+
+    def test_square_lines_in_every_order(self):
+        square = peres_mermin()
+        rng = substream(9)
+        lines = [square.row_operators(i) for i in (1, 2, 3)]
+        lines += [square.column_operators(j) for j in (1, 2, 3)]
+        for line in lines:
+            for permutation in itertools.permutations(range(3)):
+                starts = np.array([haar_state(4, rng).amplitudes for _ in range(8)])
+                cs = draw_hidden_batch(rng, 24).reshape(8, 3)
+                _assert_sequence_matches_measure([line[k] for k in permutation],
+                                                 starts, cs)
+
+    def test_batched_select_matches_one_state_select(self):
+        rng = np.random.default_rng(4)
+        op = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
+        states = np.array([normalized(a).amplitudes for a in
+                           ([1.0, 1e-7, 1.0, 1e-7], [1e-7, 1.0, 1.0, 1e-6],
+                            [0.0, 0.0, 0.0, 1.0], rng.normal(size=4))])
+        decomp = spectral(op)
+        edges = [np.nextafter(0.0, 1.0), 0.3, 0.5, np.nextafter(1.0, 0.0)]
+        for amps in states:  # each row's cumulative weights and one ulp either side
+            for b in _zeroed_cumulative(decomp, amps)[1]:
+                edges += [np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)]
+        for c in edges:
+            cs = np.full(len(states), c)
+            np.testing.assert_array_equal(
+                select(decomp, states, cs),
+                [select(decomp, amps, c) for amps in states])
+
+    def test_zero_weight_collapse_raises(self):
+        # The -1 branch weighs exactly MIN_BRANCH_WEIGHT: select keeps it and
+        # c = 1e-13 picks it, but collapse finds no weight to keep.
+        state = PureState([np.sqrt(1.0 - 1e-12), 1e-6])
+        assert spectral(pauli("z")).weights(state)[0] == MIN_BRANCH_WEIGHT
+        with pytest.raises(ZeroProbabilityBranchError):
+            measure(pauli("z"), HiddenState(state, 1e-13), ScriptedUniforms([0.5]))
+        with pytest.raises(ZeroProbabilityBranchError):
+            run_sequence([pauli("z")], np.array([[1.0, 0.0], state.amplitudes]),
+                         np.array([[0.5], [1e-13]]))
+
+    def test_input_checks(self):
+        with pytest.raises(DimensionMismatchError):
+            run_sequence([pauli("z")], np.full((3, 4), 0.5), np.full((3, 1), 0.5))
+        with pytest.raises(DimensionMismatchError):
+            run_sequence([pauli("z")], basis_ket(4, 0), np.full((3, 1), 0.5))
+        with pytest.raises(ValueError):
+            run_sequence([pauli("z")], basis_ket(2, 0), np.full((3, 2), 0.5))
+        with pytest.raises(ValueError):
+            run_sequence([pauli("z")], basis_ket(2, 0), np.array([[0.5], [1.0]]))

@@ -212,11 +212,12 @@ class TestCommutation:
 
 
 class TestOperatorsEqual:
-    def test_label_equality_wins(self):
+    def test_labels_are_ignored(self):
         a = HermitianOperator(np.eye(2), "same")
         b = HermitianOperator(np.diag([1.0, -1.0]), "same")
-        assert operators_equal(a, b)
-        assert not operators_equal(a, HermitianOperator(np.eye(2), "other"))
+        assert not operators_equal(a, b)
+        assert operators_equal(a, HermitianOperator(np.eye(2), "other"))
+        assert not operators_equal(pauli("z"), pauli("x").relabel("Z"))
 
     def test_matrix_fallback_when_unlabeled(self):
         a = HermitianOperator(np.eye(2))
