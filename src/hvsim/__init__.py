@@ -33,6 +33,7 @@ from .operators import (
     commutes,
     commutator_norm,
     commuting_family,
+    haar_amplitudes,
     haar_state,
     identity,
     identity_scalar,
@@ -54,6 +55,8 @@ from .model import (
     ScriptedUniforms,
     as_decomposition,
     branch_indices,
+    case_slot,
+    case_uniforms,
     draw_hidden,
     draw_hidden_batch,
     measure,

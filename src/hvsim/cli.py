@@ -28,7 +28,7 @@ from .experiments import (
     spin_state,
 )
 from .expressions import peres_mermin
-from .model import HiddenState, substream
+from .model import HiddenState
 from .operators import amplitude_pairs, basis_ket, commutator_norm, identity_scalar, pauli
 
 _WEAK_FC_TAG = 6
@@ -236,8 +236,7 @@ def _run_weak_fc(args):
     square = peres_mermin()
     f = square.column_expression(args.column)
     state = basis_ket(4, 0)
-    rng = substream(args.seed, _WEAK_FC_TAG)
-    summary = verify_proposition(f, state, args.trials, rng,
+    summary = verify_proposition(f, state, args.trials, (args.seed, _WEAK_FC_TAG),
                                  keep_cases=args.format == "csv")
     payload = {"seed": args.seed, "column": args.column,
                "initial_state": amplitude_pairs(state.amplitudes),

@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import (HiddenState, MeasurementTrace, ScriptedUniforms, draw_hidden_batch,
-                    measure, predict, predict_batch, run_sequence)
+from .model import (HiddenState, MeasurementTrace, ScriptedUniforms, case_blocks, measure,
+                    predict, predict_batch, run_sequence, substream)
 from .expressions import ObservableExpression, PeresMerminSquare, eval_operator, eval_real
 
 import numpy as np
@@ -60,11 +60,13 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
     lhs = predict(eval_operator(f), hidden)
     leaf_values = {op: predict(op, hidden) for op in f.operators}
     rhs = eval_real(f, leaf_values)
+    labels = [_leaf_label(op, i) for i, op in enumerate(f.operators)]
     details = {
         "c": float(hidden.c),
+        # Leaves sharing a label are told apart by their position.
         "leaf_values": {
-            _leaf_label(op, i): float(leaf_values[op])
-            for i, op in enumerate(f.operators)
+            (f"{label}[{i}]" if labels.count(label) > 1 else label): float(leaf_values[op])
+            for i, (label, op) in enumerate(zip(labels, f.operators))
         },
     }
     return ConsistencyReport(
@@ -77,12 +79,15 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
 
 
 def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
-                  rng, scenario_label: str | None = None) -> ConsistencyReport:
+                  rng, scenario_label: str | None = None,
+                  key: tuple[int, ...] | None = None) -> ConsistencyReport:
     """Measure the distinct leaves sequentially in the given order and compare
     f(measured values) with predicting f's operator on the initial state.
 
     The first step consumes the initial hidden scalar; every later step runs
-    on the collapsed state re-armed from `rng` (one draw per event).
+    on the collapsed state re-armed from `rng` (one draw per event). A case
+    `key` (seed, *path, case) that replays the run is recorded in the trace
+    and the details.
     """
     ops = f.operators
     permutation = tuple(int(k) for k in permutation)
@@ -101,18 +106,21 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
         records.append(record)
         leaf_values[op] = record.value
     rhs = float(eval_real(f, leaf_values))
-    trace = MeasurementTrace(tuple(records), seed=None)
+    trace = MeasurementTrace(tuple(records), seed=key)
+    details = {
+        "permutation": list(permutation),
+        "initial_c": float(initial.c),
+        "c_values": [float(r.c_used) for r in records],
+        "steps": [r.as_dict() for r in trace.records],
+    }
+    if key is not None:
+        details["key"] = [int(k) for k in key]
     return ConsistencyReport(
         scenario_label=scenario_label or f.describe(),
         lhs_value=lhs,
         rhs_value=rhs,
         holds=abs(lhs - rhs) <= VALUE_TOL,
-        details={
-            "permutation": list(permutation),
-            "initial_c": float(initial.c),
-            "c_values": [float(r.c_used) for r in records],
-            "steps": [r.as_dict() for r in trace.records],
-        },
+        details=details,
     )
 
 
@@ -154,7 +162,10 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
     Requires the initial state to be an eigenvector of the evaluated
     expression (that precondition is what pins the predicted value and makes
     the sequential product forced); sweeps every permutation of the leaves
-    for each trial, drawing fresh hidden scalars from `rng` throughout.
+    for each trial. Case t * permutations + p runs permutation p on the slot
+    of len(leaves) + 1 scalars it reads from `rng`: a Generator at the start
+    of the sweep's stream, or the key (seed, *path) of a substream, in which
+    case each kept failure records its replay key (seed, *path, case).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -171,28 +182,32 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
     permutations = list(itertools.permutations(range(len(ops))))
     count = len(permutations)
     cases = trials * count
-    # Case t * count + p runs permutation p. Like HiddenState.draw plus one
-    # measure per leaf, a case takes len(ops) + 1 scalars; the last decides nothing.
-    cs = draw_hidden_batch(rng, cases * (len(ops) + 1)).reshape(cases, len(ops) + 1)
-    lhs = predict_batch(op, state, cs[:, 0])
-    values = np.empty((cases, len(ops)))  # column k holds leaf k's reading
-    for p, permutation in enumerate(permutations):
-        values[p::count, list(permutation)] = run_sequence(
-            [ops[k] for k in permutation], state, cs[p::count, :-1])[0]
+    key = tuple(rng) if isinstance(rng, tuple) else None
     passes = 0
     examples: list[ConsistencyReport] = []
     rows = []
-    for case in range(cases):
-        permutation = permutations[case % count]
-        rhs = float(eval_real(f, dict(zip(ops, values[case].tolist()))))
-        if abs(lhs[case] - rhs) <= VALUE_TOL:
-            passes += 1
-        elif len(examples) < max_failure_examples:
-            examples.append(check_weak_fc(f, HiddenState(state, cs[case, 0]), permutation,
-                                          ScriptedUniforms(cs[case, 1:])))
-        if keep_cases:
-            order = ",".join(str(k) for k in permutation)
-            rows.append((case, f"perm({order})", float(cs[case, 0]), rhs))
+    # Like HiddenState.draw plus one measure per leaf, a case takes
+    # len(ops) + 1 scalars; the last decides nothing.
+    stream = rng if key is None else substream(*key)
+    for first, cs in case_blocks(stream, cases, len(ops) + 1):
+        lhs = predict_batch(op, state, cs[:, 0])
+        values = np.empty((len(cs), len(ops)))  # column k holds leaf k's reading
+        for p, permutation in enumerate(permutations):
+            mine = slice((p - first) % count, None, count)
+            values[mine, list(permutation)] = run_sequence(
+                [ops[k] for k in permutation], state, cs[mine, :-1])[0]
+        for i, case in enumerate(range(first, first + len(cs))):
+            permutation = permutations[case % count]
+            rhs = float(eval_real(f, dict(zip(ops, values[i].tolist()))))
+            if abs(lhs[i] - rhs) <= VALUE_TOL:
+                passes += 1
+            elif len(examples) < max_failure_examples:
+                examples.append(check_weak_fc(
+                    f, HiddenState(state, cs[i, 0]), permutation, ScriptedUniforms(cs[i, 1:]),
+                    key=None if key is None else (*key, case)))
+            if keep_cases:
+                order = ",".join(str(k) for k in permutation)
+                rows.append((case, f"perm({order})", float(cs[i, 0]), rhs))
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,

@@ -1,9 +1,10 @@
 """Scripted and randomized experiment drivers with serializable reports.
 
 Everything here is seeded: single-shot statistics (Born frequencies, CHSH
-correlators) draw one batch of hidden scalars per setting, while multi-step
-scenarios (sequential line products) get an independent substream per case.
-Identical (seed, trials) arguments reproduce identical reports.
+correlators) draw one batch of hidden scalars per setting, while the
+sequential sweeps give case t a fixed slot of one stream per (seed, tag[,
+setting]), so case_slot replays any case from its key. Identical (seed,
+trials) arguments reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .model import (
     ScriptedUniforms,
     as_decomposition,
     branch_indices,
+    case_blocks,
     draw_hidden_batch,
     measure,
     predict,
@@ -35,6 +37,7 @@ from .operators import (
     PureState,
     amplitude_pairs,
     basis_ket,
+    haar_amplitudes,
     haar_state,
     identity,
     pauli,
@@ -48,6 +51,10 @@ _SWEEP_TAG = 2
 _CHSH_PRODUCT_TAG = 3
 _CHSH_SEQUENTIAL_TAG = 4
 _LINE_PRODUCT_TAG = 5
+
+# A column-product case slot: 8 uniforms for the Box-Muller start state on
+# two qubits, then the hidden scalars of its 3 measurements.
+LINE_SLOT_WIDTH = 2 * 4 + 3
 
 VALUE_TOL = 1e-9
 
@@ -535,18 +542,19 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
         else:
             ops = (tensor(a, identity(2), f"{a.label}I"),
                    tensor(identity(2), b, f"I{b.label}"))
-            cs = np.array([
-                draw_hidden_batch(substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k, t), 2)
-                for t in range(cfg.trials)
-            ])
-            values, _ = run_sequence(ops, state, cs)
-            # Summed left to right (np.sum pairs terms) so seeded reports keep every bit.
-            correlator = float(np.cumsum(values[:, 0] * values[:, 1])[-1]) / cfg.trials
-            if keep_trials:
-                rows.extend(
-                    (t, f"{key}/{op.label}", float(cs[t, s]), float(values[t, s]))
-                    for t in range(cfg.trials) for s, op in enumerate(ops)
-                )
+            total = 0.0
+            rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k)
+            for first, cs in case_blocks(rng, cfg.trials, len(ops)):
+                values, _ = run_sequence(ops, state, cs)
+                # Summed left to right (np.sum pairs terms), so no bit of a
+                # seeded report depends on the block size.
+                total = np.cumsum(np.append(total, values[:, 0] * values[:, 1]))[-1]
+                if keep_trials:
+                    rows.extend(
+                        (first + t, f"{key}/{op.label}", float(cs[t, s]), float(values[t, s]))
+                        for t in range(len(cs)) for s, op in enumerate(ops)
+                    )
+            correlator = float(total) / cfg.trials
         correlators[key] = correlator
         s_value += sign * correlator
     return ChshReport(
@@ -607,33 +615,32 @@ def column_product_experiment(square: PeresMerminSquare | None = None,
     ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
     permutations = list(itertools.permutations(range(3)))
     count = len(permutations)
-    starts, cs = [], []
-    for t in range(trials):  # case t * count + p runs permutation p
-        for p in range(count):
-            rng = substream(seed, _LINE_PRODUCT_TAG, t, p)
-            starts.append(haar_state(4, rng).amplitudes)
-            cs.append(draw_hidden_batch(rng, 3))
-    starts, cs = np.array(starts), np.array(cs)
-    values = np.empty(cs.shape)  # readings in measurement order
-    for p, permutation in enumerate(permutations):
-        values[p::count] = run_sequence([ops[k] for k in permutation],
-                                        starts[p::count], cs[p::count])[0]
-    passes = int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
+    cases = trials * count  # case t * count + p runs permutation p
+    passes = 0
     rows = []
-    if keep_events:
-        rows = [
-            (case, f"{axis}{index}:{ops[k].label}", float(cs[case, s]), float(values[case, s]))
-            for case in range(len(cs))
-            for s, k in enumerate(permutations[case % count])
-        ]
+    rng = substream(seed, _LINE_PRODUCT_TAG)
+    for first, slots in case_blocks(rng, cases, LINE_SLOT_WIDTH):
+        starts, cs = haar_amplitudes(slots[:, :-3]), slots[:, -3:]
+        values = np.empty(cs.shape)  # readings in measurement order
+        for p, permutation in enumerate(permutations):
+            mine = slice((p - first) % count, None, count)
+            values[mine] = run_sequence([ops[k] for k in permutation],
+                                        starts[mine], cs[mine])[0]
+        passes += int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
+        if keep_events:
+            rows.extend(
+                (first + i, f"{axis}{index}:{ops[k].label}", float(cs[i, s]), float(values[i, s]))
+                for i in range(len(cs))
+                for s, k in enumerate(permutations[(first + i) % count])
+            )
     return LineProductReport(
         axis=axis,
         index=index,
         forced_value=forced,
         trials=trials,
         permutation_count=len(permutations),
-        cases=len(cs),
+        cases=cases,
         passes=passes,
-        failures=len(cs) - passes,
+        failures=cases - passes,
         event_rows=tuple(rows),
     )

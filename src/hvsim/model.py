@@ -36,6 +36,7 @@ MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
 MAX_DRAW_ATTEMPTS = 64  # per scalar, or rounds per batch; numpy draws 0.0 w.p. 2**-53
+SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -78,6 +79,44 @@ def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
         if u.all():
             return u
     raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
+
+
+def open_uniform(raw) -> np.ndarray:
+    """Raw 64-bit draws mapped into (0, 1) without a redraw.
+
+    This is Generator.random's (raw >> 11) * 2**-53, except that the one
+    cell giving 0.0 maps to its midpoint 2**-54; the largest value is
+    1 - 2**-53.
+    """
+    u = (np.asarray(raw, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    return np.maximum(u, 2.0**-54)
+
+
+def case_uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """The next `count` case slots of `width` open uniforms, shape (count, width).
+
+    A sweep reads its cases in order from one stream, so case t owns the raw
+    draws [t * width, (t + 1) * width) of it: reading in blocks gives the
+    same rows as one read, and case_slot replays a case with one advance.
+    """
+    return open_uniform(rng.bit_generator.random_raw(count * width)).reshape(count, width)
+
+
+def case_blocks(rng: np.random.Generator, cases: int, width: int):
+    """Yield (first case, slots) over consecutive blocks of at most SWEEP_BLOCK cases."""
+    for first in range(0, cases, SWEEP_BLOCK):
+        yield first, case_uniforms(rng, min(SWEEP_BLOCK, cases - first), width)
+
+
+def case_slot(key, width: int) -> np.ndarray:
+    """Replay one case from its key (seed, *path, case): the `width` uniforms
+    that case reads from substream(seed, *path)."""
+    *path, case = key
+    if int(case) != case or case < 0:
+        raise ValueError(f"case index must be a nonnegative integer, got {case!r}")
+    rng = substream(*path)
+    rng.bit_generator.advance(int(case) * width)
+    return case_uniforms(rng, 1, width)[0]
 
 
 class ScriptedUniforms:
@@ -161,7 +200,7 @@ class MeasurementTrace:
     """
 
     records: tuple[MeasurementRecord, ...]
-    seed: int | None = None
+    seed: int | tuple[int, ...] | None = None  # root seed or case key that replays the run
     chained: bool = field(default=True, compare=False)
 
     def __post_init__(self):

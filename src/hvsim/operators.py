@@ -339,6 +339,19 @@ def haar_state(dim: int, rng: np.random.Generator) -> PureState:
     return normalized(z)
 
 
+def haar_amplitudes(uniforms) -> np.ndarray:
+    """Rows of Haar-random amplitudes from uniforms in (0, 1), two per amplitude.
+
+    Each pair (u, v) of a row becomes sqrt(-2 ln u) exp(2 pi i v), whose real
+    and imaginary parts are independent standard normals (Box-Muller); a
+    normalised row of them is a Haar-random state, as in haar_state.
+    Shape (..., 2d) -> (..., d).
+    """
+    u = np.asarray(uniforms, dtype=float)
+    z = np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.exp(2j * np.pi * u[..., 1::2])
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase-of-R correction."""
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)

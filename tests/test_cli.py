@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 import hvsim
-from hvsim import experiments
+from hvsim import experiments, model
 from hvsim.cli import build_parser, main
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 SEEDED_DIR = Path(__file__).resolve().parent / "expected"
+# Seeded sequential sweeps pinned at seed 0 under SEEDED_DIR.
+SEEDED_CALLS = pytest.mark.parametrize("name, argv", [
+    ("weak-fc", ["weak-fc", "--trials", "5"]),
+    ("column-product", ["column-product", "--trials", "3"]),
+    ("chsh-sequential", ["chsh", "--sequential", "--trials", "20"]),
+])
 
 
 def run(capsys, *argv):
@@ -125,14 +131,21 @@ def test_json_matches_frozen_bytes(capsys, command):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name, argv", [
-    ("weak-fc", ["weak-fc", "--trials", "5"]),
-    ("column-product", ["column-product", "--trials", "3"]),
-    ("chsh-sequential", ["chsh", "--sequential", "--trials", "20"]),
-])
+@SEEDED_CALLS
 def test_seeded_sequential_reports_match_frozen_bytes(capsys, name, argv, fmt):
     # The sequential sweeps at seed 0 are pinned byte for byte, per-event
     # hidden scalars and readings included.
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@SEEDED_CALLS
+def test_seeded_reports_do_not_depend_on_block_size(capsys, monkeypatch, name, argv, fmt):
+    # Each case reads a fixed slot of its stream, so running the sweeps in
+    # blocks of 7 cases changes no byte.
+    monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")

@@ -19,6 +19,7 @@ from hvsim import (
     Sum,
     ScriptedUniforms,
     basis_ket,
+    case_slot,
     check_strong_fc,
     check_weak_fc,
     haar_state,
@@ -73,6 +74,20 @@ class TestStrongFC:
         report = check_strong_fc(f, HiddenState(basis_ket(2, 0), 0.5))
         assert (report.lhs_value, report.rhs_value) == (3.0, 3.0)
         assert report.holds
+
+    def test_shared_label_keeps_both_leaf_values(self):
+        # Leaves sharing a label get position-suffixed keys, so neither
+        # leaf's prediction is dropped from the report.
+        f = ObservableExpression.of_sum(HermitianOperator(np.diag([1.0, -1.0]), "A"),
+                                        HermitianOperator(np.diag([2.0, 5.0]), "A"))
+        report = check_strong_fc(f, HiddenState(basis_ket(2, 0), 0.5))
+        assert report.details["leaf_values"] == {"A[0]": 1.0, "A[1]": 2.0}
+
+    def test_distinct_labels_stay_plain(self):
+        b = HermitianOperator(np.diag([2.0, 5.0]), "B")
+        f = ObservableExpression.of_sum(HermitianOperator(np.diag([1.0, -1.0]), "A"), b)
+        report = check_strong_fc(f, HiddenState(basis_ket(2, 0), 0.5))
+        assert report.details["leaf_values"] == {"A": 1.0, "B": 2.0}
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000))
@@ -151,23 +166,53 @@ class TestWeakFC:
 class TestVerifyProposition:
     def test_kept_failures_match_check_weak_fc(self, monkeypatch):
         # Offsetting the composed value makes every case fail. Only the kept
-        # cases get a full report, and it must equal check_weak_fc's report
-        # for the same case replayed from the same generator state.
+        # cases get a full report; each carries its key (seed, tag, case) and
+        # equals check_weak_fc's report for that one case, replayed from the
+        # key with a single advance to its slot.
         eval_real = consistency.eval_real
         monkeypatch.setattr(consistency, "eval_real",
                             lambda f, values: eval_real(f, values) + 1.0)
         f = column3_expression()
         state = basis_ket(4, 0)
-        summary = verify_proposition(f, state, trials=3,
-                                     rng=np.random.default_rng(8),
+        summary = verify_proposition(f, state, trials=3, rng=(8, 6),
                                      max_failure_examples=2)
         assert (summary.passes, summary.failures) == (0, 18)
         assert len(summary.failure_examples) == 2
-        rng = np.random.default_rng(8)
         for permutation, kept in zip([(0, 1, 2), (0, 2, 1)], summary.failure_examples):
-            initial = HiddenState.draw(state, rng)
-            assert kept == check_weak_fc(f, initial, permutation, rng)
+            key = tuple(kept.details["key"])
+            assert key[:2] == (8, 6)
+            slot = case_slot(key, 4)
+            assert kept == check_weak_fc(f, HiddenState(state, slot[0]), permutation,
+                                         ScriptedUniforms(slot[1:]), key=key)
             assert not kept.holds
+
+    def test_key_replays_a_late_failure(self, monkeypatch):
+        # Only the last case fails; its key alone rebuilds its report.
+        calls = []
+        eval_real = consistency.eval_real
+
+        def fail_last(f, values):
+            calls.append(1)
+            return eval_real(f, values) + (1.0 if len(calls) >= 18 else 0.0)
+
+        monkeypatch.setattr(consistency, "eval_real", fail_last)
+        f = column3_expression()
+        state = basis_ket(4, 0)
+        summary = verify_proposition(f, state, trials=3, rng=(8, 6))
+        assert (summary.passes, summary.failures) == (17, 1)
+        (kept,) = summary.failure_examples
+        assert kept.details["key"] == [8, 6, 17]
+        slot = case_slot((8, 6, 17), 4)
+        assert kept.details["initial_c"] == slot[0]
+        assert kept.details["c_values"] == slot[:3].tolist()
+        assert kept.details["permutation"] == [2, 1, 0]
+        assert not kept.holds
+
+    def test_generator_stream_records_no_key(self):
+        f = column3_expression()
+        report = check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), (0, 1, 2),
+                               ScriptedUniforms((0.1, 0.7, 0.5)))
+        assert "key" not in report.details
 
     def test_counts_and_rows(self):
         f = column3_expression()

@@ -1,5 +1,6 @@
 """Reference replay, Born statistics, implications demo, CHSH, line sweeps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,23 @@ import pytest
 
 from hvsim import (
     ExperimentConfig,
+    HermitianOperator,
+    HiddenState,
+    Leaf,
+    ObservableExpression,
+    Scale,
+    ScriptedUniforms,
+    Sum,
+    case_slot,
+    case_uniforms,
+    check_weak_fc,
+    haar_amplitudes,
+    identity,
+    measure,
+    normalized,
+    substream,
+    tensor,
+    verify_proposition,
     ReferenceRunMismatchError,
     StatReport,
     basis_ket,
@@ -23,6 +41,13 @@ from hvsim import (
     spin_state,
     PeresMerminSquare,
     PureState,
+)
+from hvsim import consistency, model
+from hvsim.experiments import (
+    LINE_SLOT_WIDTH,
+    _CHSH_SEQUENTIAL_TAG,
+    _LINE_PRODUCT_TAG,
+    _chsh_settings,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -255,7 +280,7 @@ class TestChsh:
         cfg = ExperimentConfig(seed=0, trials=300)
         report = chsh_experiment(cfg, mode="sequential")
         assert report.mode == "sequential"
-        assert report.s_value == pytest.approx(2.9333333333333336, abs=1e-12)
+        assert report.s_value == pytest.approx(2.993333333333333, abs=1e-12)
         assert report.exceeds_classical
         assert abs(report.s_value - 2.0 * ROOT2) < 0.3
 
@@ -321,3 +346,115 @@ class TestLineProduct:
             "axis", "index", "forced_value", "trials", "permutation_count",
             "cases", "passes", "failures", "all_passed",
         ]
+
+
+def _chain(ops, state, slot):
+    """(c, value) of each event when chained measure() runs `ops` from
+    HiddenState(state, slot[0]) with slot[1:] as the re-arm draws."""
+    hidden = HiddenState(state, slot[0])
+    script = ScriptedUniforms(list(slot[1:]) + [0.5] * (len(ops) + 1 - len(slot)))
+    events = []
+    for op in ops:
+        record, hidden = measure(op, hidden, script)
+        events.append((record.c_used, record.value))
+    return events
+
+
+def _case_c_value(row):
+    case, _, c, value = row
+    return case, c, value
+
+
+@pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
+def sweep_block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(model, "SWEEP_BLOCK", request.param)
+
+
+@pytest.mark.usefixtures("sweep_block")
+class TestSweepsReplayOnTheScalarPath:
+    """Every case of a sequential sweep equals chained measure() on the slot
+    replayed from its key with one advance, in one block or in many."""
+
+    def test_chsh_sequential(self):
+        cfg = ExperimentConfig(seed=5, trials=40)
+        report = chsh_experiment(cfg, mode="sequential", keep_trials=True)
+        rows = iter(report.trial_rows)
+        for k, (key, a, b, _) in enumerate(_chsh_settings()):
+            ops = (tensor(a, identity(2)), tensor(identity(2), b))
+            total = 0.0
+            for t in range(cfg.trials):
+                events = _chain(ops, bell_state(), case_slot(
+                    (cfg.seed, _CHSH_SEQUENTIAL_TAG, k, t), 2))
+                assert [_case_c_value(next(rows)) for _ in ops] == [(t, c, v) for c, v in events]
+                total += events[0][1] * events[1][1]
+            assert report.correlators[key] == total / cfg.trials
+
+    @pytest.mark.parametrize("axis, index", [("column", 3), ("row", 2)])
+    def test_column_product(self, axis, index):
+        report = column_product_experiment(trials=4, seed=9, axis=axis, index=index,
+                                           keep_events=True)
+        square = peres_mermin()
+        ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
+        permutations = list(itertools.permutations(range(3)))
+        rows = iter(report.event_rows)
+        passes = 0
+        for case in range(report.cases):
+            slot = case_slot((9, _LINE_PRODUCT_TAG, case), LINE_SLOT_WIDTH)
+            start = PureState(haar_amplitudes(slot[:8]))
+            events = _chain([ops[k] for k in permutations[case % 6]], start, slot[8:])
+            assert [_case_c_value(next(rows)) for _ in ops] == [(case, c, v) for c, v in events]
+            passes += abs(math.prod(v for _, v in events) - report.forced_value) <= 1e-9
+        assert passes == report.passes == report.cases
+
+    def test_weak_fc(self, monkeypatch):
+        # A + 2B = 5I: every state qualifies and the readings are random. The
+        # sum is the same in either order, but the readings are not (from
+        # (|0> + |1>)/sqrt2 with c <= 1/2, A first reads A=1, B first B=1), so
+        # the sweep's per-leaf readings are recorded and compared too.
+        a = HermitianOperator(np.diag([1.0, 3.0]), "A")
+        b = HermitianOperator(np.diag([2.0, 1.0]), "B")
+        f = ObservableExpression(Sum(Leaf(a), Scale(2.0, Leaf(b))))
+        state = normalized([1.0, 1.0])
+        swept = []
+        eval_real = consistency.eval_real
+        monkeypatch.setattr(consistency, "eval_real", lambda f, values: (
+            swept.append([values[a], values[b]]), eval_real(f, values))[1])
+        summary = verify_proposition(f, state, trials=15, rng=(4, 6), keep_cases=True)
+        sweep_readings = list(swept)  # the replays below record theirs too
+        readings = set()
+        for (case, _, c, rhs), leaf_readings in zip(summary.case_rows, sweep_readings,
+                                                    strict=True):
+            key = (4, 6, case)
+            slot = case_slot(key, 3)
+            permutation = [(0, 1), (1, 0)][case % 2]
+            report = check_weak_fc(f, HiddenState(state, slot[0]), permutation,
+                                   ScriptedUniforms(slot[1:]), key=key)
+            assert (report.details["initial_c"], report.rhs_value) == (c, rhs)
+            assert report.details["key"] == [4, 6, case]
+            replayed = {step["label"]: step["value"] for step in report.details["steps"]}
+            assert leaf_readings == [replayed["A"], replayed["B"]]
+            readings.add((permutation[0], report.details["steps"][0]["value"]))
+        assert len(readings) == 4
+
+    def test_generator_and_key_read_the_same_stream(self):
+        f = peres_mermin().column_expression(3)
+        by_key = verify_proposition(f, basis_ket(4, 0), trials=4, rng=(2, 6), keep_cases=True)
+        by_rng = verify_proposition(f, basis_ket(4, 0), trials=4, rng=substream(2, 6),
+                                    keep_cases=True)
+        assert by_key.case_rows == by_rng.case_rows
+
+
+class TestBoxMullerStartStates:
+    def test_unit_norm_and_haar_mean(self):
+        n = 20_000
+        amps = haar_amplitudes(case_uniforms(substream(0, _LINE_PRODUCT_TAG), n, 8))
+        assert amps.shape == (n, 4)
+        np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
+        # |<0|psi>|^2 of a Haar state in dimension 4 is Beta(1, 3): mean 1/4,
+        # variance 3/80.
+        p0 = np.abs(amps[:, 0]) ** 2
+        assert abs(p0.mean() - 0.25) <= 5.0 * math.sqrt(3.0 / 80.0 / n)
+        # Its second moment is 1/10 (fourth moment 1/35), which a state with
+        # Gaussian phases but flat moduli would miss.
+        assert abs((p0**2).mean() - 0.1) <= 5.0 * math.sqrt((1 / 35 - 0.01) / n)

@@ -17,6 +17,7 @@ from hvsim.errors import (
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
+from hvsim import model
 from hvsim.expressions import peres_mermin
 from hvsim.model import (
     MIN_BRANCH_WEIGHT,
@@ -26,9 +27,13 @@ from hvsim.model import (
     ScriptedUniforms,
     as_decomposition,
     branch_indices,
+    case_blocks,
+    case_slot,
+    case_uniforms,
     draw_hidden,
     draw_hidden_batch,
     measure,
+    open_uniform,
     predict,
     predict_batch,
     run_sequence,
@@ -408,6 +413,56 @@ class TestBatchDrawDropsZeros:
             batch = draw_hidden_batch(substream(seed), 64)
             rng = substream(seed)
             np.testing.assert_array_equal(batch, [draw_hidden(rng) for _ in range(64)])
+
+
+# (stream path after the root seed, slot width) of the sequential sweeps:
+# chsh --sequential reads one stream per setting (tag 4, settings 0 and 3
+# here), column-product tag 5, weak-fc on a three-leaf line tag 6.
+SWEEP_STREAMS = [((4, 0), 2), ((4, 3), 2), ((5,), 11), ((6,), 4)]
+
+
+class TestCaseSlots:
+    """Case t of a sweep owns raw draws [t * width, (t + 1) * width) of its
+    stream, so any single case replays with one advance."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32), sweep=st.sampled_from(SWEEP_STREAMS), data=st.data())
+    def test_slot_replayed_alone_equals_its_batch_row(self, seed, sweep, data):
+        path, width = sweep
+        count = data.draw(st.integers(1, 300), label="count")
+        case = data.draw(st.integers(0, count - 1), label="case")
+        batch = case_uniforms(substream(seed, *path), count, width)
+        assert batch.shape == (count, width)
+        np.testing.assert_array_equal(case_slot((seed, *path, case), width), batch[case])
+
+    def test_blocks_read_the_same_rows(self, monkeypatch):
+        monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
+        blocks = list(case_blocks(substream(3, 5), 50, 11))
+        assert [first for first, _ in blocks] == list(range(0, 50, 7))
+        np.testing.assert_array_equal(np.concatenate([slots for _, slots in blocks]),
+                                      case_uniforms(substream(3, 5), 50, 11))
+
+    def test_raw_extremes_map_strictly_inside(self):
+        raw = np.array([0, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+        u = open_uniform(raw)
+        assert ((u > 0.0) & (u < 1.0)).all()
+        assert u.tolist() == [2.0**-54, 2.0**-54, 2.0**-53, 1 - 2.0**-53, 1 - 2.0**-53]
+
+    def test_nonzero_draws_equal_generator_random(self):
+        # Away from the one zero cell a slot reads what Generator.random reads.
+        np.testing.assert_array_equal(case_uniforms(substream(9, 6), 250, 4).ravel(),
+                                      substream(9, 6).random(1000))
+
+    def test_stream_advances_width_draws_per_case(self):
+        rng = substream(1, 6)
+        case_uniforms(rng, 5, 4)
+        assert rng.bit_generator.random_raw() == substream(1, 6).bit_generator.random_raw(21)[20]
+
+    def test_case_slot_rejects_bad_case(self):
+        with pytest.raises(ValueError):
+            case_slot((0, 6, -1), 4)
+        with pytest.raises(ValueError):
+            case_slot((0, 6, 1.5), 4)
 
 
 def _degenerate_family(seed):
