@@ -74,6 +74,7 @@ from .expressions import (
     Sum,
     eval_operator,
     eval_real,
+    eval_real_block,
     implications_operators,
     peres_mermin,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -34,6 +35,7 @@ from .operators import amplitude_pairs, basis_ket, commutator_norm, identity_sca
 _WEAK_FC_TAG = 6
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hvsim",
@@ -113,8 +115,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--trials must be positive")
     if not 0.0 < getattr(args, "c", 0.5) < 1.0:
         parser.error("--c must lie strictly between 0 and 1")
-    if getattr(args, "tolerance_sigma", 1.0) <= 0:
-        parser.error("--tolerance-sigma must be positive")
+    if not 0.0 < getattr(args, "tolerance_sigma", 1.0) < math.inf:
+        parser.error("--tolerance-sigma must be positive and finite")
     theta = getattr(args, "theta", 0.0)
     if not math.isfinite(theta):
         parser.error("--theta must be finite")

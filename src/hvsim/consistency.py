@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .errors import DimensionMismatchError, NotAnEigenstateError
 from .model import (HiddenState, MeasurementTrace, ScriptedUniforms, case_blocks, measure,
                     predict, predict_batch, run_sequence, substream)
-from .expressions import ObservableExpression, PeresMerminSquare, eval_operator, eval_real
+from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
+                          eval_real_block)
 
 import numpy as np
 
@@ -180,6 +181,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
         )
     ops = f.operators
     permutations = list(itertools.permutations(range(len(ops))))
+    names = [f"perm({','.join(str(k) for k in p)})" for p in permutations]
     count = len(permutations)
     cases = trials * count
     key = tuple(rng) if isinstance(rng, tuple) else None
@@ -196,18 +198,17 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
             mine = slice((p - first) % count, None, count)
             values[mine, list(permutation)] = run_sequence(
                 [ops[k] for k in permutation], state, cs[mine, :-1])[0]
-        for i, case in enumerate(range(first, first + len(cs))):
-            permutation = permutations[case % count]
-            rhs = float(eval_real(f, dict(zip(ops, values[i].tolist()))))
-            if abs(lhs[i] - rhs) <= VALUE_TOL:
-                passes += 1
-            elif len(examples) < max_failure_examples:
-                examples.append(check_weak_fc(
-                    f, HiddenState(state, cs[i, 0]), permutation, ScriptedUniforms(cs[i, 1:]),
-                    key=None if key is None else (*key, case)))
-            if keep_cases:
-                order = ",".join(str(k) for k in permutation)
-                rows.append((case, f"perm({order})", float(cs[i, 0]), rhs))
+        rhs = eval_real_block(f, values)
+        failed = np.flatnonzero(~(np.abs(lhs - rhs) <= VALUE_TOL))
+        passes += len(cs) - len(failed)
+        for i in failed[:max(max_failure_examples - len(examples), 0)]:
+            case = first + int(i)
+            examples.append(check_weak_fc(
+                f, HiddenState(state, cs[i, 0]), permutations[case % count],
+                ScriptedUniforms(cs[i, 1:]), key=None if key is None else (*key, case)))
+        if keep_cases:
+            rows.extend((case, names[case % count], c, r) for case, c, r in zip(
+                range(first, first + len(cs)), cs[:, 0].tolist(), rhs.tolist()))
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,

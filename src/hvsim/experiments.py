@@ -73,9 +73,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.tolerance_sigma <= 0:
+        if not 0.0 < self.tolerance_sigma < math.inf:
             raise ValueError(
-                f"tolerance_sigma must be positive, got {self.tolerance_sigma}"
+                f"tolerance_sigma must be positive and finite, got {self.tolerance_sigma}"
             )
 
 

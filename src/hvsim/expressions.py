@@ -8,6 +8,8 @@ consistency checkers compare "measure f(A)" against "f(measured A's)".
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -217,18 +219,11 @@ def _resolve_leaf_value(mapping, op: HermitianOperator, leaves):
     )
 
 
-def eval_real(f: ObservableExpression, leaf_values) -> float:
-    """Evaluate the expression numerically from per-leaf measured values.
-
-    `leaf_values` maps operators (or their labels) to real numbers; equal
-    leaves share one value, and a label key must name exactly one distinct
-    leaf. Scale factors must be real within 1e-12.
-    """
-    resolved = [
-        float(_resolve_leaf_value(leaf_values, op, f.operators)) for op in f.operators
-    ]
-
-    def walk(node) -> float:
+def _walk(f: ObservableExpression, resolved):
+    """Evaluate f's tree from the value of each distinct leaf, in the order
+    of f.operators: floats, or equal-length arrays walked elementwise with
+    the same operations in the same order, so each element keeps its bits."""
+    def walk(node):
         if isinstance(node, Leaf):
             return resolved[f._leaf_slots[id(node)]]
         if isinstance(node, Sum):
@@ -244,7 +239,27 @@ def eval_real(f: ObservableExpression, leaf_values) -> float:
             )
         return node.factor.real * walk(node.child)
 
-    return float(walk(f.root))
+    return walk(f.root)
+
+
+def eval_real(f: ObservableExpression, leaf_values) -> float:
+    """Evaluate the expression numerically from per-leaf measured values.
+
+    `leaf_values` maps operators (or their labels) to real numbers; equal
+    leaves share one value, and a label key must name exactly one distinct
+    leaf. Scale factors must be real within 1e-12.
+    """
+    resolved = [
+        float(_resolve_leaf_value(leaf_values, op, f.operators)) for op in f.operators
+    ]
+    return float(_walk(f, resolved))
+
+
+def eval_real_block(f: ObservableExpression, readings) -> np.ndarray:
+    """eval_real for every row of `readings`, an (N, len(f.operators)) array
+    whose column k holds leaf f.operators[k]'s values; equal bit for bit."""
+    readings = np.asarray(readings, dtype=float)
+    return np.array(_walk(f, list(readings.T)), dtype=float)
 
 
 class PeresMerminSquare:
@@ -340,8 +355,10 @@ def _line_product(ops, label: str) -> tuple[HermitianOperator, int]:
     return HermitianOperator(matrix, label), value
 
 
+@functools.cache
 def peres_mermin() -> PeresMerminSquare:
-    """The standard two-qubit square built from Pauli tensor products."""
+    """The standard two-qubit square built from Pauli tensor products, once
+    per process: every call returns the same read-only square."""
     x, y, z = pauli("x"), pauli("y"), pauli("z")
     one = identity(2)
     grid = (

@@ -364,8 +364,7 @@ def run_sequence(ops, amplitudes, cs) -> tuple[np.ndarray, np.ndarray]:
         decomp = as_decomposition(obs)
         indices = select(decomp, amps, cs[:, step])
         values[:, step] = decomp.values[indices]
-        block_of_column = np.repeat(np.arange(len(decomp.values)), np.diff(decomp.offsets))
-        kept = (amps @ decomp.vectors.conj()) * (block_of_column == indices[:, None])
+        kept = (amps @ decomp.vectors.conj()) * (decomp.block_of_column == indices[:, None])
         amps = kept @ decomp.vectors.T
         weights = np.einsum("nd,nd->n", amps.conj(), amps).real
         if (weights <= MIN_BRANCH_WEIGHT).any():

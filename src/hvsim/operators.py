@@ -174,16 +174,18 @@ class Branch(NamedTuple):
 class SpectralDecomposition:
     """Ascending distinct eigenvalues over one orthonormal eigenvector matrix.
 
-    Columns offsets[i]:offsets[i + 1] of `vectors` span the eigenspace of
-    values[i], so Born weights are segment sums of |V^H psi|^2 and collapse
-    onto branch i is V_i (V_i^H psi); `branches` builds projectors on demand.
+    Columns offsets[i]:offsets[i + 1] of `vectors` (where block_of_column is
+    i) span the eigenspace of values[i], so Born weights are segment sums of
+    |V^H psi|^2 and collapse onto branch i is V_i (V_i^H psi); `branches`
+    builds projectors on demand.
     spectral() fills the fields from eigensolver output unchecked; this
     constructor takes hand-built (eigenvalue, projector) pairs and first checks
     the resolution of the identity (projector sum, pairwise orthogonality,
     idempotence, value separation).
     """
 
-    __slots__ = ("values", "vectors", "offsets", "degeneracy_tol", "label", "_branches")
+    __slots__ = ("values", "vectors", "offsets", "block_of_column", "degeneracy_tol", "label",
+                 "_branches")
 
     def __init__(self, branches, degeneracy_tol: float, label: str | None = None):
         branches = tuple(Branch(*b) for b in branches)
@@ -216,9 +218,11 @@ class SpectralDecomposition:
         self._assign(values, np.hstack(blocks), offsets, degeneracy_tol, label, branches)
 
     def _assign(self, values, vectors, offsets, degeneracy_tol, label, branches=None):
-        for arr in (values, vectors, offsets):
+        block_of_column = np.repeat(np.arange(len(values)), np.diff(offsets))
+        for arr in (values, vectors, offsets, block_of_column):
             arr.setflags(write=False)
         self.values, self.vectors, self.offsets = values, vectors, offsets
+        self.block_of_column = block_of_column
         self.degeneracy_tol = float(degeneracy_tol)
         self.label = label
         self._branches = branches
@@ -261,8 +265,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """V diag(eigenvalues) V^H; equals the source matrix."""
-        spread = np.repeat(self.values, np.diff(self.offsets))
-        return (self.vectors * spread) @ self.vectors.conj().T
+        return (self.vectors * self.values[self.block_of_column]) @ self.vectors.conj().T
 
     def branch_index(self, value: float, tol: float | None = None) -> int | None:
         """Index of the branch whose eigenvalue matches, or None."""

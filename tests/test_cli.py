@@ -12,6 +12,7 @@ import pytest
 import hvsim
 from hvsim import experiments, model
 from hvsim.cli import build_parser, main
+from hvsim.expressions import peres_mermin
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 SEEDED_DIR = Path(__file__).resolve().parent / "expected"
@@ -201,6 +202,8 @@ class TestUsageErrors:
         ["weak-fc", "--column", "4"],
         ["column-product", "--axis", "diagonal"],
         ["chsh", "--no-such-flag"],
+        ["born", "--tolerance-sigma", "nan"],
+        ["born", "--tolerance-sigma", "inf"],
     ])
     def test_exit_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -236,14 +239,42 @@ class TestOutFile:
         assert len(lines) == 13
 
 
-def test_module_entry_point():
-    # The child process imports the same package the tests do.
+def fresh(*argv):
+    """Run `python -m hvsim argv` in a new process on the package under test."""
     src = str(Path(hvsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "hvsim", "no-go"],
-        capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "hvsim", *argv],
+        capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    result = fresh("no-go")
     assert result.returncode == 0
-    assert "satisfying all six line constraints: 0" in result.stdout
+    assert b"satisfying all six line constraints: 0" in result.stdout
+
+
+def test_repeated_calls_share_no_state(capsys):
+    # main reuses one parser and one square per process. No call may leave
+    # state behind that changes a later call's report.
+    calls = [
+        ["born", "--tolerance-sigma", "nan"],
+        ["weak-fc", "--column", "1"],
+        ["weak-fc"],
+        ["chsh", "--sequential"],
+        ["chsh"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        result = fresh(*argv)
+        assert (code, out.encode("utf-8")) == (result.returncode, result.stdout), argv
+    square = peres_mermin()
+    assert square is peres_mermin()
+    with pytest.raises(ValueError):
+        square.grid[0][0].matrix[0, 0] = 2.0

@@ -168,10 +168,13 @@ class TestVerifyProposition:
         # Offsetting the composed value makes every case fail. Only the kept
         # cases get a full report; each carries its key (seed, tag, case) and
         # equals check_weak_fc's report for that one case, replayed from the
-        # key with a single advance to its slot.
-        eval_real = consistency.eval_real
+        # key with a single advance to its slot. The sweep composes values
+        # per block and the kept reports per case, so both routes are offset.
+        eval_real, eval_real_block = consistency.eval_real, consistency.eval_real_block
         monkeypatch.setattr(consistency, "eval_real",
                             lambda f, values: eval_real(f, values) + 1.0)
+        monkeypatch.setattr(consistency, "eval_real_block",
+                            lambda f, readings: eval_real_block(f, readings) + 1.0)
         f = column3_expression()
         state = basis_ket(4, 0)
         summary = verify_proposition(f, state, trials=3, rng=(8, 6),
@@ -187,15 +190,20 @@ class TestVerifyProposition:
             assert not kept.holds
 
     def test_key_replays_a_late_failure(self, monkeypatch):
-        # Only the last case fails; its key alone rebuilds its report.
-        calls = []
-        eval_real = consistency.eval_real
+        # Only the last case fails; its key alone rebuilds its report. The
+        # sweep's block values are offset from case 17 on, and the kept
+        # report's per-case value always, so that report fails too.
+        swept = []
+        eval_real, eval_real_block = consistency.eval_real, consistency.eval_real_block
 
-        def fail_last(f, values):
-            calls.append(1)
-            return eval_real(f, values) + (1.0 if len(calls) >= 18 else 0.0)
+        def fail_last(f, readings):
+            cases = np.arange(len(swept), len(swept) + len(readings))
+            swept.extend(cases)
+            return eval_real_block(f, readings) + np.where(cases >= 17, 1.0, 0.0)
 
-        monkeypatch.setattr(consistency, "eval_real", fail_last)
+        monkeypatch.setattr(consistency, "eval_real_block", fail_last)
+        monkeypatch.setattr(consistency, "eval_real",
+                            lambda f, values: eval_real(f, values) + 1.0)
         f = column3_expression()
         state = basis_ket(4, 0)
         summary = verify_proposition(f, state, trials=3, rng=(8, 6))

@@ -69,6 +69,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(tolerance_sigma=0.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            ExperimentConfig(tolerance_sigma=tolerance)
+
 
 class TestStates:
     def test_spin_state(self):
@@ -417,13 +422,13 @@ class TestSweepsReplayOnTheScalarPath:
         f = ObservableExpression(Sum(Leaf(a), Scale(2.0, Leaf(b))))
         state = normalized([1.0, 1.0])
         swept = []
-        eval_real = consistency.eval_real
-        monkeypatch.setattr(consistency, "eval_real", lambda f, values: (
-            swept.append([values[a], values[b]]), eval_real(f, values))[1])
+        eval_real_block = consistency.eval_real_block
+        assert f.operators == (a, b)  # the block's columns, in this order
+        monkeypatch.setattr(consistency, "eval_real_block", lambda f, readings: (
+            swept.extend(readings.tolist()), eval_real_block(f, readings))[1])
         summary = verify_proposition(f, state, trials=15, rng=(4, 6), keep_cases=True)
-        sweep_readings = list(swept)  # the replays below record theirs too
         readings = set()
-        for (case, _, c, rhs), leaf_readings in zip(summary.case_rows, sweep_readings,
+        for (case, _, c, rhs), leaf_readings in zip(summary.case_rows, swept,
                                                     strict=True):
             key = (4, 6, case)
             slot = case_slot(key, 3)

@@ -21,6 +21,7 @@ from hvsim import (
     commutator_norm,
     eval_operator,
     eval_real,
+    eval_real_block,
     identity,
     implications_operators,
     pauli,
@@ -32,6 +33,36 @@ from hvsim import (
 
 def two_qubit(first, second, label):
     return tensor(pauli(first), pauli(second), label)
+
+
+# Diagonal, so any tree over them has commuting leaves and, with real scale
+# factors, a Hermitian matrix.
+DIAGONAL_LEAVES = tuple(HermitianOperator(np.diag(d), label) for d, label in (
+    ([1.0, 2.0, 3.0], "A"), ([-1.0, 0.0, 5.0], "B"), ([2.0, 2.0, -7.0], "C")))
+
+
+def expression_trees():
+    """Sum/Product/Scale trees over DIAGONAL_LEAVES, half of them drawn with
+    Scale(1j, Scale(-1j, t)) among the nodes: that keeps the matrix Hermitian
+    but puts complex factors in the tree."""
+    def extend(children, complex_factors):
+        many = st.lists(children, min_size=1, max_size=3)
+        nodes = [many.map(lambda c: Sum(*c)), many.map(lambda c: Product(*c)),
+                 st.builds(Scale, st.floats(-4, 4, allow_nan=False), children)]
+        if complex_factors:
+            nodes.append(children.map(lambda c: Scale(1j, Scale(-1j, c))))
+        return st.one_of(nodes)
+    leaves = st.sampled_from(DIAGONAL_LEAVES).map(Leaf)
+    return st.one_of(st.recursive(leaves, lambda c: extend(c, False), max_leaves=8),
+                     st.recursive(leaves, lambda c: extend(c, True), max_leaves=8))
+
+
+def has_complex_factor(node) -> bool:
+    if isinstance(node, Leaf):
+        return False
+    if isinstance(node, Scale):
+        return node.factor.imag != 0 or has_complex_factor(node.child)
+    return any(has_complex_factor(c) for c in node.children)
 
 
 class TestNodes:
@@ -194,6 +225,28 @@ class TestEvalReal:
         np.testing.assert_allclose(expr.matrix, -pauli("x").matrix, atol=1e-15)
         with pytest.raises(ComplexFactorError):
             eval_real(expr, {"X": 1.0})
+        with pytest.raises(ComplexFactorError):
+            eval_real_block(expr, np.ones((2, 1)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(expression_trees(), st.data())
+    def test_block_equals_scalar_bit_for_bit(self, root, data):
+        # Each row of the block result carries the bits eval_real gives for
+        # that row's leaf readings; a complex factor fails on both routes.
+        f = ObservableExpression(root)
+        k = len(f.operators)
+        rows = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k),
+                                  min_size=1, max_size=4))
+        if has_complex_factor(root):
+            with pytest.raises(ComplexFactorError):
+                eval_real(f, dict(zip(f.operators, rows[0])))
+            with pytest.raises(ComplexFactorError):
+                eval_real_block(f, np.array(rows))
+            return
+        scalar = np.array([eval_real(f, dict(zip(f.operators, row))) for row in rows])
+        block = eval_real_block(f, np.array(rows))
+        assert block.dtype == np.float64
+        assert block.tobytes() == scalar.tobytes()
 
 
 class TestPeresMerminSquare:
