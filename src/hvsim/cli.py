@@ -352,8 +352,7 @@ def _render_csv(rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("trial", "setting", "c", "value"))
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

@@ -9,6 +9,7 @@ trials) arguments reproduce identical reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .model import (
     MeasurementTrace,
     ScriptedUniforms,
     as_decomposition,
+    branch_counts,
     branch_indices,
     case_blocks,
     draw_hidden_batch,
@@ -140,15 +142,10 @@ class StatReport:
 
 
 def _nearest_value(mapping: dict, value: float, tol: float) -> float:
-    best = None
-    best_gap = math.inf
-    for key, entry in mapping.items():
-        gap = abs(key - value)
-        if gap < best_gap:
-            best, best_gap = entry, gap
-    if best is None or best_gap > tol:
+    key = min(mapping, key=lambda k: abs(k - value), default=None)
+    if key is None or not abs(key - value) <= tol:  # nan is near nothing
         raise KeyError(f"no outcome near {value!r}")
-    return best
+    return mapping[key]
 
 
 def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
@@ -158,9 +155,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
     decomp = as_decomposition(obs)
     rng = substream(cfg.seed, _BORN_TAG)
     cs = draw_hidden_batch(rng, cfg.trials)
-    indices = branch_indices(decomp, state, cs)
-    counts = np.bincount(indices, minlength=len(decomp.values))
-    frequencies = counts / cfg.trials
+    frequencies = branch_counts(decomp, state, cs) / cfg.trials
     expected = decomp.weights(state)
     max_dev = 0.0
     passed = True
@@ -175,7 +170,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
     label = decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
     rows = ()
     if keep_trials:
-        values = decomp.values[indices]
+        values = decomp.values[branch_indices(decomp, state, cs)]
         rows = tuple(
             (t, label, float(cs[t]), float(values[t])) for t in range(cfg.trials)
         )
@@ -497,17 +492,20 @@ class ChshReport:
         }
 
 
+@functools.cache
 def _chsh_settings():
+    """(key, A, B, sign, A (x) B, (A (x) I, I (x) B)) per setting, built once per process."""
     z = pauli("z")
     x = pauli("x")
     s = 1.0 / math.sqrt(2.0)
     w = HermitianOperator(s * (z.matrix + x.matrix), "W")
     v = HermitianOperator(s * (z.matrix - x.matrix), "V")
-    return (
-        ("ZW", z, w, 1.0),
-        ("ZV", z, v, 1.0),
-        ("XW", x, w, 1.0),
-        ("XV", x, v, -1.0),
+    one = identity(2)
+    return tuple(
+        (key, a, b, sign, tensor(a, b, key),
+         (tensor(a, one, f"{a.label}I"), tensor(one, b, f"I{b.label}")))
+        for key, a, b, sign in (("ZW", z, w, 1.0), ("ZV", z, v, 1.0),
+                                ("XW", x, w, 1.0), ("XV", x, v, -1.0))
     )
 
 
@@ -527,9 +525,8 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
     correlators = {}
     rows = []
     s_value = 0.0
-    for k, (key, a, b, sign) in enumerate(_chsh_settings()):
+    for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
         if mode == "product":
-            joint = tensor(a, b, key)
             rng = substream(cfg.seed, _CHSH_PRODUCT_TAG, k)
             cs = draw_hidden_batch(rng, cfg.trials)
             values = predict_batch(joint, state, cs)
@@ -540,8 +537,6 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
                     for t in range(cfg.trials)
                 )
         else:
-            ops = (tensor(a, identity(2), f"{a.label}I"),
-                   tensor(identity(2), b, f"I{b.label}"))
             total = 0.0
             rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k)
             for first, cs in case_blocks(rng, cfg.trials, len(ops)):

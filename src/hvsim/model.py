@@ -239,6 +239,22 @@ def as_decomposition(obs) -> SpectralDecomposition:
     )
 
 
+def _cumulative(decomp: SpectralDecomposition, amplitudes):
+    """Cumulative branch weights, those below MIN_BRANCH_WEIGHT zeroed, and the
+    index of the last branch carrying weight (per row of an (N, d) stack)."""
+    w = decomp.weights(amplitudes)  # also rejects a state of the wrong dimension
+    w[w < MIN_BRANCH_WEIGHT] = 0.0
+    cum = np.cumsum(w, axis=-1)
+    cover = cum[..., -1].min(initial=1.0)
+    if cover < 1.0 - COVERAGE_TOL:
+        raise MalformedDecompositionError(
+            f"branch weights cover only {cover:.12f} of the state"
+        )
+    if w.ndim == 1:
+        return cum, np.flatnonzero(w)[-1]
+    return cum, w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
+
+
 def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
     """Branch index picked by each hidden scalar in `cs`: the selection rule.
 
@@ -249,20 +265,17 @@ def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
     carries weight, never onto a zeroed one. Callers keep every c inside
     (0, 1), as HiddenState, branch_indices and run_sequence enforce.
     `amplitudes` is one state shared by every c, or an (N, d) stack with one
-    c per row.
+    c per row. One state's index counts the weighted edges cum[:last] below c.
     """
-    w = decomp.weights(amplitudes)  # also rejects a state of the wrong dimension
-    w[w < MIN_BRANCH_WEIGHT] = 0.0
-    cum = np.cumsum(w, axis=-1)
-    cover = cum[..., -1].min(initial=1.0)
-    if cover < 1.0 - COVERAGE_TOL:
-        raise MalformedDecompositionError(
-            f"branch weights cover only {cover:.12f} of the state"
-        )
-    if w.ndim == 1:
-        return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
-    last = w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
-    return np.minimum((cum < cs[:, None]).sum(axis=1), last)
+    cum, last = _cumulative(decomp, amplitudes)
+    if cum.ndim == 2:
+        return np.minimum((cum < cs[:, None]).sum(axis=1), last)
+    if isinstance(cs, float):  # one numpy call for the scalar path
+        return np.count_nonzero(cum[:last] < cs)
+    index = np.zeros(np.shape(cs), dtype=np.intp)
+    for edge in cum[:last]:
+        index += np.greater(cs, edge)
+    return index
 
 
 def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:
@@ -287,19 +300,26 @@ def predict(obs, hidden: HiddenState) -> float:
     return float(decomp.values[select(decomp, hidden.state.amplitudes, hidden.c)])
 
 
-def branch_indices(obs, state, cs) -> np.ndarray:
-    """Branch index chosen by each hidden scalar in `cs`, vectorized.
-
-    Elementwise this is the same selection rule as predict(); the statistics
-    experiments use the index form directly for outcome counting.
-    """
-    decomp = as_decomposition(obs)
-    if not isinstance(state, PureState):
-        state = PureState(state)
+def _checked(state, cs) -> tuple[np.ndarray, np.ndarray]:
+    """A unit state's amplitudes, and `cs` as floats strictly inside (0, 1)."""
     cs = np.asarray(cs, dtype=float)
-    if cs.size and not ((cs > 0.0) & (cs < 1.0)).all():
+    if cs.size and not (cs.min() > 0.0 and cs.max() < 1.0):  # nan fails both
         raise ValueError("all hidden scalars must lie strictly inside (0, 1)")
-    return select(decomp, state.amplitudes, cs)
+    return (state if isinstance(state, PureState) else PureState(state)).amplitudes, cs
+
+
+def branch_indices(obs, state, cs) -> np.ndarray:
+    """Branch index chosen by each hidden scalar in `cs`: predict()'s rule, vectorized."""
+    return select(as_decomposition(obs), *_checked(state, cs))
+
+
+def branch_counts(obs, state, cs) -> np.ndarray:
+    """np.bincount of branch_indices, taken from one comparison per weighted edge."""
+    decomp = as_decomposition(obs)
+    amplitudes, cs = _checked(state, cs)
+    cum, last = _cumulative(decomp, amplitudes)
+    reached = [cs.size] + [np.count_nonzero(cs > edge) for edge in cum[:last]]  # branch >= i
+    return -np.diff(reached + [0] * (len(decomp.values) - last))
 
 
 def predict_batch(obs, state, cs) -> np.ndarray:

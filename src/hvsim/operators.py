@@ -71,10 +71,12 @@ class HermitianOperator:
 
     Hermiticity is enforced entrywise at construction (tolerance 1e-12).
     The default-tolerance spectral decomposition is computed lazily and
-    cached, since prediction repeatedly needs the same branches.
+    cached, since prediction repeatedly needs the same branches. Operators
+    are immutable, so shared ones (the square's cells, the CHSH settings)
+    can be handed to every caller; relabel returns a new operator.
     """
 
-    __slots__ = ("matrix", "label", "_spectrum")
+    __slots__ = ("_matrix", "_label", "_spectrum")
 
     def __init__(self, matrix, label: str | None = None):
         arr = np.array(matrix, dtype=complex)
@@ -89,9 +91,12 @@ class HermitianOperator:
                 f" (tolerance {HERMITICITY_TOL})"
             )
         arr.setflags(write=False)
-        self.matrix = arr
-        self.label = label
+        self._matrix = arr
+        self._label = label
         self._spectrum = None
+
+    matrix = property(lambda self: self._matrix)
+    label = property(lambda self: self._label)
 
     @property
     def dim(self) -> int:

@@ -23,6 +23,12 @@ SEEDED_CALLS = pytest.mark.parametrize("name, argv", [
     ("chsh-sequential", ["chsh", "--sequential", "--trials", "20"]),
 ])
 
+# Single-shot statistics pinned at seed 11 under SEEDED_DIR.
+SINGLE_SHOT_CALLS = pytest.mark.parametrize("name, argv", [
+    ("born", ["born", "--theta", "0.8", "--trials", "2000", "--seed", "11"]),
+    ("chsh", ["chsh", "--trials", "500", "--seed", "11"]),
+])
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -136,6 +142,15 @@ def test_json_matches_frozen_bytes(capsys, command):
 def test_seeded_sequential_reports_match_frozen_bytes(capsys, name, argv, fmt):
     # The sequential sweeps at seed 0 are pinned byte for byte, per-event
     # hidden scalars and readings included.
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@SINGLE_SHOT_CALLS
+def test_single_shot_reports_match_frozen_bytes(capsys, name, argv, fmt):
+    # Born counts and product-mode CHSH correlators, per-trial rows included.
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
@@ -278,3 +293,12 @@ def test_repeated_calls_share_no_state(capsys):
     assert square is peres_mermin()
     with pytest.raises(ValueError):
         square.grid[0][0].matrix[0, 0] = 2.0
+    expected = (EXPECTED_DIR / "pm-square.json").read_text(encoding="utf-8")
+    cells = [square.grid[0][0]] + [op for _, a, b, *_ in experiments._chsh_settings()
+                                   for op in (a, b)]
+    for op in cells:
+        with pytest.raises(AttributeError):
+            op.label = "Q"
+        with pytest.raises(AttributeError):
+            op.matrix = np.eye(op.dim)
+    assert run(capsys, "pm-square", "--format", "json")[1] == expected

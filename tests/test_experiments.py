@@ -42,7 +42,7 @@ from hvsim import (
     PeresMerminSquare,
     PureState,
 )
-from hvsim import consistency, model
+from hvsim import consistency, model, operators
 from hvsim.experiments import (
     LINE_SLOT_WIDTH,
     _CHSH_SEQUENTIAL_TAG,
@@ -289,6 +289,20 @@ class TestChsh:
         assert report.exceeds_classical
         assert abs(report.s_value - 2.0 * ROOT2) < 0.3
 
+    def test_settings_are_decomposed_once_per_process(self, monkeypatch):
+        # The settings, their joints and their sequential pairs are built
+        # once, so a repeated run in either mode computes no spectrum and
+        # reports the same correlators.
+        cfg = ExperimentConfig(seed=1, trials=50)
+        first = [chsh_experiment(cfg, mode=mode) for mode in ("product", "sequential")]
+        computed = []
+        spectral = operators.spectral
+        monkeypatch.setattr(operators, "spectral",
+                            lambda *args: computed.append(args) or spectral(*args))
+        again = [chsh_experiment(cfg, mode=mode) for mode in ("product", "sequential")]
+        assert computed == []
+        assert again == first
+
     def test_product_rows(self):
         cfg = ExperimentConfig(seed=2, trials=25)
         report = chsh_experiment(cfg, keep_trials=True)
@@ -385,7 +399,7 @@ class TestSweepsReplayOnTheScalarPath:
         cfg = ExperimentConfig(seed=5, trials=40)
         report = chsh_experiment(cfg, mode="sequential", keep_trials=True)
         rows = iter(report.trial_rows)
-        for k, (key, a, b, _) in enumerate(_chsh_settings()):
+        for k, (key, a, b, *_) in enumerate(_chsh_settings()):
             ops = (tensor(a, identity(2)), tensor(identity(2), b))
             total = 0.0
             for t in range(cfg.trials):

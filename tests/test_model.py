@@ -26,6 +26,7 @@ from hvsim.model import (
     MeasurementTrace,
     ScriptedUniforms,
     as_decomposition,
+    branch_counts,
     branch_indices,
     case_blocks,
     case_slot,
@@ -607,6 +608,91 @@ class TestSelectionProperties:
         for decomp in (spectral(op), spectral(random_hermitian(4, rng))):
             chosen = select(decomp, state.amplitudes, cs)
             assert (decomp.weights(state)[chosen] >= MIN_BRANCH_WEIGHT).all()
+
+
+def _searchsorted_select(decomp, amplitudes, cs):
+    """The one-state selection rule as it was first written: binary search
+    over the zeroed cumulative weights, clamped to the last weighted branch."""
+    w, cum = _zeroed_cumulative(decomp, amplitudes)
+    return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
+
+
+def _edge_neighbourhood(decomp, amplitudes):
+    """Every cumulative edge, one ulp either side of it, and both ends of (0, 1)."""
+    cs = [np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)]
+    for edge in _zeroed_cumulative(decomp, amplitudes)[1]:
+        cs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    return np.array([c for c in cs if 0.0 < c < 1.0])
+
+
+def _selection_cases(seed):
+    """(decomposition, state) pairs: a random Hermitian, shared-eigenbasis
+    degenerate spectra, a near-degenerate diagonal, zero-weight branches and
+    amplitudes on both sides of the MIN_BRANCH_WEIGHT cutoff."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    cases = [(spectral(random_hermitian(dim, rng)), haar_state(dim, rng))]
+    ops, rng = _degenerate_family(seed)
+    state = haar_state(4, rng)
+    cases += [(spectral(op), state) for op in ops]
+    near = HermitianOperator(np.diag([0.0, 5e-10, 1.0, 1.0 + 5e-10]))
+    scales = rng.choice([0.0, 1e-7, 1e-6, 1e-5, 1.0], size=4)
+    amps = scales * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    amps[int(rng.integers(4))] = 1.0
+    for amplitudes in (amps, [1.0, 0.0, 1.0, 0.0], [1e-6, 1.0, 1e-6, 1.0]):
+        cases.append((spectral(near), normalized(amplitudes)))
+    return cases
+
+
+class TestEdgeCountSelection:
+    """select counts the weighted edges below c; it must agree with the binary
+    search it replaced at every edge, with scalar and array c."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10_000))
+    def test_matches_searchsorted_at_every_edge(self, seed):
+        for decomp, state in _selection_cases(seed):
+            cs = _edge_neighbourhood(decomp, state.amplitudes)
+            want = _searchsorted_select(decomp, state.amplitudes, cs)
+            np.testing.assert_array_equal(select(decomp, state.amplitudes, cs), want)
+            assert [int(select(decomp, state.amplitudes, float(c))) for c in cs] == list(want)
+
+    def test_near_degenerate_values_merge_or_stay_apart(self):
+        # Eigenvalues 5e-10 apart merge into one branch under the default
+        # tolerance and stay apart under a tighter one; both select alike.
+        op = HermitianOperator(np.diag([0.0, 5e-10, 1.0, 1.0 + 5e-10]))
+        state = normalized([1.0, 1e-6, 1.0, 1e-6])
+        for decomp in (spectral(op), spectral(op, 1e-12)):
+            cs = _edge_neighbourhood(decomp, state.amplitudes)
+            np.testing.assert_array_equal(select(decomp, state.amplitudes, cs),
+                                          _searchsorted_select(decomp, state.amplitudes, cs))
+        assert len(spectral(op).values) == 2 and len(spectral(op, 1e-12).values) == 4
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10_000), st.integers(0, 200))
+    def test_branch_counts_equal_bincount_of_indices(self, seed, size):
+        rng = np.random.default_rng(seed)
+        for decomp, state in _selection_cases(seed):
+            edges = _edge_neighbourhood(decomp, state.amplitudes)
+            cs = np.concatenate((edges, rng.uniform(size=size)))
+            rng.shuffle(cs)
+            counts = branch_counts(decomp, state, cs)
+            assert counts.dtype == np.intp
+            np.testing.assert_array_equal(
+                counts, np.bincount(branch_indices(decomp, state, cs),
+                                    minlength=len(decomp.values)))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan])
+    def test_hidden_scalars_outside_the_open_interval_are_rejected(self, bad):
+        cs = np.array([0.25, bad, 0.75])
+        for tally in (branch_indices, branch_counts):
+            with pytest.raises(ValueError):
+                tally(pauli("z"), basis_ket(2, 0), cs)
+
+    def test_empty_scalars_are_accepted(self):
+        state = normalized([1.0, 1.0])
+        assert branch_indices(pauli("z"), state, np.array([])).shape == (0,)
+        np.testing.assert_array_equal(branch_counts(pauli("z"), state, []), [0, 0])
 
 
 def _assert_sequence_matches_measure(ops, starts, cs):
