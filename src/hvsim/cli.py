@@ -352,7 +352,8 @@ def _render_csv(rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("trial", "setting", "c", "value"))
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow(row)
     return buffer.getvalue()
 
 

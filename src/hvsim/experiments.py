@@ -142,10 +142,15 @@ class StatReport:
 
 
 def _nearest_value(mapping: dict, value: float, tol: float) -> float:
-    key = min(mapping, key=lambda k: abs(k - value), default=None)
-    if key is None or not abs(key - value) <= tol:  # nan is near nothing
+    best = None
+    best_gap = math.inf
+    for key, entry in mapping.items():
+        gap = abs(key - value)
+        if gap < best_gap:
+            best, best_gap = entry, gap
+    if best is None or best_gap > tol:
         raise KeyError(f"no outcome near {value!r}")
-    return mapping[key]
+    return best
 
 
 def born_experiment(cfg: ExperimentConfig, state: PureState, obs,

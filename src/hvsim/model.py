@@ -270,12 +270,7 @@ def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
     cum, last = _cumulative(decomp, amplitudes)
     if cum.ndim == 2:
         return np.minimum((cum < cs[:, None]).sum(axis=1), last)
-    if isinstance(cs, float):  # one numpy call for the scalar path
-        return np.count_nonzero(cum[:last] < cs)
-    index = np.zeros(np.shape(cs), dtype=np.intp)
-    for edge in cum[:last]:
-        index += np.greater(cs, edge)
-    return index
+    return np.add.reduce(np.less.outer(cum[:last], cs), axis=0)  # edges below each c
 
 
 def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:

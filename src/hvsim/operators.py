@@ -71,9 +71,8 @@ class HermitianOperator:
 
     Hermiticity is enforced entrywise at construction (tolerance 1e-12).
     The default-tolerance spectral decomposition is computed lazily and
-    cached, since prediction repeatedly needs the same branches. Operators
-    are immutable, so shared ones (the square's cells, the CHSH settings)
-    can be handed to every caller; relabel returns a new operator.
+    cached, since prediction repeatedly needs the same branches. Operators are
+    immutable (relabel returns a new one), so shared ones serve every caller.
     """
 
     __slots__ = ("_matrix", "_label", "_spectrum")
