@@ -49,6 +49,7 @@ from .operators import (
     tensor,
 )
 from .model import (
+    Events,
     HiddenState,
     MeasurementRecord,
     MeasurementTrace,

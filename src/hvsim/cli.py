@@ -9,9 +9,7 @@ check fails or a library error surfaces, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -165,15 +163,14 @@ def _run_table1(args):
                      f" state after collapse: {_ket_string(it.final_state)}")
         lines.append("")
     text = "\n".join(lines) + _verdict(True)
-    return report.as_dict(), True, report.csv_rows(), text
+    return report.as_dict(), True, report.events, text
 
 
 def _run_born(args):
     cfg = ExperimentConfig(seed=args.seed, trials=args.trials, theta=args.theta,
                            tolerance_sigma=args.tolerance_sigma)
     state = spin_state(cfg.theta)
-    report = born_experiment(cfg, state, pauli("z"),
-                             keep_trials=args.format == "csv")
+    report = born_experiment(cfg, state, pauli("z"), keep_events=args.format == "csv")
     payload = {"seed": cfg.seed, "theta": cfg.theta, **report.as_dict()}
     lines = [
         f"born statistics for {report.observable_label} on"
@@ -187,7 +184,7 @@ def _run_born(args):
     lines.append(f"max sigma deviation: {report.max_sigma_deviation:.3f}"
                  f" (tolerance {report.tolerance_sigma:g})")
     text = "\n".join(lines) + "\n" + _verdict(report.passed)
-    return payload, report.passed, list(report.trial_rows), text
+    return payload, report.passed, report.events, text
 
 
 def _run_pm_square(args):
@@ -239,7 +236,7 @@ def _run_weak_fc(args):
     f = square.column_expression(args.column)
     state = basis_ket(4, 0)
     summary = verify_proposition(f, state, args.trials, (args.seed, _WEAK_FC_TAG),
-                                 keep_cases=args.format == "csv")
+                                 keep_events=args.format == "csv")
     payload = {"seed": args.seed, "column": args.column,
                "initial_state": amplitude_pairs(state.amplitudes),
                **summary.as_dict()}
@@ -252,7 +249,7 @@ def _run_weak_fc(args):
         f"   failures: {summary.failures}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(summary.all_passed)
-    return payload, summary.all_passed, list(summary.case_rows), text
+    return payload, summary.all_passed, summary.events, text
 
 
 def _run_strong_fc(args):
@@ -302,7 +299,7 @@ def _run_implications(args):
 def _run_chsh(args):
     cfg = ExperimentConfig(seed=args.seed, trials=args.trials)
     mode = "sequential" if args.sequential else "product"
-    report = chsh_experiment(cfg, mode=mode, keep_trials=args.format == "csv")
+    report = chsh_experiment(cfg, mode=mode, keep_events=args.format == "csv")
     payload = {"seed": cfg.seed, **report.as_dict()}
     target = 2.0 * math.sqrt(2.0)
     lines = [
@@ -315,7 +312,7 @@ def _run_chsh(args):
     ]
     text = "\n".join(lines) + "\n" + _verdict(report.exceeds_classical,
                                               "classical bound exceeded")
-    return payload, report.exceeds_classical, list(report.trial_rows), text
+    return payload, report.exceeds_classical, report.events, text
 
 
 def _run_column_product(args):
@@ -332,7 +329,7 @@ def _run_column_product(args):
         f"   failures: {report.failures}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(report.all_passed)
-    return payload, report.all_passed, list(report.event_rows), text
+    return payload, report.all_passed, report.events, text
 
 
 _RUNNERS = {
@@ -348,30 +345,21 @@ _RUNNERS = {
 }
 
 
-def _render_csv(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("trial", "setting", "c", "value"))
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        payload, passed, rows, text = _RUNNERS[args.command](args)
+        payload, passed, events, text = _RUNNERS[args.command](args)
     except HvsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":
-        if rows is None:
+        if events is None:
             print(f"error: csv output is not available for '{args.command}';"
                   " use --format json or text", file=sys.stderr)
             return 2
-        body = _render_csv(rows)
+        body = events.to_csv()
     elif args.format == "json":
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:

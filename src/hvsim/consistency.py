@@ -13,11 +13,11 @@ column product constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import (HiddenState, MeasurementTrace, ScriptedUniforms, case_blocks, measure,
-                    predict, predict_batch, run_sequence, substream)
+from .model import (Events, HiddenState, MeasurementTrace, ScriptedUniforms, case_blocks,
+                    measure, predict, predict_batch, run_sequence, substream)
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -136,7 +136,7 @@ class PropositionSummary:
     passes: int
     failures: int
     failure_examples: tuple[ConsistencyReport, ...]
-    case_rows: tuple = ()
+    events: Events | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
@@ -157,7 +157,7 @@ class PropositionSummary:
 
 def verify_proposition(f: ObservableExpression, state, trials: int, rng,
                        max_failure_examples: int = 3,
-                       keep_cases: bool = False) -> PropositionSummary:
+                       keep_events: bool = False) -> PropositionSummary:
     """Check weak functional consistency for an eigenstate of f's operator.
 
     Requires the initial state to be an eigenvector of the evaluated
@@ -187,7 +187,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
     key = tuple(rng) if isinstance(rng, tuple) else None
     passes = 0
     examples: list[ConsistencyReport] = []
-    rows = []
+    blocks = []
     # Like HiddenState.draw plus one measure per leaf, a case takes
     # len(ops) + 1 scalars; the last decides nothing.
     stream = rng if key is None else substream(*key)
@@ -206,9 +206,9 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
             examples.append(check_weak_fc(
                 f, HiddenState(state, cs[i, 0]), permutations[case % count],
                 ScriptedUniforms(cs[i, 1:]), key=None if key is None else (*key, case)))
-        if keep_cases:
-            rows.extend((case, names[case % count], c, r) for case, c, r in zip(
-                range(first, first + len(cs)), cs[:, 0].tolist(), rhs.tolist()))
+        if keep_events:  # one event per case: its first scalar and composed value
+            case = np.arange(first, first + len(cs))
+            blocks.append((case, case % count, cs[:, 0], rhs))
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,
@@ -217,7 +217,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
         passes=passes,
         failures=cases - passes,
         failure_examples=tuple(examples),
-        case_rows=tuple(rows),
+        events=Events.concat(names, blocks) if keep_events else None,
     )
 
 

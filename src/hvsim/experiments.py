@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ReferenceRunMismatchError
 from .expressions import PeresMerminSquare, implications_operators, peres_mermin
 from .model import (
+    Events,
     HiddenState,
     MeasurementTrace,
     ScriptedUniforms,
@@ -112,7 +113,7 @@ class StatReport:
     max_sigma_deviation: float
     tolerance_sigma: float
     passed: bool
-    trial_rows: tuple = field(default=(), repr=False, compare=False)
+    events: Events | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(self.outcome_frequencies.values())
@@ -154,7 +155,7 @@ def _nearest_value(mapping: dict, value: float, tol: float) -> float:
 
 
 def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
-                    keep_trials: bool = False) -> StatReport:
+                    keep_events: bool = False) -> StatReport:
     """Monte Carlo check that prediction under uniform c reproduces Born
     weights for one (state, observable) pair."""
     decomp = as_decomposition(obs)
@@ -173,12 +174,8 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
             max_dev = max(max_dev, deviation)
             passed = passed and deviation <= cfg.tolerance_sigma
     label = decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
-    rows = ()
-    if keep_trials:
-        values = decomp.values[branch_indices(decomp, state, cs)]
-        rows = tuple(
-            (t, label, float(cs[t]), float(values[t])) for t in range(cfg.trials)
-        )
+    events = Events((label,), np.arange(cfg.trials), np.zeros(cfg.trials, int), cs,
+                    decomp.values[branch_indices(decomp, state, cs)]) if keep_events else None
     return StatReport(
         observable_label=label,
         trials=cfg.trials,
@@ -191,7 +188,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
         max_sigma_deviation=float(max_dev),
         tolerance_sigma=cfg.tolerance_sigma,
         passed=bool(passed),
-        trial_rows=rows,
+        events=events,
     )
 
 
@@ -279,11 +276,12 @@ class Table1Report:
             "trace": self.trace.as_dict(),
         }
 
-    def csv_rows(self) -> list[tuple]:
-        return [
-            (i, r.observable_label, float(r.c_used), float(r.value))
-            for i, r in enumerate(self.trace.records)
-        ]
+    @property
+    def events(self) -> Events:
+        steps = [(r.observable_label, r.c_used, r.value) for r in self.trace.records]
+        labels, c, value = zip(*steps)
+        case = np.arange(len(steps))
+        return Events(labels, case, case, np.array(c), np.array(value))
 
 
 def _predict_unit(op, hidden: HiddenState, what: str) -> int:
@@ -480,7 +478,7 @@ class ChshReport:
     correlators: dict
     s_value: float
     classical_bound: float = 2.0
-    trial_rows: tuple = field(default=(), repr=False, compare=False)
+    events: Events | None = field(default=None, repr=False, compare=False)
 
     @property
     def exceeds_classical(self) -> bool:
@@ -515,7 +513,7 @@ def _chsh_settings():
 
 
 def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
-                    keep_trials: bool = False) -> ChshReport:
+                    keep_events: bool = False) -> ChshReport:
     """Estimate S = E[ZW] + E[ZV] + E[XW] - E[XV] on the Bell state.
 
     W and V are the diagonal Pauli combinations (Z+X)/sqrt2 and (Z-X)/sqrt2.
@@ -528,7 +526,7 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
         raise ValueError(f"mode must be 'product' or 'sequential', got {mode!r}")
     state = bell_state()
     correlators = {}
-    rows = []
+    labels, blocks = [], []
     s_value = 0.0
     for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
         if mode == "product":
@@ -536,24 +534,22 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
             cs = draw_hidden_batch(rng, cfg.trials)
             values = predict_batch(joint, state, cs)
             correlator = float(values.mean())
-            if keep_trials:
-                rows.extend(
-                    (t, key, float(cs[t]), float(values[t]))
-                    for t in range(cfg.trials)
-                )
+            labels.append(key)
+            if keep_events:
+                blocks.append((np.arange(cfg.trials), np.full(cfg.trials, k), cs, values))
         else:
             total = 0.0
+            settings = np.arange(len(labels), len(labels) + len(ops))
+            labels += [f"{key}/{op.label}" for op in ops]
             rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k)
             for first, cs in case_blocks(rng, cfg.trials, len(ops)):
                 values, _ = run_sequence(ops, state, cs)
                 # Summed left to right (np.sum pairs terms), so no bit of a
                 # seeded report depends on the block size.
                 total = np.cumsum(np.append(total, values[:, 0] * values[:, 1]))[-1]
-                if keep_trials:
-                    rows.extend(
-                        (first + t, f"{key}/{op.label}", float(cs[t, s]), float(values[t, s]))
-                        for t in range(len(cs)) for s, op in enumerate(ops)
-                    )
+                if keep_events:  # case t's events are its steps, in order
+                    case = np.arange(first, first + len(cs)).repeat(len(ops))
+                    blocks.append((case, np.tile(settings, len(cs)), cs.ravel(), values.ravel()))
             correlator = float(total) / cfg.trials
         correlators[key] = correlator
         s_value += sign * correlator
@@ -562,7 +558,7 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
         trials_per_setting=cfg.trials,
         correlators=correlators,
         s_value=float(s_value),
-        trial_rows=tuple(rows),
+        events=Events.concat(labels, blocks) if keep_events else None,
     )
 
 
@@ -580,7 +576,7 @@ class LineProductReport:
     cases: int
     passes: int
     failures: int
-    event_rows: tuple = field(default=(), repr=False, compare=False)
+    events: Events | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
@@ -617,7 +613,7 @@ def column_product_experiment(square: PeresMerminSquare | None = None,
     count = len(permutations)
     cases = trials * count  # case t * count + p runs permutation p
     passes = 0
-    rows = []
+    blocks = []
     rng = substream(seed, _LINE_PRODUCT_TAG)
     for first, slots in case_blocks(rng, cases, LINE_SLOT_WIDTH):
         starts, cs = haar_amplitudes(slots[:, :-3]), slots[:, -3:]
@@ -627,12 +623,10 @@ def column_product_experiment(square: PeresMerminSquare | None = None,
             values[mine] = run_sequence([ops[k] for k in permutation],
                                         starts[mine], cs[mine])[0]
         passes += int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
-        if keep_events:
-            rows.extend(
-                (first + i, f"{axis}{index}:{ops[k].label}", float(cs[i, s]), float(values[i, s]))
-                for i in range(len(cs))
-                for s, k in enumerate(permutations[(first + i) % count])
-            )
+        if keep_events:  # a case's events are its steps, each set to the leaf it measured
+            case = np.arange(first, first + len(cs))
+            blocks.append((case.repeat(3), np.array(permutations)[case % count].ravel(),
+                           cs.ravel(), values.ravel()))
     return LineProductReport(
         axis=axis,
         index=index,
@@ -642,5 +636,6 @@ def column_product_experiment(square: PeresMerminSquare | None = None,
         cases=cases,
         passes=passes,
         failures=cases - passes,
-        event_rows=tuple(rows),
+        events=(Events.concat((f"{axis}{index}:{op.label}" for op in ops), blocks)
+                if keep_events else None),
     )

@@ -105,13 +105,13 @@ class ObservableExpression:
     decomposition.
     """
 
-    __slots__ = ("root", "operators", "dim", "_matrix", "_leaf_slots", "_operator")
+    __slots__ = ("_root", "_operators", "_dim", "_matrix", "_leaf_slots", "_operator")
 
     def __init__(self, root):
-        self.root = _check_node(root)
+        self._root = _check_node(root)
         distinct: list[HermitianOperator] = []
         leaf_slots: dict[int, int] = {}
-        self._collect(self.root, distinct, leaf_slots)
+        self._collect(self._root, distinct, leaf_slots)
         if not distinct:
             raise ValueError("expression contains no operator leaves")
         dims = {op.dim for op in distinct}
@@ -119,7 +119,7 @@ class ObservableExpression:
             raise DimensionMismatchError(
                 f"expression leaves span several dimensions: {sorted(dims)}"
             )
-        self.dim = dims.pop()
+        self._dim = dims.pop()
         for i, a in enumerate(distinct):
             for b in distinct[i + 1:]:
                 norm = commutator_norm(a, b)
@@ -128,7 +128,7 @@ class ObservableExpression:
                         f"leaves {a.label or i} and {b.label or '?'} fail to"
                         f" commute (commutator norm {norm:.3e})"
                     )
-        matrix = _eval_matrix(self.root)
+        matrix = _eval_matrix(self._root)
         deviation = float(np.linalg.norm(matrix - matrix.conj().T))
         if deviation > EXPRESSION_HERMITICITY_TOL:
             raise NonHermitianError(
@@ -137,7 +137,7 @@ class ObservableExpression:
             )
         matrix = (matrix + matrix.conj().T) / 2.0
         matrix.setflags(write=False)
-        self.operators = tuple(distinct)
+        self._operators = tuple(distinct)
         self._matrix = matrix
         self._leaf_slots = leaf_slots
         self._operator: HermitianOperator | None = None
@@ -157,6 +157,11 @@ class ObservableExpression:
                 self._collect(child, distinct, leaf_slots)
         else:
             self._collect(node.child, distinct, leaf_slots)
+
+    # Read-only, so an expression can be shared like the square that holds it.
+    root = property(lambda self: self._root)
+    operators = property(lambda self: self._operators)
+    dim = property(lambda self: self._dim)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -269,9 +274,11 @@ class PeresMerminSquare:
     Every row triple and column triple commutes pairwise, all three row
     products equal +I, the first two column products equal +I and the third
     equals -I. These identities are re-verified at construction to 1e-12.
+    The six line expressions are built here too, so the operator each one
+    evaluates to is decomposed once per square.
     """
 
-    __slots__ = ("grid", "rows", "cols", "row_values", "col_values")
+    __slots__ = ("grid", "rows", "cols", "row_values", "col_values", "_expressions")
 
     def __init__(self, grid):
         grid = tuple(tuple(row) for row in grid)
@@ -308,6 +315,10 @@ class PeresMerminSquare:
         self.cols = tuple(cols)
         self.row_values = tuple(row_values)
         self.col_values = tuple(col_values)
+        self._expressions = {
+            axis: tuple(ObservableExpression.of_product(*line(i)) for i in (1, 2, 3))
+            for axis, line in (("row", self.row_operators), ("column", self.column_operators))
+        }
 
     def row_operators(self, index: int) -> tuple[HermitianOperator, ...]:
         """The three grid cells of row `index` (1-based)."""
@@ -319,10 +330,10 @@ class PeresMerminSquare:
         return tuple(self.grid[i][j] for i in range(3))
 
     def row_expression(self, index: int) -> ObservableExpression:
-        return ObservableExpression.of_product(*self.row_operators(index))
+        return self._expressions["row"][_line_index(index)]
 
     def column_expression(self, index: int) -> ObservableExpression:
-        return ObservableExpression.of_product(*self.column_operators(index))
+        return self._expressions["column"][_line_index(index)]
 
     def forced_value(self, axis: str, index: int) -> int:
         """The scalar the given line's product is pinned to (+1 or -1)."""

@@ -13,6 +13,8 @@ fixed c the outcome is a deterministic function of (psi, c).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -188,6 +190,31 @@ class MeasurementRecord:
             "pre_state": amplitude_pairs(self.pre_state.amplitudes),
             "post_state": amplitude_pairs(self.post_state.amplitudes),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Per-event columns in report order: case index, setting (an index into
+    `labels`), hidden scalar c and reading; `concat` joins drivers' blocks."""
+
+    labels: tuple[str, ...]
+    case: np.ndarray
+    setting: np.ndarray
+    c: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def concat(cls, labels, blocks) -> "Events":
+        return cls(tuple(labels), *map(np.concatenate, zip(*blocks)))
+
+    def to_csv(self) -> str:
+        """The trial,setting,c,value report; floats are written as their repr."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("trial", "setting", "c", "value"))
+        labels = map(self.labels.__getitem__, self.setting.tolist())
+        writer.writerows(zip(self.case.tolist(), labels, self.c.tolist(), self.value.tolist()))
+        return buffer.getvalue()
 
 
 @dataclass(frozen=True)

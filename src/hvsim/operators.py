@@ -188,8 +188,8 @@ class SpectralDecomposition:
     idempotence, value separation).
     """
 
-    __slots__ = ("values", "vectors", "offsets", "block_of_column", "degeneracy_tol", "label",
-                 "_branches")
+    __slots__ = ("_values", "_vectors", "_offsets", "_block_of_column", "_degeneracy_tol",
+                 "_label", "_branches")
 
     def __init__(self, branches, degeneracy_tol: float, label: str | None = None):
         branches = tuple(Branch(*b) for b in branches)
@@ -225,11 +225,20 @@ class SpectralDecomposition:
         block_of_column = np.repeat(np.arange(len(values)), np.diff(offsets))
         for arr in (values, vectors, offsets, block_of_column):
             arr.setflags(write=False)
-        self.values, self.vectors, self.offsets = values, vectors, offsets
-        self.block_of_column = block_of_column
-        self.degeneracy_tol = float(degeneracy_tol)
-        self.label = label
+        self._values, self._vectors, self._offsets = values, vectors, offsets
+        self._block_of_column = block_of_column
+        self._degeneracy_tol = float(degeneracy_tol)
+        self._label = label
         self._branches = branches
+
+    # Read-only, like HermitianOperator's fields: an operator's cached
+    # decomposition is shared by every caller.
+    values = property(lambda self: self._values)
+    vectors = property(lambda self: self._vectors)
+    offsets = property(lambda self: self._offsets)
+    block_of_column = property(lambda self: self._block_of_column)
+    degeneracy_tol = property(lambda self: self._degeneracy_tol)
+    label = property(lambda self: self._label)
 
     @property
     def dim(self) -> int:

@@ -142,13 +142,13 @@ def test_criterion_05_sequential_products_forced():
                       " cases", budget=10.0):
         summary = verify_proposition(column3_expression(), basis_ket(4, 0),
                                      trials=1000, rng=substream(0, 51),
-                                     keep_cases=True)
+                                     keep_events=True)
         assert summary.permutation_count == 6
         assert summary.cases == 6000
         assert summary.failures == 0
         assert summary.passes == 6000
-        assert len(summary.case_rows) == 6000
-        assert all(abs(row[3] + 1.0) <= 1e-9 for row in summary.case_rows)
+        assert len(summary.events.value) == 6000
+        assert (np.abs(summary.events.value + 1.0) <= 1e-9).all()
 
 
 def test_criterion_06_born_statistics():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hvsim
-from hvsim import experiments, model
+from hvsim import experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.expressions import peres_mermin
 
@@ -156,6 +156,13 @@ def test_single_shot_reports_match_frozen_bytes(capsys, name, argv, fmt):
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+def test_table1_csv_matches_frozen_bytes(capsys):
+    # The scripted reference run's events, c and value as the record holds them.
+    code, out, _ = run(capsys, "table1", "--format", "csv")
+    assert code == 0
+    assert out == (SEEDED_DIR / "table1.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @SEEDED_CALLS
 def test_seeded_reports_do_not_depend_on_block_size(capsys, monkeypatch, name, argv, fmt):
@@ -271,6 +278,19 @@ def test_module_entry_point():
     assert b"satisfying all six line constraints: 0" in result.stdout
 
 
+def test_line_expressions_are_decomposed_once_per_process(capsys, monkeypatch):
+    # The square builds its line expressions once, and each caches its
+    # operator's decomposition, so repeated sweeps compute no spectrum.
+    argvs = [["weak-fc", "--column", str(j), "--trials", "2"] for j in (1, 2, 3)] + [["strong-fc"]]
+    first = [run(capsys, *argv) for argv in argvs]
+    computed = []
+    spectral = operators.spectral
+    monkeypatch.setattr(operators, "spectral",
+                        lambda *args: computed.append(args) or spectral(*args))
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert computed == []
+
+
 def test_repeated_calls_share_no_state(capsys):
     # main reuses one parser and one square per process. No call may leave
     # state behind that changes a later call's report.
@@ -294,11 +314,27 @@ def test_repeated_calls_share_no_state(capsys):
     with pytest.raises(ValueError):
         square.grid[0][0].matrix[0, 0] = 2.0
     expected = (EXPECTED_DIR / "pm-square.json").read_text(encoding="utf-8")
-    cells = [square.grid[0][0]] + [op for _, a, b, *_ in experiments._chsh_settings()
-                                   for op in (a, b)]
+    cells = [op for row in square.grid for op in row] + [
+        op for _, a, b, *_ in experiments._chsh_settings() for op in (a, b)]
     for op in cells:
         with pytest.raises(AttributeError):
             op.label = "Q"
         with pytest.raises(AttributeError):
             op.matrix = np.eye(op.dim)
+        # Every caller shares the operator's one cached decomposition.
+        decomp = op.spectrum()
+        for name in ("values", "vectors", "offsets", "block_of_column", "degeneracy_tol",
+                     "label"):
+            with pytest.raises(AttributeError):
+                setattr(decomp, name, "Q")
+    assert square.column_expression(3) is square.column_expression(3)
+    for f in [square.row_expression(i) for i in (1, 2, 3)] + [
+            square.column_expression(j) for j in (1, 2, 3)]:
+        for name in ("root", "operators", "dim"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, getattr(f, name))
     assert run(capsys, "pm-square", "--format", "json")[1] == expected
+    table1 = (SEEDED_DIR / "table1.csv").read_text(encoding="utf-8")
+    assert run(capsys, "table1", "--format", "csv")[1] == table1
+    weak_fc = (SEEDED_DIR / "weak-fc.csv").read_text(encoding="utf-8")
+    assert run(capsys, "weak-fc", "--trials", "5", "--format", "csv")[1] == weak_fc

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rows_of
 from hvsim import consistency
 from hvsim import (
     DimensionMismatchError,
@@ -226,7 +227,7 @@ class TestVerifyProposition:
         f = column3_expression()
         rng = np.random.default_rng(5)
         summary = verify_proposition(f, basis_ket(4, 0), trials=5, rng=rng,
-                                     keep_cases=True)
+                                     keep_events=True)
         assert summary.trials == 5
         assert summary.permutation_count == 6
         assert summary.cases == 30
@@ -234,13 +235,16 @@ class TestVerifyProposition:
         assert summary.failures == 0
         assert summary.all_passed
         assert summary.failure_examples == ()
-        assert len(summary.case_rows) == 30
-        case, setting, c, value = summary.case_rows[0]
+        rows = rows_of(summary.events)
+        assert len(rows) == 30
+        case, setting, c, value = rows[0]
         assert case == 0
         assert setting == "perm(0,1,2)"
         assert 0.0 < c < 1.0
         assert value == -1.0
-        assert [row[0] for row in summary.case_rows] == list(range(30))
+        assert [row[0] for row in rows] == list(range(30))
+        assert summary.events.labels == tuple(
+            f"perm({','.join(map(str, p))})" for p in itertools.permutations(range(3)))
 
     def test_cases_match_check_weak_fc_replay(self):
         # A + 2B = 5I, so every state qualifies and the readings are random,
@@ -250,11 +254,11 @@ class TestVerifyProposition:
         f = ObservableExpression(Sum(Leaf(a), Scale(2.0, Leaf(b))))
         state = normalized([1.0, 1.0])
         summary = verify_proposition(f, state, trials=20, rng=np.random.default_rng(4),
-                                     keep_cases=True)
+                                     keep_events=True)
         assert summary.all_passed
         rng = np.random.default_rng(4)
         readings = set()
-        for case, _, c, rhs in summary.case_rows:
+        for case, _, c, rhs in rows_of(summary.events):
             permutation = [(0, 1), (1, 0)][case % 2]
             report = check_weak_fc(f, HiddenState.draw(state, rng), permutation, rng)
             assert (report.details["initial_c"], report.rhs_value) == (c, rhs)
@@ -265,7 +269,7 @@ class TestVerifyProposition:
         f = column3_expression()
         summary = verify_proposition(f, basis_ket(4, 0), trials=2,
                                      rng=np.random.default_rng(0))
-        assert summary.case_rows == ()
+        assert summary.events is None
 
     def test_requires_eigenstate(self):
         zz = tensor(pauli("z"), pauli("z"), "ZZ")

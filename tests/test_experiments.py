@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import rows_of
 from hvsim import (
     ExperimentConfig,
     HermitianOperator,
@@ -139,15 +140,16 @@ class TestBornExperiment:
     def test_trial_rows(self):
         cfg = ExperimentConfig(seed=1, trials=50)
         report = born_experiment(cfg, spin_state(0.9), pauli("z"),
-                                 keep_trials=True)
-        assert len(report.trial_rows) == 50
-        trial, label, c, value = report.trial_rows[0]
-        assert trial == 0
-        assert label == "Z"
-        assert 0.0 < c < 1.0
-        assert value in (-1.0, 1.0)
+                                 keep_events=True)
+        events = report.events
+        assert [len(a) for a in (events.case, events.setting, events.c, events.value)] == [50] * 4
+        assert events.labels == ("Z",)
+        assert events.case.tolist() == list(range(50))
+        assert events.setting.tolist() == [0] * 50
+        assert ((0.0 < events.c) & (events.c < 1.0)).all()
+        assert set(events.value.tolist()) <= {-1.0, 1.0}
         plain = born_experiment(cfg, spin_state(0.9), pauli("z"))
-        assert plain.trial_rows == ()
+        assert plain.events is None
 
 
 class TestBornSweep:
@@ -191,7 +193,7 @@ class TestReplay:
 
     def test_trace_and_csv_rows(self):
         report = replay_table1()
-        rows = report.csv_rows()
+        rows = rows_of(report.events)
         assert rows == [
             (0, "ZZ", 0.4, 1.0),
             (1, "YY", 0.1, -1.0),
@@ -305,19 +307,26 @@ class TestChsh:
 
     def test_product_rows(self):
         cfg = ExperimentConfig(seed=2, trials=25)
-        report = chsh_experiment(cfg, keep_trials=True)
-        assert len(report.trial_rows) == 4 * 25
-        settings = {row[1] for row in report.trial_rows}
+        report = chsh_experiment(cfg, keep_events=True)
+        rows = rows_of(report.events)
+        assert len(rows) == 4 * 25
+        settings = {row[1] for row in rows}
         assert settings == {"ZW", "ZV", "XW", "XV"}
+        assert [row[0] for row in rows] == list(range(25)) * 4
         # Joint eigenvalues come from an eigensolve, so +-1 up to rounding.
-        assert all(abs(abs(row[3]) - 1.0) < 1e-9 for row in report.trial_rows)
+        assert all(abs(abs(row[3]) - 1.0) < 1e-9 for row in rows)
+        assert chsh_experiment(cfg).events is None
 
     def test_sequential_rows_record_both_halves(self):
         cfg = ExperimentConfig(seed=2, trials=5)
-        report = chsh_experiment(cfg, mode="sequential", keep_trials=True)
-        assert len(report.trial_rows) == 2 * 4 * 5
-        assert report.trial_rows[0][1] == "ZW/ZI"
-        assert report.trial_rows[1][1] == "ZW/IW"
+        report = chsh_experiment(cfg, mode="sequential", keep_events=True)
+        rows = rows_of(report.events)
+        assert len(rows) == 2 * 4 * 5
+        assert rows[0][1] == "ZW/ZI"
+        assert rows[1][1] == "ZW/IW"
+        assert report.events.labels == ("ZW/ZI", "ZW/IW", "ZV/ZI", "ZV/IV",
+                                        "XW/XI", "XW/IW", "XV/XI", "XV/IV")
+        assert chsh_experiment(cfg, mode="sequential").events is None
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -349,9 +358,11 @@ class TestLineProduct:
 
     def test_event_rows(self):
         report = column_product_experiment(trials=2, seed=0, keep_events=True)
-        assert len(report.event_rows) == 3 * report.cases
-        labels = {row[1] for row in report.event_rows}
+        rows = rows_of(report.events)
+        assert len(rows) == 3 * report.cases
+        labels = {row[1] for row in rows}
         assert labels == {"column3:XX", "column3:YY", "column3:ZZ"}
+        assert column_product_experiment(trials=2, seed=0).events is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -397,8 +408,8 @@ class TestSweepsReplayOnTheScalarPath:
 
     def test_chsh_sequential(self):
         cfg = ExperimentConfig(seed=5, trials=40)
-        report = chsh_experiment(cfg, mode="sequential", keep_trials=True)
-        rows = iter(report.trial_rows)
+        report = chsh_experiment(cfg, mode="sequential", keep_events=True)
+        rows = iter(rows_of(report.events))
         for k, (key, a, b, *_) in enumerate(_chsh_settings()):
             ops = (tensor(a, identity(2)), tensor(identity(2), b))
             total = 0.0
@@ -416,7 +427,7 @@ class TestSweepsReplayOnTheScalarPath:
         square = peres_mermin()
         ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
         permutations = list(itertools.permutations(range(3)))
-        rows = iter(report.event_rows)
+        rows = iter(rows_of(report.events))
         passes = 0
         for case in range(report.cases):
             slot = case_slot((9, _LINE_PRODUCT_TAG, case), LINE_SLOT_WIDTH)
@@ -440,9 +451,9 @@ class TestSweepsReplayOnTheScalarPath:
         assert f.operators == (a, b)  # the block's columns, in this order
         monkeypatch.setattr(consistency, "eval_real_block", lambda f, readings: (
             swept.extend(readings.tolist()), eval_real_block(f, readings))[1])
-        summary = verify_proposition(f, state, trials=15, rng=(4, 6), keep_cases=True)
+        summary = verify_proposition(f, state, trials=15, rng=(4, 6), keep_events=True)
         readings = set()
-        for (case, _, c, rhs), leaf_readings in zip(summary.case_rows, swept,
+        for (case, _, c, rhs), leaf_readings in zip(rows_of(summary.events), swept,
                                                     strict=True):
             key = (4, 6, case)
             slot = case_slot(key, 3)
@@ -458,10 +469,10 @@ class TestSweepsReplayOnTheScalarPath:
 
     def test_generator_and_key_read_the_same_stream(self):
         f = peres_mermin().column_expression(3)
-        by_key = verify_proposition(f, basis_ket(4, 0), trials=4, rng=(2, 6), keep_cases=True)
+        by_key = verify_proposition(f, basis_ket(4, 0), trials=4, rng=(2, 6), keep_events=True)
         by_rng = verify_proposition(f, basis_ket(4, 0), trials=4, rng=substream(2, 6),
-                                    keep_cases=True)
-        assert by_key.case_rows == by_rng.case_rows
+                                    keep_events=True)
+        assert rows_of(by_key.events) == rows_of(by_rng.events)
 
 
 class TestBoxMullerStartStates:

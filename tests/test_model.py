@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 
@@ -21,6 +23,7 @@ from hvsim import model
 from hvsim.expressions import peres_mermin
 from hvsim.model import (
     MIN_BRANCH_WEIGHT,
+    Events,
     HiddenState,
     MeasurementRecord,
     MeasurementTrace,
@@ -212,11 +215,8 @@ class TestPredict:
     def test_malformed_decomposition_guard(self):
         # White-box: bypass construction validation to pin the coverage error.
         bad = object.__new__(SpectralDecomposition)
-        bad.values = np.array([1.0])
-        bad.vectors = np.array([[1.0], [0.0]], dtype=complex)
-        bad.offsets = np.array([0, 1])
-        bad.degeneracy_tol = 1e-9
-        bad.label = None
+        bad._assign(np.array([1.0]), np.array([[1.0], [0.0]], dtype=complex),
+                    np.array([0, 1]), 1e-9, None)
         with pytest.raises(MalformedDecompositionError):
             predict(bad, HiddenState(normalized([1.0, 1.0]), 0.9))
 
@@ -336,6 +336,37 @@ class TestTraceSerialization:
         assert as_decomposition(pauli("x")).dim == 2
         with pytest.raises(TypeError):
             as_decomposition("Z")
+
+
+def _row_by_row_csv(events):
+    """Reference rendering: one csv.writer row per event, built from Python
+    scalars, as the report's rows were written before the columnar record."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("trial", "setting", "c", "value"))
+    for case, setting, c, value in zip(events.case, events.setting, events.c, events.value):
+        writer.writerow((int(case), events.labels[setting], float(c), float(value)))
+    return buffer.getvalue()
+
+
+class TestEvents:
+    def test_csv_matches_a_row_by_row_writer(self):
+        labels = ("plain", "a,b", 'say "hi"', "two\nlines", "perm(0,1,2)")
+        events = Events.concat(labels, [
+            (np.arange(3), np.array([1, 2, 3]), np.array([0.1, 5e-324, 1.0 - 2.0**-53]),
+             np.array([-0.0, 1.0, -1.0])),
+            (np.array([3, 4]), np.array([4, 0]), np.array([2.0**-54, 0.5]),
+             np.array([0.9999999999999998, 5e-324])),
+        ])
+        assert events.case.tolist() == [0, 1, 2, 3, 4]
+        assert events.setting.tolist() == [1, 2, 3, 4, 0]
+        text = events.to_csv()
+        assert text == _row_by_row_csv(events)
+        assert text.splitlines()[:2] == ["trial,setting,c,value", '0,"a,b",0.1,-0.0']
+        assert '1,"say ""hi""",5e-324,1.0' in text
+        assert '2,"two\nlines",0.9999999999999999,-1.0' in text
+        assert '3,"perm(0,1,2)",5.551115123125783e-17,0.9999999999999998' in text
+        assert text.endswith("4,plain,0.5,5e-324\n")
 
 
 class TestZeroWeightClamp:
