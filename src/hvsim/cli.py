@@ -166,11 +166,17 @@ def _run_table1(args):
     return report.as_dict(), True, report.events, text
 
 
+@functools.cache  # operators are immutable, so one Z and its decomposition serve every call
+def _born_observable():
+    return pauli("z")
+
+
 def _run_born(args):
     cfg = ExperimentConfig(seed=args.seed, trials=args.trials, theta=args.theta,
                            tolerance_sigma=args.tolerance_sigma)
     state = spin_state(cfg.theta)
-    report = born_experiment(cfg, state, pauli("z"), keep_events=args.format == "csv")
+    report = born_experiment(cfg, state, _born_observable(),
+                             keep_events=args.format == "csv")
     payload = {"seed": cfg.seed, "theta": cfg.theta, **report.as_dict()}
     lines = [
         f"born statistics for {report.observable_label} on"

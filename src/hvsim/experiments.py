@@ -1,10 +1,12 @@
 """Scripted and randomized experiment drivers with serializable reports.
 
-Everything here is seeded: single-shot statistics (Born frequencies, CHSH
-correlators) draw one batch of hidden scalars per setting, while the
-sequential sweeps give case t a fixed slot of one stream per (seed, tag[,
-setting]), so case_slot replays any case from its key. Identical (seed,
-trials) arguments reproduce identical reports.
+Everything here is seeded, and every randomized experiment reads its hidden
+scalars by one slot rule (draw_hidden_batch): one stream per (seed, tag[,
+setting]), in which trial or case t owns the draws [t * width, (t + 1) *
+width). Single-shot statistics (Born frequencies, product-mode CHSH
+correlators) take width 1 and the sequential sweeps one scalar per step
+plus any start-state uniforms, so case_slot replays any trial or case from
+its key. Identical (seed, trials) arguments reproduce identical reports.
 """
 
 from __future__ import annotations

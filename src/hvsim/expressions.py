@@ -34,44 +34,54 @@ EXPRESSION_HERMITICITY_TOL = 1e-10
 REAL_FACTOR_TOL = 1e-12
 
 
+# Nodes are read-only, so the square's shared line expressions stay as built.
 class Leaf:
     """A single observable appearing in an expression."""
 
-    __slots__ = ("op",)
+    __slots__ = ("_op",)
 
     def __init__(self, op: HermitianOperator):
         if not isinstance(op, HermitianOperator):
             raise TypeError(f"Leaf expects a HermitianOperator, got {type(op).__name__}")
-        self.op = op
+        self._op = op
+
+    op = property(lambda self: self._op)
 
     def __repr__(self) -> str:
         return f"Leaf({self.op.label or '?'})"
 
 
 class Sum:
-    __slots__ = ("children",)
+    __slots__ = ("_children",)
 
     def __init__(self, *children):
         if not children:
             raise ValueError("Sum needs at least one child")
-        self.children = tuple(_check_node(c) for c in children)
+        self._children = tuple(_check_node(c) for c in children)
+
+    children = property(lambda self: self._children)
 
 
 class Product:
-    __slots__ = ("children",)
+    __slots__ = ("_children",)
 
     def __init__(self, *children):
         if not children:
             raise ValueError("Product needs at least one child")
-        self.children = tuple(_check_node(c) for c in children)
+        self._children = tuple(_check_node(c) for c in children)
+
+    children = property(lambda self: self._children)
 
 
 class Scale:
-    __slots__ = ("factor", "child")
+    __slots__ = ("_factor", "_child")
 
     def __init__(self, factor, child):
-        self.factor = complex(factor)
-        self.child = _check_node(child)
+        self._factor = complex(factor)
+        self._child = _check_node(child)
+
+    factor = property(lambda self: self._factor)
+    child = property(lambda self: self._child)
 
 
 Node = Leaf | Sum | Product | Scale
@@ -278,7 +288,7 @@ class PeresMerminSquare:
     evaluates to is decomposed once per square.
     """
 
-    __slots__ = ("grid", "rows", "cols", "row_values", "col_values", "_expressions")
+    __slots__ = ("_grid", "_rows", "_cols", "_row_values", "_col_values", "_expressions")
 
     def __init__(self, grid):
         grid = tuple(tuple(row) for row in grid)
@@ -310,15 +320,22 @@ class PeresMerminSquare:
                 f"row/column products {row_values}/{col_values} do not show the"
                 f" expected parity pattern {expected}"
             )
-        self.grid = grid
-        self.rows = tuple(rows)
-        self.cols = tuple(cols)
-        self.row_values = tuple(row_values)
-        self.col_values = tuple(col_values)
+        self._grid = grid
+        self._rows = tuple(rows)
+        self._cols = tuple(cols)
+        self._row_values = tuple(row_values)
+        self._col_values = tuple(col_values)
         self._expressions = {
             axis: tuple(ObservableExpression.of_product(*line(i)) for i in (1, 2, 3))
             for axis, line in (("row", self.row_operators), ("column", self.column_operators))
         }
+
+    # Read-only, as peres_mermin() hands this one square to every caller.
+    grid = property(lambda self: self._grid)
+    rows = property(lambda self: self._rows)
+    cols = property(lambda self: self._cols)
+    row_values = property(lambda self: self._row_values)
+    col_values = property(lambda self: self._col_values)
 
     def row_operators(self, index: int) -> tuple[HermitianOperator, ...]:
         """The three grid cells of row `index` (1-based)."""

@@ -37,7 +37,7 @@ from .operators import (
 MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
-MAX_DRAW_ATTEMPTS = 64  # per scalar, or rounds per batch; numpy draws 0.0 w.p. 2**-53
+MAX_DRAW_ATTEMPTS = 64  # per scalar; numpy draws 0.0 w.p. 2**-53
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 
 
@@ -66,42 +66,24 @@ def draw_hidden(rng) -> float:
 
 
 def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Vectorized draw_hidden: the `count` scalars that `count` calls of
-    draw_hidden(rng) return, for a source with values in [0, 1).
-
-    Exact zeros are dropped from the stream as draw_hidden skips them; scalars
-    still missing after MAX_DRAW_ATTEMPTS rounds raise HiddenDrawError.
+    """The next `count` hidden scalars of a stream, one slot each: draw i is
+    the stream's i-th Generator.random value, except that an exact 0.0 reads
+    2**-54. Nothing is redrawn, so the stream moves by exactly `count`.
     """
     u = rng.random(count)
-    if u.all():
-        return u
-    for _ in range(MAX_DRAW_ATTEMPTS - 1):
-        u = u[u != 0.0]
-        u = np.concatenate((u, rng.random(count - u.size)))
-        if u.all():
-            return u
-    raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
-
-
-def open_uniform(raw) -> np.ndarray:
-    """Raw 64-bit draws mapped into (0, 1) without a redraw.
-
-    This is Generator.random's (raw >> 11) * 2**-53, except that the one
-    cell giving 0.0 maps to its midpoint 2**-54; the largest value is
-    1 - 2**-53.
-    """
-    u = (np.asarray(raw, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
-    return np.maximum(u, 2.0**-54)
+    if not u.all():
+        u[u == 0.0] = 2.0**-54
+    return u
 
 
 def case_uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
     """The next `count` case slots of `width` open uniforms, shape (count, width).
 
-    A sweep reads its cases in order from one stream, so case t owns the raw
+    A sweep reads its cases in order from one stream, so case t owns the
     draws [t * width, (t + 1) * width) of it: reading in blocks gives the
     same rows as one read, and case_slot replays a case with one advance.
     """
-    return open_uniform(rng.bit_generator.random_raw(count * width)).reshape(count, width)
+    return draw_hidden_batch(rng, count * width).reshape(count, width)
 
 
 def case_blocks(rng: np.random.Generator, cases: int, width: int):
@@ -322,12 +304,18 @@ def predict(obs, hidden: HiddenState) -> float:
     return float(decomp.values[select(decomp, hidden.state.amplitudes, hidden.c)])
 
 
-def _checked(state, cs) -> tuple[np.ndarray, np.ndarray]:
-    """A unit state's amplitudes, and `cs` as floats strictly inside (0, 1)."""
+def _open_scalars(cs) -> np.ndarray:
+    """`cs` as floats, every one strictly inside (0, 1)."""
     cs = np.asarray(cs, dtype=float)
     if cs.size and not (cs.min() > 0.0 and cs.max() < 1.0):  # nan fails both
         raise ValueError("all hidden scalars must lie strictly inside (0, 1)")
-    return (state if isinstance(state, PureState) else PureState(state)).amplitudes, cs
+    return cs
+
+
+def _checked(state, cs) -> tuple[np.ndarray, np.ndarray]:
+    """A unit state's amplitudes, and `cs` through _open_scalars."""
+    state = state if isinstance(state, PureState) else PureState(state)
+    return state.amplitudes, _open_scalars(cs)
 
 
 def branch_indices(obs, state, cs) -> np.ndarray:
@@ -394,11 +382,9 @@ def run_sequence(ops, amplitudes, cs) -> tuple[np.ndarray, np.ndarray]:
     selected block and renormalises, as _collapse does for one state.
     Returns (values[N, steps], final amplitudes[N, d]).
     """
-    cs = np.asarray(cs, dtype=float)
+    cs = _open_scalars(cs)
     if cs.ndim != 2 or cs.shape[1] != len(ops):
         raise ValueError(f"cs of shape {cs.shape} does not give one column per operator")
-    if cs.size and not ((cs > 0.0) & (cs < 1.0)).all():
-        raise ValueError("all hidden scalars must lie strictly inside (0, 1)")
     amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
     amps = np.array(np.broadcast_to(amps, (len(cs), amps.shape[-1])))
     values = np.empty(cs.shape)

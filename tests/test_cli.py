@@ -12,7 +12,7 @@ import pytest
 import hvsim
 from hvsim import experiments, model, operators
 from hvsim.cli import build_parser, main
-from hvsim.expressions import peres_mermin
+from hvsim.expressions import Leaf, Scale, peres_mermin
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 SEEDED_DIR = Path(__file__).resolve().parent / "expected"
@@ -175,15 +175,26 @@ def test_seeded_reports_do_not_depend_on_block_size(capsys, monkeypatch, name, a
 
 
 def test_stuck_uniform_source_exits_one(capsys, monkeypatch):
+    # A source stuck at zero still fills every slot, with 2**-54 each; every
+    # trial then reads the lowest branch, so the Born check fails.
     class Zeros:
         def random(self, size=None):
             return 0.0 if size is None else np.zeros(size)
 
     monkeypatch.setattr(experiments, "substream", lambda *path: Zeros())
-    code, out, err = run(capsys, "born", "--trials", "10")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: no draw inside (0, 1)")
+    code, out, err = run(capsys, "born", "--trials", "200", "--format", "csv")
+    assert (code, err) == (1, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 200
+    assert {row.split(",")[2] for row in rows} == {"5.551115123125783e-17"}
+    assert float("5.551115123125783e-17") == 2.0**-54
+
+
+def test_library_error_in_a_runner_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_REFERENCE_ROW_VALUES", (1, 1, -1))
+    code, out, err = run(capsys, "table1", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: iteration 1: row products (1, 1, 1)")
 
 
 class TestCsvOutput:
@@ -291,6 +302,18 @@ def test_line_expressions_are_decomposed_once_per_process(capsys, monkeypatch):
     assert computed == []
 
 
+def test_born_observable_is_decomposed_once_per_process(capsys, monkeypatch):
+    argv = ["born", "--trials", "200", "--format", "json"]
+    first = run(capsys, *argv)
+    computed = []
+    spectral = operators.spectral
+    monkeypatch.setattr(operators, "spectral",
+                        lambda *args: computed.append(args) or spectral(*args))
+    assert run(capsys, *argv) == first
+    run(capsys, "born", "--theta", "0.3")
+    assert computed == []
+
+
 def test_repeated_calls_share_no_state(capsys):
     # main reuses one parser and one square per process. No call may leave
     # state behind that changes a later call's report.
@@ -327,13 +350,25 @@ def test_repeated_calls_share_no_state(capsys):
                      "label"):
             with pytest.raises(AttributeError):
                 setattr(decomp, name, "Q")
+    for name in ("grid", "rows", "cols", "row_values", "col_values"):
+        with pytest.raises(AttributeError):
+            setattr(square, name, getattr(square, name)[::-1])
     assert square.column_expression(3) is square.column_expression(3)
+    nodes = [Scale(2.0, Leaf(cells[0]))]
     for f in [square.row_expression(i) for i in (1, 2, 3)] + [
             square.column_expression(j) for j in (1, 2, 3)]:
         for name in ("root", "operators", "dim"):
             with pytest.raises(AttributeError):
                 setattr(f, name, getattr(f, name))
+        nodes += [f.root, *f.root.children]
+    for node in nodes:
+        for name in ("op", "children", "factor", "child"):
+            if hasattr(node, name):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, getattr(node, name))
     assert run(capsys, "pm-square", "--format", "json")[1] == expected
+    no_go = (EXPECTED_DIR / "no-go.json").read_text(encoding="utf-8")
+    assert run(capsys, "no-go", "--format", "json") == (0, no_go, "")
     table1 = (SEEDED_DIR / "table1.csv").read_text(encoding="utf-8")
     assert run(capsys, "table1", "--format", "csv")[1] == table1
     weak_fc = (SEEDED_DIR / "weak-fc.csv").read_text(encoding="utf-8")

@@ -1,10 +1,13 @@
 """Reference replay, Born statistics, implications demo, CHSH, line sweeps."""
 
+import csv
+import io
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rows_of
 from hvsim import (
@@ -38,6 +41,7 @@ from hvsim import (
     pauli,
     peres_mermin,
     phase_distance,
+    predict,
     replay_table1,
     spin_state,
     PeresMerminSquare,
@@ -46,6 +50,8 @@ from hvsim import (
 from hvsim import consistency, model, operators
 from hvsim.experiments import (
     LINE_SLOT_WIDTH,
+    _BORN_TAG,
+    _CHSH_PRODUCT_TAG,
     _CHSH_SEQUENTIAL_TAG,
     _LINE_PRODUCT_TAG,
     _chsh_settings,
@@ -393,6 +399,47 @@ def _chain(ops, state, slot):
 def _case_c_value(row):
     case, _, c, value = row
     return case, c, value
+
+
+class TestSingleShotTrialsReplayFromTheirKeys:
+    """born trial t reads the width-1 slot (seed, 1, t), and product-chsh
+    trial t of setting k the slot (seed, 3, k, t). Replayed alone, a slot
+    gives its CSV row's c, and scalar predict at that c the row's value."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32), theta=st.floats(0.01, 3.13), data=st.data())
+    def test_born(self, seed, theta, data):
+        trials = data.draw(st.integers(1, 300), label="trials")
+        state = spin_state(theta)
+        report = born_experiment(ExperimentConfig(seed=seed, trials=trials), state,
+                                 pauli("z"), keep_events=True)
+        rows = _csv_rows(report.events)
+        for t in data.draw(st.lists(st.integers(0, trials - 1), min_size=1, max_size=5),
+                           label="replayed"):
+            (c,) = case_slot((seed, _BORN_TAG, t), 1)
+            trial, label, row_c, value = rows[t]
+            assert (int(trial), label, float(row_c)) == (t, "Z", c)
+            assert float(value) == predict(pauli("z"), HiddenState(state, c))
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32), data=st.data())
+    def test_product_chsh(self, seed, data):
+        trials = data.draw(st.integers(1, 300), label="trials")
+        report = chsh_experiment(ExperimentConfig(seed=seed, trials=trials), keep_events=True)
+        rows = _csv_rows(report.events)
+        for k, t in data.draw(st.lists(st.tuples(st.integers(0, 3),
+                                                 st.integers(0, trials - 1)),
+                                       min_size=1, max_size=5), label="replayed"):
+            key, *_, joint, _ = _chsh_settings()[k]
+            (c,) = case_slot((seed, _CHSH_PRODUCT_TAG, k, t), 1)
+            trial, label, row_c, value = rows[k * trials + t]
+            assert (int(trial), label, float(row_c)) == (t, key, c)
+            assert float(value) == predict(joint, HiddenState(bell_state(), c))
+
+
+def _csv_rows(events):
+    """The data rows of an Events record's CSV report, as strings."""
+    return list(csv.reader(io.StringIO(events.to_csv())))[1:]
 
 
 @pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])

@@ -37,7 +37,6 @@ from hvsim.model import (
     draw_hidden,
     draw_hidden_batch,
     measure,
-    open_uniform,
     predict,
     predict_batch,
     run_sequence,
@@ -396,17 +395,23 @@ class _StuckSource:
 
 
 class TestBoundedRedraw:
+    """The scalar draw_hidden redraws an exact 0.0, at most MAX_DRAW_ATTEMPTS
+    times; draw_hidden_batch reads 2**-54 in its place and redraws nothing."""
+
     def test_exact_zero_is_redrawn(self):
         assert draw_hidden(_StuckSource(stuck=3)) == 0.25
-        np.testing.assert_array_equal(draw_hidden_batch(_StuckSource(stuck=3), 4),
-                                      np.full(4, 0.25))
+        source = _Stream([0.0, 0.0, 0.0, 0.25, 0.5])
+        np.testing.assert_array_equal(draw_hidden_batch(source, 4),
+                                      [2.0**-54, 2.0**-54, 2.0**-54, 0.25])
+        assert source.position == 4
 
     def test_source_stuck_at_zero_raises(self):
         assert issubclass(HiddenDrawError, HvsimError)
         with pytest.raises(HiddenDrawError):
             draw_hidden(_StuckSource())
-        with pytest.raises(HiddenDrawError):
-            draw_hidden_batch(_StuckSource(), 8)
+        stuck = _StuckSource()
+        np.testing.assert_array_equal(draw_hidden_batch(stuck, 8), np.full(8, 2.0**-54))
+        assert stuck.calls == 1
 
 
 class _Stream:
@@ -426,8 +431,9 @@ class _Stream:
 
 
 class TestBatchDrawDropsZeros:
-    """draw_hidden_batch(rng, n) returns what n draw_hidden(rng) calls return
-    and leaves the stream at the same position, exact zeros included."""
+    """draw_hidden_batch(rng, n) lets no exact zero through: draw i reads the
+    stream's i-th value, with 0.0 read as 2**-54, and the stream advances
+    exactly n, so every draw keeps its slot."""
 
     @pytest.mark.parametrize("zeros", [(), (0,), (3,), (0, 1, 2), (5, 6), (2, 5, 6, 7),
                                        (9, 10)])
@@ -435,16 +441,17 @@ class TestBatchDrawDropsZeros:
         values = np.random.default_rng(11).random(24)
         values[list(zeros)] = 0.0
         batch_source, scalar_source = _Stream(values), _Stream(values)
-        batch = draw_hidden_batch(batch_source, 6)
-        np.testing.assert_array_equal(batch, [draw_hidden(scalar_source) for _ in range(6)])
-        assert 0.0 not in batch
-        assert batch_source.position == scalar_source.position
+        batch = draw_hidden_batch(batch_source, 12)
+        np.testing.assert_array_equal(batch, [scalar_source.random() or 2.0**-54
+                                              for _ in range(12)])
+        assert batch[list(zeros)].tolist() == [2.0**-54] * len(zeros)
+        assert batch_source.position == scalar_source.position == 12
 
     def test_numpy_generator(self):
         for seed in range(5):
-            batch = draw_hidden_batch(substream(seed), 64)
-            rng = substream(seed)
-            np.testing.assert_array_equal(batch, [draw_hidden(rng) for _ in range(64)])
+            rng, reference = substream(seed), substream(seed)
+            np.testing.assert_array_equal(draw_hidden_batch(rng, 64), reference.random(64))
+            assert rng.random() == reference.random()
 
 
 # (stream path after the root seed, slot width) of the sequential sweeps:
@@ -475,8 +482,9 @@ class TestCaseSlots:
                                       case_uniforms(substream(3, 5), 50, 11))
 
     def test_raw_extremes_map_strictly_inside(self):
+        # Generator.random reads raw 64-bit draw r as (r >> 11) * 2**-53.
         raw = np.array([0, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
-        u = open_uniform(raw)
+        u = draw_hidden_batch(_Stream((raw >> np.uint64(11)) * 2.0**-53), raw.size)
         assert ((u > 0.0) & (u < 1.0)).all()
         assert u.tolist() == [2.0**-54, 2.0**-54, 2.0**-53, 1 - 2.0**-53, 1 - 2.0**-53]
 
@@ -716,7 +724,11 @@ class TestEdgeCountSelection:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan])
     def test_hidden_scalars_outside_the_open_interval_are_rejected(self, bad):
         cs = np.array([0.25, bad, 0.75])
-        for tally in (branch_indices, branch_counts):
+
+        def sequence(obs, state, cs):
+            return run_sequence([obs], state, cs[:, None])
+
+        for tally in (branch_indices, branch_counts, sequence):
             with pytest.raises(ValueError):
                 tally(pauli("z"), basis_ket(2, 0), cs)
 
