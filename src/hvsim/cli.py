@@ -172,15 +172,15 @@ def _born_observable():
 
 
 def _run_born(args):
-    cfg = ExperimentConfig(seed=args.seed, trials=args.trials, theta=args.theta,
+    cfg = ExperimentConfig(seed=args.seed, trials=args.trials,
                            tolerance_sigma=args.tolerance_sigma)
-    state = spin_state(cfg.theta)
+    state = spin_state(args.theta)
     report = born_experiment(cfg, state, _born_observable(),
                              keep_events=args.format == "csv")
-    payload = {"seed": cfg.seed, "theta": cfg.theta, **report.as_dict()}
+    payload = {"seed": cfg.seed, "theta": args.theta, **report.as_dict()}
     lines = [
         f"born statistics for {report.observable_label} on"
-        f" cos(theta)|0>+sin(theta)|1>, theta={cfg.theta:g}",
+        f" cos(theta)|0>+sin(theta)|1>, theta={args.theta:g}",
         f"seed={cfg.seed} trials={cfg.trials}",
         f"{'outcome':>8} {'expected':>12} {'observed':>12}",
     ]
@@ -371,8 +371,12 @@ def main(argv=None) -> int:
     else:
         body = text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(body)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         try:
             sys.stdout.write(body)

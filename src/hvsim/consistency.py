@@ -16,14 +16,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import (Events, HiddenState, MeasurementTrace, ScriptedUniforms, case_blocks,
-                    measure, predict, predict_batch, run_sequence, substream)
+from .model import (VALUE_TOL, Events, HiddenState, MeasurementTrace, ScriptedUniforms,
+                    case_blocks, measure, predict, predict_batch, run_sequence, substream)
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
 import numpy as np
-
-VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,7 @@ def _leaf_label(op, position: int) -> str:
     return op.label if op.label is not None else f"leaf{position}"
 
 
-def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
-                    scenario_label: str | None = None) -> ConsistencyReport:
+def check_strong_fc(f: ObservableExpression, hidden: HiddenState) -> ConsistencyReport:
     """Compare predict(f as one operator) with f(per-leaf predictions), both
     on the same hidden state. No collapse, no randomness."""
     if f.dim != hidden.state.dim:
@@ -71,7 +68,7 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
         },
     }
     return ConsistencyReport(
-        scenario_label=scenario_label or f.describe(),
+        scenario_label=f.describe(),
         lhs_value=float(lhs),
         rhs_value=float(rhs),
         holds=abs(lhs - rhs) <= VALUE_TOL,
@@ -80,8 +77,7 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState,
 
 
 def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
-                  rng, scenario_label: str | None = None,
-                  key: tuple[int, ...] | None = None) -> ConsistencyReport:
+                  rng, key: tuple[int, ...] | None = None) -> ConsistencyReport:
     """Measure the distinct leaves sequentially in the given order and compare
     f(measured values) with predicting f's operator on the initial state.
 
@@ -117,7 +113,7 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
     if key is not None:
         details["key"] = [int(k) for k in key]
     return ConsistencyReport(
-        scenario_label=scenario_label or f.describe(),
+        scenario_label=f.describe(),
         lhs_value=lhs,
         rhs_value=rhs,
         holds=abs(lhs - rhs) <= VALUE_TOL,

@@ -110,12 +110,12 @@ class ObservableExpression:
 
     `operators` lists the distinct leaves in first-appearance order (two leaf
     nodes count as the same observable when operators_equal says so). The
-    evaluated matrix is cached, as is its wrapping HermitianOperator, so
-    repeated prediction on the same expression reuses one spectral
-    decomposition.
+    HermitianOperator the expression evaluates to is built once, labelled
+    describe(), so repeated prediction on the same expression reuses one
+    spectral decomposition.
     """
 
-    __slots__ = ("_root", "_operators", "_dim", "_matrix", "_leaf_slots", "_operator")
+    __slots__ = ("_root", "_operators", "_dim", "_leaf_slots", "_operator")
 
     def __init__(self, root):
         self._root = _check_node(root)
@@ -145,12 +145,9 @@ class ObservableExpression:
                 f"expression evaluates to a non-Hermitian matrix"
                 f" (deviation {deviation:.3e})"
             )
-        matrix = (matrix + matrix.conj().T) / 2.0
-        matrix.setflags(write=False)
         self._operators = tuple(distinct)
-        self._matrix = matrix
         self._leaf_slots = leaf_slots
-        self._operator: HermitianOperator | None = None
+        self._operator = HermitianOperator((matrix + matrix.conj().T) / 2.0, self.describe())
 
     def _collect(self, node, distinct, leaf_slots):
         if isinstance(node, Leaf):
@@ -175,7 +172,7 @@ class ObservableExpression:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
+        return self._operator.matrix
 
     def describe(self) -> str:
         return _describe(self.root)
@@ -214,8 +211,6 @@ def _eval_matrix(node) -> np.ndarray:
 
 def eval_operator(f: ObservableExpression) -> HermitianOperator:
     """The single Hermitian operator the whole expression evaluates to."""
-    if f._operator is None:
-        f._operator = HermitianOperator(f.matrix, label=f.describe())
     return f._operator
 
 
@@ -281,61 +276,40 @@ class PeresMerminSquare:
     """3x3 grid of two-qubit observables whose row and column products are
     scalar, with the column-3 product carrying the opposite sign.
 
-    Every row triple and column triple commutes pairwise, all three row
-    products equal +I, the first two column products equal +I and the third
-    equals -I. These identities are re-verified at construction to 1e-12.
-    The six line expressions are built here too, so the operator each one
-    evaluates to is decomposed once per square.
+    Each line is one ObservableExpression, the product of its three cells,
+    whose construction checks that the cells commute pairwise and that the
+    product is Hermitian. All three row products must equal +I, the first
+    two column products +I and the third -I, to 1e-12. `rows` and `cols`
+    are the operators the line expressions evaluate to, so each is
+    decomposed once per square.
     """
 
-    __slots__ = ("_grid", "_rows", "_cols", "_row_values", "_col_values", "_expressions")
+    __slots__ = ("_grid", "_expressions", "_values")
 
     def __init__(self, grid):
         grid = tuple(tuple(row) for row in grid)
         if len(grid) != 3 or any(len(row) != 3 for row in grid):
             raise ValueError("grid must be 3x3")
-        for line in _lines(grid):
-            for i, a in enumerate(line):
-                for b in line[i + 1:]:
-                    norm = commutator_norm(a, b)
-                    if norm > COMMUTE_TOL:
-                        raise NoncommutingLeavesError(
-                            f"{a.label} and {b.label} in one line fail to"
-                            f" commute (norm {norm:.3e})"
-                        )
-        rows, row_values = [], []
-        for i, row in enumerate(grid):
-            op, value = _line_product(row, f"R{i + 1}")
-            rows.append(op)
-            row_values.append(value)
-        cols, col_values = [], []
-        for j in range(3):
-            col = tuple(grid[i][j] for i in range(3))
-            op, value = _line_product(col, f"C{j + 1}")
-            cols.append(op)
-            col_values.append(value)
-        expected = ([1, 1, 1], [1, 1, -1])
-        if (row_values, col_values) != expected:
-            raise ValueError(
-                f"row/column products {row_values}/{col_values} do not show the"
-                f" expected parity pattern {expected}"
-            )
         self._grid = grid
-        self._rows = tuple(rows)
-        self._cols = tuple(cols)
-        self._row_values = tuple(row_values)
-        self._col_values = tuple(col_values)
         self._expressions = {
             axis: tuple(ObservableExpression.of_product(*line(i)) for i in (1, 2, 3))
             for axis, line in (("row", self.row_operators), ("column", self.column_operators))
         }
+        self._values = {axis: tuple(map(_line_value, lines))
+                        for axis, lines in self._expressions.items()}
+        expected = {"row": (1, 1, 1), "column": (1, 1, -1)}
+        if self._values != expected:
+            raise ValueError(
+                f"row/column products {self.row_values}/{self.col_values} do not show"
+                f" the expected parity pattern {expected}"
+            )
 
     # Read-only, as peres_mermin() hands this one square to every caller.
     grid = property(lambda self: self._grid)
-    rows = property(lambda self: self._rows)
-    cols = property(lambda self: self._cols)
-    row_values = property(lambda self: self._row_values)
-    col_values = property(lambda self: self._col_values)
+    rows = property(lambda self: tuple(map(eval_operator, self._expressions["row"])))
+    cols = property(lambda self: tuple(map(eval_operator, self._expressions["column"])))
+    row_values = property(lambda self: self._values["row"])
+    col_values = property(lambda self: self._values["column"])
 
     def row_operators(self, index: int) -> tuple[HermitianOperator, ...]:
         """The three grid cells of row `index` (1-based)."""
@@ -354,11 +328,9 @@ class PeresMerminSquare:
 
     def forced_value(self, axis: str, index: int) -> int:
         """The scalar the given line's product is pinned to (+1 or -1)."""
-        if axis == "row":
-            return self.row_values[_line_index(index)]
-        if axis == "column":
-            return self.col_values[_line_index(index)]
-        raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+        if axis not in self._values:
+            raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+        return self._values[axis][_line_index(index)]
 
 
 def _line_index(index: int) -> int:
@@ -367,20 +339,13 @@ def _line_index(index: int) -> int:
     return index - 1
 
 
-def _lines(grid):
-    for row in grid:
-        yield row
-    for j in range(3):
-        yield tuple(grid[i][j] for i in range(3))
-
-
-def _line_product(ops, label: str) -> tuple[HermitianOperator, int]:
-    matrix = ops[0].matrix @ ops[1].matrix @ ops[2].matrix
-    scalar = identity_scalar(matrix, tol=1e-12)
+def _line_value(f: ObservableExpression) -> int:
+    """The +1 or -1 that line expression f's matrix is a multiple of I by."""
+    scalar = identity_scalar(f.matrix, tol=1e-12)
     value = int(round(scalar))
     if abs(scalar - value) > 1e-12 or value not in (-1, 1):
-        raise ValueError(f"line product for {label} is {scalar}, expected +1 or -1")
-    return HermitianOperator(matrix, label), value
+        raise ValueError(f"line product {f.describe()} is {scalar}, expected +1 or -1")
+    return value
 
 
 @functools.cache

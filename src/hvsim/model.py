@@ -37,6 +37,7 @@ from .operators import (
 MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
+VALUE_TOL = 1e-9  # two outcome values agree within this
 MAX_DRAW_ATTEMPTS = 64  # per scalar; numpy draws 0.0 w.p. 2**-53
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 
@@ -248,6 +249,11 @@ def as_decomposition(obs) -> SpectralDecomposition:
     )
 
 
+def display_label(decomp: SpectralDecomposition) -> str:
+    """The decomposition's label, or hermitian[dim] for an unlabelled one."""
+    return decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
+
+
 def _cumulative(decomp: SpectralDecomposition, amplitudes):
     """Cumulative branch weights, those below MIN_BRANCH_WEIGHT zeroed, and the
     index of the last branch carrying weight (per row of an (N, d) stack)."""
@@ -367,7 +373,7 @@ def measure(obs, hidden: HiddenState, rng,
     index = int(select(decomp, hidden.state.amplitudes, hidden.c))
     post = _collapse(decomp, hidden.state, index)
     if label is None:
-        label = decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
+        label = display_label(decomp)
     record = MeasurementRecord(label, hidden.c, float(decomp.values[index]),
                                hidden.state, post)
     return record, HiddenState(post, draw_hidden(rng))

@@ -271,6 +271,14 @@ class TestOutFile:
         assert lines[0] == "trial,setting,c,value"
         assert len(lines) == 13
 
+    def test_unwritable_path_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "no-go", "--format", "json", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()
+
 
 def fresh(*argv):
     """Run `python -m hvsim argv` in a new process on the package under test."""

@@ -65,8 +65,9 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.seed == 0
         assert cfg.trials == 100_000
-        assert cfg.theta == pytest.approx(math.pi / 3)
         assert cfg.tolerance_sigma == 5.0
+        # The state is the caller's, so the config holds no angle.
+        assert list(vars(cfg)) == ["seed", "trials", "tolerance_sigma"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -135,6 +136,16 @@ class TestBornExperiment:
         report = born_experiment(cfg, spin_state(math.pi / 3), pauli("z"))
         assert report.frequency(1.0) == pytest.approx(0.2522, abs=1e-12)
         assert report.expected(1.0) == pytest.approx(0.25, abs=1e-12)
+        assert report.passed
+
+    def test_weight_a_hair_over_one_is_deterministic(self):
+        # PureState accepts a norm within 1e-12 of 1, so a Born weight can
+        # read 1 + 1e-12; the sigma rule must not take the root of p(1 - p) < 0.
+        cfg = ExperimentConfig(trials=1000)
+        report = born_experiment(cfg, PureState([1 + 5e-13, 0]), pauli("z"))
+        assert report.expected(1.0) > 1.0
+        assert report.frequency(1.0) == 1.0
+        assert report.max_sigma_deviation == 0.0
         assert report.passed
 
     def test_runs_are_reproducible(self):

@@ -292,6 +292,12 @@ class TestPeresMerminSquare:
                 for b in line[i + 1:]:
                     assert commutator_norm(a, b) <= 1e-12
 
+    def test_line_products_are_the_line_expressions_operators(self):
+        for i in (1, 2, 3):
+            assert self.square.rows[i - 1] is eval_operator(self.square.row_expression(i))
+            assert self.square.cols[i - 1] is eval_operator(self.square.column_expression(i))
+        assert self.square.cols[2].label == "(XX*YY*ZZ)"
+
     def test_grid_must_be_three_by_three(self):
         with pytest.raises(ValueError):
             PeresMerminSquare(self.square.grid[:2])
@@ -300,6 +306,19 @@ class TestPeresMerminSquare:
         grid = [list(row) for row in self.square.grid]
         grid[0][0] = tensor(pauli("z"), identity(2), "ZI")
         with pytest.raises(NoncommutingLeavesError):
+            PeresMerminSquare(grid)
+
+    def test_line_product_off_the_identity_rejected(self):
+        # II commutes with every cell, but leaves row 1 with XI*XX = IX.
+        grid = [list(row) for row in self.square.grid]
+        grid[0][0] = tensor(identity(2), identity(2), "II")
+        with pytest.raises(ValueError, match="not a scalar multiple of the identity"):
+            PeresMerminSquare(grid)
+
+    def test_line_product_of_another_scalar_rejected(self):
+        grid = [list(row) for row in self.square.grid]
+        grid[0][0] = HermitianOperator(2 * grid[0][0].matrix, "2IX")
+        with pytest.raises(ValueError, match=r"\(2IX\*XI\*XX\) is 2.0, expected \+1 or -1"):
             PeresMerminSquare(grid)
 
     def test_wrong_parity_pattern_rejected(self):
