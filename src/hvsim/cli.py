@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .expressions import peres_mermin
 from .model import HiddenState
-from .operators import amplitude_pairs, basis_ket, commutator_norm, identity_scalar, pauli
+from .operators import amplitude_pairs, basis_ket, pauli
 
 _WEAK_FC_TAG = 6
 
@@ -195,16 +195,8 @@ def _run_born(args):
 
 def _run_pm_square(args):
     square = peres_mermin()
-    max_comm = 0.0
-    for line_ops in list(square.grid) + [square.column_operators(j) for j in (1, 2, 3)]:
-        for i, a in enumerate(line_ops):
-            for b in line_ops[i + 1:]:
-                max_comm = max(max_comm, commutator_norm(a, b))
-    max_identity_gap = 0.0
-    for op, value in list(zip(square.rows, square.row_values)) + \
-            list(zip(square.cols, square.col_values)):
-        scalar = identity_scalar(op.matrix, tol=1e-12)
-        max_identity_gap = max(max_identity_gap, abs(scalar - value))
+    max_comm = max(f.max_commutator_norm for f in square.lines)
+    max_identity_gap = square.identity_deviation
     payload = {
         "grid": [[op.label for op in row] for row in square.grid],
         "row_values": list(square.row_values),

@@ -115,7 +115,7 @@ class ObservableExpression:
     spectral decomposition.
     """
 
-    __slots__ = ("_root", "_operators", "_dim", "_leaf_slots", "_operator")
+    __slots__ = ("_root", "_operators", "_dim", "_leaf_slots", "_operator", "_max_commutator_norm")
 
     def __init__(self, root):
         self._root = _check_node(root)
@@ -130,9 +130,11 @@ class ObservableExpression:
                 f"expression leaves span several dimensions: {sorted(dims)}"
             )
         self._dim = dims.pop()
+        self._max_commutator_norm = 0.0
         for i, a in enumerate(distinct):
             for b in distinct[i + 1:]:
                 norm = commutator_norm(a, b)
+                self._max_commutator_norm = max(self._max_commutator_norm, norm)
                 if norm > COMMUTE_TOL:
                     raise NoncommutingLeavesError(
                         f"leaves {a.label or i} and {b.label or '?'} fail to"
@@ -169,6 +171,7 @@ class ObservableExpression:
     root = property(lambda self: self._root)
     operators = property(lambda self: self._operators)
     dim = property(lambda self: self._dim)
+    max_commutator_norm = property(lambda self: self._max_commutator_norm)  # largest one checked
 
     @property
     def matrix(self) -> np.ndarray:
@@ -284,7 +287,7 @@ class PeresMerminSquare:
     decomposed once per square.
     """
 
-    __slots__ = ("_grid", "_expressions", "_values")
+    __slots__ = ("_grid", "_expressions", "_values", "_identity_deviation")
 
     def __init__(self, grid):
         grid = tuple(tuple(row) for row in grid)
@@ -295,8 +298,9 @@ class PeresMerminSquare:
             axis: tuple(ObservableExpression.of_product(*line(i)) for i in (1, 2, 3))
             for axis, line in (("row", self.row_operators), ("column", self.column_operators))
         }
-        self._values = {axis: tuple(map(_line_value, lines))
-                        for axis, lines in self._expressions.items()}
+        checked = {axis: list(map(_line_value, fs)) for axis, fs in self._expressions.items()}
+        self._values = {axis: tuple(v for v, _ in pairs) for axis, pairs in checked.items()}
+        self._identity_deviation = max(gap for pairs in checked.values() for _, gap in pairs)
         expected = {"row": (1, 1, 1), "column": (1, 1, -1)}
         if self._values != expected:
             raise ValueError(
@@ -310,6 +314,8 @@ class PeresMerminSquare:
     cols = property(lambda self: tuple(map(eval_operator, self._expressions["column"])))
     row_values = property(lambda self: self._values["row"])
     col_values = property(lambda self: self._values["column"])
+    lines = property(lambda self: self._expressions["row"] + self._expressions["column"])
+    identity_deviation = property(lambda self: self._identity_deviation)  # max line-check gap
 
     def row_operators(self, index: int) -> tuple[HermitianOperator, ...]:
         """The three grid cells of row `index` (1-based)."""
@@ -339,13 +345,13 @@ def _line_index(index: int) -> int:
     return index - 1
 
 
-def _line_value(f: ObservableExpression) -> int:
-    """The +1 or -1 that line expression f's matrix is a multiple of I by."""
+def _line_value(f: ObservableExpression) -> tuple[int, float]:
+    """The +1 or -1 that line f's matrix is a multiple of I by, and the gap to it."""
     scalar = identity_scalar(f.matrix, tol=1e-12)
     value = int(round(scalar))
     if abs(scalar - value) > 1e-12 or value not in (-1, 1):
         raise ValueError(f"line product {f.describe()} is {scalar}, expected +1 or -1")
-    return value
+    return value, abs(scalar - value)
 
 
 @functools.cache

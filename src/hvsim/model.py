@@ -191,13 +191,34 @@ class Events:
         return cls(tuple(labels), *map(np.concatenate, zip(*blocks)))
 
     def to_csv(self) -> str:
-        """The trial,setting,c,value report; floats are written as their repr."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("trial", "setting", "c", "value"))
-        labels = map(self.labels.__getitem__, self.setting.tolist())
-        writer.writerows(zip(self.case.tolist(), labels, self.c.tolist(), self.value.tolist()))
-        return buffer.getvalue()
+        """The trial,setting,c,value report, rendered a column at a time and
+        joined one SWEEP_BLOCK of rows at a time.
+
+        Each label is quoted once by the csv module and reused on every row.
+        c and value are written as the repr of their float64s. value holds
+        few distinct numbers, so each distinct bit pattern is formatted once;
+        bits, unlike float equality, keep -0.0 apart from 0.0.
+        """
+        labels = [_csv_field(label) for label in self.labels]
+        value = np.asarray(self.value, dtype=float)
+        parts = ["trial,setting,c,value\n"]
+        for first in range(0, len(value), SWEEP_BLOCK):
+            block = slice(first, first + SWEEP_BLOCK)
+            bits, which = np.unique(value[block].view(np.int64), return_inverse=True)
+            shown = list(map(repr, bits.view(float).tolist()))
+            rows = zip(map(str, self.case[block].tolist()),
+                       map(labels.__getitem__, self.setting[block].tolist()),
+                       map(repr, self.c[block].tolist()), map(shown.__getitem__, which.tolist()))
+            parts.append("\n".join(map(",".join, rows)) + "\n")
+        return "".join(parts)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it as a field. It is written as the
+    first of two fields, because a row of one empty field reads '""'."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]  # drop the empty second field's ",\n"
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,11 @@ class TestBornExperiment:
 
     def test_weight_a_hair_over_one_is_deterministic(self):
         # PureState accepts a norm within 1e-12 of 1, so a Born weight can
-        # read 1 + 1e-12; the sigma rule must not take the root of p(1 - p) < 0.
+        # read 1 + 1e-12; it is clipped to 1 both in the report and in the
+        # sigma rule, which must not take the root of p(1 - p) < 0.
         cfg = ExperimentConfig(trials=1000)
         report = born_experiment(cfg, PureState([1 + 5e-13, 0]), pauli("z"))
-        assert report.expected(1.0) > 1.0
+        assert report.expected(1.0) == 1.0
         assert report.frequency(1.0) == 1.0
         assert report.max_sigma_deviation == 0.0
         assert report.passed

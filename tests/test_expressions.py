@@ -119,6 +119,13 @@ class TestExpressionValidation:
         expr = ObservableExpression(Product(Leaf(pauli("z")), Leaf(pauli("z"))))
         assert len(expr.operators) == 1
 
+    def test_max_commutator_norm_is_the_largest_the_check_measured(self):
+        # I + 1e-11 X commutes with Z to within COMMUTE_TOL, but not exactly.
+        nearly_one = HermitianOperator(np.eye(2) + 1e-11 * pauli("x").matrix, "I'")
+        expr = ObservableExpression.of_sum(pauli("z"), nearly_one, pauli("z"))
+        assert expr.max_commutator_norm == commutator_norm(pauli("z"), nearly_one) > 0.0
+        assert ObservableExpression.of(pauli("z")).max_commutator_norm == 0.0
+
 
 class TestEvalOperator:
     def test_square_of_pauli_is_identity(self):
@@ -291,6 +298,16 @@ class TestPeresMerminSquare:
             for i, a in enumerate(line):
                 for b in line[i + 1:]:
                     assert commutator_norm(a, b) <= 1e-12
+
+    def test_lines_carry_what_their_checks_measured(self):
+        assert self.square.lines == tuple(self.square.row_expression(i) for i in (1, 2, 3)) \
+            + tuple(self.square.column_expression(j) for j in (1, 2, 3))
+        assert self.square.identity_deviation == 0.0
+        assert max(f.max_commutator_norm for f in self.square.lines) == 0.0
+        # A cell scaled by 1 + 1e-13 leaves row 1 and column 1 that far off +-I.
+        grid = [list(row) for row in self.square.grid]
+        grid[0][0] = HermitianOperator((1 + 1e-13) * grid[0][0].matrix, "IX'")
+        assert PeresMerminSquare(grid).identity_deviation == pytest.approx(1e-13, rel=1e-3)
 
     def test_line_products_are_the_line_expressions_operators(self):
         for i in (1, 2, 3):

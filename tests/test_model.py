@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hvsim.errors import (
     BranchNotFoundError,
@@ -337,6 +337,16 @@ class TestTraceSerialization:
             as_decomposition("Z")
 
 
+# Float64 bit patterns of both zeros, nan, both infinities, the smallest and
+# largest subnormals, the largest finite double and +-1.
+_SPECIAL_BITS = [int(b) for b in np.array(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.225073858507201e-308,
+     1.7976931348623157e308, 1.0, -1.0]).view(np.int64)]
+_FLOAT_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(-2**63, 2**63 - 1))
+_LABELS = st.one_of(st.sampled_from(["", ",", '"', "\n", "\r", " ", "ψ⊗φ", "perm(0,1,2)"]),
+                    st.text())
+
+
 def _row_by_row_csv(events):
     """Reference rendering: one csv.writer row per event, built from Python
     scalars, as the report's rows were written before the columnar record."""
@@ -366,6 +376,33 @@ class TestEvents:
         assert '2,"two\nlines",0.9999999999999999,-1.0' in text
         assert '3,"perm(0,1,2)",5.551115123125783e-17,0.9999999999999998' in text
         assert text.endswith("4,plain,0.5,5e-324\n")
+
+    def test_an_empty_label_is_an_empty_field(self):
+        events = Events(("",), np.array([0]), np.array([0]), np.array([0.5]), np.array([-1.0]))
+        assert events.to_csv() == "trial,setting,c,value\n0,,0.5,-1.0\n"
+
+    @settings(deadline=None, max_examples=80)
+    @given(labels=st.lists(_LABELS, min_size=1, max_size=6), rows=st.integers(0, 64),
+           c_bits=st.lists(_FLOAT_BITS, min_size=1, max_size=12),
+           value_bits=st.lists(_FLOAT_BITS, min_size=1, max_size=12),
+           seed=st.integers(0, 2**32))
+    @example(labels=["", "\n"], rows=0, c_bits=[0], value_bits=[0], seed=0)
+    @example(labels=["", ",", '"', "\n", "\r", "ψ⊗φ"], rows=model.SWEEP_BLOCK,
+             c_bits=list(_SPECIAL_BITS), value_bits=list(_SPECIAL_BITS[::-1]), seed=1)
+    @example(labels=["A0B0", "a,b"], rows=model.SWEEP_BLOCK + 1,
+             c_bits=list(_SPECIAL_BITS), value_bits=_SPECIAL_BITS[:2], seed=2)
+    def test_csv_matches_the_row_by_row_writer_at_any_bits(self, labels, rows, c_bits,
+                                                           value_bits, seed):
+        # Columns cycle through the drawn bit patterns, so one column can hold
+        # both zeros, nan, infinities and subnormals across block boundaries.
+        rng = np.random.default_rng(seed)
+        column = lambda bits: np.resize(np.array(bits, dtype=np.int64), rows).view(np.float64)
+        events = Events(tuple(labels), rng.integers(0, 10**12, rows),
+                        rng.integers(0, len(labels), rows), column(c_bits), column(value_bits))
+        # Compared line by line, so that a failure shows its first differing line.
+        pairs = itertools.zip_longest(events.to_csv().splitlines(True),
+                                      _row_by_row_csv(events).splitlines(True))
+        assert [pair for pair in pairs if pair[0] != pair[1]][:1] == []
 
 
 class TestZeroWeightClamp:
