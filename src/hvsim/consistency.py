@@ -176,7 +176,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
             f" (residual {residual:.3e})"
         )
     ops = f.operators
-    permutations = list(itertools.permutations(range(len(ops))))
+    permutations = np.array(list(itertools.permutations(range(len(ops)))))
     names = [f"perm({','.join(str(k) for k in p)})" for p in permutations]
     count = len(permutations)
     cases = trials * count
@@ -189,11 +189,9 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
     stream = rng if key is None else substream(*key)
     for first, cs in case_blocks(stream, cases, len(ops) + 1):
         lhs = predict_batch(op, state, cs[:, 0])
+        orders = permutations[np.arange(first, first + len(cs)) % count]
         values = np.empty((len(cs), len(ops)))  # column k holds leaf k's reading
-        for p, permutation in enumerate(permutations):
-            mine = slice((p - first) % count, None, count)
-            values[mine, list(permutation)] = run_sequence(
-                [ops[k] for k in permutation], state, cs[mine, :-1])[0]
+        np.put_along_axis(values, orders, run_sequence(ops, state, cs[:, :-1], orders)[0], axis=1)
         rhs = eval_real_block(f, values)
         failed = np.flatnonzero(~(np.abs(lhs - rhs) <= VALUE_TOL))
         passes += len(cs) - len(failed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReferenceRunMismatchError
-from .expressions import PeresMerminSquare, implications_operators, peres_mermin
+from .expressions import implications_operators, peres_mermin
 from .model import (
     Events,
     HiddenState,
@@ -294,7 +294,7 @@ def _predict_unit(op, hidden: HiddenState, what: str) -> int:
     return rounded
 
 
-def replay_table1(square: PeresMerminSquare | None = None) -> Table1Report:
+def replay_table1() -> Table1Report:
     """Deterministic worked example on the two-qubit square.
 
     Starting from |00> with c = 0.4 and scripted follow-up draws (0.1, 0.7),
@@ -304,8 +304,7 @@ def replay_table1(square: PeresMerminSquare | None = None) -> Table1Report:
     run; any difference raises ReferenceRunMismatchError naming the first
     mismatching entry.
     """
-    if square is None:
-        square = peres_mermin()
+    square = peres_mermin()
     script = ScriptedUniforms(TABLE1_CS[1:] + (_REFERENCE_PAD_DRAW,))
     hidden = HiddenState(basis_ket(4, 0), TABLE1_CS[0])
     iterations = []
@@ -609,7 +608,7 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
         raise ValueError(f"trials must be positive, got {trials}")
     forced = square.forced_value(axis, index)  # also rejects an unknown axis
     ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
-    permutations = list(itertools.permutations(range(3)))
+    permutations = np.array(list(itertools.permutations(range(3))))
     count = len(permutations)
     cases = trials * count  # case t * count + p runs permutation p
     passes = 0
@@ -617,16 +616,12 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
     rng = substream(seed, _LINE_PRODUCT_TAG)
     for first, slots in case_blocks(rng, cases, LINE_SLOT_WIDTH):
         starts, cs = haar_amplitudes(slots[:, :-3]), slots[:, -3:]
-        values = np.empty(cs.shape)  # readings in measurement order
-        for p, permutation in enumerate(permutations):
-            mine = slice((p - first) % count, None, count)
-            values[mine] = run_sequence([ops[k] for k in permutation],
-                                        starts[mine], cs[mine])[0]
+        case = np.arange(first, first + len(cs))
+        orders = permutations[case % count]
+        values = run_sequence(ops, starts, cs, orders)[0]  # readings in measurement order
         passes += int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
         if keep_events:  # a case's events are its steps, each set to the leaf it measured
-            case = np.arange(first, first + len(cs))
-            blocks.append((case.repeat(3), np.array(permutations)[case % count].ravel(),
-                           cs.ravel(), values.ravel()))
+            blocks.append((case.repeat(3), orders.ravel(), cs.ravel(), values.ravel()))
     return LineProductReport(
         axis=axis,
         index=index,

@@ -14,6 +14,7 @@ fixed c the outcome is a deterministic function of (psi, c).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
 VALUE_TOL = 1e-9  # two outcome values agree within this
 MAX_DRAW_ATTEMPTS = 64  # per scalar; numpy draws 0.0 w.p. 2**-53
+JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 
 
@@ -275,38 +277,47 @@ def display_label(decomp: SpectralDecomposition) -> str:
     return decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
 
 
-def _cumulative(decomp: SpectralDecomposition, amplitudes):
-    """Cumulative branch weights, those below MIN_BRANCH_WEIGHT zeroed, and the
-    index of the last branch carrying weight (per row of an (N, d) stack)."""
-    w = decomp.weights(amplitudes)  # also rejects a state of the wrong dimension
-    w[w < MIN_BRANCH_WEIGHT] = 0.0
-    cum = np.cumsum(w, axis=-1)
-    cover = cum[..., -1].min(initial=1.0)
+def _edges(weights) -> np.ndarray:
+    """The selection rule's edges for columns of branch weights (B, R),
+    computed in place: with weights below MIN_BRANCH_WEIGHT zeroed, the
+    cumulative weights of all but the last branch, where an edge with no
+    weight above it reads inf."""
+    cum = weights
+    cum[cum < MIN_BRANCH_WEIGHT] = 0.0
+    for i in range(1, len(cum)):  # branch by branch, as np.cumsum adds
+        cum[i] += cum[i - 1]
+    cover = cum[-1].min(initial=1.0)
     if cover < 1.0 - COVERAGE_TOL:
         raise MalformedDecompositionError(
             f"branch weights cover only {cover:.12f} of the state"
         )
-    if w.ndim == 1:
-        return cum, np.flatnonzero(w)[-1]
-    return cum, w.shape[1] - 1 - np.argmax(w[:, ::-1] > 0.0, axis=1)
+    edges = cum[:-1]
+    edges[edges >= cum[-1]] = np.inf
+    return edges
+
+
+def _choose(weights, cs) -> np.ndarray:
+    """The selection rule on columns of branch weights (B, R): one column
+    shared by every c in `cs`, or one per c. Each c picks the number of
+    edges below it."""
+    return np.add.reduce(_edges(weights) < cs, axis=0)
 
 
 def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
-    """Branch index picked by each hidden scalar in `cs`: the selection rule.
+    """Branch index picked by each hidden scalar in `cs` on one state: the
+    selection rule, which run_sequence applies to its rows' weights too.
 
     Branch weights below MIN_BRANCH_WEIGHT are zeroed, then each c picks the
     first branch whose cumulative weight reaches it, so the set of c choosing
     branch i is (cum[i-1], cum[i]]. A c above the last cumulative weight
     (rounding leaves cum[-1] a hair under 1) falls to the last branch that
-    carries weight, never onto a zeroed one. Callers keep every c inside
-    (0, 1), as HiddenState, branch_indices and run_sequence enforce.
-    `amplitudes` is one state shared by every c, or an (N, d) stack with one
-    c per row. One state's index counts the weighted edges cum[:last] below c.
+    carries weight, never onto a zeroed one. So the index counts the edges
+    cum[i] below c, an edge with no weight above it never counting. Callers
+    keep every c inside (0, 1), as HiddenState, branch_indices and
+    run_sequence enforce. The result has the shape of `cs`.
     """
-    cum, last = _cumulative(decomp, amplitudes)
-    if cum.ndim == 2:
-        return np.minimum((cum < cs[:, None]).sum(axis=1), last)
-    return np.add.reduce(np.less.outer(cum[:last], cs), axis=0)  # edges below each c
+    weights = decomp.weights(amplitudes)
+    return _choose(weights.reshape((-1,) + (1,) * np.ndim(cs)), cs)
 
 
 def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:
@@ -351,12 +362,12 @@ def branch_indices(obs, state, cs) -> np.ndarray:
 
 
 def branch_counts(obs, state, cs) -> np.ndarray:
-    """np.bincount of branch_indices, taken from one comparison per weighted edge."""
+    """np.bincount of branch_indices, taken from one comparison per edge."""
     decomp = as_decomposition(obs)
     amplitudes, cs = _checked(state, cs)
-    cum, last = _cumulative(decomp, amplitudes)
-    reached = [cs.size] + [np.count_nonzero(cs > edge) for edge in cum[:last]]  # branch >= i
-    return -np.diff(reached + [0] * (len(decomp.values) - last))
+    edges = _edges(decomp.weights(amplitudes)[:, None])[:, 0]
+    reached = [cs.size] + [np.count_nonzero(cs > edge) for edge in edges]  # branch >= i
+    return -np.diff(reached + [0])
 
 
 def predict_batch(obs, state, cs) -> np.ndarray:
@@ -400,32 +411,146 @@ def measure(obs, hidden: HiddenState, rng,
     return record, HiddenState(post, draw_hidden(rng))
 
 
-def run_sequence(ops, amplitudes, cs) -> tuple[np.ndarray, np.ndarray]:
-    """Measure `ops` in order on N states at once; cs[:, s] decides step s.
+def _joint_basis(decomps):
+    """(U, labels): a joint eigenbasis U of the decompositions' operators, with
+    labels[k, j] the branch of decomposition k that column j falls on, or None.
+
+    U diagonalises a fixed generic real combination of the operators, each
+    scaled to unit spectral radius. It is kept only if every column carries
+    at most JOINT_TOL of its weight off one branch of every decomposition
+    (weight >= 1 - JOINT_TOL on it); non-commuting operators, or an accidental
+    near-tie in the combination, fail this and get None.
+    """
+    mix = sum(d.reconstruct() / ((np.abs(d.values).max() or 1.0) * (k + np.pi))
+              for k, d in enumerate(decomps))
+    basis = np.linalg.eigh(mix)[1]
+    labels = []
+    for d in decomps:
+        overlaps = d.vectors.conj().T @ basis
+        weight = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, d.offsets[:-1])
+        branch = np.argmax(weight, axis=0)
+        off = np.where(np.arange(len(d.values))[:, None] == branch, 0.0, weight).sum(axis=0)
+        if off.max() > JOINT_TOL:
+            return None
+        labels.append(branch)
+    return basis, np.array(labels)
+
+
+class _SweepBasis:
+    """The bases run_sequence measures one operator tuple in.
+
+    bases[basis_of[k]] holds operator k's coefficients. Commuting operators
+    share one joint eigenbasis; otherwise each keeps its own eigenvectors
+    and block_of_column. The last basis is the computational one. Branch b
+    of operator k has the eigenvalue values[k * width + b], zero-padded to
+    a common width, and keep[k * width + b, j] says whether column j of
+    operator k's basis lies in that branch, so |coefficients|^2 @ keep.T
+    holds every operator's branch weights at once.
+    """
+
+    def __init__(self, ops):
+        decomps = [as_decomposition(op) for op in ops]
+        if not decomps:
+            raise ValueError("a sequence needs at least one operator")
+        self.dim = decomps[0].dim
+        if any(d.dim != self.dim for d in decomps):
+            raise DimensionMismatchError("the operators of a sequence differ in dimension")
+        joint = _joint_basis(decomps)
+        if joint is not None:
+            bases, labels = [joint[0]], joint[1]
+            self.basis_of = np.zeros(len(ops), int)
+        else:
+            own = {id(d): d for d in decomps}  # a repeated operator keeps one basis
+            bases = [d.vectors for d in own.values()]
+            labels = np.array([d.block_of_column for d in decomps])
+            self.basis_of = np.array([list(own).index(id(d)) for d in decomps])
+        self.bases = (*bases, np.eye(self.dim))
+        self.width = max(len(d.values) for d in decomps)
+        values = np.zeros((len(ops), self.width))
+        for k, d in enumerate(decomps):
+            values[k, :len(d.values)] = d.values
+        self.values = values.ravel()
+        self.keep = (labels[:, None, :] == np.arange(self.width)[:, None]).reshape(
+            -1, self.dim).astype(float)
+        self._transitions = {}
+
+    def rebase(self, coef, old, new) -> np.ndarray:
+        """Each row n of `coef` moved from basis old[n] to basis new[n]."""
+        moving = old != new
+        if not moving.any():
+            return coef
+        pair = old * len(self.bases) + new
+        if (pair == pair[0]).all():  # one move for every row
+            return coef @ self._transition(old[0], new[0])
+        coef = coef.copy()
+        for code in np.unique(pair[moving]):
+            rows = pair == code
+            coef[rows] = coef[rows] @ self._transition(*divmod(code, len(self.bases)))
+        return coef
+
+    def _transition(self, i, j) -> np.ndarray:
+        """Row coefficients in bases[i] times this are those in bases[j]: the
+        transpose of V_j^H V_i, which maps column coefficients from i to j."""
+        if (i, j) not in self._transitions:
+            self._transitions[i, j] = self.bases[i].T @ self.bases[j].conj()
+        return self._transitions[i, j]
+
+
+# One per operator tuple, built on first use: operators are immutable.
+_sweep_basis = functools.lru_cache(maxsize=64)(_SweepBasis)
+
+
+def run_sequence(ops, amplitudes, cs, orders=None) -> tuple[np.ndarray, np.ndarray]:
+    """Measure N states at once, row n measuring ops[orders[n, s]] at step s
+    under the hidden scalar cs[n, s]; by default every row measures `ops` in
+    order. The one sequential kernel.
 
     `amplitudes` is one state or an (N, d) stack. Row n reads the values of
-    chaining measure() from HiddenState(amplitudes[n], cs[n, 0]) with cs[n, 1:]
-    as the later draws. Collapse keeps each row's V^H psi coefficients on its
-    selected block and renormalises, as _collapse does for one state.
+    chaining measure() from HiddenState(amplitudes[n], cs[n, 0]) over its
+    order with cs[n, 1:] as the later draws. Rows are held as coefficients
+    in a basis of _SweepBasis: for commuting ops one joint eigenbasis, where
+    a step needs no change of basis. A step takes every operator's branch
+    weights for all rows, picks each row's own, applies the selection rule,
+    keeps the coefficients on the selected branch and renormalises, as
+    _collapse does for one state.
     Returns (values[N, steps], final amplitudes[N, d]).
     """
     cs = _open_scalars(cs)
-    if cs.ndim != 2 or cs.shape[1] != len(ops):
-        raise ValueError(f"cs of shape {cs.shape} does not give one column per operator")
+    if orders is None:
+        if cs.ndim != 2 or cs.shape[1] != len(ops):
+            raise ValueError(f"cs of shape {cs.shape} does not give one column per operator")
+        orders = np.broadcast_to(np.arange(len(ops)), cs.shape)
+    else:
+        orders = np.asarray(orders)
+        if cs.ndim != 2 or orders.shape != cs.shape:
+            raise ValueError(f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
+        if orders.dtype.kind not in "iu" or not ((0 <= orders) & (orders < len(ops))).all():
+            raise ValueError(f"orders must index the {len(ops)} operators")
+    sweep = _sweep_basis(tuple(ops))
     amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
-    amps = np.array(np.broadcast_to(amps, (len(cs), amps.shape[-1])))
+    if amps.shape[-1:] != (sweep.dim,) or amps.ndim > 2:
+        raise DimensionMismatchError(
+            f"states of shape {amps.shape} do not match dimension {sweep.dim}"
+        )
+    row_start = np.arange(len(cs)) * len(sweep.keep)
+    branch = np.arange(sweep.width)[:, None]
+    coef = np.broadcast_to(amps, (len(cs), sweep.dim))
+    basis = computational = np.full(len(cs), len(sweep.bases) - 1)
     values = np.empty(cs.shape)
-    for step, obs in enumerate(ops):
-        decomp = as_decomposition(obs)
-        indices = select(decomp, amps, cs[:, step])
-        values[:, step] = decomp.values[indices]
-        kept = (amps @ decomp.vectors.conj()) * (decomp.block_of_column == indices[:, None])
-        amps = kept @ decomp.vectors.T
-        weights = np.einsum("nd,nd->n", amps.conj(), amps).real
-        if (weights <= MIN_BRANCH_WEIGHT).any():
-            index = indices[np.argmax(weights <= MIN_BRANCH_WEIGHT)]
+    for step in range(cs.shape[1]):
+        op = orders[:, step]
+        coef = sweep.rebase(coef, basis, sweep.basis_of[op])
+        basis = sweep.basis_of[op]
+        # Every operator's branch weights for every row, then each row's own: (width, N).
+        every = (coef.real ** 2 + coef.imag ** 2) @ sweep.keep.T
+        weights = np.take(every, row_start + op * sweep.width + branch)
+        chosen = op * sweep.width + _choose(weights, cs[:, step])
+        values[:, step] = np.take(sweep.values, chosen)
+        kept = np.take(every, row_start + chosen)
+        if (kept <= MIN_BRANCH_WEIGHT).any():
+            n = np.argmax(kept <= MIN_BRANCH_WEIGHT)
             raise ZeroProbabilityBranchError(
-                f"state carries no weight on the branch with eigenvalue {decomp.values[index]:g}"
+                f"state carries no weight on the branch with eigenvalue {values[n, step]:g}"
             )
-        amps = amps / np.sqrt(weights)[:, None]
-    return values, amps
+        coef = coef * (np.take(sweep.keep, chosen, axis=0) / np.sqrt(kept)[:, None])
+    return values, sweep.rebase(coef, basis, computational)

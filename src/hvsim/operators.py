@@ -256,20 +256,18 @@ class SpectralDecomposition:
                 for i, v in enumerate(self.values))
         return self._branches
 
-    def _amplitudes(self, state, stacked: bool = False) -> np.ndarray:
+    def _amplitudes(self, state) -> np.ndarray:
         amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-        if amps.shape[-1:] != (self.dim,) or amps.ndim > 1 + stacked:
+        if amps.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"state of shape {amps.shape} does not match dimension {self.dim}"
             )
         return amps
 
     def weights(self, state) -> np.ndarray:
-        """Born weights ||P_a psi||^2 for each branch: segment sums of |V^H psi|^2
-        (one row per state for an (N, d) stack)."""
-        overlaps = self._amplitudes(state, stacked=True).conj() @ self.vectors  # conj(V^H psi)
-        return np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, self.offsets[:-1],
-                               axis=-1)
+        """Born weights ||P_a psi||^2 for each branch: segment sums of |V^H psi|^2."""
+        overlaps = self._amplitudes(state).conj() @ self.vectors  # conj(V^H psi)
+        return np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, self.offsets[:-1])
 
     def project(self, state, index: int) -> np.ndarray:
         """Unnormalized P_index psi, computed as V_index (V_index^H psi)."""

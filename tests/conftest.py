@@ -1,7 +1,26 @@
-"""Shared pytest hooks: collect acceptance verdict lines and echo them in the
-terminal summary so a plain `pytest -v` run shows one line per criterion."""
+"""Shared pytest hooks and tables: acceptance verdict lines and BLAS-kernel
+notes are collected and echoed in the terminal summary, so a plain `pytest`
+run shows one line per criterion and says which kernels the pins were
+rerun under, or why not."""
 
 ACCEPTANCE_LINES = []
+KERNEL_LINES = []
+
+# Seeded sequential sweeps pinned at seed 0 as tests/expected/<name>.{csv,json}.
+SEEDED_SWEEPS = (
+    ("weak-fc", ("weak-fc", "--trials", "5")),
+    ("column-product", ("column-product", "--trials", "3")),
+    ("chsh-sequential", ("chsh", "--sequential", "--trials", "20")),
+)
+
+# Single-shot statistics pinned at seed 11 as tests/expected/<name>.{csv,json}.
+SINGLE_SHOTS = (
+    ("born", ("born", "--theta", "0.8", "--trials", "2000", "--seed", "11")),
+    ("chsh", ("chsh", "--trials", "500", "--seed", "11")),
+)
+
+# Deterministic reports pinned as perfbench/expected/<command>.json.
+FROZEN_COMMANDS = ("table1", "pm-square", "no-go", "strong-fc", "implications")
 
 
 def rows_of(events):
@@ -15,4 +34,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+    if KERNEL_LINES:
+        terminalreporter.section("BLAS kernels")
+        for line in KERNEL_LINES:
             terminalreporter.write_line(line)

@@ -1,0 +1,109 @@
+"""Every pinned report, rerun under other OpenBLAS kernels.
+
+numpy's OpenBLAS wheels are built with DYNAMIC_ARCH: OpenBLAS picks a kernel
+for the CPU when it loads, and the OPENBLAS_CORETYPE environment variable
+overrides the pick. Kernels round differently, so a report that reads the
+last bit of an eigensolver result can change from host to host. For each
+kernel one subprocess reruns every pinned argument list through
+hvsim.cli.main; each pin is then its own test.
+"""
+
+import functools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import FROZEN_COMMANDS, KERNEL_LINES, SEEDED_SWEEPS, SINGLE_SHOTS
+
+ROOT = Path(__file__).resolve().parents[1]
+KERNELS = ("Haswell", "Prescott")
+
+# Product-mode CHSH reads E[XW] as 0.7639999999999999 under some kernels and
+# 0.764 under others: eigh gives X (x) W the eigenvalues +-0.9999999999999998
+# or +-1.0.
+KERNEL_DEPENDENT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+PINS = [(f"perfbench/expected/{command}.json", (command, "--format", "json"), ())
+        for command in FROZEN_COMMANDS]
+PINS.append(("tests/expected/table1.csv", ("table1", "--format", "csv"), ()))
+for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS:
+    for fmt in ("csv", "json"):
+        PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt),
+                     KERNEL_DEPENDENT if name == "chsh" else ()))
+PINS = [pytest.param(pin, argv, marks=marks, id=pin) for pin, argv, marks in PINS]
+
+# Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout} and the
+# kernel OpenBLAS reports it chose.
+_RERUN = """
+import contextlib, ctypes, glob, io, json, os, sys
+import numpy
+from hvsim.cli import main
+outputs = {}
+for pin, argv in json.load(sys.stdin):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(argv)
+    outputs[pin] = buffer.getvalue()
+core = "unknown"
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = get().decode()
+json.dump({"outputs": outputs, "core": core}, sys.stdout)
+"""
+
+
+def _why_not_dynamic() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot pick numpy's BLAS kernel, or None if it can."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    config = blas.get("openblas configuration", "")
+    if "openblas" in str(blas.get("name", "")).lower() and "DYNAMIC_ARCH" in config.split():
+        return None
+    return (f"numpy's BLAS is {blas.get('name', 'unknown')!r}"
+            f" ({config or 'no OpenBLAS configuration'}), not a DYNAMIC_ARCH OpenBLAS,"
+            " so OPENBLAS_CORETYPE selects no kernel")
+
+
+@functools.cache
+def _rerun(kernel: str) -> dict:
+    pins = [param.values for param in PINS]
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _RERUN], input=json.dumps(pins), env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(done.stdout)
+    KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel} (OpenBLAS core {result['core']}):"
+                        f" {len(pins)} pinned reports rerun in one subprocess")
+    return result["outputs"]
+
+
+@functools.cache
+def _skip_reason() -> str | None:
+    reason = _why_not_dynamic()
+    if reason is not None:
+        KERNEL_LINES.append(f"kernel reruns skipped: {reason}")
+    return reason
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("pin, argv", PINS)
+def test_pinned_report_under_kernel(kernel, pin, argv):
+    reason = _skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    got = _rerun(kernel)[pin].splitlines(keepends=True)
+    want = (ROOT / pin).read_text(encoding="utf-8").splitlines(keepends=True)
+    # Name the first differing line rather than diff two long reports.
+    first = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+    same = got == want
+    assert same, (f"{pin} under OPENBLAS_CORETYPE={kernel}: line {first + 1} reads"
+                  f" {got[first:first + 1]}, pinned {want[first:first + 1]}")

@@ -10,24 +10,17 @@ import numpy as np
 import pytest
 
 import hvsim
+from conftest import FROZEN_COMMANDS, SEEDED_SWEEPS, SINGLE_SHOTS
 from hvsim import experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.expressions import Leaf, Scale, peres_mermin
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 SEEDED_DIR = Path(__file__).resolve().parent / "expected"
-# Seeded sequential sweeps pinned at seed 0 under SEEDED_DIR.
-SEEDED_CALLS = pytest.mark.parametrize("name, argv", [
-    ("weak-fc", ["weak-fc", "--trials", "5"]),
-    ("column-product", ["column-product", "--trials", "3"]),
-    ("chsh-sequential", ["chsh", "--sequential", "--trials", "20"]),
-])
-
-# Single-shot statistics pinned at seed 11 under SEEDED_DIR.
-SINGLE_SHOT_CALLS = pytest.mark.parametrize("name, argv", [
-    ("born", ["born", "--theta", "0.8", "--trials", "2000", "--seed", "11"]),
-    ("chsh", ["chsh", "--trials", "500", "--seed", "11"]),
-])
+SEEDED_CALLS = pytest.mark.parametrize(
+    "name, argv", [(name, list(argv)) for name, argv in SEEDED_SWEEPS])
+SINGLE_SHOT_CALLS = pytest.mark.parametrize(
+    "name, argv", [(name, list(argv)) for name, argv in SINGLE_SHOTS])
 
 
 def run(capsys, *argv):
@@ -128,8 +121,7 @@ class TestJsonOutput:
         }
 
 
-@pytest.mark.parametrize("command", ["table1", "pm-square", "no-go",
-                                     "strong-fc", "implications"])
+@pytest.mark.parametrize("command", FROZEN_COMMANDS)
 def test_json_matches_frozen_bytes(capsys, command):
     # The deterministic reports are pinned byte for byte.
     code, out, _ = run(capsys, command, "--format", "json")

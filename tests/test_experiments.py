@@ -47,7 +47,7 @@ from hvsim import (
     PeresMerminSquare,
     PureState,
 )
-from hvsim import consistency, model, operators
+from hvsim import consistency, experiments, model, operators
 from hvsim.experiments import (
     LINE_SLOT_WIDTH,
     _BORN_TAG,
@@ -232,14 +232,15 @@ class TestReplay:
         ]
         assert first["measured"] == {"label": "ZZ", "value": 1}
 
-    def test_tampered_square_is_caught(self):
+    def test_tampered_square_is_caught(self, monkeypatch):
         # Swapping the first two rows still yields a valid square (the same
         # parity pattern holds) but the scripted run no longer matches the
         # frozen collapse chain.
         base = peres_mermin().grid
         swapped = PeresMerminSquare((base[1], base[0], base[2]))
+        monkeypatch.setattr(experiments, "peres_mermin", lambda: swapped)
         with pytest.raises(ReferenceRunMismatchError):
-            replay_table1(swapped)
+            replay_table1()
 
 
 class TestImplicationsDemo:

@@ -775,19 +775,26 @@ class TestEdgeCountSelection:
         np.testing.assert_array_equal(branch_counts(pauli("z"), state, []), [0, 0])
 
 
-def _assert_sequence_matches_measure(ops, starts, cs):
-    """run_sequence against chained scalar measure() on the same scalars:
-    values equal exactly, final states within 1e-12 up to phase."""
-    values, finals = run_sequence(ops, starts, cs)
+def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
+    """run_sequence against chained scalar measure() on the same scalars, row
+    n measuring ops[orders[n, s]] at step s: values equal exactly, final
+    states within 1e-12 up to phase."""
+    values, finals = run_sequence(ops, starts, cs, orders)
+    if orders is None:
+        orders = np.broadcast_to(np.arange(len(ops)), cs.shape)
     assert values.shape == cs.shape
     for n, row in enumerate(cs):
         start = starts[n] if np.ndim(starts) == 2 else starts
         hidden = HiddenState(start, row[0])
         script = ScriptedUniforms(list(row[1:]) + [0.5])
-        for step, op in enumerate(ops):
-            record, hidden = measure(op, hidden, script)
+        for step, k in enumerate(orders[n]):
+            record, hidden = measure(ops[k], hidden, script)
             assert values[n, step] == record.value
         assert phase_distance(finals[n], hidden.state) <= 1e-12
+
+
+def _haar_starts(dim, count, rng):
+    return np.array([haar_state(dim, rng).amplitudes for _ in range(count)])
 
 
 class TestRunSequenceAgainstMeasure:
@@ -797,9 +804,21 @@ class TestRunSequenceAgainstMeasure:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         ops = [random_hermitian(dim, rng) for _ in range(int(rng.integers(1, 5)))]
-        starts = np.array([haar_state(dim, rng).amplitudes for _ in range(12)])
         cs = rng.uniform(1e-6, 1 - 1e-6, size=(12, len(ops)))
-        _assert_sequence_matches_measure(ops, starts, cs)
+        _assert_sequence_matches_measure(ops, _haar_starts(dim, 12, rng), cs)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10_000))
+    def test_non_commuting_per_row_orders(self, seed):
+        # Each operator keeps its own eigenbasis; rows switching between them
+        # go through the cached transitions, repeats and all.
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 7))
+        ops = [random_hermitian(dim, rng) for _ in range(int(rng.integers(2, 5)))]
+        assert len(model._sweep_basis(tuple(ops)).bases) == len(ops) + 1
+        orders = rng.integers(len(ops), size=(16, int(rng.integers(1, 6))))
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        _assert_sequence_matches_measure(ops, _haar_starts(dim, 16, rng), cs, orders)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10_000))
@@ -810,19 +829,54 @@ class TestRunSequenceAgainstMeasure:
         cs = rng.uniform(1e-6, 1 - 1e-6, size=(12, len(ops)))
         _assert_sequence_matches_measure(ops, haar_state(4, rng), cs)
 
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10_000))
+    def test_degenerate_spectra_per_row_orders(self, seed):
+        # One joint eigenbasis serves the family; each row measures its own
+        # order, with operators repeated.
+        ops, rng = _degenerate_family(seed)
+        assert len(model._sweep_basis(tuple(ops)).bases) == 2
+        orders = rng.integers(len(ops), size=(16, 7))
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        _assert_sequence_matches_measure(ops, _haar_starts(4, 16, rng), cs, orders)
+
     def test_square_lines_in_every_order(self):
+        # All six orders of a line ride in one call as per-row orders.
         square = peres_mermin()
         rng = substream(9)
+        permutations = np.array(list(itertools.permutations(range(3))))
         lines = [square.row_operators(i) for i in (1, 2, 3)]
         lines += [square.column_operators(j) for j in (1, 2, 3)]
         for line in lines:
-            for permutation in itertools.permutations(range(3)):
-                starts = np.array([haar_state(4, rng).amplitudes for _ in range(8)])
-                cs = draw_hidden_batch(rng, 24).reshape(8, 3)
-                _assert_sequence_matches_measure([line[k] for k in permutation],
-                                                 starts, cs)
+            assert len(model._sweep_basis(tuple(line)).bases) == 2
+            orders = np.tile(permutations, (8, 1))
+            cs = draw_hidden_batch(rng, orders.size).reshape(orders.shape)
+            _assert_sequence_matches_measure(line, _haar_starts(4, len(cs), rng), cs, orders)
+
+    @pytest.mark.parametrize("commuting", [True, False])
+    def test_per_row_orders_equal_one_call_per_order(self, commuting):
+        # Rows do not interact: a per-row-order call gives, bit for bit, what
+        # one call per order gives on that order's rows.
+        rng = np.random.default_rng(12)
+        if commuting:
+            ops = peres_mermin().column_operators(3)
+        else:
+            ops = [random_hermitian(4, rng) for _ in range(3)]
+        permutations = np.array(list(itertools.permutations(range(3))))
+        orders = permutations[rng.integers(len(permutations), size=60)]
+        starts = _haar_starts(4, 60, rng)
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        values, finals = run_sequence(ops, starts, cs, orders)
+        for permutation in permutations:
+            mine = (orders == permutation).all(axis=1)
+            want = run_sequence(ops, starts[mine], cs[mine],
+                                np.tile(permutation, (mine.sum(), 1)))
+            np.testing.assert_array_equal(values[mine], want[0])
+            np.testing.assert_array_equal(finals[mine], want[1])
 
     def test_batched_select_matches_one_state_select(self):
+        # The kernel and the one-state select apply one rule: at each row's
+        # cumulative weights, one ulp either side, and both ends of (0, 1).
         rng = np.random.default_rng(4)
         op = HermitianOperator(np.diag([0.0, 1.0, 2.0, 3.0]))
         states = np.array([normalized(a).amplitudes for a in
@@ -833,11 +887,10 @@ class TestRunSequenceAgainstMeasure:
         for amps in states:  # each row's cumulative weights and one ulp either side
             for b in _zeroed_cumulative(decomp, amps)[1]:
                 edges += [np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)]
-        for c in edges:
-            cs = np.full(len(states), c)
+        for c in [c for c in edges if 0.0 < c < 1.0]:
+            values = run_sequence([op], states, np.full((len(states), 1), c))[0][:, 0]
             np.testing.assert_array_equal(
-                select(decomp, states, cs),
-                [select(decomp, amps, c) for amps in states])
+                values, [decomp.values[select(decomp, amps, c)] for amps in states])
 
     def test_zero_weight_collapse_raises(self):
         # The -1 branch weighs exactly MIN_BRANCH_WEIGHT: select keeps it and
@@ -851,11 +904,23 @@ class TestRunSequenceAgainstMeasure:
                          np.array([[0.5], [1e-13]]))
 
     def test_input_checks(self):
+        z, x = pauli("z"), pauli("x")
         with pytest.raises(DimensionMismatchError):
-            run_sequence([pauli("z")], np.full((3, 4), 0.5), np.full((3, 1), 0.5))
+            run_sequence([z], np.full((3, 4), 0.5), np.full((3, 1), 0.5))
         with pytest.raises(DimensionMismatchError):
-            run_sequence([pauli("z")], basis_ket(4, 0), np.full((3, 1), 0.5))
+            run_sequence([z], basis_ket(4, 0), np.full((3, 1), 0.5))
+        with pytest.raises(DimensionMismatchError):
+            run_sequence([z, identity(4)], basis_ket(2, 0), np.full((3, 2), 0.5))
         with pytest.raises(ValueError):
-            run_sequence([pauli("z")], basis_ket(2, 0), np.full((3, 2), 0.5))
+            run_sequence([z], basis_ket(2, 0), np.full((3, 2), 0.5))
         with pytest.raises(ValueError):
-            run_sequence([pauli("z")], basis_ket(2, 0), np.array([[0.5], [1.0]]))
+            run_sequence([z], basis_ket(2, 0), np.array([[0.5], [1.0]]))
+        with pytest.raises(ValueError):
+            run_sequence([], basis_ket(2, 0), np.full((3, 0), 0.5))
+        for orders in (np.zeros((3, 1), int), np.zeros(2, int), [[0, 1]] * 2,
+                       np.full((3, 2), 2), np.full((3, 2), -1), np.full((3, 2), 0.0)):
+            with pytest.raises(ValueError):
+                run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5), orders)
+        values, _ = run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
+                                 np.ones((3, 2), int))
+        assert values.shape == (3, 2)
