@@ -533,11 +533,14 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
         if mode == "product":
             rng = substream(cfg.seed, _CHSH_PRODUCT_TAG, k)
             cs = draw_hidden_batch(rng, cfg.trials)
-            values = predict_batch(joint, state, cs)
-            correlator = float(values.mean())
+            decomp = joint.spectrum()
+            # The values are exactly +-1 (see tensor), so every partial sum is
+            # an exact integer: this equals the mean of the per-trial values.
+            correlator = float(decomp.values @ branch_counts(decomp, state, cs)) / cfg.trials
             labels.append(key)
             if keep_events:
-                blocks.append((np.arange(cfg.trials), np.full(cfg.trials, k), cs, values))
+                blocks.append((np.arange(cfg.trials), np.full(cfg.trials, k), cs,
+                               predict_batch(decomp, state, cs)))
         else:
             total = 0.0
             settings = np.arange(len(labels), len(labels) + len(ops))

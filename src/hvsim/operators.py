@@ -70,8 +70,9 @@ class HermitianOperator:
     """Square Hermitian matrix with an optional display label.
 
     Hermiticity is enforced entrywise at construction (tolerance 1e-12).
-    The default-tolerance spectral decomposition is computed lazily and
-    cached, since prediction repeatedly needs the same branches. Operators are
+    The default-tolerance spectral decomposition is computed lazily (by
+    tensor, eagerly) and cached, since prediction repeatedly needs the same
+    branches. Operators are
     immutable (relabel returns a new one), so shared ones serve every caller.
     """
 
@@ -102,7 +103,14 @@ class HermitianOperator:
         return int(self.matrix.shape[0])
 
     def relabel(self, label: str | None) -> "HermitianOperator":
-        return HermitianOperator(self.matrix, label)
+        """The same matrix under a new label, keeping any cached decomposition
+        (whose values tensor may have made exact) under that label."""
+        op = HermitianOperator(self.matrix, label)
+        if self._spectrum is not None:
+            d = self._spectrum
+            op._spectrum = object.__new__(SpectralDecomposition)
+            op._spectrum._assign(d.values, d.vectors, d.offsets, d.degeneracy_tol, label)
+        return op
 
     def expectation(self, state) -> float:
         amps = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
@@ -150,8 +158,25 @@ def identity(dim: int) -> HermitianOperator:
 
 def tensor(a: HermitianOperator, b: HermitianOperator,
            label: str | None = None) -> HermitianOperator:
-    """Kronecker product a (x) b; the first factor owns the slower index."""
-    return HermitianOperator(np.kron(a.matrix, b.matrix), label)
+    """Kronecker product a (x) b; the first factor owns the slower index.
+
+    Its default-tolerance decomposition is computed here and cached. The
+    eigenvectors are eigh's, but each branch value is the product of factor
+    values nearest to eigh's group mean, when one lies within the degeneracy
+    tolerance of it: every eigenvalue of a (x) b is such a product. So values
+    exact in the factors (+-1 for Pauli products) stay exact under every
+    BLAS kernel, where eigh alone gives X (x) W the values +-0.9999999999999998
+    under some kernels.
+    """
+    op = HermitianOperator(np.kron(a.matrix, b.matrix), label)
+    decomp = spectral(op)
+    products = np.multiply.outer(a.spectrum().values, b.spectrum().values).ravel()
+    nearest = products[np.abs(decomp.values[:, None] - products).argmin(axis=1)]
+    values = np.where(np.abs(nearest - decomp.values) <= decomp.degeneracy_tol,
+                      nearest, decomp.values)
+    decomp._assign(values, decomp.vectors, decomp.offsets, decomp.degeneracy_tol, label)
+    op._spectrum = decomp
+    return op
 
 
 def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:

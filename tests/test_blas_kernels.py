@@ -23,19 +23,13 @@ from conftest import FROZEN_COMMANDS, KERNEL_LINES, SEEDED_SWEEPS, SINGLE_SHOTS
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("Haswell", "Prescott")
 
-# Product-mode CHSH reads E[XW] as 0.7639999999999999 under some kernels and
-# 0.764 under others: eigh gives X (x) W the eigenvalues +-0.9999999999999998
-# or +-1.0.
-KERNEL_DEPENDENT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-
-PINS = [(f"perfbench/expected/{command}.json", (command, "--format", "json"), ())
+PINS = [(f"perfbench/expected/{command}.json", (command, "--format", "json"))
         for command in FROZEN_COMMANDS]
-PINS.append(("tests/expected/table1.csv", ("table1", "--format", "csv"), ()))
+PINS.append(("tests/expected/table1.csv", ("table1", "--format", "csv")))
 for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS:
     for fmt in ("csv", "json"):
-        PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt),
-                     KERNEL_DEPENDENT if name == "chsh" else ()))
-PINS = [pytest.param(pin, argv, marks=marks, id=pin) for pin, argv, marks in PINS]
+        PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt)))
+PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
 
 # Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout} and the
 # kernel OpenBLAS reports it chose.

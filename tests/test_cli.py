@@ -148,6 +148,26 @@ def test_single_shot_reports_match_frozen_bytes(capsys, name, argv, fmt):
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+def test_product_chsh_pins_replay_on_the_scalar_path():
+    # Each pinned trial replayed alone from its key through scalar predict:
+    # the values must be the CSV pin's value column, and their means the
+    # JSON pin's correlators.
+    pinned = json.loads((SEEDED_DIR / "chsh.json").read_text(encoding="utf-8"))
+    seed, trials = pinned["seed"], pinned["trials_per_setting"]
+    rows = (SEEDED_DIR / "chsh.csv").read_text(encoding="utf-8").splitlines()[1:]
+    state = experiments.bell_state()
+    s_value = 0.0
+    for k, (key, _, _, sign, joint, _) in enumerate(experiments._chsh_settings()):
+        values = []
+        for t in range(trials):
+            (c,) = model.case_slot((seed, experiments._CHSH_PRODUCT_TAG, k, t), 1)
+            values.append(model.predict(joint, model.HiddenState(state, c)))
+            assert rows[k * trials + t] == f"{t},{key},{float(c)!r},{values[-1]!r}"
+        assert sum(values) / trials == pinned["correlators"][key]
+        s_value += sign * pinned["correlators"][key]
+    assert s_value == pinned["s_value"]
+
+
 def test_table1_csv_matches_frozen_bytes(capsys):
     # The scripted reference run's events, c and value as the record holds them.
     code, out, _ = run(capsys, "table1", "--format", "csv")

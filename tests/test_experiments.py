@@ -332,9 +332,25 @@ class TestChsh:
         settings = {row[1] for row in rows}
         assert settings == {"ZW", "ZV", "XW", "XV"}
         assert [row[0] for row in rows] == list(range(25)) * 4
-        # Joint eigenvalues come from an eigensolve, so +-1 up to rounding.
-        assert all(abs(abs(row[3]) - 1.0) < 1e-9 for row in rows)
+        # A joint's values are exact products of its factors' +-1 (see tensor).
+        assert all(abs(row[3]) == 1.0 for row in rows)
         assert chsh_experiment(cfg).events is None
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32), trials=st.integers(1, 3000))
+    def test_branch_counts_equal_mean_of_trial_values(self, seed, trials):
+        # A correlator is tallied from branch counts; it equals the mean of
+        # the per-trial values bit for bit, and so does its CSV value column.
+        cfg = ExperimentConfig(seed=seed, trials=trials)
+        report = chsh_experiment(cfg)
+        kept = chsh_experiment(cfg, keep_events=True)
+        rows = _csv_rows(kept.events)
+        for k, (key, *_, joint, _) in enumerate(_chsh_settings()):
+            cs = model.draw_hidden_batch(substream(seed, _CHSH_PRODUCT_TAG, k), trials)
+            mean = model.predict_batch(joint, bell_state(), cs).mean()
+            assert report.correlators[key] == mean
+            column = [float(value) for _, label, _, value in rows if label == key]
+            assert np.mean(column) == kept.as_dict()["correlators"][key] == mean
 
     def test_sequential_rows_record_both_halves(self):
         cfg = ExperimentConfig(seed=2, trials=5)

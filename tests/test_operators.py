@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvsim.errors import DimensionMismatchError, EigensolverError, NonHermitianError
+from hvsim.experiments import _chsh_settings
+from hvsim.expressions import peres_mermin
 from hvsim.operators import (
     HermitianOperator,
     PureState,
@@ -181,6 +183,65 @@ class TestPauliAndTensor:
 
 
 _PAULIS = {"x": X_MATRIX, "y": Y_MATRIX, "z": Z_MATRIX}
+
+
+def _assert_exact_product_values(op, a, b):
+    """op = tensor(a, b) decomposes over eigh's eigenvectors and groups, each
+    branch value a product of factor values within the degeneracy tolerance
+    of eigh's grouped mean, and reconstructs a (x) b."""
+    decomp, eigh_means = op.spectrum(), spectral(op)
+    products = np.multiply.outer(a.spectrum().values, b.spectrum().values).ravel()
+    assert set(decomp.values.tolist()) <= set(products.tolist())
+    assert np.all(np.abs(decomp.values - eigh_means.values) <= decomp.degeneracy_tol)
+    np.testing.assert_array_equal(decomp.vectors, eigh_means.vectors)
+    np.testing.assert_array_equal(decomp.offsets, eigh_means.offsets)
+    assert np.max(np.abs(decomp.reconstruct() - np.kron(a.matrix, b.matrix))) <= 1e-12
+
+
+# Factor spectra drawn from these values; repeats make degenerate factors.
+FACTOR_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 1.5, 3.0)
+
+
+class TestExactTensorValues:
+    def test_chsh_joints_and_their_factors(self):
+        one = identity(2)
+        for _, a, b, _, joint, (a_one, one_b) in _chsh_settings():
+            for op, left, right in ((joint, a, b), (a_one, a, one), (one_b, one, b)):
+                _assert_exact_product_values(op, left, right)
+                assert np.all(np.abs(op.spectrum().values) == 1.0)
+
+    def test_relabel_keeps_the_exact_decomposition(self):
+        joint = _chsh_settings()[2][4]  # X (x) W
+        renamed = joint.relabel("Q")
+        assert renamed.spectrum().label == "Q"
+        assert renamed.spectrum().values.tolist() == joint.spectrum().values.tolist() == [-1, 1]
+        np.testing.assert_array_equal(renamed.spectrum().vectors, joint.spectrum().vectors)
+
+    def test_square_operators(self):
+        factors = {"I": identity(2), "X": pauli("x"), "Y": pauli("y"), "Z": pauli("z")}
+        for row in peres_mermin().grid:
+            for op in row:
+                _assert_exact_product_values(op, factors[op.label[0]], factors[op.label[1]])
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000),
+           spectra=st.tuples(*[st.lists(st.sampled_from(FACTOR_VALUES), min_size=1,
+                                        max_size=3)] * 2))
+    def test_random_commuting_family_factors(self, seed, spectra):
+        rng = np.random.default_rng(seed)
+        a, b = (commuting_family([row], rng)[0] for row in spectra)
+        _assert_exact_product_values(tensor(a, b), a, b)
+
+    def test_value_with_no_product_in_tolerance_keeps_eigh_mean(self):
+        # a's three eigenvalues chain into one branch at 0.9e-9, so a (x) b's
+        # branches at 0 and 3.6e-6 lie 0.9e-6 and 1.8e-6 from the nearest
+        # product of factor values; they keep eigh's grouped mean.
+        a = HermitianOperator(np.diag([0.0, 0.9e-9, 1.8e-9]))
+        b = HermitianOperator(np.diag([1000.0, 2000.0]))
+        op = tensor(a, b)
+        values, means = op.spectrum().values, spectral(op).values
+        np.testing.assert_array_equal(values[[0, 3]], means[[0, 3]])
+        np.testing.assert_array_equal(values[1:3], a.spectrum().values * [1000.0, 2000.0])
 
 
 class TestCommutation:
