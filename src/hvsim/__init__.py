@@ -24,13 +24,11 @@ from .errors import (
     ZeroProbabilityBranchError,
 )
 from .operators import (
-    Branch,
     HermitianOperator,
     PureState,
     SpectralDecomposition,
     amplitude_pairs,
     basis_ket,
-    commutes,
     commutator_norm,
     commuting_family,
     haar_amplitudes,
@@ -39,12 +37,10 @@ from .operators import (
     identity_scalar,
     normalized,
     operators_equal,
-    pairs_to_amplitudes,
     pauli,
     phase_distance,
     random_hermitian,
     random_unitary,
-    same_up_to_phase,
     spectral,
     tensor,
 )

@@ -191,7 +191,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
         lhs = predict_batch(op, state, cs[:, 0])
         orders = permutations[np.arange(first, first + len(cs)) % count]
         values = np.empty((len(cs), len(ops)))  # column k holds leaf k's reading
-        np.put_along_axis(values, orders, run_sequence(ops, state, cs[:, :-1], orders)[0], axis=1)
+        np.put_along_axis(values, orders, run_sequence(ops, state, cs[:, :-1], orders), axis=1)
         rhs = eval_real_block(f, values)
         failed = np.flatnonzero(~(np.abs(lhs - rhs) <= VALUE_TOL))
         passes += len(cs) - len(failed)

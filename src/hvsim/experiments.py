@@ -547,7 +547,7 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
             labels += [f"{key}/{op.label}" for op in ops]
             rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k)
             for first, cs in case_blocks(rng, cfg.trials, len(ops)):
-                values, _ = run_sequence(ops, state, cs)
+                values = run_sequence(ops, state, cs)
                 # Summed left to right (np.sum pairs terms), so no bit of a
                 # seeded report depends on the block size.
                 total = np.cumsum(np.append(total, values[:, 0] * values[:, 1]))[-1]
@@ -621,7 +621,7 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
         starts, cs = haar_amplitudes(slots[:, :-3]), slots[:, -3:]
         case = np.arange(first, first + len(cs))
         orders = permutations[case % count]
-        values = run_sequence(ops, starts, cs, orders)[0]  # readings in measurement order
+        values = run_sequence(ops, starts, cs, orders)  # readings in measurement order
         passes += int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
         if keep_events:  # a case's events are its steps, each set to the leaf it measured
             blocks.append((case.repeat(3), orders.ravel(), cs.ravel(), values.ravel()))

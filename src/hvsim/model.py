@@ -17,7 +17,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     ZeroProbabilityBranchError,
 )
 from .operators import (
+    NORM_TOL,
     HermitianOperator,
     PureState,
     SpectralDecomposition,
@@ -128,10 +129,6 @@ class ScriptedUniforms:
         self._next += 1
         return v
 
-    @property
-    def remaining(self) -> int:
-        return len(self._values) - self._next
-
 
 class HiddenState:
     """A pure state plus the scalar that fixes the next measurement outcome."""
@@ -227,26 +224,23 @@ def _csv_field(text: str) -> str:
 class MeasurementTrace:
     """An ordered chain of measurement records.
 
-    When `chained` is set (the default) each record's pre-state must equal the
-    previous record's post-state entrywise within 1e-10; a trace assembled
-    from a genuine sequential run satisfies this by construction.
+    Each record's pre-state must equal the previous record's post-state
+    entrywise within CHAIN_TOL; a trace assembled from a genuine sequential
+    run satisfies this by construction.
     """
 
     records: tuple[MeasurementRecord, ...]
     seed: int | tuple[int, ...] | None = None  # root seed or case key that replays the run
-    chained: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        if self.chained:
-            for prev, cur in zip(self.records, self.records[1:]):
-                gap = float(np.max(np.abs(
-                    cur.pre_state.amplitudes - prev.post_state.amplitudes)))
-                if gap > CHAIN_TOL:
-                    raise ValueError(
-                        f"trace is not chained: a pre-state deviates from the"
-                        f" preceding post-state by {gap:.3e}"
-                    )
+        for prev, cur in zip(self.records, self.records[1:]):
+            gap = float(np.max(np.abs(cur.pre_state.amplitudes - prev.post_state.amplitudes)))
+            if gap > CHAIN_TOL:
+                raise ValueError(
+                    f"trace is not chained: a pre-state deviates from the"
+                    f" preceding post-state by {gap:.3e}"
+                )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -500,20 +494,20 @@ class _SweepBasis:
 _sweep_basis = functools.lru_cache(maxsize=64)(_SweepBasis)
 
 
-def run_sequence(ops, amplitudes, cs, orders=None) -> tuple[np.ndarray, np.ndarray]:
+def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     """Measure N states at once, row n measuring ops[orders[n, s]] at step s
     under the hidden scalar cs[n, s]; by default every row measures `ops` in
     order. The one sequential kernel.
 
-    `amplitudes` is one state or an (N, d) stack. Row n reads the values of
-    chaining measure() from HiddenState(amplitudes[n], cs[n, 0]) over its
-    order with cs[n, 1:] as the later draws. Rows are held as coefficients
-    in a basis of _SweepBasis: for commuting ops one joint eigenbasis, where
-    a step needs no change of basis. A step takes every operator's branch
-    weights for all rows, picks each row's own, applies the selection rule,
-    keeps the coefficients on the selected branch and renormalises, as
-    _collapse does for one state.
-    Returns (values[N, steps], final amplitudes[N, d]).
+    `amplitudes` is one unit state or an (N, d) stack of them. Row n reads
+    the values of chaining measure() from HiddenState(amplitudes[n], cs[n, 0])
+    over its order with cs[n, 1:] as the later draws. Rows are held as
+    coefficients in a basis of _SweepBasis: for commuting ops one joint
+    eigenbasis, where a step needs no change of basis. A step takes every
+    operator's branch weights for all rows, picks each row's own, applies the
+    selection rule, keeps the coefficients on the selected branch and
+    renormalises, as _collapse does for one state. Returns values[N, steps]:
+    no caller reads the final states, so they are not rebuilt.
     """
     cs = _open_scalars(cs)
     if orders is None:
@@ -532,10 +526,13 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> tuple[np.ndarray, np.ndarr
         raise DimensionMismatchError(
             f"states of shape {amps.shape} do not match dimension {sweep.dim}"
         )
+    norms = np.linalg.norm(amps, axis=-1)
+    if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # nan fails too
+        raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
     row_start = np.arange(len(cs)) * len(sweep.keep)
     branch = np.arange(sweep.width)[:, None]
     coef = np.broadcast_to(amps, (len(cs), sweep.dim))
-    basis = computational = np.full(len(cs), len(sweep.bases) - 1)
+    basis = np.full(len(cs), len(sweep.bases) - 1)  # the computational basis
     values = np.empty(cs.shape)
     for step in range(cs.shape[1]):
         op = orders[:, step]
@@ -553,4 +550,4 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> tuple[np.ndarray, np.ndarr
                 f"state carries no weight on the branch with eigenvalue {values[n, step]:g}"
             )
         coef = coef * (np.take(sweep.keep, chosen, axis=0) / np.sqrt(kept)[:, None])
-    return values, sweep.rebase(coef, basis, computational)
+    return values

@@ -8,8 +8,6 @@ immutable after construction (arrays are marked read-only).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionMismatchError, EigensolverError, NonHermitianError
@@ -18,7 +16,6 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 COMMUTE_TOL = 1e-10
 EQUALITY_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
 
 
 class PureState:
@@ -108,18 +105,17 @@ class HermitianOperator:
         op = HermitianOperator(self.matrix, label)
         if self._spectrum is not None:
             d = self._spectrum
-            op._spectrum = object.__new__(SpectralDecomposition)
-            op._spectrum._assign(d.values, d.vectors, d.offsets, d.degeneracy_tol, label)
+            op._spectrum = SpectralDecomposition(d.values, d.vectors, d.offsets,
+                                                 d.degeneracy_tol, label)
         return op
 
     def expectation(self, state) -> float:
         amps = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
         return float(np.real(np.vdot(amps, self.matrix @ amps)))
 
-    def spectrum(self, degeneracy_tol: float | None = None) -> "SpectralDecomposition":
-        """Spectral decomposition; the default-tolerance result is cached."""
-        if degeneracy_tol is not None:
-            return spectral(self, degeneracy_tol)
+    def spectrum(self) -> "SpectralDecomposition":
+        """The default-tolerance spectral decomposition, cached; spectral(op, tol)
+        decomposes under another tolerance."""
         if self._spectrum is None:
             self._spectrum = spectral(self)
         return self._spectrum
@@ -174,8 +170,8 @@ def tensor(a: HermitianOperator, b: HermitianOperator,
     nearest = products[np.abs(decomp.values[:, None] - products).argmin(axis=1)]
     values = np.where(np.abs(nearest - decomp.values) <= decomp.degeneracy_tol,
                       nearest, decomp.values)
-    decomp._assign(values, decomp.vectors, decomp.offsets, decomp.degeneracy_tol, label)
-    op._spectrum = decomp
+    op._spectrum = SpectralDecomposition(values, decomp.vectors, decomp.offsets,
+                                         decomp.degeneracy_tol, label)
     return op
 
 
@@ -188,65 +184,21 @@ def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     return float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix))
 
 
-def commutes(a: HermitianOperator, b: HermitianOperator,
-             tol: float = COMMUTE_TOL) -> bool:
-    return commutator_norm(a, b) <= tol
-
-
-class Branch(NamedTuple):
-    """One spectral branch: a distinct eigenvalue and its eigenprojector."""
-
-    eigenvalue: float
-    projector: HermitianOperator
-
-
 class SpectralDecomposition:
     """Ascending distinct eigenvalues over one orthonormal eigenvector matrix.
 
     Columns offsets[i]:offsets[i + 1] of `vectors` (where block_of_column is
     i) span the eigenspace of values[i], so Born weights are segment sums of
-    |V^H psi|^2 and collapse onto branch i is V_i (V_i^H psi); `branches`
-    builds projectors on demand.
-    spectral() fills the fields from eigensolver output unchecked; this
-    constructor takes hand-built (eigenvalue, projector) pairs and first checks
-    the resolution of the identity (projector sum, pairwise orthogonality,
-    idempotence, value separation).
+    |V^H psi|^2 and collapse onto branch i is V_i (V_i^H psi). spectral()
+    builds one from eigensolver output; the constructor takes the arrays
+    unchecked and marks them read-only.
     """
 
     __slots__ = ("_values", "_vectors", "_offsets", "_block_of_column", "_degeneracy_tol",
-                 "_label", "_branches")
+                 "_label")
 
-    def __init__(self, branches, degeneracy_tol: float, label: str | None = None):
-        branches = tuple(Branch(*b) for b in branches)
-        if not branches:
-            raise ValueError("decomposition needs at least one branch")
-        dim = branches[0].projector.dim
-        values = np.array([float(b.eigenvalue) for b in branches])
-        if np.any(np.diff(values) <= degeneracy_tol):
-            raise ValueError(
-                "branch eigenvalues must be strictly ascending with gaps above"
-                f" the degeneracy tolerance {degeneracy_tol:.3e}"
-            )
-        if any(b.projector.dim != dim for b in branches):
-            raise DimensionMismatchError("branch projectors differ in dimension")
-        projectors = [b.projector.matrix for b in branches]
-        for i, pi in enumerate(projectors):
-            for j, pj in enumerate(projectors[i:], start=i):
-                target = pi if i == j else 0.0
-                if float(np.linalg.norm(pi @ pj - target)) > PROJECTOR_TOL:
-                    raise ValueError(
-                        f"projectors for branches {i} and {j} are not"
-                        " orthogonal idempotents"
-                    )
-        if float(np.linalg.norm(sum(projectors) - np.eye(dim))) > PROJECTOR_TOL:
-            raise ValueError("branch projectors do not sum to the identity")
-        # An orthonormal basis of each projector's range: its unit eigenvalues.
-        blocks = [basis[:, occupation > 0.5]
-                  for occupation, basis in map(np.linalg.eigh, projectors)]
-        offsets = np.cumsum([0] + [block.shape[1] for block in blocks])
-        self._assign(values, np.hstack(blocks), offsets, degeneracy_tol, label, branches)
-
-    def _assign(self, values, vectors, offsets, degeneracy_tol, label, branches=None):
+    def __init__(self, values, vectors, offsets, degeneracy_tol: float,
+                 label: str | None = None):
         block_of_column = np.repeat(np.arange(len(values)), np.diff(offsets))
         for arr in (values, vectors, offsets, block_of_column):
             arr.setflags(write=False)
@@ -254,7 +206,6 @@ class SpectralDecomposition:
         self._block_of_column = block_of_column
         self._degeneracy_tol = float(degeneracy_tol)
         self._label = label
-        self._branches = branches
 
     # Read-only, like HermitianOperator's fields: an operator's cached
     # decomposition is shared by every caller.
@@ -271,15 +222,6 @@ class SpectralDecomposition:
 
     def _block(self, index: int) -> np.ndarray:
         return self.vectors[:, self.offsets[index]:self.offsets[index + 1]]
-
-    @property
-    def branches(self) -> tuple[Branch, ...]:
-        """(eigenvalue, projector) pairs; projectors are built on first access."""
-        if self._branches is None:
-            self._branches = tuple(
-                Branch(float(v), HermitianOperator(self._block(i) @ self._block(i).conj().T))
-                for i, v in enumerate(self.values))
-        return self._branches
 
     def _amplitudes(self, state) -> np.ndarray:
         amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
@@ -303,13 +245,12 @@ class SpectralDecomposition:
         """V diag(eigenvalues) V^H; equals the source matrix."""
         return (self.vectors * self.values[self.block_of_column]) @ self.vectors.conj().T
 
-    def branch_index(self, value: float, tol: float | None = None) -> int | None:
-        """Index of the branch whose eigenvalue matches, or None."""
-        if tol is None:
-            tol = max(self.degeneracy_tol, 1e-9)
+    def branch_index(self, value: float) -> int | None:
+        """Index of the branch whose eigenvalue is within
+        max(degeneracy_tol, 1e-9) of `value`, or None."""
         gaps = np.abs(self.values - float(value))
         i = int(np.argmin(gaps))
-        return i if gaps[i] <= tol else None
+        return i if gaps[i] <= max(self.degeneracy_tol, 1e-9) else None
 
     def __repr__(self) -> str:
         vals = ", ".join(f"{v:g}" for v in self.values)
@@ -335,9 +276,7 @@ def spectral(a: HermitianOperator,
     offsets = np.concatenate(([0], split_points, [a.dim]))
     values = np.array([np.mean(eigenvalues[lo:hi])
                        for lo, hi in zip(offsets[:-1], offsets[1:])])
-    decomp = object.__new__(SpectralDecomposition)
-    decomp._assign(values, vectors, offsets, degeneracy_tol, a.label)
-    return decomp
+    return SpectralDecomposition(values, vectors, offsets, degeneracy_tol, a.label)
 
 
 def identity_scalar(matrix, tol: float = 1e-12) -> float:
@@ -366,10 +305,6 @@ def phase_distance(a, b) -> float:
     overlap = np.vdot(y, x)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
     return float(np.linalg.norm(x - phase * y))
-
-
-def same_up_to_phase(a, b, tol: float = 1e-9) -> bool:
-    return phase_distance(a, b) <= tol
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -427,7 +362,3 @@ def amplitude_pairs(amplitudes) -> list[list[float]]:
     arr = np.asarray(amplitudes, dtype=complex)
     return [[float(z.real), float(z.imag)] for z in arr]
 
-
-def pairs_to_amplitudes(pairs) -> np.ndarray:
-    """Inverse of amplitude_pairs."""
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)

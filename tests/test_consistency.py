@@ -135,7 +135,8 @@ class TestWeakFC:
         values = [step["value"] for step in report.details["steps"]]
         assert labels == ["ZZ", "YY", "XX"]
         assert values == [1.0, -1.0, 1.0]
-        assert script.remaining == 0
+        with pytest.raises(RuntimeError):  # every scripted scalar was read
+            script.random()
 
     def test_every_order_gives_minus_one(self):
         f = column3_expression()
@@ -161,7 +162,8 @@ class TestWeakFC:
                                (0,), script)
         assert report.holds
         assert report.lhs_value == report.rhs_value == -1.0
-        assert script.remaining == 0
+        with pytest.raises(RuntimeError):  # every scripted scalar was read
+            script.random()
 
 
 class TestVerifyProposition:

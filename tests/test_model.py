@@ -88,7 +88,6 @@ class TestRandomness:
     def test_scripted_uniforms(self):
         script = ScriptedUniforms([0.25, 0.75])
         assert script.random() == 0.25
-        assert script.remaining == 1
         assert script.random() == 0.75
         with pytest.raises(RuntimeError):
             script.random()
@@ -212,10 +211,9 @@ class TestPredict:
         assert 1.0 not in values
 
     def test_malformed_decomposition_guard(self):
-        # White-box: bypass construction validation to pin the coverage error.
-        bad = object.__new__(SpectralDecomposition)
-        bad._assign(np.array([1.0]), np.array([[1.0], [0.0]], dtype=complex),
-                    np.array([0, 1]), 1e-9, None)
+        # The constructor takes its fields unchecked: one column cannot cover C^2.
+        bad = SpectralDecomposition(np.array([1.0]), np.array([[1.0], [0.0]], dtype=complex),
+                                    np.array([0, 1]), 1e-9)
         with pytest.raises(MalformedDecompositionError):
             predict(bad, HiddenState(normalized([1.0, 1.0]), 0.9))
 
@@ -265,7 +263,8 @@ class TestMeasure:
         assert record.c_used == 0.3
         assert record.value == -1.0
         assert after.c == 0.9
-        assert script.remaining == 0
+        with pytest.raises(RuntimeError):  # the re-arm read the one scripted scalar
+            script.random()
         np.testing.assert_allclose(after.state.amplitudes, [0.0, 1.0], atol=1e-12)
 
     def test_one_draw_per_event(self):
@@ -274,7 +273,8 @@ class TestMeasure:
         op = tensor(pauli("x"), pauli("x"), "XX")
         _, hs = measure(op, hs, script)
         _, hs = measure(op, hs, script)
-        assert script.remaining == 0
+        with pytest.raises(RuntimeError):  # two events read two scalars
+            script.random()
 
     def test_record_label_falls_back_to_operator_label(self):
         record, _ = measure(pauli("z"), HiddenState(basis_ket(2, 0), 0.5),
@@ -326,8 +326,7 @@ class TestTraceSerialization:
         reversed_records = tuple(reversed(trace.records))
         with pytest.raises(ValueError):
             MeasurementTrace(reversed_records, seed=42)
-        unchained = MeasurementTrace(reversed_records, seed=42, chained=False)
-        assert len(unchained) == 2
+        assert len(MeasurementTrace(trace.records, seed=42)) == 2
 
     def test_as_decomposition_coercion(self):
         decomp = spectral(pauli("x"))
@@ -590,34 +589,52 @@ class TestMeasureAgainstReference:
                     _assert_measure_matches_reference(op, hidden)
 
 
-class TestHandBuiltDecomposition:
-    """A decomposition validated from explicit projectors and the one spectral()
-    builds from the eigensolver must act identically."""
+def _lagrange_projectors(op, values):
+    """Eigenprojectors of `op` by Lagrange interpolation from its matrix,
+    P_i = prod_{j != i} (A - values[j]) / (values[i] - values[j]): a reference
+    that does not read eigh's eigenvectors."""
+    eye = np.eye(op.dim)
+    projectors = []
+    for i, vi in enumerate(values):
+        p = eye
+        for j, vj in enumerate(values):
+            if j != i:
+                p = p @ (op.matrix - vj * eye) / (vi - vj)
+        projectors.append(p)
+    return projectors
 
-    def _pairs(self, seed):
-        rng = np.random.default_rng(seed)
-        ops, _ = _degenerate_family(seed)
-        return ops + [random_hermitian(4, rng)], rng
+
+class TestLagrangeProjectors:
+    """weights, project and select on an operator's decomposition agree with
+    projectors interpolated from its matrix."""
+
+    def _check(self, op, rng):
+        decomp = op.spectrum()
+        projectors = _lagrange_projectors(op, decomp.values)
+        state = haar_state(op.dim, rng)
+        projected = [p @ state.amplitudes for p in projectors]
+        for i, want in enumerate(projected):
+            np.testing.assert_allclose(decomp.project(state, i), want, rtol=0, atol=1e-12)
+        weights = np.array([np.vdot(v, v).real for v in projected])  # ||P_i psi||^2
+        np.testing.assert_allclose(decomp.weights(state), weights, rtol=0, atol=1e-12)
+        weights[weights < MIN_BRANCH_WEIGHT] = 0.0
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=32)
+        want = np.minimum(np.searchsorted(np.cumsum(weights), cs), np.flatnonzero(weights)[-1])
+        np.testing.assert_array_equal(select(decomp, state.amplitudes, cs), want)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10_000))
-    def test_weights_select_and_collapse_agree(self, seed):
-        ops, rng = self._pairs(seed)
+    def test_degenerate_spectra(self, seed):
+        ops, rng = _degenerate_family(seed)
         for op in ops:
-            computed = spectral(op)
-            hand = SpectralDecomposition(computed.branches, computed.degeneracy_tol)
-            np.testing.assert_array_equal(hand.values, computed.values)
-            state = haar_state(4, rng)
-            np.testing.assert_allclose(hand.weights(state), computed.weights(state),
-                                       rtol=0, atol=1e-12)
-            cs = rng.uniform(1e-6, 1 - 1e-6, size=32)
-            np.testing.assert_array_equal(select(hand, state.amplitudes, cs),
-                                          select(computed, state.amplitudes, cs))
-            for i, branch in enumerate(computed.branches):
-                want = branch.projector.matrix @ state.amplitudes
-                for decomp in (hand, computed):
-                    np.testing.assert_allclose(
-                        decomp.project(state.amplitudes, i), want, rtol=0, atol=1e-12)
+            self._check(op, rng)
+
+    def test_peres_mermin_cells(self):
+        rng = substream(13)
+        for row in peres_mermin().grid:
+            for op in row:
+                for _ in range(4):
+                    self._check(op, rng)
 
 
 def _zeroed_cumulative(decomp, state):
@@ -777,9 +794,8 @@ class TestEdgeCountSelection:
 
 def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
     """run_sequence against chained scalar measure() on the same scalars, row
-    n measuring ops[orders[n, s]] at step s: values equal exactly, final
-    states within 1e-12 up to phase."""
-    values, finals = run_sequence(ops, starts, cs, orders)
+    n measuring ops[orders[n, s]] at step s: values equal exactly."""
+    values = run_sequence(ops, starts, cs, orders)
     if orders is None:
         orders = np.broadcast_to(np.arange(len(ops)), cs.shape)
     assert values.shape == cs.shape
@@ -790,7 +806,6 @@ def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
         for step, k in enumerate(orders[n]):
             record, hidden = measure(ops[k], hidden, script)
             assert values[n, step] == record.value
-        assert phase_distance(finals[n], hidden.state) <= 1e-12
 
 
 def _haar_starts(dim, count, rng):
@@ -866,13 +881,12 @@ class TestRunSequenceAgainstMeasure:
         orders = permutations[rng.integers(len(permutations), size=60)]
         starts = _haar_starts(4, 60, rng)
         cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
-        values, finals = run_sequence(ops, starts, cs, orders)
+        values = run_sequence(ops, starts, cs, orders)
         for permutation in permutations:
             mine = (orders == permutation).all(axis=1)
             want = run_sequence(ops, starts[mine], cs[mine],
                                 np.tile(permutation, (mine.sum(), 1)))
-            np.testing.assert_array_equal(values[mine], want[0])
-            np.testing.assert_array_equal(finals[mine], want[1])
+            np.testing.assert_array_equal(values[mine], want)
 
     def test_batched_select_matches_one_state_select(self):
         # The kernel and the one-state select apply one rule: at each row's
@@ -888,7 +902,7 @@ class TestRunSequenceAgainstMeasure:
             for b in _zeroed_cumulative(decomp, amps)[1]:
                 edges += [np.nextafter(b, 0.0), b, np.nextafter(b, 1.0)]
         for c in [c for c in edges if 0.0 < c < 1.0]:
-            values = run_sequence([op], states, np.full((len(states), 1), c))[0][:, 0]
+            values = run_sequence([op], states, np.full((len(states), 1), c))[:, 0]
             np.testing.assert_array_equal(
                 values, [decomp.values[select(decomp, amps, c)] for amps in states])
 
@@ -917,10 +931,19 @@ class TestRunSequenceAgainstMeasure:
             run_sequence([z], basis_ket(2, 0), np.array([[0.5], [1.0]]))
         with pytest.raises(ValueError):
             run_sequence([], basis_ket(2, 0), np.full((3, 0), 0.5))
+        with pytest.raises(ValueError):  # normalised, this row would read +1
+            run_sequence([z], np.array([[1.0, 1.0]]), np.array([[0.9]]))
+        for row in ([0.1, 0.0], [1.0 + 1e-11, 0.0], [np.nan, 0.0]):  # not unit vectors
+            with pytest.raises(ValueError):
+                run_sequence([z], np.array([[1.0, 0.0], row]), np.full((2, 1), 0.9))
+            with pytest.raises(ValueError):
+                run_sequence([z], np.array(row), np.full((2, 1), 0.9))
+        within = np.array([1.0 + 1e-13, 0.0])  # inside NORM_TOL, like PureState
+        assert run_sequence([z], within, np.full((2, 1), 0.9)).shape == (2, 1)
         for orders in (np.zeros((3, 1), int), np.zeros(2, int), [[0, 1]] * 2,
                        np.full((3, 2), 2), np.full((3, 2), -1), np.full((3, 2), 0.0)):
             with pytest.raises(ValueError):
                 run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5), orders)
-        values, _ = run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
-                                 np.ones((3, 2), int))
+        values = run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
+                              np.ones((3, 2), int))
         assert values.shape == (3, 2)
