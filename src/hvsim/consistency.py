@@ -151,7 +151,7 @@ class PropositionSummary:
         }
 
 
-def verify_proposition(f: ObservableExpression, state, trials: int, rng,
+def verify_proposition(f: ObservableExpression, state, trials: int, key,
                        max_failure_examples: int = 3,
                        keep_events: bool = False) -> PropositionSummary:
     """Check weak functional consistency for an eigenstate of f's operator.
@@ -160,9 +160,8 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
     expression (that precondition is what pins the predicted value and makes
     the sequential product forced); sweeps every permutation of the leaves
     for each trial. Case t * permutations + p runs permutation p on the slot
-    of len(leaves) + 1 scalars it reads from `rng`: a Generator at the start
-    of the sweep's stream, or the key (seed, *path) of a substream, in which
-    case each kept failure records its replay key (seed, *path, case).
+    of len(leaves) + 1 scalars it reads from substream(*key), where key is
+    (seed, *path); each kept failure records its replay key (seed, *path, case).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -180,14 +179,12 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
     names = [f"perm({','.join(str(k) for k in p)})" for p in permutations]
     count = len(permutations)
     cases = trials * count
-    key = tuple(rng) if isinstance(rng, tuple) else None
     passes = 0
     examples: list[ConsistencyReport] = []
     blocks = []
     # Like HiddenState.draw plus one measure per leaf, a case takes
     # len(ops) + 1 scalars; the last decides nothing.
-    stream = rng if key is None else substream(*key)
-    for first, cs in case_blocks(stream, cases, len(ops) + 1):
+    for first, cs in case_blocks(substream(*key), cases, len(ops) + 1):
         lhs = predict_batch(op, state, cs[:, 0])
         orders = permutations[np.arange(first, first + len(cs)) % count]
         values = np.empty((len(cs), len(ops)))  # column k holds leaf k's reading
@@ -199,7 +196,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, rng,
             case = first + int(i)
             examples.append(check_weak_fc(
                 f, HiddenState(state, cs[i, 0]), permutations[case % count],
-                ScriptedUniforms(cs[i, 1:]), key=None if key is None else (*key, case)))
+                ScriptedUniforms(cs[i, 1:]), key=(*key, case)))
         if keep_events:  # one event per case: its first scalar and composed value
             case = np.arange(first, first + len(cs))
             blocks.append((case, case % count, cs[:, 0], rhs))

@@ -430,68 +430,27 @@ def _joint_basis(decomps):
     return basis, np.array(labels)
 
 
-class _SweepBasis:
-    """The bases run_sequence measures one operator tuple in.
+@functools.lru_cache(maxsize=64)  # one per operator tuple: operators are immutable
+def _sweep_basis(ops):
+    """(basis, values, keep): the tables run_sequence measures `ops` with in
+    their joint eigenbasis, or None where _joint_basis finds none.
 
-    bases[basis_of[k]] holds operator k's coefficients. Commuting operators
-    share one joint eigenbasis; otherwise each keeps its own eigenvectors
-    and block_of_column. The last basis is the computational one. Branch b
-    of operator k has the eigenvalue values[k * width + b], zero-padded to
-    a common width, and keep[k * width + b, j] says whether column j of
-    operator k's basis lies in that branch, so |coefficients|^2 @ keep.T
+    Branch b of operator k has the eigenvalue values[k * width + b],
+    zero-padded to a common width, and keep[k * width + b, j] says whether
+    column j of the basis lies in that branch, so |coefficients|^2 @ keep.T
     holds every operator's branch weights at once.
     """
-
-    def __init__(self, ops):
-        decomps = [as_decomposition(op) for op in ops]
-        if not decomps:
-            raise ValueError("a sequence needs at least one operator")
-        self.dim = decomps[0].dim
-        if any(d.dim != self.dim for d in decomps):
-            raise DimensionMismatchError("the operators of a sequence differ in dimension")
-        joint = _joint_basis(decomps)
-        if joint is not None:
-            bases, labels = [joint[0]], joint[1]
-            self.basis_of = np.zeros(len(ops), int)
-        else:
-            own = {id(d): d for d in decomps}  # a repeated operator keeps one basis
-            bases = [d.vectors for d in own.values()]
-            labels = np.array([d.block_of_column for d in decomps])
-            self.basis_of = np.array([list(own).index(id(d)) for d in decomps])
-        self.bases = (*bases, np.eye(self.dim))
-        self.width = max(len(d.values) for d in decomps)
-        values = np.zeros((len(ops), self.width))
-        for k, d in enumerate(decomps):
-            values[k, :len(d.values)] = d.values
-        self.values = values.ravel()
-        self.keep = (labels[:, None, :] == np.arange(self.width)[:, None]).reshape(
-            -1, self.dim).astype(float)
-        self._transitions = {}
-
-    def rebase(self, coef, old, new) -> np.ndarray:
-        """Each row n of `coef` moved from basis old[n] to basis new[n]."""
-        moving = old != new
-        if not moving.any():
-            return coef
-        pair = old * len(self.bases) + new
-        if (pair == pair[0]).all():  # one move for every row
-            return coef @ self._transition(old[0], new[0])
-        coef = coef.copy()
-        for code in np.unique(pair[moving]):
-            rows = pair == code
-            coef[rows] = coef[rows] @ self._transition(*divmod(code, len(self.bases)))
-        return coef
-
-    def _transition(self, i, j) -> np.ndarray:
-        """Row coefficients in bases[i] times this are those in bases[j]: the
-        transpose of V_j^H V_i, which maps column coefficients from i to j."""
-        if (i, j) not in self._transitions:
-            self._transitions[i, j] = self.bases[i].T @ self.bases[j].conj()
-        return self._transitions[i, j]
-
-
-# One per operator tuple, built on first use: operators are immutable.
-_sweep_basis = functools.lru_cache(maxsize=64)(_SweepBasis)
+    decomps = [as_decomposition(op) for op in ops]
+    joint = _joint_basis(decomps)
+    if joint is None:
+        return None
+    basis, labels = joint
+    width = max(len(d.values) for d in decomps)
+    values = np.zeros((len(ops), width))
+    for k, d in enumerate(decomps):
+        values[k, :len(d.values)] = d.values
+    keep = (labels[:, None, :] == np.arange(width)[:, None]).reshape(-1, len(basis))
+    return basis, values.ravel(), keep.astype(float)
 
 
 def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
@@ -501,13 +460,13 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
 
     `amplitudes` is one unit state or an (N, d) stack of them. Row n reads
     the values of chaining measure() from HiddenState(amplitudes[n], cs[n, 0])
-    over its order with cs[n, 1:] as the later draws. Rows are held as
-    coefficients in a basis of _SweepBasis: for commuting ops one joint
-    eigenbasis, where a step needs no change of basis. A step takes every
-    operator's branch weights for all rows, picks each row's own, applies the
-    selection rule, keeps the coefficients on the selected branch and
-    renormalises, as _collapse does for one state. Returns values[N, steps]:
-    no caller reads the final states, so they are not rebuilt.
+    over its order with cs[n, 1:] as the later draws. Where the operators
+    have a joint eigenbasis, rows enter it once as coefficients, and a step
+    takes every operator's branch weights for all rows, picks each row's
+    own, applies the selection rule, keeps the coefficients on the selected
+    branch and renormalises, as _collapse does for one state. Otherwise each
+    row is measured on the scalar reference itself, with select and
+    _collapse. Returns values[N, steps]: no caller reads the final states.
     """
     cs = _open_scalars(cs)
     if orders is None:
@@ -520,34 +479,46 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
             raise ValueError(f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
         if orders.dtype.kind not in "iu" or not ((0 <= orders) & (orders < len(ops))).all():
             raise ValueError(f"orders must index the {len(ops)} operators")
-    sweep = _sweep_basis(tuple(ops))
+    decomps = [as_decomposition(op) for op in ops]
+    if not decomps:
+        raise ValueError("a sequence needs at least one operator")
+    dim = decomps[0].dim
+    if any(d.dim != dim for d in decomps):
+        raise DimensionMismatchError("the operators of a sequence differ in dimension")
     amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
-    if amps.shape[-1:] != (sweep.dim,) or amps.ndim > 2:
-        raise DimensionMismatchError(
-            f"states of shape {amps.shape} do not match dimension {sweep.dim}"
-        )
+    if amps.shape[-1:] != (dim,) or amps.ndim > 2:
+        raise DimensionMismatchError(f"states of shape {amps.shape} do not match dimension {dim}")
     norms = np.linalg.norm(amps, axis=-1)
     if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # nan fails too
         raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
-    row_start = np.arange(len(cs)) * len(sweep.keep)
-    branch = np.arange(sweep.width)[:, None]
-    coef = np.broadcast_to(amps, (len(cs), sweep.dim))
-    basis = np.full(len(cs), len(sweep.bases) - 1)  # the computational basis
+    amps = np.broadcast_to(amps, (len(cs), dim))
     values = np.empty(cs.shape)
+    joint = _sweep_basis(tuple(ops))
+    if joint is None:
+        for n, order in enumerate(orders):
+            state = PureState(amps[n])
+            for step, k in enumerate(order.tolist()):
+                index = int(select(decomps[k], state.amplitudes, cs[n, step]))
+                values[n, step] = decomps[k].values[index]
+                state = _collapse(decomps[k], state, index)
+        return values
+    basis, table, keep = joint
+    width = len(table) // len(ops)
+    row_start = np.arange(len(cs)) * len(keep)
+    branch = np.arange(width)[:, None]
+    coef = amps @ basis.conj()
     for step in range(cs.shape[1]):
         op = orders[:, step]
-        coef = sweep.rebase(coef, basis, sweep.basis_of[op])
-        basis = sweep.basis_of[op]
         # Every operator's branch weights for every row, then each row's own: (width, N).
-        every = (coef.real ** 2 + coef.imag ** 2) @ sweep.keep.T
-        weights = np.take(every, row_start + op * sweep.width + branch)
-        chosen = op * sweep.width + _choose(weights, cs[:, step])
-        values[:, step] = np.take(sweep.values, chosen)
+        every = (coef.real ** 2 + coef.imag ** 2) @ keep.T
+        weights = np.take(every, row_start + op * width + branch)
+        chosen = op * width + _choose(weights, cs[:, step])
+        values[:, step] = np.take(table, chosen)
         kept = np.take(every, row_start + chosen)
         if (kept <= MIN_BRANCH_WEIGHT).any():
             n = np.argmax(kept <= MIN_BRANCH_WEIGHT)
             raise ZeroProbabilityBranchError(
                 f"state carries no weight on the branch with eigenvalue {values[n, step]:g}"
             )
-        coef = coef * (np.take(sweep.keep, chosen, axis=0) / np.sqrt(kept)[:, None])
+        coef = coef * (np.take(keep, chosen, axis=0) / np.sqrt(kept)[:, None])
     return values

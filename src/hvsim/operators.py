@@ -190,8 +190,8 @@ class SpectralDecomposition:
     Columns offsets[i]:offsets[i + 1] of `vectors` (where block_of_column is
     i) span the eigenspace of values[i], so Born weights are segment sums of
     |V^H psi|^2 and collapse onto branch i is V_i (V_i^H psi). spectral()
-    builds one from eigensolver output; the constructor takes the arrays
-    unchecked and marks them read-only.
+    builds one from eigensolver output; the constructor takes copies of the
+    arrays, unchecked, and marks them read-only.
     """
 
     __slots__ = ("_values", "_vectors", "_offsets", "_block_of_column", "_degeneracy_tol",
@@ -199,6 +199,7 @@ class SpectralDecomposition:
 
     def __init__(self, values, vectors, offsets, degeneracy_tol: float,
                  label: str | None = None):
+        values, vectors, offsets = np.array(values), np.array(vectors), np.array(offsets)
         block_of_column = np.repeat(np.arange(len(values)), np.diff(offsets))
         for arr in (values, vectors, offsets, block_of_column):
             arr.setflags(write=False)

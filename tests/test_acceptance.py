@@ -42,7 +42,6 @@ from hvsim import (
     random_unitary,
     replay_table1,
     spin_state,
-    substream,
     tensor,
     verify_proposition,
 )
@@ -141,7 +140,7 @@ def test_criterion_05_sequential_products_forced():
     with criterion(5, "sequential column-3 products equal -1 in all 6000"
                       " cases", budget=10.0):
         summary = verify_proposition(column3_expression(), basis_ket(4, 0),
-                                     trials=1000, rng=substream(0, 51),
+                                     trials=1000, key=(0, 51),
                                      keep_events=True)
         assert summary.permutation_count == 6
         assert summary.cases == 6000
@@ -227,20 +226,19 @@ def test_criterion_09_correlation_statistic():
 def test_criterion_10_proposition_verification():
     with criterion(10, "forced sequential products verified from eigenstates;"
                        " precondition enforced"):
-        rng = substream(0, 101)
         col = verify_proposition(column3_expression(), basis_ket(4, 0),
-                                 trials=500, rng=rng)
+                                 trials=500, key=(0, 101, 0))
         assert col.cases == 3000
         assert col.all_passed
         xx = tensor(pauli("x"), pauli("x"), "XX")
         yy = tensor(pauli("y"), pauli("y"), "YY")
         pair = ObservableExpression.of_product(xx, yy)
         pair_summary = verify_proposition(pair, bell_state(), trials=500,
-                                          rng=rng)
+                                          key=(0, 101, 1))
         assert pair_summary.cases == 1000
         assert pair_summary.all_passed
         zz = tensor(pauli("z"), pauli("z"), "ZZ")
         with pytest.raises(NotAnEigenstateError):
             verify_proposition(ObservableExpression.of(zz),
                                normalized([1.0, 1.0, 0.0, 0.0]),
-                               trials=1, rng=rng)
+                               trials=1, key=(0, 101, 2))

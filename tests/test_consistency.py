@@ -180,7 +180,7 @@ class TestVerifyProposition:
                             lambda f, readings: eval_real_block(f, readings) + 1.0)
         f = column3_expression()
         state = basis_ket(4, 0)
-        summary = verify_proposition(f, state, trials=3, rng=(8, 6),
+        summary = verify_proposition(f, state, trials=3, key=(8, 6),
                                      max_failure_examples=2)
         assert (summary.passes, summary.failures) == (0, 18)
         assert len(summary.failure_examples) == 2
@@ -209,7 +209,7 @@ class TestVerifyProposition:
                             lambda f, values: eval_real(f, values) + 1.0)
         f = column3_expression()
         state = basis_ket(4, 0)
-        summary = verify_proposition(f, state, trials=3, rng=(8, 6))
+        summary = verify_proposition(f, state, trials=3, key=(8, 6))
         assert (summary.passes, summary.failures) == (17, 1)
         (kept,) = summary.failure_examples
         assert kept.details["key"] == [8, 6, 17]
@@ -227,8 +227,7 @@ class TestVerifyProposition:
 
     def test_counts_and_rows(self):
         f = column3_expression()
-        rng = np.random.default_rng(5)
-        summary = verify_proposition(f, basis_ket(4, 0), trials=5, rng=rng,
+        summary = verify_proposition(f, basis_ket(4, 0), trials=5, key=(5, 6),
                                      keep_events=True)
         assert summary.trials == 5
         assert summary.permutation_count == 6
@@ -255,22 +254,21 @@ class TestVerifyProposition:
         b = HermitianOperator(np.diag([2.0, 1.0]), "B")
         f = ObservableExpression(Sum(Leaf(a), Scale(2.0, Leaf(b))))
         state = normalized([1.0, 1.0])
-        summary = verify_proposition(f, state, trials=20, rng=np.random.default_rng(4),
-                                     keep_events=True)
+        summary = verify_proposition(f, state, trials=20, key=(4, 6), keep_events=True)
         assert summary.all_passed
-        rng = np.random.default_rng(4)
         readings = set()
         for case, _, c, rhs in rows_of(summary.events):
             permutation = [(0, 1), (1, 0)][case % 2]
-            report = check_weak_fc(f, HiddenState.draw(state, rng), permutation, rng)
+            slot = case_slot((4, 6, case), 3)
+            report = check_weak_fc(f, HiddenState(state, slot[0]), permutation,
+                                   ScriptedUniforms(slot[1:]))
             assert (report.details["initial_c"], report.rhs_value) == (c, rhs)
             readings.add((permutation[0], report.details["steps"][0]["value"]))
         assert len(readings) == 4  # each leaf, measured first, read both its values
 
     def test_rows_dropped_by_default(self):
         f = column3_expression()
-        summary = verify_proposition(f, basis_ket(4, 0), trials=2,
-                                     rng=np.random.default_rng(0))
+        summary = verify_proposition(f, basis_ket(4, 0), trials=2, key=(0, 6))
         assert summary.events is None
 
     def test_requires_eigenstate(self):
@@ -278,19 +276,16 @@ class TestVerifyProposition:
         f = ObservableExpression.of(zz)
         superposition = normalized([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(NotAnEigenstateError):
-            verify_proposition(f, superposition, trials=1,
-                               rng=np.random.default_rng(0))
+            verify_proposition(f, superposition, trials=1, key=(0, 6))
 
     def test_requires_positive_trials(self):
         f = column3_expression()
         with pytest.raises(ValueError):
-            verify_proposition(f, basis_ket(4, 0), trials=0,
-                               rng=np.random.default_rng(0))
+            verify_proposition(f, basis_ket(4, 0), trials=0, key=(0, 6))
 
     def test_summary_dict_keys(self):
         f = column3_expression()
-        summary = verify_proposition(f, basis_ket(4, 0), trials=1,
-                                     rng=np.random.default_rng(0))
+        summary = verify_proposition(f, basis_ket(4, 0), trials=1, key=(0, 6))
         assert list(summary.as_dict()) == [
             "expression", "trials", "permutation_count", "cases", "passes",
             "failures", "all_passed", "failure_examples",

@@ -527,7 +527,7 @@ class TestSweepsReplayOnTheScalarPath:
         assert f.operators == (a, b)  # the block's columns, in this order
         monkeypatch.setattr(consistency, "eval_real_block", lambda f, readings: (
             swept.extend(readings.tolist()), eval_real_block(f, readings))[1])
-        summary = verify_proposition(f, state, trials=15, rng=(4, 6), keep_events=True)
+        summary = verify_proposition(f, state, trials=15, key=(4, 6), keep_events=True)
         readings = set()
         for (case, _, c, rhs), leaf_readings in zip(rows_of(summary.events), swept,
                                                     strict=True):
@@ -542,13 +542,6 @@ class TestSweepsReplayOnTheScalarPath:
             assert leaf_readings == [replayed["A"], replayed["B"]]
             readings.add((permutation[0], report.details["steps"][0]["value"]))
         assert len(readings) == 4
-
-    def test_generator_and_key_read_the_same_stream(self):
-        f = peres_mermin().column_expression(3)
-        by_key = verify_proposition(f, basis_ket(4, 0), trials=4, rng=(2, 6), keep_events=True)
-        by_rng = verify_proposition(f, basis_ket(4, 0), trials=4, rng=substream(2, 6),
-                                    keep_events=True)
-        assert rows_of(by_key.events) == rows_of(by_rng.events)
 
 
 class TestBoxMullerStartStates:

@@ -20,6 +20,7 @@ from hvsim.errors import (
     ZeroProbabilityBranchError,
 )
 from hvsim import model
+from hvsim.cli import main
 from hvsim.expressions import peres_mermin
 from hvsim.model import (
     MIN_BRANCH_WEIGHT,
@@ -825,12 +826,12 @@ class TestRunSequenceAgainstMeasure:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000))
     def test_non_commuting_per_row_orders(self, seed):
-        # Each operator keeps its own eigenbasis; rows switching between them
-        # go through the cached transitions, repeats and all.
+        # No joint eigenbasis: every row runs on the scalar reference,
+        # repeats and all.
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
         ops = [random_hermitian(dim, rng) for _ in range(int(rng.integers(2, 5)))]
-        assert len(model._sweep_basis(tuple(ops)).bases) == len(ops) + 1
+        assert model._sweep_basis(tuple(ops)) is None
         orders = rng.integers(len(ops), size=(16, int(rng.integers(1, 6))))
         cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
         _assert_sequence_matches_measure(ops, _haar_starts(dim, 16, rng), cs, orders)
@@ -850,7 +851,7 @@ class TestRunSequenceAgainstMeasure:
         # One joint eigenbasis serves the family; each row measures its own
         # order, with operators repeated.
         ops, rng = _degenerate_family(seed)
-        assert len(model._sweep_basis(tuple(ops)).bases) == 2
+        assert model._sweep_basis(tuple(ops)) is not None
         orders = rng.integers(len(ops), size=(16, 7))
         cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
         _assert_sequence_matches_measure(ops, _haar_starts(4, 16, rng), cs, orders)
@@ -863,10 +864,47 @@ class TestRunSequenceAgainstMeasure:
         lines = [square.row_operators(i) for i in (1, 2, 3)]
         lines += [square.column_operators(j) for j in (1, 2, 3)]
         for line in lines:
-            assert len(model._sweep_basis(tuple(line)).bases) == 2
+            assert model._sweep_basis(tuple(line)) is not None
             orders = np.tile(permutations, (8, 1))
             cs = draw_hidden_batch(rng, orders.size).reshape(orders.shape)
             _assert_sequence_matches_measure(line, _haar_starts(4, len(cs), rng), cs, orders)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 10_000))
+    def test_commuting_pair_with_a_tied_combination(self, seed):
+        # The pair commutes, but the fixed combination A/pi + B/(1 + pi) has
+        # one eigenvalue twice, so eigh's columns need not lie on branches:
+        # _joint_basis keeps none and the rows run on the scalar reference.
+        rng = np.random.default_rng(seed)
+        spectra = [[1.0, 0.5], [1.0 - (1.0 + np.pi) / (2.0 * np.pi), 1.0]]
+        ops = commuting_family(spectra, rng)
+        assert model._joint_basis([op.spectrum() for op in ops]) is None
+        assert model._sweep_basis(tuple(ops)) is None
+        orders = rng.integers(2, size=(16, 4))
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        _assert_sequence_matches_measure(ops, _haar_starts(2, 16, rng), cs, orders)
+
+    def test_every_driver_tuple_has_a_joint_basis(self, monkeypatch, capsys):
+        # The 4 CHSH pairs, the 6 square lines and the 3 weak-fc columns all
+        # take the vectorised route, never the row-by-row one. weak-fc's
+        # columns are the square's shared column tuples: 10 distinct tuples.
+        seen = []
+        sweep_basis = model._sweep_basis
+
+        def recording(ops):
+            seen.append((ops, sweep_basis(ops)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(model, "_sweep_basis", recording)
+        commands = [["chsh", "--sequential"]]
+        commands += [["column-product", "--axis", axis, "--index", str(i)]
+                     for axis in ("row", "column") for i in (1, 2, 3)]
+        commands += [["weak-fc", "--column", str(i)] for i in (1, 2, 3)]
+        for command in commands:
+            assert main([*command, "--trials", "2", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(seen) == 13 and len({ops for ops, _ in seen}) == 10
+        assert all(joint is not None for _, joint in seen)
 
     @pytest.mark.parametrize("commuting", [True, False])
     def test_per_row_orders_equal_one_call_per_order(self, commuting):

@@ -13,6 +13,7 @@ from hvsim.operators import (
     COMMUTE_TOL,
     HermitianOperator,
     PureState,
+    SpectralDecomposition,
     amplitude_pairs,
     basis_ket,
     commutator_norm,
@@ -359,6 +360,21 @@ class TestSpectral:
     def test_weights_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             spectral(pauli("z")).weights(basis_ket(4, 0))
+
+    def test_constructor_copies_its_inputs(self):
+        # The caller's arrays stay writable, and lists build the same thing.
+        d = spectral(HermitianOperator(np.diag([2.0, -1.0, 2.0])))
+        values, vectors, offsets = d.values.copy(), d.vectors.copy(), d.offsets.copy()
+        built = SpectralDecomposition(values, vectors, offsets, d.degeneracy_tol, "D")
+        values[0], vectors[0, 0], offsets[0] = 5.0, 2.0, 1
+        from_lists = SpectralDecomposition(d.values.tolist(), d.vectors.tolist(),
+                                           d.offsets.tolist(), d.degeneracy_tol, "D")
+        for decomp in (built, from_lists):
+            for name in ("values", "vectors", "offsets", "block_of_column"):
+                np.testing.assert_array_equal(getattr(decomp, name), getattr(d, name))
+                assert getattr(decomp, name).dtype == getattr(d, name).dtype
+                assert not getattr(decomp, name).flags.writeable
+            assert decomp.label == "D" and decomp.degeneracy_tol == d.degeneracy_tol
 
     def test_eigensolver_failure_is_wrapped(self, monkeypatch):
         def boom(_):
