@@ -237,35 +237,28 @@ class NoGoResult:
         }
 
 
+# Every +-1 assignment to the square's nine cells as a 3x3 grid, in the order
+# of itertools.product((1, -1), repeat=9): cell k of assignment n is -1 where
+# bit 8 - k of n is set. Then each assignment's three row and three column
+# products.
+_ASSIGNMENTS = (1 - 2 * ((np.arange(512)[:, None] >> np.arange(8, -1, -1)) & 1)).reshape(-1, 3, 3)
+_ROW_PRODUCTS = _ASSIGNMENTS.prod(axis=2)
+_COL_PRODUCTS = _ASSIGNMENTS.prod(axis=1)
+
+
 def no_go_search(square: PeresMerminSquare) -> NoGoResult:
-    """Enumerate all 2^9 assignments of +-1 to the square's cells.
+    """Count all 2^9 assignments of +-1 to the square's cells against the
+    row and column product constraints, as one table of assignments.
 
     The row/column product targets are taken from the square itself (it
     computes them from its operator products at construction), not from
     constants here.
     """
-    row_targets = square.row_values
-    col_targets = square.col_values
-    total = 0
-    satisfying = 0
-    rows_ok_count = 0
-    cols_ok_count = 0
-    for cells in itertools.product((1, -1), repeat=9):
-        total += 1
-        rows_ok = all(
-            cells[3 * i] * cells[3 * i + 1] * cells[3 * i + 2] == row_targets[i]
-            for i in range(3)
-        )
-        cols_ok = all(
-            cells[j] * cells[j + 3] * cells[j + 6] == col_targets[j]
-            for j in range(3)
-        )
-        rows_ok_count += rows_ok
-        cols_ok_count += cols_ok
-        satisfying += rows_ok and cols_ok
+    rows_ok = (_ROW_PRODUCTS == square.row_values).all(axis=1)
+    cols_ok = (_COL_PRODUCTS == square.col_values).all(axis=1)
     return NoGoResult(
-        total_assignments=total,
-        satisfying_assignments=satisfying,
-        parity_odd_count=cols_ok_count,
-        parity_even_count=rows_ok_count,
+        total_assignments=len(_ASSIGNMENTS),
+        satisfying_assignments=int(np.count_nonzero(rows_ok & cols_ok)),
+        parity_odd_count=int(np.count_nonzero(cols_ok)),
+        parity_even_count=int(np.count_nonzero(rows_ok)),
     )

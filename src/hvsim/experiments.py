@@ -7,6 +7,10 @@ width). Single-shot statistics (Born frequencies, product-mode CHSH
 correlators) take width 1 and the sequential sweeps one scalar per step
 plus any start-state uniforms, so case_slot replays any trial or case from
 its key. Identical (seed, trials) arguments reproduce identical reports.
+
+Single-shot trials are counted as they are drawn (model.tally, TALLY_BLOCK
+draws at a time) and sweeps run SWEEP_BLOCK cases at a time, so neither
+holds every draw at once unless its events are kept for the CSV report.
 """
 
 from __future__ import annotations
@@ -27,16 +31,14 @@ from .model import (
     ScriptedUniforms,
     VALUE_TOL,
     as_decomposition,
-    branch_counts,
-    branch_indices,
     case_blocks,
     display_label,
-    draw_hidden_batch,
     measure,
     predict,
     predict_batch,
     run_sequence,
     substream,
+    tally,
     update,
 )
 from .operators import (
@@ -155,14 +157,27 @@ def _nearest_value(mapping: dict, value: float, tol: float) -> float:
     return best
 
 
+def _tally(decomp, state, rng, trials: int, setting: int, blocks) -> np.ndarray:
+    """Branch counts of `trials` single-shot trials on `state`, one draw of
+    `rng` each, tallied block by block as they are drawn. With `blocks` a
+    list, each block's events, under `setting`, are appended to it."""
+    counts = np.zeros(len(decomp.values), dtype=np.intp)
+    for first, cs, block_counts in tally(decomp, state, rng, trials):
+        counts += block_counts
+        if blocks is not None:
+            blocks.append((np.arange(first, first + len(cs)), np.full(len(cs), setting), cs,
+                           predict_batch(decomp, state, cs)))
+    return counts
+
+
 def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
                     keep_events: bool = False) -> StatReport:
     """Monte Carlo check that prediction under uniform c reproduces Born
     weights for one (state, observable) pair."""
     decomp = as_decomposition(obs)
-    rng = substream(cfg.seed, _BORN_TAG)
-    cs = draw_hidden_batch(rng, cfg.trials)
-    frequencies = branch_counts(decomp, state, cs) / cfg.trials
+    blocks = [] if keep_events else None
+    counts = _tally(decomp, state, substream(cfg.seed, _BORN_TAG), cfg.trials, 0, blocks)
+    frequencies = counts / cfg.trials
     # A weight may overshoot 1 by rounding (a state's norm is only checked to 1e-12).
     expected = np.clip(decomp.weights(state), 0.0, 1.0)
     max_dev = 0.0
@@ -176,8 +191,6 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
             max_dev = max(max_dev, deviation)
             passed = passed and deviation <= cfg.tolerance_sigma
     label = display_label(decomp)
-    events = Events((label,), np.arange(cfg.trials), np.zeros(cfg.trials, int), cs,
-                    decomp.values[branch_indices(decomp, state, cs)]) if keep_events else None
     return StatReport(
         observable_label=label,
         trials=cfg.trials,
@@ -190,7 +203,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
         max_sigma_deviation=float(max_dev),
         tolerance_sigma=cfg.tolerance_sigma,
         passed=bool(passed),
-        events=events,
+        events=Events.concat((label,), blocks) if keep_events else None,
     )
 
 
@@ -531,16 +544,13 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
     s_value = 0.0
     for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
         if mode == "product":
-            rng = substream(cfg.seed, _CHSH_PRODUCT_TAG, k)
-            cs = draw_hidden_batch(rng, cfg.trials)
             decomp = joint.spectrum()
+            counts = _tally(decomp, state, substream(cfg.seed, _CHSH_PRODUCT_TAG, k),
+                            cfg.trials, k, blocks if keep_events else None)
             # The values are exactly +-1 (see tensor), so every partial sum is
             # an exact integer: this equals the mean of the per-trial values.
-            correlator = float(decomp.values @ branch_counts(decomp, state, cs)) / cfg.trials
+            correlator = float(decomp.values @ counts) / cfg.trials
             labels.append(key)
-            if keep_events:
-                blocks.append((np.arange(cfg.trials), np.full(cfg.trials, k), cs,
-                               predict_batch(decomp, state, cs)))
         else:
             total = 0.0
             settings = np.arange(len(labels), len(labels) + len(ops))

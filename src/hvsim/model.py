@@ -43,6 +43,7 @@ VALUE_TOL = 1e-9  # two outcome values agree within this
 MAX_DRAW_ATTEMPTS = 64  # per scalar; numpy draws 0.0 w.p. 2**-53
 JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
+TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depends on it
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -355,13 +356,39 @@ def branch_indices(obs, state, cs) -> np.ndarray:
     return select(as_decomposition(obs), *_checked(state, cs))
 
 
-def branch_counts(obs, state, cs) -> np.ndarray:
-    """np.bincount of branch_indices, taken from one comparison per edge."""
+def _state_edges(obs, state) -> np.ndarray:
+    """The selection rule's edges on one state: c picks the branch that
+    counts the edges below it."""
     decomp = as_decomposition(obs)
-    amplitudes, cs = _checked(state, cs)
-    edges = _edges(decomp.weights(amplitudes)[:, None])[:, 0]
+    amplitudes, _ = _checked(state, ())
+    return _edges(decomp.weights(amplitudes)[:, None])[:, 0]
+
+
+def _count(edges, cs) -> np.ndarray:
+    """The branch counts of the scalars `cs` (checked by _open_scalars) below
+    `edges`: one comparison per edge, no index array."""
+    cs = _open_scalars(cs)
     reached = [cs.size] + [np.count_nonzero(cs > edge) for edge in edges]  # branch >= i
     return -np.diff(reached + [0])
+
+
+def branch_counts(obs, state, cs) -> np.ndarray:
+    """np.bincount of branch_indices, taken from one comparison per edge: the
+    count tally makes of each block."""
+    return _count(_state_edges(obs, state), cs)
+
+
+def tally(obs, state, rng, trials: int):
+    """Yield (first trial, cs, counts) over the next `trials` draws of `rng`,
+    one per trial, read TALLY_BLOCK at a time: counts holds branch_counts of
+    the block's hidden scalars cs, with the edges taken once. The counts of
+    all blocks sum to branch_counts of the whole stream read at once, so no
+    result depends on the block size, and memory does not grow with trials.
+    """
+    edges = _state_edges(obs, state)
+    for first in range(0, trials, TALLY_BLOCK):
+        cs = draw_hidden_batch(rng, min(TALLY_BLOCK, trials - first))
+        yield first, cs, _count(edges, cs)
 
 
 def predict_batch(obs, state, cs) -> np.ndarray:

@@ -19,6 +19,13 @@ SINGLE_SHOTS = (
     ("chsh", ("chsh", "--trials", "500", "--seed", "11")),
 )
 
+# Single-shot statistics over many tally blocks, pinned at seed 11 as
+# tests/expected/<name>.json only (their CSV would run to megabytes).
+MULTI_BLOCK_SHOTS = (
+    ("born-300000", ("born", "--theta", "0.8", "--trials", "300000", "--seed", "11")),
+    ("chsh-200000", ("chsh", "--trials", "200000", "--seed", "11")),
+)
+
 # Deterministic reports pinned as perfbench/expected/<command>.json.
 FROZEN_COMMANDS = ("table1", "pm-square", "no-go", "strong-fc", "implications")
 

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FROZEN_COMMANDS, KERNEL_LINES, SEEDED_SWEEPS, SINGLE_SHOTS
+from conftest import (FROZEN_COMMANDS, KERNEL_LINES, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS,
+                      SINGLE_SHOTS)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("Haswell", "Prescott")
@@ -29,6 +30,8 @@ PINS.append(("tests/expected/table1.csv", ("table1", "--format", "csv")))
 for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS:
     for fmt in ("csv", "json"):
         PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt)))
+for name, argv in MULTI_BLOCK_SHOTS:
+    PINS.append((f"tests/expected/{name}.json", (*argv, "--format", "json")))
 PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
 
 # Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout} and the

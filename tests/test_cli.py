@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hvsim
-from conftest import FROZEN_COMMANDS, SEEDED_SWEEPS, SINGLE_SHOTS
+from conftest import FROZEN_COMMANDS, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS, SINGLE_SHOTS
 from hvsim import experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.expressions import Leaf, Scale, peres_mermin
@@ -148,6 +148,15 @@ def test_single_shot_reports_match_frozen_bytes(capsys, name, argv, fmt):
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, argv", [(name, list(argv)) for name, argv in MULTI_BLOCK_SHOTS])
+def test_multi_block_single_shot_reports_match_frozen_bytes(capsys, name, argv):
+    # Trial counts that span several tally blocks, pinned from the code that
+    # drew every trial at once.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_product_chsh_pins_replay_on_the_scalar_path():
     # Each pinned trial replayed alone from its key through scalar predict:
     # the values must be the CSV pin's value column, and their means the
@@ -181,6 +190,17 @@ def test_seeded_reports_do_not_depend_on_block_size(capsys, monkeypatch, name, a
     # Each case reads a fixed slot of its stream, so running the sweeps in
     # blocks of 7 cases changes no byte.
     monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@SINGLE_SHOT_CALLS
+def test_single_shot_reports_do_not_depend_on_tally_block(capsys, monkeypatch, name, argv, fmt):
+    # Trial t is draw t of its stream whatever the block, and integer counts
+    # sum exactly, so tallying in blocks of 7 draws changes no byte.
+    monkeypatch.setattr(model, "TALLY_BLOCK", 7)
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 """Strong and weak functional consistency, plus the assignment census."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -315,6 +316,19 @@ class TestNoGoSearch:
         assert result.satisfying_assignments == satisfying == 0
         assert result.parity_odd_count == odd == 64
         assert result.parity_even_count == even == 64
+
+    @pytest.mark.parametrize("row_targets", list(itertools.product((1, -1), repeat=3)))
+    def test_every_target_pattern_matches_the_census(self, row_targets):
+        # The square's own targets have opposite parities, so nothing
+        # satisfies both sides; equal parities leave 16 grids that do.
+        for col_targets in itertools.product((1, -1), repeat=3):
+            square = types.SimpleNamespace(row_values=row_targets, col_values=col_targets)
+            result = no_go_search(square)
+            assert (result.total_assignments, result.satisfying_assignments,
+                    result.parity_odd_count, result.parity_even_count) == census_oracle(
+                        row_targets, col_targets)
+            parity_matches = np.prod(row_targets) == np.prod(col_targets)
+            assert result.satisfying_assignments == (16 if parity_matches else 0)
 
     def test_parity_argument(self):
         # Row constraints force the product of all nine cells to +1 and

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from hvsim import (
     StatReport,
     basis_ket,
     bell_state,
+    branch_counts,
     born_experiment,
     born_scenario_sweep,
     chsh_experiment,
@@ -464,6 +466,96 @@ class TestSingleShotTrialsReplayFromTheirKeys:
             trial, label, row_c, value = rows[k * trials + t]
             assert (int(trial), label, float(row_c)) == (t, key, c)
             assert float(value) == predict(joint, HiddenState(bell_state(), c))
+
+
+# Trial counts at and around multiples of a tally block of 7 draws.
+BLOCK_EDGE_TRIALS = (1, 6, 7, 8, 13, 14, 15, 21, 22)
+
+
+def _opened_streams(monkeypatch) -> dict:
+    """Record each stream the experiments open, by its key, as it is opened."""
+    opened = {}
+
+    def recording(*key):
+        opened[key] = substream(*key)
+        return opened[key]
+
+    monkeypatch.setattr(experiments, "substream", recording)
+    return opened
+
+
+class TestTallyAtBlockBoundaries:
+    """Tallied in blocks of 7 draws, a single-shot run counts what
+    branch_counts counts on its whole stream read at once, reads exactly one
+    draw per trial, and writes CSV rows that replay from their keys."""
+
+    @pytest.fixture(autouse=True)
+    def tally_block(self, monkeypatch):
+        monkeypatch.setattr(model, "TALLY_BLOCK", 7)
+
+    @pytest.mark.parametrize("keep_events", [False, True])
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    def test_born(self, monkeypatch, trials, keep_events):
+        seed, state, obs = 4, spin_state(0.7), pauli("z")
+        opened = _opened_streams(monkeypatch)
+        report = born_experiment(ExperimentConfig(seed=seed, trials=trials), state, obs,
+                                 keep_events=keep_events)
+        reference = substream(seed, _BORN_TAG)
+        cs = model.draw_hidden_batch(reference, trials)
+        counts = branch_counts(obs, state, cs)
+        assert list(report.outcome_frequencies.values()) == list(counts / trials)
+        assert opened[(seed, _BORN_TAG)].random() == reference.random()
+        if keep_events:
+            rows = _csv_rows(report.events)
+            assert len(rows) == trials
+            for t, (trial, label, c, value) in enumerate(rows):
+                (want,) = case_slot((seed, _BORN_TAG, t), 1)
+                assert (int(trial), label, float(c)) == (t, "Z", want)
+                assert float(value) == predict(obs, HiddenState(state, want))
+
+    @pytest.mark.parametrize("keep_events", [False, True])
+    @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
+    def test_product_chsh(self, monkeypatch, trials, keep_events):
+        seed = 6
+        opened = _opened_streams(monkeypatch)
+        report = chsh_experiment(ExperimentConfig(seed=seed, trials=trials),
+                                 keep_events=keep_events)
+        rows = _csv_rows(report.events) if keep_events else None
+        for k, (key, *_, joint, _) in enumerate(_chsh_settings()):
+            reference = substream(seed, _CHSH_PRODUCT_TAG, k)
+            cs = model.draw_hidden_batch(reference, trials)
+            counts = branch_counts(joint, bell_state(), cs)
+            assert report.correlators[key] == float(joint.spectrum().values @ counts) / trials
+            assert opened[(seed, _CHSH_PRODUCT_TAG, k)].random() == reference.random()
+            if keep_events:
+                for t in range(trials):
+                    (want,) = case_slot((seed, _CHSH_PRODUCT_TAG, k, t), 1)
+                    trial, label, c, value = rows[k * trials + t]
+                    assert (int(trial), label, float(c)) == (t, key, want)
+                    assert float(value) == predict(joint, HiddenState(bell_state(), want))
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", [
+    lambda trials: born_experiment(ExperimentConfig(trials=4 * trials), spin_state(0.8),
+                                   pauli("z")),
+    lambda trials: chsh_experiment(ExperimentConfig(trials=trials)),
+], ids=["born", "chsh"])
+def test_single_shot_memory_stays_flat_in_trials(run):
+    # Tallied as they are drawn, 4M born trials and 4 x 1M chsh trials hold
+    # a few blocks of draws at a time, where one array of them would take 32 MB.
+    run(1)  # build the cached settings and decompositions first
+    block_bytes = model.TALLY_BLOCK * np.dtype(float).itemsize
+    assert _traced_peak(lambda: run(1_000_000)) < 4 * block_bytes
 
 
 def _csv_rows(events):

@@ -43,6 +43,7 @@ from hvsim.model import (
     run_sequence,
     select,
     substream,
+    tally,
     update,
 )
 from hvsim.operators import (
@@ -518,6 +519,23 @@ class TestCaseSlots:
         np.testing.assert_array_equal(np.concatenate([slots for _, slots in blocks]),
                                       case_uniforms(substream(3, 5), 50, 11))
 
+    @pytest.mark.parametrize("trials", [1, 6, 7, 8, 13, 14, 15, 50])
+    def test_tally_counts_blocks_of_one_stream(self, monkeypatch, trials):
+        # Three branches, the middle one without weight: its edge reads inf.
+        monkeypatch.setattr(model, "TALLY_BLOCK", 7)
+        op = HermitianOperator(np.diag([-1.0, 0.0, 2.0]))
+        state = normalized([1.0, 0.0, 2.0])
+        rng, reference = substream(3, 1), substream(3, 1)
+        blocks = list(tally(op, state, rng, trials))
+        assert [first for first, _, _ in blocks] == list(range(0, trials, 7))
+        for _, cs, counts in blocks:
+            np.testing.assert_array_equal(counts, branch_counts(op, state, cs))
+        whole = draw_hidden_batch(reference, trials)
+        np.testing.assert_array_equal(np.concatenate([cs for _, cs, _ in blocks]), whole)
+        np.testing.assert_array_equal(sum(counts for _, _, counts in blocks),
+                                      branch_counts(op, state, whole))
+        assert rng.random() == reference.random()  # one draw per trial, none read ahead
+
     def test_raw_extremes_map_strictly_inside(self):
         # Generator.random reads raw 64-bit draw r as (r >> 11) * 2**-53.
         raw = np.array([0, 2**11 - 1, 2**11, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
@@ -783,9 +801,9 @@ class TestEdgeCountSelection:
         def sequence(obs, state, cs):
             return run_sequence([obs], state, cs[:, None])
 
-        for tally in (branch_indices, branch_counts, sequence):
+        for rule in (branch_indices, branch_counts, sequence):
             with pytest.raises(ValueError):
-                tally(pauli("z"), basis_ket(2, 0), cs)
+                rule(pauli("z"), basis_ket(2, 0), cs)
 
     def test_empty_scalars_are_accepted(self):
         state = normalized([1.0, 1.0])
