@@ -51,7 +51,6 @@ from .model import (
     MeasurementTrace,
     ScriptedUniforms,
     as_decomposition,
-    branch_counts,
     branch_indices,
     case_slot,
     case_uniforms,

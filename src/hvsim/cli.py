@@ -1,6 +1,10 @@
 """Command line front end. Every subcommand runs one library scenario and
 emits its report as text, JSON or CSV; the exit code states the verdict.
 
+A CSV report is streamed: its rows are written block by block as the driver
+hands each block of events to the sink, never held whole. `--out PATH`
+writes to a file next to PATH that replaces PATH only once the run succeeds.
+
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
 check fails or a library error surfaces, 2 for usage errors.
@@ -27,7 +31,7 @@ from .experiments import (
     spin_state,
 )
 from .expressions import peres_mermin
-from .model import HiddenState
+from .model import CSV_HEADER, HiddenState
 from .operators import amplitude_pairs, basis_ket, pauli
 
 _WEAK_FC_TAG = 6
@@ -147,7 +151,7 @@ def _verdict(passed: bool, note: str = "") -> str:
     return f"result: {word}{f' ({note})' if note else ''}\n"
 
 
-def _run_table1(args):
+def _run_table1(args, sink):
     report = replay_table1()
     lines = ["reference replay: 3 iterations, every entry matches the frozen run", ""]
     labels = [[op.label for op in row] for row in peres_mermin().grid]
@@ -163,7 +167,9 @@ def _run_table1(args):
                      f" state after collapse: {_ket_string(it.final_state)}")
         lines.append("")
     text = "\n".join(lines) + _verdict(True)
-    return report.as_dict(), True, report.events, text
+    if sink is not None:
+        sink(report.events)
+    return report.as_dict(), True, text
 
 
 @functools.cache  # operators are immutable, so one Z and its decomposition serve every call
@@ -171,12 +177,11 @@ def _born_observable():
     return pauli("z")
 
 
-def _run_born(args):
+def _run_born(args, sink):
     cfg = ExperimentConfig(seed=args.seed, trials=args.trials,
                            tolerance_sigma=args.tolerance_sigma)
     state = spin_state(args.theta)
-    report = born_experiment(cfg, state, _born_observable(),
-                             keep_events=args.format == "csv")
+    report = born_experiment(cfg, state, _born_observable(), sink)
     payload = {"seed": cfg.seed, "theta": args.theta, **report.as_dict()}
     lines = [
         f"born statistics for {report.observable_label} on"
@@ -190,10 +195,10 @@ def _run_born(args):
     lines.append(f"max sigma deviation: {report.max_sigma_deviation:.3f}"
                  f" (tolerance {report.tolerance_sigma:g})")
     text = "\n".join(lines) + "\n" + _verdict(report.passed)
-    return payload, report.passed, report.events, text
+    return payload, report.passed, text
 
 
-def _run_pm_square(args):
+def _run_pm_square(args, sink):
     square = peres_mermin()
     max_comm = max(f.max_commutator_norm for f in square.lines)
     max_identity_gap = square.identity_deviation
@@ -212,10 +217,10 @@ def _run_pm_square(args):
     lines.append(f"max commutator norm within a line: {max_comm:.3e}")
     lines.append(f"max deviation of a line product from its scalar: {max_identity_gap:.3e}")
     text = "\n".join(lines) + "\n" + _verdict(True)
-    return payload, True, None, text
+    return payload, True, text
 
 
-def _run_no_go(args):
+def _run_no_go(args, sink):
     result = no_go_search(peres_mermin())
     passed = result.satisfying_assignments == 0
     lines = [
@@ -226,15 +231,14 @@ def _run_no_go(args):
         f"meeting all column constraints (odd parity): {result.parity_odd_count}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(passed, "no global assignment exists")
-    return result.as_dict(), passed, None, text
+    return result.as_dict(), passed, text
 
 
-def _run_weak_fc(args):
+def _run_weak_fc(args, sink):
     square = peres_mermin()
     f = square.column_expression(args.column)
     state = basis_ket(4, 0)
-    summary = verify_proposition(f, state, args.trials, (args.seed, _WEAK_FC_TAG),
-                                 keep_events=args.format == "csv")
+    summary = verify_proposition(f, state, args.trials, (args.seed, _WEAK_FC_TAG), sink=sink)
     payload = {"seed": args.seed, "column": args.column,
                "initial_state": amplitude_pairs(state.amplitudes),
                **summary.as_dict()}
@@ -247,10 +251,10 @@ def _run_weak_fc(args):
         f"   failures: {summary.failures}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(summary.all_passed)
-    return payload, summary.all_passed, summary.events, text
+    return payload, summary.all_passed, text
 
 
-def _run_strong_fc(args):
+def _run_strong_fc(args, sink):
     square = peres_mermin()
     f = square.column_expression(3)
     hidden = HiddenState(basis_ket(4, 0), args.c)
@@ -268,10 +272,10 @@ def _run_strong_fc(args):
         f"holds: {'yes' if report.holds else 'no'}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(witnessed, "inconsistency witnessed")
-    return report.as_dict(), witnessed, None, text
+    return report.as_dict(), witnessed, text
 
 
-def _run_implications(args):
+def _run_implications(args, sink):
     report = implications_demo(args.c)
     passed = report.post_collapse_consistent and report.non_fc_witnessed
     mismatches = " ".join(
@@ -291,13 +295,13 @@ def _run_implications(args):
         f" {'yes' if report.post_collapse_consistent else 'no'}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(passed)
-    return report.as_dict(), passed, None, text
+    return report.as_dict(), passed, text
 
 
-def _run_chsh(args):
+def _run_chsh(args, sink):
     cfg = ExperimentConfig(seed=args.seed, trials=args.trials)
     mode = "sequential" if args.sequential else "product"
-    report = chsh_experiment(cfg, mode=mode, keep_events=args.format == "csv")
+    report = chsh_experiment(cfg, mode=mode, sink=sink)
     payload = {"seed": cfg.seed, **report.as_dict()}
     target = 2.0 * math.sqrt(2.0)
     lines = [
@@ -310,13 +314,12 @@ def _run_chsh(args):
     ]
     text = "\n".join(lines) + "\n" + _verdict(report.exceeds_classical,
                                               "classical bound exceeded")
-    return payload, report.exceeds_classical, report.events, text
+    return payload, report.exceeds_classical, text
 
 
-def _run_column_product(args):
+def _run_column_product(args, sink):
     report = column_product_experiment(index=args.index, trials=args.trials,
-                                       seed=args.seed, axis=args.axis,
-                                       keep_events=args.format == "csv")
+                                       seed=args.seed, axis=args.axis, sink=sink)
     payload = {"seed": args.seed, **report.as_dict()}
     lines = [
         f"sequential product sweep on {report.axis} {report.index}",
@@ -327,9 +330,11 @@ def _run_column_product(args):
         f"   failures: {report.failures}",
     ]
     text = "\n".join(lines) + "\n" + _verdict(report.all_passed)
-    return payload, report.all_passed, report.events, text
+    return payload, report.all_passed, text
 
 
+# Each runner takes the parsed arguments and a sink for the CSV report's
+# blocks of events (None unless --format csv) and returns (payload, passed, text).
 _RUNNERS = {
     "table1": _run_table1,
     "born": _run_born,
@@ -341,41 +346,85 @@ _RUNNERS = {
     "chsh": _run_chsh,
     "column-product": _run_column_product,
 }
+# The commands whose runners hand events to a sink.
+_CSV_COMMANDS = frozenset({"table1", "born", "weak-fc", "chsh", "column-product"})
+
+
+def _to_stdout(text: str) -> None:
+    """Write and flush `text` to stdout. Once the reader has gone, the rest
+    of the report goes to the null device, and the exit code still states
+    the verdict."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+
+
+def _csv_sink(write):
+    """A sink that writes each block's CSV rows with `write`, the header
+    before the first block's, so a run that fails before its first block
+    writes nothing."""
+    header = CSV_HEADER
+
+    def sink(events):
+        nonlocal header
+        if header:
+            write(header)
+            header = ""
+        for rows in events.csv_rows():
+            write(rows)
+    return sink
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    try:
-        payload, passed, events, text = _RUNNERS[args.command](args)
-    except HvsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "csv":
-        if events is None:
-            print(f"error: csv output is not available for '{args.command}';"
-                  " use --format json or text", file=sys.stderr)
-            return 2
-        body = events.to_csv()
-    elif args.format == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        body = text
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+        print(f"error: csv output is not available for '{args.command}';"
+              " use --format json or text", file=sys.stderr)
+        return 2
+    staged = None
     if args.out:
+        target = os.path.realpath(args.out)  # through a symlink, as open() would write
+        staged = f"{target}.{os.getpid()}.tmp"
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(body)
+            handle = open(staged, "x", encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
+        write = handle.write
     else:
+        write = _to_stdout
+    try:
+        sink = _csv_sink(write) if args.format == "csv" else None
         try:
-            sys.stdout.write(body)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            payload, passed, text = _RUNNERS[args.command](args, sink)
+        except HvsimError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if args.format == "json":
+            write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        elif args.format == "text":
+            write(text)
+        if staged is not None:
+            handle.close()
+            os.replace(staged, target)
+            staged = None
+    except OSError as exc:
+        if staged is None:
+            raise
+        return _cannot_write(args.out, exc)
+    finally:
+        if staged is not None:  # the run failed: PATH keeps what it held
+            handle.close()
+            os.unlink(staged)
     return 0 if passed else 1
 
 

@@ -13,7 +13,7 @@ column product constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
 from .model import (VALUE_TOL, Events, HiddenState, MeasurementTrace, ScriptedUniforms,
@@ -132,7 +132,6 @@ class PropositionSummary:
     passes: int
     failures: int
     failure_examples: tuple[ConsistencyReport, ...]
-    events: Events | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
@@ -152,8 +151,7 @@ class PropositionSummary:
 
 
 def verify_proposition(f: ObservableExpression, state, trials: int, key,
-                       max_failure_examples: int = 3,
-                       keep_events: bool = False) -> PropositionSummary:
+                       max_failure_examples: int = 3, sink=None) -> PropositionSummary:
     """Check weak functional consistency for an eigenstate of f's operator.
 
     Requires the initial state to be an eigenvector of the evaluated
@@ -162,6 +160,8 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     for each trial. Case t * permutations + p runs permutation p on the slot
     of len(leaves) + 1 scalars it reads from substream(*key), where key is
     (seed, *path); each kept failure records its replay key (seed, *path, case).
+    `sink`, if given, receives each block of cases' events, one per case:
+    its first scalar and composed value, set to its permutation.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -176,12 +176,11 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
         )
     ops = f.operators
     permutations = np.array(list(itertools.permutations(range(len(ops)))))
-    names = [f"perm({','.join(str(k) for k in p)})" for p in permutations]
+    names = tuple(f"perm({','.join(str(k) for k in p)})" for p in permutations)
     count = len(permutations)
     cases = trials * count
     passes = 0
     examples: list[ConsistencyReport] = []
-    blocks = []
     # Like HiddenState.draw plus one measure per leaf, a case takes
     # len(ops) + 1 scalars; the last decides nothing.
     for first, cs in case_blocks(substream(*key), cases, len(ops) + 1):
@@ -197,9 +196,9 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
             examples.append(check_weak_fc(
                 f, HiddenState(state, cs[i, 0]), permutations[case % count],
                 ScriptedUniforms(cs[i, 1:]), key=(*key, case)))
-        if keep_events:  # one event per case: its first scalar and composed value
+        if sink is not None:
             case = np.arange(first, first + len(cs))
-            blocks.append((case, case % count, cs[:, 0], rhs))
+            sink(Events(names, case, case % count, cs[:, 0], rhs))
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,
@@ -208,7 +207,6 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
         passes=passes,
         failures=cases - passes,
         failure_examples=tuple(examples),
-        events=Events.concat(names, blocks) if keep_events else None,
     )
 
 

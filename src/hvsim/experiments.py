@@ -10,7 +10,10 @@ its key. Identical (seed, trials) arguments reproduce identical reports.
 
 Single-shot trials are counted as they are drawn (model.tally, TALLY_BLOCK
 draws at a time) and sweeps run SWEEP_BLOCK cases at a time, so neither
-holds every draw at once unless its events are kept for the CSV report.
+holds every draw at once. A driver given a `sink` hands it each block's
+events as one Events record, labels included, as soon as the block is
+decided; with no sink it builds no events at all. The CSV report is written
+from those blocks as they arrive, so it does not hold every row either.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +119,6 @@ class StatReport:
     max_sigma_deviation: float
     tolerance_sigma: float
     passed: bool
-    events: Events | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(self.outcome_frequencies.values())
@@ -157,26 +159,27 @@ def _nearest_value(mapping: dict, value: float, tol: float) -> float:
     return best
 
 
-def _tally(decomp, state, rng, trials: int, setting: int, blocks) -> np.ndarray:
+def _tally(decomp, state, rng, trials: int, sink, labels, setting: int) -> np.ndarray:
     """Branch counts of `trials` single-shot trials on `state`, one draw of
-    `rng` each, tallied block by block as they are drawn. With `blocks` a
-    list, each block's events, under `setting`, are appended to it."""
+    `rng` each, tallied block by block as they are drawn. With a `sink`, each
+    block's events, under setting `setting` of `labels`, are handed to it."""
     counts = np.zeros(len(decomp.values), dtype=np.intp)
     for first, cs, block_counts in tally(decomp, state, rng, trials):
         counts += block_counts
-        if blocks is not None:
-            blocks.append((np.arange(first, first + len(cs)), np.full(len(cs), setting), cs,
-                           predict_batch(decomp, state, cs)))
+        if sink is not None:
+            sink(Events(labels, np.arange(first, first + len(cs)), np.full(len(cs), setting),
+                        cs, predict_batch(decomp, state, cs)))
     return counts
 
 
-def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
-                    keep_events: bool = False) -> StatReport:
+def born_experiment(cfg: ExperimentConfig, state: PureState, obs, sink=None) -> StatReport:
     """Monte Carlo check that prediction under uniform c reproduces Born
-    weights for one (state, observable) pair."""
+    weights for one (state, observable) pair. `sink`, if given, receives
+    each block of trials' events."""
     decomp = as_decomposition(obs)
-    blocks = [] if keep_events else None
-    counts = _tally(decomp, state, substream(cfg.seed, _BORN_TAG), cfg.trials, 0, blocks)
+    label = display_label(decomp)
+    counts = _tally(decomp, state, substream(cfg.seed, _BORN_TAG), cfg.trials, sink,
+                    (label,), 0)
     frequencies = counts / cfg.trials
     # A weight may overshoot 1 by rounding (a state's norm is only checked to 1e-12).
     expected = np.clip(decomp.weights(state), 0.0, 1.0)
@@ -190,7 +193,6 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
             deviation = abs(freq - p) / sigma
             max_dev = max(max_dev, deviation)
             passed = passed and deviation <= cfg.tolerance_sigma
-    label = display_label(decomp)
     return StatReport(
         observable_label=label,
         trials=cfg.trials,
@@ -203,7 +205,6 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs,
         max_sigma_deviation=float(max_dev),
         tolerance_sigma=cfg.tolerance_sigma,
         passed=bool(passed),
-        events=Events.concat((label,), blocks) if keep_events else None,
     )
 
 
@@ -492,7 +493,6 @@ class ChshReport:
     correlators: dict
     s_value: float
     classical_bound: float = 2.0
-    events: Events | None = field(default=None, repr=False, compare=False)
 
     @property
     def exceeds_classical(self) -> bool:
@@ -526,8 +526,7 @@ def _chsh_settings():
     )
 
 
-def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
-                    keep_events: bool = False) -> ChshReport:
+def chsh_experiment(cfg: ExperimentConfig, mode: str = "product", sink=None) -> ChshReport:
     """Estimate S = E[ZW] + E[ZV] + E[XW] - E[XV] on the Bell state.
 
     W and V are the diagonal Pauli combinations (Z+X)/sqrt2 and (Z-X)/sqrt2.
@@ -535,35 +534,39 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
     observable A (x) B; in "sequential" mode each trial measures A (x) I then
     I (x) B with collapse in between and multiplies the two readings. Both
     sample the same distribution; sequential is the slow cross-check.
+    `sink`, if given, receives each block of trials' events: in product mode
+    one per trial, set to its setting; in sequential mode one per side.
     """
     if mode not in ("product", "sequential"):
         raise ValueError(f"mode must be 'product' or 'sequential', got {mode!r}")
     state = bell_state()
+    if mode == "product":
+        labels = tuple(key for key, *_ in _chsh_settings())
+    else:
+        labels = tuple(f"{key}/{op.label}" for key, *_, ops in _chsh_settings() for op in ops)
     correlators = {}
-    labels, blocks = [], []
     s_value = 0.0
     for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
         if mode == "product":
             decomp = joint.spectrum()
             counts = _tally(decomp, state, substream(cfg.seed, _CHSH_PRODUCT_TAG, k),
-                            cfg.trials, k, blocks if keep_events else None)
+                            cfg.trials, sink, labels, k)
             # The values are exactly +-1 (see tensor), so every partial sum is
             # an exact integer: this equals the mean of the per-trial values.
             correlator = float(decomp.values @ counts) / cfg.trials
-            labels.append(key)
         else:
             total = 0.0
-            settings = np.arange(len(labels), len(labels) + len(ops))
-            labels += [f"{key}/{op.label}" for op in ops]
+            settings = len(ops) * k + np.arange(len(ops))
             rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k)
             for first, cs in case_blocks(rng, cfg.trials, len(ops)):
                 values = run_sequence(ops, state, cs)
                 # Summed left to right (np.sum pairs terms), so no bit of a
                 # seeded report depends on the block size.
                 total = np.cumsum(np.append(total, values[:, 0] * values[:, 1]))[-1]
-                if keep_events:  # case t's events are its steps, in order
+                if sink is not None:  # case t's events are its steps, in order
                     case = np.arange(first, first + len(cs)).repeat(len(ops))
-                    blocks.append((case, np.tile(settings, len(cs)), cs.ravel(), values.ravel()))
+                    sink(Events(labels, case, np.tile(settings, len(cs)), cs.ravel(),
+                                values.ravel()))
             correlator = float(total) / cfg.trials
         correlators[key] = correlator
         s_value += sign * correlator
@@ -572,7 +575,6 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product",
         trials_per_setting=cfg.trials,
         correlators=correlators,
         s_value=float(s_value),
-        events=Events.concat(labels, blocks) if keep_events else None,
     )
 
 
@@ -590,7 +592,6 @@ class LineProductReport:
     cases: int
     passes: int
     failures: int
-    events: Events | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
@@ -611,11 +612,11 @@ class LineProductReport:
 
 
 def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
-                              axis: str = "column",
-                              keep_events: bool = False) -> LineProductReport:
+                              axis: str = "column", sink=None) -> LineProductReport:
     """Measure one line's three observables sequentially in every order from
     Haar-random four-dimensional start states and check the reading product
-    against the line's forced scalar."""
+    against the line's forced scalar. `sink`, if given, receives each block
+    of cases' events, one per measurement."""
     square = peres_mermin()
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -624,8 +625,8 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
     permutations = np.array(list(itertools.permutations(range(3))))
     count = len(permutations)
     cases = trials * count  # case t * count + p runs permutation p
+    labels = tuple(f"{axis}{index}:{op.label}" for op in ops)
     passes = 0
-    blocks = []
     rng = substream(seed, _LINE_PRODUCT_TAG)
     for first, slots in case_blocks(rng, cases, LINE_SLOT_WIDTH):
         starts, cs = haar_amplitudes(slots[:, :-3]), slots[:, -3:]
@@ -633,8 +634,8 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
         orders = permutations[case % count]
         values = run_sequence(ops, starts, cs, orders)  # readings in measurement order
         passes += int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
-        if keep_events:  # a case's events are its steps, each set to the leaf it measured
-            blocks.append((case.repeat(3), orders.ravel(), cs.ravel(), values.ravel()))
+        if sink is not None:  # a case's events are its steps, each set to the leaf it measured
+            sink(Events(labels, case.repeat(3), orders.ravel(), cs.ravel(), values.ravel()))
     return LineProductReport(
         axis=axis,
         index=index,
@@ -644,6 +645,4 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
         cases=cases,
         passes=passes,
         failures=cases - passes,
-        events=(Events.concat((f"{axis}{index}:{op.label}" for op in ops), blocks)
-                if keep_events else None),
     )

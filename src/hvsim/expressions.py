@@ -232,27 +232,29 @@ def _resolve_leaf_value(mapping, op: HermitianOperator, leaves):
     )
 
 
-def _walk(f: ObservableExpression, resolved):
-    """Evaluate f's tree from the value of each distinct leaf, in the order
-    of f.operators: floats, or equal-length arrays walked elementwise with
-    the same operations in the same order, so each element keeps its bits."""
-    def walk(node):
-        if isinstance(node, Leaf):
-            return resolved[f._leaf_slots[id(node)]]
-        if isinstance(node, Sum):
-            return sum(walk(c) for c in node.children)
-        if isinstance(node, Product):
-            out = 1.0
-            for c in node.children:
-                out *= walk(c)
-            return out
-        if abs(node.factor.imag) > REAL_FACTOR_TOL:
-            raise ComplexFactorError(
-                f"scale factor {node.factor} is not real within {REAL_FACTOR_TOL}"
-            )
-        return node.factor.real * walk(node.child)
-
-    return walk(f.root)
+def _walk(f: ObservableExpression, resolved, node=None):
+    """Evaluate f's tree, or its subtree at `node`, from the value of each
+    distinct leaf, in the order of f.operators: floats, or equal-length
+    arrays walked elementwise with the same operations in the same order, so
+    each element keeps its bits. It recurses through itself rather than a
+    closure, which would hold `resolved` in a reference cycle until the
+    garbage collector ran."""
+    if node is None:
+        node = f.root
+    if isinstance(node, Leaf):
+        return resolved[f._leaf_slots[id(node)]]
+    if isinstance(node, Sum):
+        return sum(_walk(f, resolved, c) for c in node.children)
+    if isinstance(node, Product):
+        out = 1.0
+        for c in node.children:
+            out *= _walk(f, resolved, c)
+        return out
+    if abs(node.factor.imag) > REAL_FACTOR_TOL:
+        raise ComplexFactorError(
+            f"scale factor {node.factor} is not real within {REAL_FACTOR_TOL}"
+        )
+    return node.factor.real * _walk(f, resolved, node.child)
 
 
 def eval_real(f: ObservableExpression, leaf_values) -> float:

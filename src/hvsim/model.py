@@ -44,6 +44,7 @@ MAX_DRAW_ATTEMPTS = 64  # per scalar; numpy draws 0.0 w.p. 2**-53
 JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depends on it
+CSV_HEADER = "trial,setting,c,value\n"
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -177,8 +178,9 @@ class MeasurementRecord:
 
 @dataclass(frozen=True, eq=False)
 class Events:
-    """Per-event columns in report order: case index, setting (an index into
-    `labels`), hidden scalar c and reading; `concat` joins drivers' blocks."""
+    """One block of per-event columns in report order: case index, setting
+    (an index into `labels`), hidden scalar c and reading. A driver hands
+    each block it produces to its sink, so a run never holds all its events."""
 
     labels: tuple[str, ...]
     case: np.ndarray
@@ -186,31 +188,28 @@ class Events:
     c: np.ndarray
     value: np.ndarray
 
-    @classmethod
-    def concat(cls, labels, blocks) -> "Events":
-        return cls(tuple(labels), *map(np.concatenate, zip(*blocks)))
+    def csv_rows(self):
+        """Yield the block's rows of the report under CSV_HEADER, SWEEP_BLOCK
+        rows per string: the only CSV renderer.
 
-    def to_csv(self) -> str:
-        """The trial,setting,c,value report, rendered a column at a time and
-        joined one SWEEP_BLOCK of rows at a time.
-
-        Each label is quoted once by the csv module and reused on every row.
-        c and value are written as the repr of their float64s. value holds
-        few distinct numbers, so each distinct bit pattern is formatted once;
-        bits, unlike float equality, keep -0.0 apart from 0.0.
+        A string is one join of one flat list, four cells a row: the case
+        index; the setting's label between its commas, quoted once by the csv
+        module; the repr of c; and the repr of the value with the line end.
+        value holds few distinct numbers, so each distinct bit pattern is
+        formatted once; bits, unlike float equality, keep -0.0 apart from 0.0.
         """
-        labels = [_csv_field(label) for label in self.labels]
+        labels = [f",{_csv_field(label)}," for label in self.labels]
         value = np.asarray(self.value, dtype=float)
-        parts = ["trial,setting,c,value\n"]
         for first in range(0, len(value), SWEEP_BLOCK):
             block = slice(first, first + SWEEP_BLOCK)
             bits, which = np.unique(value[block].view(np.int64), return_inverse=True)
-            shown = list(map(repr, bits.view(float).tolist()))
-            rows = zip(map(str, self.case[block].tolist()),
-                       map(labels.__getitem__, self.setting[block].tolist()),
-                       map(repr, self.c[block].tolist()), map(shown.__getitem__, which.tolist()))
-            parts.append("\n".join(map(",".join, rows)) + "\n")
-        return "".join(parts)
+            shown = [f",{v!r}\n" for v in bits.view(float).tolist()]
+            cells = [""] * (4 * len(which))
+            cells[0::4] = map(str, self.case[block].tolist())
+            cells[1::4] = map(labels.__getitem__, self.setting[block].tolist())
+            cells[2::4] = map(repr, self.c[block].tolist())
+            cells[3::4] = map(shown.__getitem__, which.tolist())
+            yield "".join(cells)
 
 
 def _csv_field(text: str) -> str:
@@ -372,18 +371,13 @@ def _count(edges, cs) -> np.ndarray:
     return -np.diff(reached + [0])
 
 
-def branch_counts(obs, state, cs) -> np.ndarray:
-    """np.bincount of branch_indices, taken from one comparison per edge: the
-    count tally makes of each block."""
-    return _count(_state_edges(obs, state), cs)
-
-
 def tally(obs, state, rng, trials: int):
     """Yield (first trial, cs, counts) over the next `trials` draws of `rng`,
-    one per trial, read TALLY_BLOCK at a time: counts holds branch_counts of
-    the block's hidden scalars cs, with the edges taken once. The counts of
-    all blocks sum to branch_counts of the whole stream read at once, so no
-    result depends on the block size, and memory does not grow with trials.
+    one per trial, read TALLY_BLOCK at a time: counts holds the branch
+    counts of the block's hidden scalars cs (np.bincount of branch_indices),
+    with the edges taken once. The counts of all blocks sum to those of the
+    whole stream read at once, so no result depends on the block size, and
+    memory does not grow with trials.
     """
     edges = _state_edges(obs, state)
     for first in range(0, trials, TALLY_BLOCK):

@@ -30,11 +30,26 @@ MULTI_BLOCK_SHOTS = (
 FROZEN_COMMANDS = ("table1", "pm-square", "no-go", "strong-fc", "implications")
 
 
-def rows_of(events):
-    """An Events record as (case, label, c, value) tuples, in the order and
-    with the values of its CSV rows."""
-    return list(zip(events.case.tolist(), [events.labels[s] for s in events.setting.tolist()],
-                    events.c.tolist(), events.value.tolist()))
+class Blocks(list):
+    """A sink that keeps every block of events a driver hands it, in order."""
+
+    def __call__(self, events):
+        self.append(events)
+
+    @property
+    def labels(self):
+        """The labels every block carries; blocks of one run share them."""
+        (labels,) = {events.labels for events in self}
+        return labels
+
+
+def rows_of(blocks):
+    """Blocks of events as (case, label, c, value) tuples, in the order and
+    with the values of their CSV rows."""
+    return [row for events in blocks
+            for row in zip(events.case.tolist(),
+                           [events.labels[s] for s in events.setting.tolist()],
+                           events.c.tolist(), events.value.tolist())]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

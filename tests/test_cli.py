@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 import hvsim
 from conftest import FROZEN_COMMANDS, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS, SINGLE_SHOTS
-from hvsim import experiments, model, operators
+from hvsim import cli, experiments, model, operators
 from hvsim.cli import build_parser, main
+from hvsim.errors import HiddenDrawError
 from hvsim.expressions import Leaf, Scale, peres_mermin
 
 EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
@@ -195,6 +197,18 @@ def test_seeded_reports_do_not_depend_on_block_size(capsys, monkeypatch, name, a
     assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, argv", [("table1", ["table1"])] + [
+    (name, list(argv)) for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS])
+def test_csv_pins_do_not_depend_on_any_block_size(capsys, monkeypatch, name, argv):
+    # Drawn, swept and rendered in blocks of 7, every report streams the
+    # pinned bytes, header once, rows in order.
+    monkeypatch.setattr(model, "TALLY_BLOCK", 7)
+    monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @SINGLE_SHOT_CALLS
 def test_single_shot_reports_do_not_depend_on_tally_block(capsys, monkeypatch, name, argv, fmt):
@@ -229,6 +243,71 @@ def test_library_error_in_a_runner_exits_one(capsys, monkeypatch):
     assert err.startswith("error: iteration 1: row products (1, 1, 1)")
 
 
+def _emits_one_block_then_fails(cfg, state, obs, sink=None):
+    """A born driver that hands its sink one block of two events, then fails."""
+    sink(model.Events(("Z",), np.arange(2), np.zeros(2, dtype=int), np.array([0.25, 0.75]),
+                      np.array([-1.0, 1.0])))
+    raise HiddenDrawError("the stream ran dry")
+
+
+class TestMidRunError:
+    """A library error after some blocks were streamed exits 1. stdout keeps
+    the rows already written; an --out file is left as it was."""
+
+    @pytest.fixture(autouse=True)
+    def failing_born(self, monkeypatch):
+        monkeypatch.setattr(cli, "born_experiment", _emits_one_block_then_fails)
+
+    def test_stdout_holds_the_rows_written(self, capsys):
+        code, out, err = run(capsys, "born", "--format", "csv")
+        assert code == 1
+        assert out == "trial,setting,c,value\n0,Z,0.25,-1.0\n1,Z,0.75,1.0\n"
+        assert err == "error: the stream ran dry\n"
+
+    def test_out_file_is_left_untouched(self, tmp_path, capsys):
+        target = tmp_path / "trials.csv"
+        target.write_text("an earlier report\n", encoding="utf-8")
+        code, out, err = run(capsys, "born", "--format", "csv", "--out", str(target))
+        assert (code, out, err) == (1, "", "error: the stream ran dry\n")
+        assert target.read_text(encoding="utf-8") == "an earlier report\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_out_file_is_not_created(self, tmp_path, capsys):
+        target = tmp_path / "trials.csv"
+        code, _, _ = run(capsys, "born", "--format", "csv", "--out", str(target))
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class _Discard:
+    """A stdout that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("born", "--trials", "1000000"),
+    ("weak-fc", "--trials", "50000"),
+], ids=["born", "weak-fc"])
+def test_csv_memory_stays_flat_in_trials(monkeypatch, argv):
+    # Streamed block by block, a run holds one block of events and one
+    # SWEEP_BLOCK of rows at a time (about 3 MB), where holding every row
+    # took about 100 MB for 1M born rows and 37 MB for 300k weak-fc rows.
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    assert main([*argv[:-1], "1", "--format", "csv"]) == 0  # caches built outside the trace
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--format", "csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * model.TALLY_BLOCK * np.dtype(float).itemsize
+
+
 class TestCsvOutput:
     def test_table1_rows_frozen(self, capsys):
         code, out, _ = run(capsys, "table1", "--format", "csv")
@@ -247,11 +326,16 @@ class TestCsvOutput:
 
     @pytest.mark.parametrize("command", ["pm-square", "no-go", "strong-fc",
                                          "implications"])
-    def test_unsupported_commands(self, capsys, command):
+    def test_unsupported_commands(self, capsys, monkeypatch, command):
+        # Refused before the command runs, so no error of its own can
+        # change the exit code.
+        monkeypatch.setitem(cli._RUNNERS, command,
+                            lambda *_: pytest.fail(f"{command} ran for --format csv"))
         code, out, err = run(capsys, command, "--format", "csv")
         assert code == 2
         assert out == ""
-        assert "csv output is not available" in err
+        assert err == (f"error: csv output is not available for '{command}';"
+                       " use --format json or text\n")
 
 
 class TestUsageErrors:
@@ -302,6 +386,27 @@ class TestOutFile:
         lines = target.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "trial,setting,c,value"
         assert len(lines) == 13
+
+    def test_csv_replaces_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "cases.csv"
+        target.write_text("an earlier report\n", encoding="utf-8")
+        code, out, _ = run(capsys, "weak-fc", "--trials", "5", "--format", "csv",
+                           "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="utf-8") == (
+            SEEDED_DIR / "weak-fc.csv").read_text(encoding="utf-8")
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_symlinked_path_writes_its_target(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("an earlier report\n", encoding="utf-8")
+        link = tmp_path / "latest.json"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "no-go", "--format", "json", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == (
+            EXPECTED_DIR / "no-go.json").read_text(encoding="utf-8")
 
     def test_unwritable_path_is_a_usage_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"

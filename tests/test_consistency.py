@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rows_of
+from conftest import Blocks, rows_of
 from hvsim import consistency
 from hvsim import (
     DimensionMismatchError,
@@ -228,8 +228,8 @@ class TestVerifyProposition:
 
     def test_counts_and_rows(self):
         f = column3_expression()
-        summary = verify_proposition(f, basis_ket(4, 0), trials=5, key=(5, 6),
-                                     keep_events=True)
+        blocks = Blocks()
+        summary = verify_proposition(f, basis_ket(4, 0), trials=5, key=(5, 6), sink=blocks)
         assert summary.trials == 5
         assert summary.permutation_count == 6
         assert summary.cases == 30
@@ -237,7 +237,7 @@ class TestVerifyProposition:
         assert summary.failures == 0
         assert summary.all_passed
         assert summary.failure_examples == ()
-        rows = rows_of(summary.events)
+        rows = rows_of(blocks)
         assert len(rows) == 30
         case, setting, c, value = rows[0]
         assert case == 0
@@ -245,7 +245,7 @@ class TestVerifyProposition:
         assert 0.0 < c < 1.0
         assert value == -1.0
         assert [row[0] for row in rows] == list(range(30))
-        assert summary.events.labels == tuple(
+        assert blocks.labels == tuple(
             f"perm({','.join(map(str, p))})" for p in itertools.permutations(range(3)))
 
     def test_cases_match_check_weak_fc_replay(self):
@@ -255,10 +255,11 @@ class TestVerifyProposition:
         b = HermitianOperator(np.diag([2.0, 1.0]), "B")
         f = ObservableExpression(Sum(Leaf(a), Scale(2.0, Leaf(b))))
         state = normalized([1.0, 1.0])
-        summary = verify_proposition(f, state, trials=20, key=(4, 6), keep_events=True)
+        blocks = Blocks()
+        summary = verify_proposition(f, state, trials=20, key=(4, 6), sink=blocks)
         assert summary.all_passed
         readings = set()
-        for case, _, c, rhs in rows_of(summary.events):
+        for case, _, c, rhs in rows_of(blocks):
             permutation = [(0, 1), (1, 0)][case % 2]
             slot = case_slot((4, 6, case), 3)
             report = check_weak_fc(f, HiddenState(state, slot[0]), permutation,
@@ -270,7 +271,7 @@ class TestVerifyProposition:
     def test_rows_dropped_by_default(self):
         f = column3_expression()
         summary = verify_proposition(f, basis_ket(4, 0), trials=2, key=(0, 6))
-        assert summary.events is None
+        assert not hasattr(summary, "events")
 
     def test_requires_eigenstate(self):
         zz = tensor(pauli("z"), pauli("z"), "ZZ")

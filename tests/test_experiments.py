@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rows_of
+from conftest import Blocks, rows_of
 from hvsim import (
     ExperimentConfig,
     HermitianOperator,
@@ -34,7 +34,7 @@ from hvsim import (
     StatReport,
     basis_ket,
     bell_state,
-    branch_counts,
+    branch_indices,
     born_experiment,
     born_scenario_sweep,
     chsh_experiment,
@@ -159,9 +159,9 @@ class TestBornExperiment:
 
     def test_trial_rows(self):
         cfg = ExperimentConfig(seed=1, trials=50)
-        report = born_experiment(cfg, spin_state(0.9), pauli("z"),
-                                 keep_events=True)
-        events = report.events
+        blocks = Blocks()
+        born_experiment(cfg, spin_state(0.9), pauli("z"), sink=blocks)
+        (events,) = blocks
         assert [len(a) for a in (events.case, events.setting, events.c, events.value)] == [50] * 4
         assert events.labels == ("Z",)
         assert events.case.tolist() == list(range(50))
@@ -169,7 +169,7 @@ class TestBornExperiment:
         assert ((0.0 < events.c) & (events.c < 1.0)).all()
         assert set(events.value.tolist()) <= {-1.0, 1.0}
         plain = born_experiment(cfg, spin_state(0.9), pauli("z"))
-        assert plain.events is None
+        assert not hasattr(plain, "events")
 
 
 class TestBornSweep:
@@ -213,7 +213,7 @@ class TestReplay:
 
     def test_trace_and_csv_rows(self):
         report = replay_table1()
-        rows = rows_of(report.events)
+        rows = rows_of([report.events])
         assert rows == [
             (0, "ZZ", 0.4, 1.0),
             (1, "YY", 0.1, -1.0),
@@ -328,15 +328,16 @@ class TestChsh:
 
     def test_product_rows(self):
         cfg = ExperimentConfig(seed=2, trials=25)
-        report = chsh_experiment(cfg, keep_events=True)
-        rows = rows_of(report.events)
+        blocks = Blocks()
+        chsh_experiment(cfg, sink=blocks)
+        rows = rows_of(blocks)
         assert len(rows) == 4 * 25
         settings = {row[1] for row in rows}
         assert settings == {"ZW", "ZV", "XW", "XV"}
         assert [row[0] for row in rows] == list(range(25)) * 4
         # A joint's values are exact products of its factors' +-1 (see tensor).
         assert all(abs(row[3]) == 1.0 for row in rows)
-        assert chsh_experiment(cfg).events is None
+        assert not hasattr(chsh_experiment(cfg), "events")
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32), trials=st.integers(1, 3000))
@@ -345,8 +346,9 @@ class TestChsh:
         # the per-trial values bit for bit, and so does its CSV value column.
         cfg = ExperimentConfig(seed=seed, trials=trials)
         report = chsh_experiment(cfg)
-        kept = chsh_experiment(cfg, keep_events=True)
-        rows = _csv_rows(kept.events)
+        blocks = Blocks()
+        kept = chsh_experiment(cfg, sink=blocks)
+        rows = _csv_rows(blocks)
         for k, (key, *_, joint, _) in enumerate(_chsh_settings()):
             cs = model.draw_hidden_batch(substream(seed, _CHSH_PRODUCT_TAG, k), trials)
             mean = model.predict_batch(joint, bell_state(), cs).mean()
@@ -356,14 +358,15 @@ class TestChsh:
 
     def test_sequential_rows_record_both_halves(self):
         cfg = ExperimentConfig(seed=2, trials=5)
-        report = chsh_experiment(cfg, mode="sequential", keep_events=True)
-        rows = rows_of(report.events)
+        blocks = Blocks()
+        chsh_experiment(cfg, mode="sequential", sink=blocks)
+        rows = rows_of(blocks)
         assert len(rows) == 2 * 4 * 5
         assert rows[0][1] == "ZW/ZI"
         assert rows[1][1] == "ZW/IW"
-        assert report.events.labels == ("ZW/ZI", "ZW/IW", "ZV/ZI", "ZV/IV",
+        assert blocks.labels == ("ZW/ZI", "ZW/IW", "ZV/ZI", "ZV/IV",
                                         "XW/XI", "XW/IW", "XV/XI", "XV/IV")
-        assert chsh_experiment(cfg, mode="sequential").events is None
+        assert not hasattr(chsh_experiment(cfg, mode="sequential"), "events")
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -394,12 +397,13 @@ class TestLineProduct:
         assert report.all_passed
 
     def test_event_rows(self):
-        report = column_product_experiment(trials=2, seed=0, keep_events=True)
-        rows = rows_of(report.events)
+        blocks = Blocks()
+        report = column_product_experiment(trials=2, seed=0, sink=blocks)
+        rows = rows_of(blocks)
         assert len(rows) == 3 * report.cases
         labels = {row[1] for row in rows}
         assert labels == {"column3:XX", "column3:YY", "column3:ZZ"}
-        assert column_product_experiment(trials=2, seed=0).events is None
+        assert not hasattr(column_product_experiment(trials=2, seed=0), "events")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -442,9 +446,10 @@ class TestSingleShotTrialsReplayFromTheirKeys:
     def test_born(self, seed, theta, data):
         trials = data.draw(st.integers(1, 300), label="trials")
         state = spin_state(theta)
-        report = born_experiment(ExperimentConfig(seed=seed, trials=trials), state,
-                                 pauli("z"), keep_events=True)
-        rows = _csv_rows(report.events)
+        blocks = Blocks()
+        born_experiment(ExperimentConfig(seed=seed, trials=trials), state, pauli("z"),
+                        sink=blocks)
+        rows = _csv_rows(blocks)
         for t in data.draw(st.lists(st.integers(0, trials - 1), min_size=1, max_size=5),
                            label="replayed"):
             (c,) = case_slot((seed, _BORN_TAG, t), 1)
@@ -456,8 +461,9 @@ class TestSingleShotTrialsReplayFromTheirKeys:
     @given(seed=st.integers(0, 2**32), data=st.data())
     def test_product_chsh(self, seed, data):
         trials = data.draw(st.integers(1, 300), label="trials")
-        report = chsh_experiment(ExperimentConfig(seed=seed, trials=trials), keep_events=True)
-        rows = _csv_rows(report.events)
+        blocks = Blocks()
+        chsh_experiment(ExperimentConfig(seed=seed, trials=trials), sink=blocks)
+        rows = _csv_rows(blocks)
         for k, t in data.draw(st.lists(st.tuples(st.integers(0, 3),
                                                  st.integers(0, trials - 1)),
                                        min_size=1, max_size=5), label="replayed"):
@@ -485,49 +491,53 @@ def _opened_streams(monkeypatch) -> dict:
 
 
 class TestTallyAtBlockBoundaries:
-    """Tallied in blocks of 7 draws, a single-shot run counts what
-    branch_counts counts on its whole stream read at once, reads exactly one
-    draw per trial, and writes CSV rows that replay from their keys."""
+    """Tallied in blocks of 7 draws, a single-shot run counts what np.bincount
+    of branch_indices counts on its whole stream read at once, reads exactly
+    one draw per trial, and writes CSV rows that replay from their keys."""
 
     @pytest.fixture(autouse=True)
     def tally_block(self, monkeypatch):
         monkeypatch.setattr(model, "TALLY_BLOCK", 7)
 
-    @pytest.mark.parametrize("keep_events", [False, True])
+    @pytest.mark.parametrize("with_sink", [False, True])
     @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
-    def test_born(self, monkeypatch, trials, keep_events):
+    def test_born(self, monkeypatch, trials, with_sink):
         seed, state, obs = 4, spin_state(0.7), pauli("z")
         opened = _opened_streams(monkeypatch)
+        blocks = Blocks()
         report = born_experiment(ExperimentConfig(seed=seed, trials=trials), state, obs,
-                                 keep_events=keep_events)
+                                 sink=blocks if with_sink else None)
         reference = substream(seed, _BORN_TAG)
         cs = model.draw_hidden_batch(reference, trials)
-        counts = branch_counts(obs, state, cs)
+        counts = np.bincount(branch_indices(obs, state, cs), minlength=2)
         assert list(report.outcome_frequencies.values()) == list(counts / trials)
         assert opened[(seed, _BORN_TAG)].random() == reference.random()
-        if keep_events:
-            rows = _csv_rows(report.events)
+        assert len(blocks) == (-(-trials // 7) if with_sink else 0)
+        if with_sink:
+            rows = _csv_rows(blocks)
             assert len(rows) == trials
             for t, (trial, label, c, value) in enumerate(rows):
                 (want,) = case_slot((seed, _BORN_TAG, t), 1)
                 assert (int(trial), label, float(c)) == (t, "Z", want)
                 assert float(value) == predict(obs, HiddenState(state, want))
 
-    @pytest.mark.parametrize("keep_events", [False, True])
+    @pytest.mark.parametrize("with_sink", [False, True])
     @pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
-    def test_product_chsh(self, monkeypatch, trials, keep_events):
+    def test_product_chsh(self, monkeypatch, trials, with_sink):
         seed = 6
         opened = _opened_streams(monkeypatch)
+        blocks = Blocks()
         report = chsh_experiment(ExperimentConfig(seed=seed, trials=trials),
-                                 keep_events=keep_events)
-        rows = _csv_rows(report.events) if keep_events else None
+                                 sink=blocks if with_sink else None)
+        rows = _csv_rows(blocks)
+        assert len(blocks) == (4 * -(-trials // 7) if with_sink else 0)
         for k, (key, *_, joint, _) in enumerate(_chsh_settings()):
             reference = substream(seed, _CHSH_PRODUCT_TAG, k)
             cs = model.draw_hidden_batch(reference, trials)
-            counts = branch_counts(joint, bell_state(), cs)
+            counts = np.bincount(branch_indices(joint, bell_state(), cs), minlength=2)
             assert report.correlators[key] == float(joint.spectrum().values @ counts) / trials
             assert opened[(seed, _CHSH_PRODUCT_TAG, k)].random() == reference.random()
-            if keep_events:
+            if with_sink:
                 for t in range(trials):
                     (want,) = case_slot((seed, _CHSH_PRODUCT_TAG, k, t), 1)
                     trial, label, c, value = rows[k * trials + t]
@@ -558,9 +568,10 @@ def test_single_shot_memory_stays_flat_in_trials(run):
     assert _traced_peak(lambda: run(1_000_000)) < 4 * block_bytes
 
 
-def _csv_rows(events):
-    """The data rows of an Events record's CSV report, as strings."""
-    return list(csv.reader(io.StringIO(events.to_csv())))[1:]
+def _csv_rows(blocks):
+    """The data rows of blocks of events, as the CSV report writes them, as strings."""
+    return list(csv.reader(io.StringIO("".join(
+        rows for events in blocks for rows in events.csv_rows()))))
 
 
 @pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
@@ -576,8 +587,9 @@ class TestSweepsReplayOnTheScalarPath:
 
     def test_chsh_sequential(self):
         cfg = ExperimentConfig(seed=5, trials=40)
-        report = chsh_experiment(cfg, mode="sequential", keep_events=True)
-        rows = iter(rows_of(report.events))
+        blocks = Blocks()
+        report = chsh_experiment(cfg, mode="sequential", sink=blocks)
+        rows = iter(rows_of(blocks))
         for k, (key, a, b, *_) in enumerate(_chsh_settings()):
             ops = (tensor(a, identity(2)), tensor(identity(2), b))
             total = 0.0
@@ -590,12 +602,13 @@ class TestSweepsReplayOnTheScalarPath:
 
     @pytest.mark.parametrize("axis, index", [("column", 3), ("row", 2)])
     def test_column_product(self, axis, index):
+        blocks = Blocks()
         report = column_product_experiment(trials=4, seed=9, axis=axis, index=index,
-                                           keep_events=True)
+                                           sink=blocks)
         square = peres_mermin()
         ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
         permutations = list(itertools.permutations(range(3)))
-        rows = iter(rows_of(report.events))
+        rows = iter(rows_of(blocks))
         passes = 0
         for case in range(report.cases):
             slot = case_slot((9, _LINE_PRODUCT_TAG, case), LINE_SLOT_WIDTH)
@@ -619,9 +632,10 @@ class TestSweepsReplayOnTheScalarPath:
         assert f.operators == (a, b)  # the block's columns, in this order
         monkeypatch.setattr(consistency, "eval_real_block", lambda f, readings: (
             swept.extend(readings.tolist()), eval_real_block(f, readings))[1])
-        summary = verify_proposition(f, state, trials=15, key=(4, 6), keep_events=True)
+        blocks = Blocks()
+        verify_proposition(f, state, trials=15, key=(4, 6), sink=blocks)
         readings = set()
-        for (case, _, c, rhs), leaf_readings in zip(rows_of(summary.events), swept,
+        for (case, _, c, rhs), leaf_readings in zip(rows_of(blocks), swept,
                                                     strict=True):
             key = (4, 6, case)
             slot = case_slot(key, 3)

@@ -23,6 +23,7 @@ from hvsim import model
 from hvsim.cli import main
 from hvsim.expressions import peres_mermin
 from hvsim.model import (
+    CSV_HEADER,
     MIN_BRANCH_WEIGHT,
     Events,
     HiddenState,
@@ -30,7 +31,6 @@ from hvsim.model import (
     MeasurementTrace,
     ScriptedUniforms,
     as_decomposition,
-    branch_counts,
     branch_indices,
     case_blocks,
     case_slot,
@@ -348,30 +348,37 @@ _LABELS = st.one_of(st.sampled_from(["", ",", '"', "\n", "\r", " ", "ψ⊗φ", "
                     st.text())
 
 
-def _row_by_row_csv(events):
+def _row_by_row_csv(blocks):
     """Reference rendering: one csv.writer row per event, built from Python
     scalars, as the report's rows were written before the columnar record."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("trial", "setting", "c", "value"))
-    for case, setting, c, value in zip(events.case, events.setting, events.c, events.value):
-        writer.writerow((int(case), events.labels[setting], float(c), float(value)))
+    for events in blocks:
+        for case, setting, c, value in zip(events.case, events.setting, events.c,
+                                           events.value):
+            writer.writerow((int(case), events.labels[setting], float(c), float(value)))
     return buffer.getvalue()
+
+
+def _csv(blocks):
+    """The CSV report of blocks of events, as the command line writes it."""
+    return CSV_HEADER + "".join(rows for events in blocks for rows in events.csv_rows())
 
 
 class TestEvents:
     def test_csv_matches_a_row_by_row_writer(self):
         labels = ("plain", "a,b", 'say "hi"', "two\nlines", "perm(0,1,2)")
-        events = Events.concat(labels, [
-            (np.arange(3), np.array([1, 2, 3]), np.array([0.1, 5e-324, 1.0 - 2.0**-53]),
-             np.array([-0.0, 1.0, -1.0])),
-            (np.array([3, 4]), np.array([4, 0]), np.array([2.0**-54, 0.5]),
-             np.array([0.9999999999999998, 5e-324])),
-        ])
-        assert events.case.tolist() == [0, 1, 2, 3, 4]
-        assert events.setting.tolist() == [1, 2, 3, 4, 0]
-        text = events.to_csv()
-        assert text == _row_by_row_csv(events)
+        blocks = [
+            Events(labels, np.arange(3), np.array([1, 2, 3]),
+                   np.array([0.1, 5e-324, 1.0 - 2.0**-53]), np.array([-0.0, 1.0, -1.0])),
+            Events(labels, np.array([3, 4]), np.array([4, 0]), np.array([2.0**-54, 0.5]),
+                   np.array([0.9999999999999998, 5e-324])),
+        ]
+        assert [case for events in blocks for case in events.case.tolist()] == [0, 1, 2, 3, 4]
+        assert [s for events in blocks for s in events.setting.tolist()] == [1, 2, 3, 4, 0]
+        text = _csv(blocks)
+        assert text == _row_by_row_csv(blocks)
         assert text.splitlines()[:2] == ["trial,setting,c,value", '0,"a,b",0.1,-0.0']
         assert '1,"say ""hi""",5e-324,1.0' in text
         assert '2,"two\nlines",0.9999999999999999,-1.0' in text
@@ -380,7 +387,7 @@ class TestEvents:
 
     def test_an_empty_label_is_an_empty_field(self):
         events = Events(("",), np.array([0]), np.array([0]), np.array([0.5]), np.array([-1.0]))
-        assert events.to_csv() == "trial,setting,c,value\n0,,0.5,-1.0\n"
+        assert _csv([events]) == "trial,setting,c,value\n0,,0.5,-1.0\n"
 
     @settings(deadline=None, max_examples=80)
     @given(labels=st.lists(_LABELS, min_size=1, max_size=6), rows=st.integers(0, 64),
@@ -401,8 +408,8 @@ class TestEvents:
         events = Events(tuple(labels), rng.integers(0, 10**12, rows),
                         rng.integers(0, len(labels), rows), column(c_bits), column(value_bits))
         # Compared line by line, so that a failure shows its first differing line.
-        pairs = itertools.zip_longest(events.to_csv().splitlines(True),
-                                      _row_by_row_csv(events).splitlines(True))
+        pairs = itertools.zip_longest(_csv([events]).splitlines(True),
+                                      _row_by_row_csv([events]).splitlines(True))
         assert [pair for pair in pairs if pair[0] != pair[1]][:1] == []
 
 
@@ -529,11 +536,11 @@ class TestCaseSlots:
         blocks = list(tally(op, state, rng, trials))
         assert [first for first, _, _ in blocks] == list(range(0, trials, 7))
         for _, cs, counts in blocks:
-            np.testing.assert_array_equal(counts, branch_counts(op, state, cs))
+            np.testing.assert_array_equal(counts, _bincount(op, state, cs))
         whole = draw_hidden_batch(reference, trials)
         np.testing.assert_array_equal(np.concatenate([cs for _, cs, _ in blocks]), whole)
         np.testing.assert_array_equal(sum(counts for _, _, counts in blocks),
-                                      branch_counts(op, state, whole))
+                                      _bincount(op, state, whole))
         assert rng.random() == reference.random()  # one draw per trial, none read ahead
 
     def test_raw_extremes_map_strictly_inside(self):
@@ -729,6 +736,17 @@ def _searchsorted_select(decomp, amplitudes, cs):
     return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
 
 
+def _branch_counts(obs, state, cs):
+    """tally's count of one block, model._count, on the edges of one state."""
+    return model._count(model._state_edges(obs, state), cs)
+
+
+def _bincount(obs, state, cs):
+    """The branch counts of `cs` by the index rule: np.bincount of branch_indices."""
+    return np.bincount(branch_indices(obs, state, cs),
+                       minlength=len(as_decomposition(obs).values))
+
+
 def _edge_neighbourhood(decomp, amplitudes):
     """Every cumulative edge, one ulp either side of it, and both ends of (0, 1)."""
     cs = [np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)]
@@ -788,11 +806,9 @@ class TestEdgeCountSelection:
             edges = _edge_neighbourhood(decomp, state.amplitudes)
             cs = np.concatenate((edges, rng.uniform(size=size)))
             rng.shuffle(cs)
-            counts = branch_counts(decomp, state, cs)
+            counts = _branch_counts(decomp, state, cs)
             assert counts.dtype == np.intp
-            np.testing.assert_array_equal(
-                counts, np.bincount(branch_indices(decomp, state, cs),
-                                    minlength=len(decomp.values)))
+            np.testing.assert_array_equal(counts, _bincount(decomp, state, cs))
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan])
     def test_hidden_scalars_outside_the_open_interval_are_rejected(self, bad):
@@ -801,14 +817,14 @@ class TestEdgeCountSelection:
         def sequence(obs, state, cs):
             return run_sequence([obs], state, cs[:, None])
 
-        for rule in (branch_indices, branch_counts, sequence):
+        for rule in (branch_indices, _branch_counts, sequence):
             with pytest.raises(ValueError):
                 rule(pauli("z"), basis_ket(2, 0), cs)
 
     def test_empty_scalars_are_accepted(self):
         state = normalized([1.0, 1.0])
         assert branch_indices(pauli("z"), state, np.array([])).shape == (0,)
-        np.testing.assert_array_equal(branch_counts(pauli("z"), state, []), [0, 0])
+        np.testing.assert_array_equal(_branch_counts(pauli("z"), state, []), [0, 0])
 
 
 def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
