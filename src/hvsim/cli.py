@@ -2,8 +2,9 @@
 emits its report as text, JSON or CSV; the exit code states the verdict.
 
 A CSV report is streamed: its rows are written block by block as the driver
-hands each block of events to the sink, never held whole. `--out PATH`
-writes to a file next to PATH that replaces PATH only once the run succeeds.
+hands each block of events to the sink, never held whole. With `--out PATH`
+naming a regular file or none, it is written to a file next to PATH that
+replaces PATH only once the run succeeds.
 
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
@@ -198,7 +199,7 @@ def _run_born(args, sink):
     return payload, report.passed, text
 
 
-def _run_pm_square(args, sink):
+def _run_pm_square(args):
     square = peres_mermin()
     max_comm = max(f.max_commutator_norm for f in square.lines)
     max_identity_gap = square.identity_deviation
@@ -220,7 +221,7 @@ def _run_pm_square(args, sink):
     return payload, True, text
 
 
-def _run_no_go(args, sink):
+def _run_no_go(args):
     result = no_go_search(peres_mermin())
     passed = result.satisfying_assignments == 0
     lines = [
@@ -254,7 +255,7 @@ def _run_weak_fc(args, sink):
     return payload, summary.all_passed, text
 
 
-def _run_strong_fc(args, sink):
+def _run_strong_fc(args):
     square = peres_mermin()
     f = square.column_expression(3)
     hidden = HiddenState(basis_ket(4, 0), args.c)
@@ -275,7 +276,7 @@ def _run_strong_fc(args, sink):
     return report.as_dict(), witnessed, text
 
 
-def _run_implications(args, sink):
+def _run_implications(args):
     report = implications_demo(args.c)
     passed = report.post_collapse_consistent and report.non_fc_witnessed
     mismatches = " ".join(
@@ -333,21 +334,21 @@ def _run_column_product(args, sink):
     return payload, report.all_passed, text
 
 
-# Each runner takes the parsed arguments and a sink for the CSV report's
-# blocks of events (None unless --format csv) and returns (payload, passed, text).
+# Each command's runner and whether it streams CSV events. A runner that
+# does takes the parsed arguments and a sink for the report's blocks of
+# events (None unless --format csv); the others take the arguments alone.
+# Every runner returns (payload, passed, text).
 _RUNNERS = {
-    "table1": _run_table1,
-    "born": _run_born,
-    "pm-square": _run_pm_square,
-    "no-go": _run_no_go,
-    "weak-fc": _run_weak_fc,
-    "strong-fc": _run_strong_fc,
-    "implications": _run_implications,
-    "chsh": _run_chsh,
-    "column-product": _run_column_product,
+    "table1": (_run_table1, True),
+    "born": (_run_born, True),
+    "pm-square": (_run_pm_square, False),
+    "no-go": (_run_no_go, False),
+    "weak-fc": (_run_weak_fc, True),
+    "strong-fc": (_run_strong_fc, False),
+    "implications": (_run_implications, False),
+    "chsh": (_run_chsh, True),
+    "column-product": (_run_column_product, True),
 }
-# The commands whose runners hand events to a sink.
-_CSV_COMMANDS = frozenset({"table1", "born", "weak-fc", "chsh", "column-product"})
 
 
 def _to_stdout(text: str) -> None:
@@ -378,53 +379,98 @@ def _csv_sink(write):
     return sink
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
+def _is_regular_file(path: str, target: str) -> bool:
+    """Whether `path` is a regular file that `target`, its resolved name,
+    names too (/dev/stdout on a file since deleted is not)."""
+    return (os.path.isfile(path) and os.path.exists(target)
+            and os.path.samefile(path, target))
+
+
+class _Output:
+    """Where a report goes: stdout, or PATH opened at the first write, so a
+    run that fails before writing leaves PATH alone. A CSV report bound for
+    a regular file, or for a new one, is staged in a file next to it that
+    takes the file's mode and replaces it only once the run succeeds, so a
+    run that fails mid-stream leaves PATH as it was. Any other PATH (the
+    null device, a FIFO, a terminal) is written directly, as is a json or
+    text report, which is written whole after the run."""
+
+    def __init__(self, path, stage):
+        self.path = path
+        self.stage = stage
+        self.handle = None
+        self.staged = None
+
+    def write(self, text: str) -> None:
+        if self.path is None:
+            _to_stdout(text)
+            return
+        if self.handle is None:
+            self._open()
+        self.handle.write(text)
+
+    def _open(self) -> None:
+        target = os.path.realpath(self.path)  # through symlinks, as open() would write
+        exists = os.path.exists(self.path)
+        if not self.stage or exists and not _is_regular_file(self.path, target):
+            self.handle = open(self.path, "w", encoding="utf-8")
+            return
+        if exists:
+            open(target, "a").close()  # refused wherever writing PATH itself would be
+        staged = f"{target}.{os.getpid()}.tmp"
+        self.handle = open(staged, "x", encoding="utf-8")
+        self.staged, self.target = staged, target
+        if exists:
+            os.chmod(staged, os.stat(target).st_mode & 0o7777)
+
+    def commit(self) -> None:
+        """Close PATH, moving a staged report into place."""
+        if self.handle is not None:
+            self.handle.close()
+        if self.staged is not None:
+            os.replace(self.staged, self.target)
+            self.staged = None
+
+    def discard(self) -> None:
+        """Close PATH and remove a staged report that was not committed."""
+        if self.handle is not None:
+            self.handle.close()
+        if self.staged is not None:
+            os.unlink(self.staged)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+    runner, streams_events = _RUNNERS[args.command]
+    if args.format == "csv" and not streams_events:
         print(f"error: csv output is not available for '{args.command}';"
               " use --format json or text", file=sys.stderr)
         return 2
-    staged = None
-    if args.out:
-        target = os.path.realpath(args.out)  # through a symlink, as open() would write
-        staged = f"{target}.{os.getpid()}.tmp"
-        try:
-            handle = open(staged, "x", encoding="utf-8")
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
-        write = handle.write
-    else:
-        write = _to_stdout
+    out = _Output(args.out, stage=args.format == "csv")
     try:
-        sink = _csv_sink(write) if args.format == "csv" else None
         try:
-            payload, passed, text = _RUNNERS[args.command](args, sink)
+            if streams_events:
+                sink = _csv_sink(out.write) if args.format == "csv" else None
+                payload, passed, text = runner(args, sink)
+            else:
+                payload, passed, text = runner(args)
         except HvsimError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         if args.format == "json":
-            write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         elif args.format == "text":
-            write(text)
-        if staged is not None:
-            handle.close()
-            os.replace(staged, target)
-            staged = None
+            out.write(text)
+        out.commit()
     except OSError as exc:
-        if staged is None:
+        if args.out is None:
             raise
-        return _cannot_write(args.out, exc)
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     finally:
-        if staged is not None:  # the run failed: PATH keeps what it held
-            handle.close()
-            os.unlink(staged)
+        out.discard()
     return 0 if passed else 1
 
 

@@ -3,6 +3,10 @@ notes are collected and echoed in the terminal summary, so a plain `pytest`
 run shows one line per criterion and says which kernels the pins were
 rerun under, or why not."""
 
+import pytest
+
+from hvsim import consistency, experiments
+
 ACCEPTANCE_LINES = []
 KERNEL_LINES = []
 
@@ -50,6 +54,15 @@ def rows_of(blocks):
             for row in zip(events.case.tolist(),
                            [events.labels[s] for s in events.setting.tolist()],
                            events.c.tolist(), events.value.tolist())]
+
+
+def refuse_events(monkeypatch):
+    """Make the drivers fail the test if they build a block of events, as
+    none should when no sink takes them."""
+    def refuse(*_):
+        pytest.fail("a driver built events with no sink to take them")
+    for module in (experiments, consistency):
+        monkeypatch.setattr(module, "Events", refuse)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

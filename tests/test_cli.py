@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -186,38 +187,36 @@ def test_table1_csv_matches_frozen_bytes(capsys):
     assert out == (SEEDED_DIR / "table1.csv").read_text(encoding="utf-8")
 
 
+def pin(name, fmt):
+    """The pinned report `name`.`fmt`, from tests/expected or perfbench/expected."""
+    path = SEEDED_DIR / f"{name}.{fmt}"
+    return (path if path.exists() else EXPECTED_DIR / path.name).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@SEEDED_CALLS
+@pytest.mark.parametrize("name, argv", [(name, list(argv)) for name, argv in SEEDED_SWEEPS]
+                         + [("table1", ["table1"])])
 def test_seeded_reports_do_not_depend_on_block_size(capsys, monkeypatch, name, argv, fmt):
     # Each case reads a fixed slot of its stream, so running the sweeps in
-    # blocks of 7 cases changes no byte.
+    # blocks of 7 cases, and rendering their rows 7 at a time, changes no byte.
+    monkeypatch.setattr(model, "TALLY_BLOCK", 7)
     monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name, argv", [("table1", ["table1"])] + [
-    (name, list(argv)) for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS])
-def test_csv_pins_do_not_depend_on_any_block_size(capsys, monkeypatch, name, argv):
-    # Drawn, swept and rendered in blocks of 7, every report streams the
-    # pinned bytes, header once, rows in order.
-    monkeypatch.setattr(model, "TALLY_BLOCK", 7)
-    monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
-    code, out, _ = run(capsys, *argv, "--format", "csv")
-    assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.csv").read_text(encoding="utf-8")
+    assert out == pin(name, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @SINGLE_SHOT_CALLS
 def test_single_shot_reports_do_not_depend_on_tally_block(capsys, monkeypatch, name, argv, fmt):
     # Trial t is draw t of its stream whatever the block, and integer counts
-    # sum exactly, so tallying in blocks of 7 draws changes no byte.
+    # sum exactly, so tallying in blocks of 7 draws and rendering their rows
+    # 7 at a time changes no byte.
     monkeypatch.setattr(model, "TALLY_BLOCK", 7)
+    monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert out == pin(name, fmt)
 
 
 def test_stuck_uniform_source_exits_one(capsys, monkeypatch):
@@ -290,13 +289,13 @@ class _Discard:
 
 
 @pytest.mark.parametrize("argv", [
-    ("born", "--trials", "1000000"),
+    ("born", "--trials", "200000"),
     ("weak-fc", "--trials", "50000"),
 ], ids=["born", "weak-fc"])
 def test_csv_memory_stays_flat_in_trials(monkeypatch, argv):
     # Streamed block by block, a run holds one block of events and one
     # SWEEP_BLOCK of rows at a time (about 3 MB), where holding every row
-    # took about 100 MB for 1M born rows and 37 MB for 300k weak-fc rows.
+    # took about 20 MB for 200k born rows and 37 MB for 300k weak-fc rows.
     monkeypatch.setattr(sys, "stdout", _Discard())
     assert main([*argv[:-1], "1", "--format", "csv"]) == 0  # caches built outside the trace
     tracemalloc.start()
@@ -330,7 +329,7 @@ class TestCsvOutput:
         # Refused before the command runs, so no error of its own can
         # change the exit code.
         monkeypatch.setitem(cli._RUNNERS, command,
-                            lambda *_: pytest.fail(f"{command} ran for --format csv"))
+                            (lambda *_: pytest.fail(f"{command} ran for --format csv"), False))
         code, out, err = run(capsys, command, "--format", "csv")
         assert code == 2
         assert out == ""
@@ -396,6 +395,44 @@ class TestOutFile:
         assert target.read_text(encoding="utf-8") == (
             SEEDED_DIR / "weak-fc.csv").read_text(encoding="utf-8")
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_csv_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, capsys):
+        target = tmp_path / "cases.csv"
+        target.write_text("an earlier report\n", encoding="utf-8")
+        target.chmod(0o600)
+        code, _, _ = run(capsys, "weak-fc", "--trials", "5", "--format", "csv",
+                         "--out", str(target))
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert target.read_text(encoding="utf-8") == pin("weak-fc", "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_null_device_is_written_in_place(self, capsys, monkeypatch, fmt):
+        # Staged and replaced, the device itself would become a regular file.
+        monkeypatch.setattr(os, "replace", lambda *_: pytest.fail("the null device was replaced"))
+        code, out, err = run(capsys, "weak-fc", "--trials", "2", "--format", fmt,
+                             "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+        assert not os.path.isfile(os.devnull)
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "cases.csv"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening for writing does not block
+        try:
+            code, out, _ = run(capsys, "weak-fc", "--trials", "5", "--format", "csv",
+                               "--out", str(fifo))
+            data = os.read(reader, 1 << 16)  # the report fits the pipe's buffer
+        finally:
+            os.close(reader)
+        assert (code, out) == (0, "")
+        assert data.decode("utf-8") == pin("weak-fc", "csv")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_stdout_device_streams_to_the_pipe(self):
+        result = fresh("weak-fc", "--trials", "5", "--format", "csv", "--out", "/dev/stdout")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.decode("utf-8") == pin("weak-fc", "csv")
 
     def test_a_symlinked_path_writes_its_target(self, tmp_path, capsys):
         target = tmp_path / "report.json"

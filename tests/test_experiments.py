@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Blocks, rows_of
+from conftest import Blocks, refuse_events, rows_of
 from hvsim import (
     ExperimentConfig,
     HermitianOperator,
@@ -157,7 +157,7 @@ class TestBornExperiment:
         b = born_experiment(cfg, spin_state(0.7), pauli("x"))
         assert a.as_dict() == b.as_dict()
 
-    def test_trial_rows(self):
+    def test_trial_rows(self, monkeypatch):
         cfg = ExperimentConfig(seed=1, trials=50)
         blocks = Blocks()
         born_experiment(cfg, spin_state(0.9), pauli("z"), sink=blocks)
@@ -168,8 +168,8 @@ class TestBornExperiment:
         assert events.setting.tolist() == [0] * 50
         assert ((0.0 < events.c) & (events.c < 1.0)).all()
         assert set(events.value.tolist()) <= {-1.0, 1.0}
-        plain = born_experiment(cfg, spin_state(0.9), pauli("z"))
-        assert not hasattr(plain, "events")
+        refuse_events(monkeypatch)
+        assert born_experiment(cfg, spin_state(0.9), pauli("z")).passed
 
 
 class TestBornSweep:
@@ -326,7 +326,7 @@ class TestChsh:
         assert computed == []
         assert again == first
 
-    def test_product_rows(self):
+    def test_product_rows(self, monkeypatch):
         cfg = ExperimentConfig(seed=2, trials=25)
         blocks = Blocks()
         chsh_experiment(cfg, sink=blocks)
@@ -337,7 +337,8 @@ class TestChsh:
         assert [row[0] for row in rows] == list(range(25)) * 4
         # A joint's values are exact products of its factors' +-1 (see tensor).
         assert all(abs(row[3]) == 1.0 for row in rows)
-        assert not hasattr(chsh_experiment(cfg), "events")
+        refuse_events(monkeypatch)
+        chsh_experiment(cfg)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32), trials=st.integers(1, 3000))
@@ -356,7 +357,7 @@ class TestChsh:
             column = [float(value) for _, label, _, value in rows if label == key]
             assert np.mean(column) == kept.as_dict()["correlators"][key] == mean
 
-    def test_sequential_rows_record_both_halves(self):
+    def test_sequential_rows_record_both_halves(self, monkeypatch):
         cfg = ExperimentConfig(seed=2, trials=5)
         blocks = Blocks()
         chsh_experiment(cfg, mode="sequential", sink=blocks)
@@ -366,7 +367,8 @@ class TestChsh:
         assert rows[1][1] == "ZW/IW"
         assert blocks.labels == ("ZW/ZI", "ZW/IW", "ZV/ZI", "ZV/IV",
                                         "XW/XI", "XW/IW", "XV/XI", "XV/IV")
-        assert not hasattr(chsh_experiment(cfg, mode="sequential"), "events")
+        refuse_events(monkeypatch)
+        chsh_experiment(cfg, mode="sequential")
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -396,14 +398,15 @@ class TestLineProduct:
         assert report.forced_value == 1
         assert report.all_passed
 
-    def test_event_rows(self):
+    def test_event_rows(self, monkeypatch):
         blocks = Blocks()
         report = column_product_experiment(trials=2, seed=0, sink=blocks)
         rows = rows_of(blocks)
         assert len(rows) == 3 * report.cases
         labels = {row[1] for row in rows}
         assert labels == {"column3:XX", "column3:YY", "column3:ZZ"}
-        assert not hasattr(column_product_experiment(trials=2, seed=0), "events")
+        refuse_events(monkeypatch)
+        assert column_product_experiment(trials=2, seed=0).all_passed
 
     def test_validation(self):
         with pytest.raises(ValueError):
