@@ -53,7 +53,6 @@ from .model import (
     as_decomposition,
     branch_indices,
     case_slot,
-    case_uniforms,
     draw_hidden,
     draw_hidden_batch,
     measure,

@@ -4,7 +4,8 @@ emits its report as text, JSON or CSV; the exit code states the verdict.
 A CSV report is streamed: its rows are written block by block as the driver
 hands each block of events to the sink, never held whole. With `--out PATH`
 naming a regular file or none, it is written to a file next to PATH that
-replaces PATH only once the run succeeds.
+replaces PATH only once the run succeeds. A PATH naming the file stdout
+already writes to is written through stdout, as if `--out` were absent.
 
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
@@ -125,17 +126,17 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--theta must be finite")
 
 
-def _ket_string(state, cutoff: float = 1e-9) -> str:
+def _ket_string(state) -> str:
     amps = state.amplitudes
     dim = amps.size
     bits = dim.bit_length() - 1
     binary = 2 ** bits == dim and dim > 1
     terms = []
     for i, z in enumerate(amps):
-        if abs(z) <= cutoff:
+        if abs(z) <= 1e-9:
             continue
         name = format(i, f"0{bits}b") if binary else str(i)
-        if abs(z.imag) <= cutoff:
+        if abs(z.imag) <= 1e-9:
             coeff = f"{z.real:+.4f}"
         else:
             coeff = f"({z.real:.4f}{z.imag:+.4f}j)"
@@ -379,24 +380,34 @@ def _csv_sink(write):
     return sink
 
 
+def _names_stdout(path) -> bool:
+    """Whether `path` is the file stdout already writes to (/dev/stdout, or a
+    file the shell redirected stdout to), which reopening or replacing would cut."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such file, or a stdout with no descriptor
+        return False
+
+
 def _is_regular_file(path: str, target: str) -> bool:
     """Whether `path` is a regular file that `target`, its resolved name,
-    names too (/dev/stdout on a file since deleted is not)."""
+    names too (/dev/fd/N on a file since deleted is not)."""
     return (os.path.isfile(path) and os.path.exists(target)
             and os.path.samefile(path, target))
 
 
 class _Output:
-    """Where a report goes: stdout, or PATH opened at the first write, so a
-    run that fails before writing leaves PATH alone. A CSV report bound for
-    a regular file, or for a new one, is staged in a file next to it that
-    takes the file's mode and replaces it only once the run succeeds, so a
-    run that fails mid-stream leaves PATH as it was. Any other PATH (the
-    null device, a FIFO, a terminal) is written directly, as is a json or
-    text report, which is written whole after the run."""
+    """Where a report goes: stdout, also for a PATH that names stdout's own
+    file, or PATH opened at the first write, so a run that fails before
+    writing leaves PATH alone. A CSV report bound for a regular file, or for
+    a new one, is staged in a file next to it that takes the file's mode and
+    replaces it only once the run succeeds, so a run that fails mid-stream
+    leaves PATH as it was. Any other PATH (the null device, a FIFO, a
+    terminal) is written directly, as is a json or text report, which is
+    written whole after the run."""
 
     def __init__(self, path, stage):
-        self.path = path
+        self.path = None if path is None or _names_stdout(path) else path
         self.stage = stage
         self.handle = None
         self.staged = None
@@ -465,7 +476,7 @@ def main(argv=None) -> int:
             out.write(text)
         out.commit()
     except OSError as exc:
-        if args.out is None:
+        if out.path is None:
             raise
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,13 @@ correlators) take width 1 and the sequential sweeps one scalar per step
 plus any start-state uniforms, so case_slot replays any trial or case from
 its key. Identical (seed, trials) arguments reproduce identical reports.
 
-Single-shot trials are counted as they are drawn (model.tally, TALLY_BLOCK
-draws at a time) and sweeps run SWEEP_BLOCK cases at a time, so neither
-holds every draw at once. A driver given a `sink` hands it each block's
-events as one Events record, labels included, as soon as the block is
-decided; with no sink it builds no events at all. The CSV report is written
-from those blocks as they arrive, so it does not hold every row either.
+Each single-shot setting is one model.tally call, which counts trials as
+they are drawn, TALLY_BLOCK draws at a time, and sweeps read SWEEP_BLOCK
+cases at a time (model.case_blocks), so neither holds every draw at once.
+A driver given a `sink` hands it each block's events as one Events record,
+labels included, as soon as the block is decided; with no sink it builds no
+events at all. The CSV report is written from those blocks as they arrive,
+so it does not hold every row either.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .model import (
     display_label,
     measure,
     predict,
-    predict_batch,
     run_sequence,
     substream,
     tally,
@@ -125,11 +125,11 @@ class StatReport:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"outcome frequencies sum to {total!r}, not 1")
 
-    def frequency(self, value: float, tol: float = 1e-9) -> float:
-        return _nearest_value(self.outcome_frequencies, value, tol)
+    def frequency(self, value: float) -> float:
+        return _nearest_value(self.outcome_frequencies, value)
 
-    def expected(self, value: float, tol: float = 1e-9) -> float:
-        return _nearest_value(self.expected_probabilities, value, tol)
+    def expected(self, value: float) -> float:
+        return _nearest_value(self.expected_probabilities, value)
 
     def as_dict(self) -> dict:
         return {
@@ -147,29 +147,16 @@ class StatReport:
         }
 
 
-def _nearest_value(mapping: dict, value: float, tol: float) -> float:
+def _nearest_value(mapping: dict, value: float) -> float:
     best = None
     best_gap = math.inf
     for key, entry in mapping.items():
         gap = abs(key - value)
         if gap < best_gap:
             best, best_gap = entry, gap
-    if best is None or best_gap > tol:
+    if best is None or best_gap > VALUE_TOL:
         raise KeyError(f"no outcome near {value!r}")
     return best
-
-
-def _tally(decomp, state, rng, trials: int, sink, labels, setting: int) -> np.ndarray:
-    """Branch counts of `trials` single-shot trials on `state`, one draw of
-    `rng` each, tallied block by block as they are drawn. With a `sink`, each
-    block's events, under setting `setting` of `labels`, are handed to it."""
-    counts = np.zeros(len(decomp.values), dtype=np.intp)
-    for first, cs, block_counts in tally(decomp, state, rng, trials):
-        counts += block_counts
-        if sink is not None:
-            sink(Events(labels, np.arange(first, first + len(cs)), np.full(len(cs), setting),
-                        cs, predict_batch(decomp, state, cs)))
-    return counts
 
 
 def born_experiment(cfg: ExperimentConfig, state: PureState, obs, sink=None) -> StatReport:
@@ -178,8 +165,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs, sink=None) -> 
     each block of trials' events."""
     decomp = as_decomposition(obs)
     label = display_label(decomp)
-    counts = _tally(decomp, state, substream(cfg.seed, _BORN_TAG), cfg.trials, sink,
-                    (label,), 0)
+    counts = tally(decomp, state, substream(cfg.seed, _BORN_TAG), cfg.trials, sink, (label,))
     frequencies = counts / cfg.trials
     # A weight may overshoot 1 by rounding (a state's norm is only checked to 1e-12).
     expected = np.clip(decomp.weights(state), 0.0, 1.0)
@@ -549,8 +535,8 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product", sink=None) -> 
     for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
         if mode == "product":
             decomp = joint.spectrum()
-            counts = _tally(decomp, state, substream(cfg.seed, _CHSH_PRODUCT_TAG, k),
-                            cfg.trials, sink, labels, k)
+            counts = tally(decomp, state, substream(cfg.seed, _CHSH_PRODUCT_TAG, k),
+                           cfg.trials, sink, labels, k)
             # The values are exactly +-1 (see tensor), so every partial sum is
             # an exact integer: this equals the mean of the per-trial values.
             correlator = float(decomp.values @ counts) / cfg.trials

@@ -349,7 +349,7 @@ def _line_index(index: int) -> int:
 
 def _line_value(f: ObservableExpression) -> tuple[int, float]:
     """The +1 or -1 that line f's matrix is a multiple of I by, and the gap to it."""
-    scalar = identity_scalar(f.matrix, tol=1e-12)
+    scalar = identity_scalar(f.matrix)
     value = int(round(scalar))
     if abs(scalar - value) > 1e-12 or value not in (-1, 1):
         raise ValueError(f"line product {f.describe()} is {scalar}, expected +1 or -1")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
 VALUE_TOL = 1e-9  # two outcome values agree within this
-MAX_DRAW_ATTEMPTS = 64  # per scalar; numpy draws 0.0 w.p. 2**-53
 JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depends on it
@@ -57,18 +55,17 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def draw_hidden(rng) -> float:
-    """One uniform scalar from the open interval (0, 1).
+    """The next hidden scalar of `rng` by draw_hidden_batch's slot rule: one
+    .random() call, whose exact 0.0 reads 2**-54 so that zero-weight
+    branches stay unreachable; nothing is redrawn.
 
-    Accepts anything exposing .random(); numpy generators return values in
-    [0, 1), so an exact 0.0 is redrawn to keep zero-weight branches
-    unreachable. A source that stays outside (0, 1) for MAX_DRAW_ATTEMPTS
-    draws raises HiddenDrawError.
+    Accepts anything exposing .random(). A value outside [0, 1), nan
+    included, breaks the source's contract and raises HiddenDrawError.
     """
-    for _ in range(MAX_DRAW_ATTEMPTS):
-        u = float(rng.random())
-        if 0.0 < u < 1.0:
-            return u
-    raise HiddenDrawError(f"no draw inside (0, 1) in {MAX_DRAW_ATTEMPTS} attempts")
+    u = float(rng.random())
+    if not 0.0 <= u < 1.0:  # nan fails too
+        raise HiddenDrawError(f"uniform source gave {u!r}, outside [0, 1)")
+    return u or 2.0**-54
 
 
 def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -82,20 +79,17 @@ def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     return u
 
 
-def case_uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-    """The next `count` case slots of `width` open uniforms, shape (count, width).
+def case_blocks(rng: np.random.Generator, cases: int, width: int):
+    """Yield (first case, slots) over consecutive blocks of at most SWEEP_BLOCK
+    cases, slots holding each case's `width` hidden scalars, shape (count, width).
 
     A sweep reads its cases in order from one stream, so case t owns the
     draws [t * width, (t + 1) * width) of it: reading in blocks gives the
     same rows as one read, and case_slot replays a case with one advance.
     """
-    return draw_hidden_batch(rng, count * width).reshape(count, width)
-
-
-def case_blocks(rng: np.random.Generator, cases: int, width: int):
-    """Yield (first case, slots) over consecutive blocks of at most SWEEP_BLOCK cases."""
     for first in range(0, cases, SWEEP_BLOCK):
-        yield first, case_uniforms(rng, min(SWEEP_BLOCK, cases - first), width)
+        count = min(SWEEP_BLOCK, cases - first)
+        yield first, draw_hidden_batch(rng, count * width).reshape(count, width)
 
 
 def case_slot(key, width: int) -> np.ndarray:
@@ -106,7 +100,7 @@ def case_slot(key, width: int) -> np.ndarray:
         raise ValueError(f"case index must be a nonnegative integer, got {case!r}")
     rng = substream(*path)
     rng.bit_generator.advance(int(case) * width)
-    return case_uniforms(rng, 1, width)[0]
+    return draw_hidden_batch(rng, width)
 
 
 class ScriptedUniforms:
@@ -242,17 +236,11 @@ class MeasurementTrace:
                     f" preceding post-state by {gap:.3e}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def as_dict(self) -> dict:
         return {
             "seed": self.seed,
             "records": [r.as_dict() for r in self.records],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 def as_decomposition(obs) -> SpectralDecomposition:
@@ -344,45 +332,31 @@ def _open_scalars(cs) -> np.ndarray:
     return cs
 
 
-def _checked(state, cs) -> tuple[np.ndarray, np.ndarray]:
-    """A unit state's amplitudes, and `cs` through _open_scalars."""
-    state = state if isinstance(state, PureState) else PureState(state)
-    return state.amplitudes, _open_scalars(cs)
-
-
 def branch_indices(obs, state, cs) -> np.ndarray:
     """Branch index chosen by each hidden scalar in `cs`: predict()'s rule, vectorized."""
-    return select(as_decomposition(obs), *_checked(state, cs))
+    state = state if isinstance(state, PureState) else PureState(state)
+    return select(as_decomposition(obs), state.amplitudes, _open_scalars(cs))
 
 
-def _state_edges(obs, state) -> np.ndarray:
-    """The selection rule's edges on one state: c picks the branch that
-    counts the edges below it."""
+def tally(obs, state, rng, trials: int, sink=None, labels=(), setting: int = 0) -> np.ndarray:
+    """Branch counts of `trials` single-shot trials of `obs` on `state`, one
+    draw of `rng` each, read TALLY_BLOCK draws at a time with the edges taken
+    once and one comparison per edge: np.bincount of branch_indices on the
+    whole stream, whatever the block size, in memory flat in trials. A `sink`
+    is handed each block's events, set to `setting` of `labels` and valued
+    from the same edges by the selection rule."""
     decomp = as_decomposition(obs)
-    amplitudes, _ = _checked(state, ())
-    return _edges(decomp.weights(amplitudes)[:, None])[:, 0]
-
-
-def _count(edges, cs) -> np.ndarray:
-    """The branch counts of the scalars `cs` (checked by _open_scalars) below
-    `edges`: one comparison per edge, no index array."""
-    cs = _open_scalars(cs)
-    reached = [cs.size] + [np.count_nonzero(cs > edge) for edge in edges]  # branch >= i
-    return -np.diff(reached + [0])
-
-
-def tally(obs, state, rng, trials: int):
-    """Yield (first trial, cs, counts) over the next `trials` draws of `rng`,
-    one per trial, read TALLY_BLOCK at a time: counts holds the branch
-    counts of the block's hidden scalars cs (np.bincount of branch_indices),
-    with the edges taken once. The counts of all blocks sum to those of the
-    whole stream read at once, so no result depends on the block size, and
-    memory does not grow with trials.
-    """
-    edges = _state_edges(obs, state)
+    state = state if isinstance(state, PureState) else PureState(state)
+    edges = _edges(decomp.weights(state.amplitudes)[:, None])  # one column: (branches - 1, 1)
+    reached = np.zeros(len(decomp.values), dtype=np.intp)  # trials whose branch is >= i
     for first in range(0, trials, TALLY_BLOCK):
         cs = draw_hidden_batch(rng, min(TALLY_BLOCK, trials - first))
-        yield first, cs, _count(edges, cs)
+        reached += [cs.size] + [np.count_nonzero(cs > edge) for edge in edges]
+        if sink is not None:
+            values = decomp.values[np.add.reduce(edges < cs, axis=0)]  # _choose's rule
+            sink(Events(labels, np.arange(first, first + len(cs)), np.full(len(cs), setting),
+                        cs, values))
+    return -np.diff(reached, append=0)
 
 
 def predict_batch(obs, state, cs) -> np.ndarray:

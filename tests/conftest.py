@@ -5,7 +5,7 @@ rerun under, or why not."""
 
 import pytest
 
-from hvsim import consistency, experiments
+from hvsim import consistency, experiments, model
 
 ACCEPTANCE_LINES = []
 KERNEL_LINES = []
@@ -61,7 +61,7 @@ def refuse_events(monkeypatch):
     none should when no sink takes them."""
     def refuse(*_):
         pytest.fail("a driver built events with no sink to take them")
-    for module in (experiments, consistency):
+    for module in (model, experiments, consistency):
         monkeypatch.setattr(module, "Events", refuse)
 
 

@@ -434,6 +434,31 @@ class TestOutFile:
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout.decode("utf-8") == pin("weak-fc", "csv")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_stdout_file_opened_for_append_keeps_its_lines(self, tmp_path, fmt):
+        # `hvsim ... --out /dev/stdout >> log` appends to log as it would
+        # without --out: the file behind stdout is neither replaced nor truncated.
+        argv = ("weak-fc", "--trials", "5", "--format", fmt)
+        log = tmp_path / "log"
+        log.write_text("earlier line\n", encoding="utf-8")
+        with open(log, "a", encoding="utf-8") as stdout:
+            result = fresh(*argv, "--out", "/dev/stdout", stdout=stdout)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
+        assert list(tmp_path.iterdir()) == [log]
+
+    def test_stdout_file_keeps_what_is_written_around_the_report(self, tmp_path):
+        # ( echo header; hvsim ... --out /dev/stdout; echo footer ) > log
+        log = tmp_path / "log"
+        with open(log, "w", encoding="utf-8") as stdout:
+            stdout.write("header\n")
+            stdout.flush()
+            result = fresh("weak-fc", "--trials", "5", "--format", "csv",
+                           "--out", "/dev/stdout", stdout=stdout)
+            stdout.write("footer\n")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert log.read_text(encoding="utf-8") == "header\n" + pin("weak-fc", "csv") + "footer\n"
+
     def test_a_symlinked_path_writes_its_target(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         target.write_text("an earlier report\n", encoding="utf-8")
@@ -454,13 +479,14 @@ class TestOutFile:
         assert not target.exists()
 
 
-def fresh(*argv):
-    """Run `python -m hvsim argv` in a new process on the package under test."""
+def fresh(*argv, stdout=subprocess.PIPE):
+    """Run `python -m hvsim argv` in a new process on the package under test,
+    capturing its stdout unless `stdout` names another file."""
     src = str(Path(hvsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hvsim", *argv],
-        capture_output=True, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
 

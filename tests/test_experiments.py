@@ -21,7 +21,6 @@ from hvsim import (
     ScriptedUniforms,
     Sum,
     case_slot,
-    case_uniforms,
     check_weak_fc,
     haar_amplitudes,
     identity,
@@ -656,7 +655,8 @@ class TestSweepsReplayOnTheScalarPath:
 class TestBoxMullerStartStates:
     def test_unit_norm_and_haar_mean(self):
         n = 20_000
-        amps = haar_amplitudes(case_uniforms(substream(0, _LINE_PRODUCT_TAG), n, 8))
+        slots = model.draw_hidden_batch(substream(0, _LINE_PRODUCT_TAG), n * 8)
+        amps = haar_amplitudes(slots.reshape(n, 8))
         assert amps.shape == (n, 4)
         np.testing.assert_allclose(np.linalg.norm(amps, axis=1), 1.0, rtol=0, atol=1e-12)
         # |<0|psi>|^2 of a Haar state in dimension 4 is Beta(1, 3): mean 1/4,

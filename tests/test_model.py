@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import Blocks
 from hvsim.errors import (
     BranchNotFoundError,
     DimensionMismatchError,
@@ -34,7 +34,6 @@ from hvsim.model import (
     branch_indices,
     case_blocks,
     case_slot,
-    case_uniforms,
     draw_hidden,
     draw_hidden_batch,
     measure,
@@ -311,7 +310,7 @@ class TestTraceSerialization:
 
     def test_json_contract(self):
         trace = self._two_record_trace()
-        doc = json.loads(trace.to_json())
+        doc = trace.as_dict()
         assert set(doc.keys()) == {"seed", "records"}
         assert doc["seed"] == 42
         assert len(doc["records"]) == 2
@@ -328,7 +327,7 @@ class TestTraceSerialization:
         reversed_records = tuple(reversed(trace.records))
         with pytest.raises(ValueError):
             MeasurementTrace(reversed_records, seed=42)
-        assert len(MeasurementTrace(trace.records, seed=42)) == 2
+        assert len(MeasurementTrace(trace.records, seed=42).records) == 2
 
     def test_as_decomposition_coercion(self):
         decomp = spectral(pauli("x"))
@@ -427,36 +426,61 @@ class TestZeroWeightClamp:
 
 
 class _StuckSource:
-    """A .random() source that returns 0.0 for its first `stuck` draws."""
+    """A .random() source stuck at 0.0 that counts its calls."""
 
-    def __init__(self, stuck=None):
-        self.stuck = stuck
+    def __init__(self):
         self.calls = 0
 
     def random(self, size=None):
         self.calls += 1
-        value = 0.0 if self.stuck is None or self.calls <= self.stuck else 0.25
-        return value if size is None else np.full(size, value)
+        return 0.0 if size is None else np.zeros(size)
 
 
-class TestBoundedRedraw:
-    """The scalar draw_hidden redraws an exact 0.0, at most MAX_DRAW_ATTEMPTS
-    times; draw_hidden_batch reads 2**-54 in its place and redraws nothing."""
+class TestScalarSlotRule:
+    """The scalar draw_hidden reads one slot by draw_hidden_batch's rule: one
+    .random() call, an exact 0.0 read as 2**-54 and nothing redrawn; a value
+    outside [0, 1) raises HiddenDrawError after that one draw."""
 
-    def test_exact_zero_is_redrawn(self):
-        assert draw_hidden(_StuckSource(stuck=3)) == 0.25
+    def test_exact_zero_reads_the_smallest_slot_value(self):
+        source = _Stream([0.0, -0.0, 0.25])
+        assert [draw_hidden(source) for _ in range(3)] == [2.0**-54, 2.0**-54, 0.25]
+        assert source.position == 3
         source = _Stream([0.0, 0.0, 0.0, 0.25, 0.5])
         np.testing.assert_array_equal(draw_hidden_batch(source, 4),
                                       [2.0**-54, 2.0**-54, 2.0**-54, 0.25])
         assert source.position == 4
-
-    def test_source_stuck_at_zero_raises(self):
-        assert issubclass(HiddenDrawError, HvsimError)
-        with pytest.raises(HiddenDrawError):
-            draw_hidden(_StuckSource())
         stuck = _StuckSource()
+        assert draw_hidden(stuck) == 2.0**-54
         np.testing.assert_array_equal(draw_hidden_batch(stuck, 8), np.full(8, 2.0**-54))
-        assert stuck.calls == 1
+        assert stuck.calls == 2
+
+    def test_values_outside_the_unit_interval_raise_after_one_draw(self):
+        assert issubclass(HiddenDrawError, HvsimError)
+        for bad in (1.0, -0.1, np.nan):
+            source = _Stream([bad, 0.5])
+            with pytest.raises(HiddenDrawError):
+                draw_hidden(source)
+            assert source.position == 1
+
+    def test_scalar_chain_reads_the_slots_run_sequence_reads(self):
+        # HiddenState.draw and chained measure on a live source holding exact
+        # zeros arm each event with the c that draw_hidden_batch puts in its
+        # slot, one draw per event, and read what run_sequence reads there.
+        ops = list(peres_mermin().column_operators(3))
+        ops += ops[:1]  # re-measuring the first repeats its value
+        start = haar_state(4, substream(21))
+        for values in ([0.3, 0.0, 0.7, 0.4, 0.9], [0.0, 0.0, 0.5, 0.0, 0.0]):
+            live, slots = _Stream(values), _Stream(values)
+            hidden = HiddenState.draw(start, live)
+            records = []
+            for op in ops:
+                record, hidden = measure(op, hidden, live)
+                records.append(record)
+            cs = draw_hidden_batch(slots, len(ops) + 1)
+            assert [r.c_used for r in records] + [hidden.c] == cs.tolist()
+            readings = run_sequence(ops, start, cs[None, :-1])[0]
+            assert [r.value for r in records] == readings.tolist()
+            assert live.position == slots.position == len(ops) + 1
 
 
 class _Stream:
@@ -515,7 +539,7 @@ class TestCaseSlots:
         path, width = sweep
         count = data.draw(st.integers(1, 300), label="count")
         case = data.draw(st.integers(0, count - 1), label="case")
-        batch = case_uniforms(substream(seed, *path), count, width)
+        batch = draw_hidden_batch(substream(seed, *path), count * width).reshape(count, width)
         assert batch.shape == (count, width)
         np.testing.assert_array_equal(case_slot((seed, *path, case), width), batch[case])
 
@@ -524,7 +548,7 @@ class TestCaseSlots:
         blocks = list(case_blocks(substream(3, 5), 50, 11))
         assert [first for first, _ in blocks] == list(range(0, 50, 7))
         np.testing.assert_array_equal(np.concatenate([slots for _, slots in blocks]),
-                                      case_uniforms(substream(3, 5), 50, 11))
+                                      draw_hidden_batch(substream(3, 5), 50 * 11).reshape(50, 11))
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 13, 14, 15, 50])
     def test_tally_counts_blocks_of_one_stream(self, monkeypatch, trials):
@@ -533,15 +557,23 @@ class TestCaseSlots:
         op = HermitianOperator(np.diag([-1.0, 0.0, 2.0]))
         state = normalized([1.0, 0.0, 2.0])
         rng, reference = substream(3, 1), substream(3, 1)
-        blocks = list(tally(op, state, rng, trials))
-        assert [first for first, _, _ in blocks] == list(range(0, trials, 7))
-        for _, cs, counts in blocks:
-            np.testing.assert_array_equal(counts, _bincount(op, state, cs))
+        blocks = Blocks()
+        counts = tally(op, state, rng, trials, blocks, ("A", "D"), 1)
+        assert [len(events.c) for events in blocks] == [min(7, trials - first)
+                                                         for first in range(0, trials, 7)]
+        assert blocks.labels == ("A", "D")
         whole = draw_hidden_batch(reference, trials)
-        np.testing.assert_array_equal(np.concatenate([cs for _, cs, _ in blocks]), whole)
-        np.testing.assert_array_equal(sum(counts for _, _, counts in blocks),
-                                      _bincount(op, state, whole))
+        np.testing.assert_array_equal(np.concatenate([e.c for e in blocks]), whole)
+        np.testing.assert_array_equal(np.concatenate([e.case for e in blocks]), np.arange(trials))
+        np.testing.assert_array_equal(np.concatenate([e.setting for e in blocks]),
+                                      np.ones(trials))
+        np.testing.assert_array_equal(np.concatenate([e.value for e in blocks]),
+                                      predict_batch(op, state, whole))
+        np.testing.assert_array_equal(counts, _bincount(op, state, whole))
         assert rng.random() == reference.random()  # one draw per trial, none read ahead
+        rng, reference = substream(3, 1), substream(3, 1)
+        np.testing.assert_array_equal(tally(op, state, rng, trials), counts)  # with no sink
+        assert rng.random() == reference.random(trials + 1)[-1]
 
     def test_raw_extremes_map_strictly_inside(self):
         # Generator.random reads raw 64-bit draw r as (r >> 11) * 2**-53.
@@ -552,12 +584,12 @@ class TestCaseSlots:
 
     def test_nonzero_draws_equal_generator_random(self):
         # Away from the one zero cell a slot reads what Generator.random reads.
-        np.testing.assert_array_equal(case_uniforms(substream(9, 6), 250, 4).ravel(),
+        np.testing.assert_array_equal(draw_hidden_batch(substream(9, 6), 1000),
                                       substream(9, 6).random(1000))
 
     def test_stream_advances_width_draws_per_case(self):
         rng = substream(1, 6)
-        case_uniforms(rng, 5, 4)
+        list(case_blocks(rng, 5, 4))
         assert rng.bit_generator.random_raw() == substream(1, 6).bit_generator.random_raw(21)[20]
 
     def test_case_slot_rejects_bad_case(self):
@@ -736,11 +768,6 @@ def _searchsorted_select(decomp, amplitudes, cs):
     return np.minimum(np.searchsorted(cum, cs, side="left"), np.flatnonzero(w)[-1])
 
 
-def _branch_counts(obs, state, cs):
-    """tally's count of one block, model._count, on the edges of one state."""
-    return model._count(model._state_edges(obs, state), cs)
-
-
 def _bincount(obs, state, cs):
     """The branch counts of `cs` by the index rule: np.bincount of branch_indices."""
     return np.bincount(branch_indices(obs, state, cs),
@@ -801,14 +828,23 @@ class TestEdgeCountSelection:
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000), st.integers(0, 200))
     def test_branch_counts_equal_bincount_of_indices(self, seed, size):
+        # tally reads a scripted stream in blocks of 7 draws: every edge, one
+        # ulp either side, an exact 0.0 and uniforms, shuffled.
         rng = np.random.default_rng(seed)
         for decomp, state in _selection_cases(seed):
             edges = _edge_neighbourhood(decomp, state.amplitudes)
-            cs = np.concatenate((edges, rng.uniform(size=size)))
-            rng.shuffle(cs)
-            counts = _branch_counts(decomp, state, cs)
+            values = np.concatenate(([0.0], edges, rng.uniform(size=size)))
+            rng.shuffle(values)
+            cs = draw_hidden_batch(_Stream(values), len(values))
+            source, blocks = _Stream(np.append(values, 0.5)), Blocks()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "TALLY_BLOCK", 7)
+                counts = tally(decomp, state, source, len(values), blocks, ("x",))
             assert counts.dtype == np.intp
             np.testing.assert_array_equal(counts, _bincount(decomp, state, cs))
+            np.testing.assert_array_equal(np.concatenate([e.value for e in blocks]),
+                                          predict_batch(decomp, state, cs))
+            assert source.position == len(values)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan])
     def test_hidden_scalars_outside_the_open_interval_are_rejected(self, bad):
@@ -817,14 +853,16 @@ class TestEdgeCountSelection:
         def sequence(obs, state, cs):
             return run_sequence([obs], state, cs[:, None])
 
-        for rule in (branch_indices, _branch_counts, sequence):
+        for rule in (branch_indices, sequence):
             with pytest.raises(ValueError):
                 rule(pauli("z"), basis_ket(2, 0), cs)
 
     def test_empty_scalars_are_accepted(self):
         state = normalized([1.0, 1.0])
         assert branch_indices(pauli("z"), state, np.array([])).shape == (0,)
-        np.testing.assert_array_equal(_branch_counts(pauli("z"), state, []), [0, 0])
+        source = _Stream([])
+        np.testing.assert_array_equal(tally(pauli("z"), state, source, 0), [0, 0])
+        assert source.position == 0
 
 
 def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
