@@ -352,16 +352,16 @@ _RUNNERS = {
 }
 
 
-def _to_stdout(text: str) -> None:
-    """Write and flush `text` to stdout. Once the reader has gone, the rest
-    of the report goes to the null device, and the exit code still states
-    the verdict."""
+def _to_stream(stream, text: str) -> None:
+    """Write and flush `text` to `stream`, stdout or stderr. Once the reader
+    has gone, the rest of the report goes to the null device, and the exit
+    code still states the verdict."""
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
 
 
 def _csv_sink(write):
@@ -380,13 +380,21 @@ def _csv_sink(write):
     return sink
 
 
-def _names_stdout(path) -> bool:
-    """Whether `path` is the file stdout already writes to (/dev/stdout, or a
-    file the shell redirected stdout to), which reopening or replacing would cut."""
+def _named_stream(path):
+    """stdout or stderr if `path` is the file it already writes to
+    (/dev/stdout, /dev/stderr, or a file the shell redirected it to), which
+    reopening or replacing would cut; stdout first, None for any other path."""
     try:
-        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
-    except (OSError, ValueError):  # no such file, or a stdout with no descriptor
-        return False
+        named = os.stat(path)
+    except (OSError, ValueError):  # no such file
+        return None
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if os.path.samestat(named, os.fstat(stream.fileno())):
+                return stream
+        except (OSError, ValueError):  # a stream with no descriptor
+            pass
+    return None
 
 
 def _is_regular_file(path: str, target: str) -> bool:
@@ -397,24 +405,25 @@ def _is_regular_file(path: str, target: str) -> bool:
 
 
 class _Output:
-    """Where a report goes: stdout, also for a PATH that names stdout's own
-    file, or PATH opened at the first write, so a run that fails before
-    writing leaves PATH alone. A CSV report bound for a regular file, or for
-    a new one, is staged in a file next to it that takes the file's mode and
-    replaces it only once the run succeeds, so a run that fails mid-stream
-    leaves PATH as it was. Any other PATH (the null device, a FIFO, a
-    terminal) is written directly, as is a json or text report, which is
-    written whole after the run."""
+    """Where a report goes: stdout, or the stream (stdout or stderr) whose
+    own file PATH names, or PATH opened at the first write, so a run that
+    fails before writing leaves PATH alone. A CSV report bound for a regular
+    file, or for a new one, is staged in a file next to it that takes the
+    file's mode and replaces it only once the run succeeds, so a run that
+    fails mid-stream leaves PATH as it was. Any other PATH (the null device,
+    a FIFO, a terminal) is written directly, as is a json or text report,
+    which is written whole after the run."""
 
     def __init__(self, path, stage):
-        self.path = None if path is None or _names_stdout(path) else path
+        self.stream = sys.stdout if path is None else _named_stream(path)
+        self.path = None if self.stream is not None else path
         self.stage = stage
         self.handle = None
         self.staged = None
 
     def write(self, text: str) -> None:
         if self.path is None:
-            _to_stdout(text)
+            _to_stream(self.stream, text)
             return
         if self.handle is None:
             self._open()

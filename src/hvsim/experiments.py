@@ -39,6 +39,7 @@ from .model import (
     display_label,
     measure,
     predict,
+    predict_batch,
     run_sequence,
     substream,
     tally,
@@ -445,7 +446,7 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
             op.matrix @ post.amplitudes
             - op.expectation(post) * post.amplitudes))
         consistent = consistent and residual <= 1e-9
-        values = {predict(op, HiddenState(post, cv)) for cv in sampled}
+        values = set(predict_batch(op, post, sampled).tolist())
         if len(values) != 1:
             consistent = False
         value = values.pop()

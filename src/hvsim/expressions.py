@@ -370,9 +370,12 @@ def peres_mermin() -> PeresMerminSquare:
     return PeresMerminSquare(grid)
 
 
+@functools.cache
 def implications_operators() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
     """Two commuting +-1-valued diagonal observables and a nondegenerate
-    diagonal observable that pins both of their values at once.
+    diagonal observable that pins both of their values at once, built once
+    per process: operators are immutable and cache their decompositions, so
+    every call returns the same triple and no call decomposes it again.
 
     Measuring C (eigenvalues 1..4, all simple) collapses any state onto a
     shared eigenvector of B1 = diag(+1,+1,-1,-1) and B2 = diag(-1,-1,+1,+1),

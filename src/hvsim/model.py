@@ -71,10 +71,16 @@ def draw_hidden(rng) -> float:
 def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     """The next `count` hidden scalars of a stream, one slot each: draw i is
     the stream's i-th Generator.random value, except that an exact 0.0 reads
-    2**-54. Nothing is redrawn, so the stream moves by exactly `count`.
+    2**-54. Nothing is redrawn, so the stream moves by exactly `count`. As
+    in draw_hidden, a value outside [0, 1), nan included, raises
+    HiddenDrawError.
     """
     u = rng.random(count)
-    if not u.all():
+    low, high = u.min(initial=0.5), u.max(initial=0.5)  # nan reaches both
+    if not (low >= 0.0 and high < 1.0):
+        bad = u[~((u >= 0.0) & (u < 1.0))][0]
+        raise HiddenDrawError(f"uniform source gave {float(bad)!r}, outside [0, 1)")
+    if low == 0.0:
         u[u == 0.0] = 2.0**-54
     return u
 

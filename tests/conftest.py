@@ -33,6 +33,11 @@ MULTI_BLOCK_SHOTS = (
 # Deterministic reports pinned as perfbench/expected/<command>.json.
 FROZEN_COMMANDS = ("table1", "pm-square", "no-go", "strong-fc", "implications")
 
+# Deterministic reports at other arguments, pinned as tests/expected/<name>.json.
+ARGUED_COMMANDS = (
+    ("implications-c0.7", ("implications", "--c", "0.7")),
+)
+
 
 class Blocks(list):
     """A sink that keeps every block of events a driver hands it, in order."""

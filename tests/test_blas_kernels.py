@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (FROZEN_COMMANDS, KERNEL_LINES, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS,
-                      SINGLE_SHOTS)
+from conftest import (ARGUED_COMMANDS, FROZEN_COMMANDS, KERNEL_LINES, MULTI_BLOCK_SHOTS,
+                      SEEDED_SWEEPS, SINGLE_SHOTS)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("Haswell", "Prescott")
@@ -30,7 +30,7 @@ PINS.append(("tests/expected/table1.csv", ("table1", "--format", "csv")))
 for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS:
     for fmt in ("csv", "json"):
         PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt)))
-for name, argv in MULTI_BLOCK_SHOTS:
+for name, argv in MULTI_BLOCK_SHOTS + ARGUED_COMMANDS:
     PINS.append((f"tests/expected/{name}.json", (*argv, "--format", "json")))
 PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
 

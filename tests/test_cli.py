@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import hvsim
-from conftest import FROZEN_COMMANDS, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS, SINGLE_SHOTS
+from conftest import (ARGUED_COMMANDS, FROZEN_COMMANDS, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS,
+                      SINGLE_SHOTS)
 from hvsim import cli, experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.errors import HiddenDrawError
@@ -130,6 +131,13 @@ def test_json_matches_frozen_bytes(capsys, command):
     code, out, _ = run(capsys, command, "--format", "json")
     assert code == 0
     assert out == (EXPECTED_DIR / f"{command}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv", ARGUED_COMMANDS)
+def test_json_at_other_arguments_matches_frozen_bytes(capsys, name, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -447,6 +455,19 @@ class TestOutFile:
         assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
         assert list(tmp_path.iterdir()) == [log]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    def test_stderr_file_opened_for_append_keeps_its_lines(self, tmp_path, fmt):
+        # `hvsim ... --out /dev/stderr 2>> log` appends the report to log: the
+        # file behind stderr is neither replaced nor truncated either.
+        argv = ("weak-fc", "--trials", "5", "--format", fmt)
+        log = tmp_path / "log"
+        log.write_text("earlier line\n", encoding="utf-8")
+        with open(log, "a", encoding="utf-8") as stderr:
+            result = fresh(*argv, "--out", "/dev/stderr", stderr=stderr)
+        assert (result.returncode, result.stdout) == (0, b"")
+        assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
+        assert list(tmp_path.iterdir()) == [log]
+
     def test_stdout_file_keeps_what_is_written_around_the_report(self, tmp_path):
         # ( echo header; hvsim ... --out /dev/stdout; echo footer ) > log
         log = tmp_path / "log"
@@ -479,14 +500,14 @@ class TestOutFile:
         assert not target.exists()
 
 
-def fresh(*argv, stdout=subprocess.PIPE):
+def fresh(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run `python -m hvsim argv` in a new process on the package under test,
-    capturing its stdout unless `stdout` names another file."""
+    capturing its stdout and stderr unless `stdout` or `stderr` names another file."""
     src = str(Path(hvsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hvsim", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+        stdout=stdout, stderr=stderr, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -508,6 +529,27 @@ def test_line_expressions_are_decomposed_once_per_process(capsys, monkeypatch):
                         lambda *args: computed.append(args) or spectral(*args))
     assert [run(capsys, *argv) for argv in argvs] == first
     assert computed == []
+
+
+def test_a_repeat_call_of_every_command_decomposes_nothing(capsys, monkeypatch):
+    # Every operator a command measures is built once per process and caches
+    # its decomposition, so a second call of any command computes no spectrum.
+    trials = ("--trials", "10")
+    argvs = [["table1"], ["pm-square"], ["no-go"], ["strong-fc"], ["implications"],
+             ["born", *trials], ["weak-fc", *trials], ["chsh", *trials],
+             ["chsh", "--sequential", *trials], ["column-product", *trials]]
+    assert {argv[0] for argv in argvs} == set(cli._RUNNERS)
+    first = [run(capsys, *argv) for argv in argvs]
+    computed = []
+    spectral = operators.spectral
+    monkeypatch.setattr(operators, "spectral",
+                        lambda *args: computed.append(args) or spectral(*args))
+    counts = {}
+    for argv, report in zip(argvs, first):
+        before = len(computed)
+        assert run(capsys, *argv) == report
+        counts[" ".join(argv)] = len(computed) - before
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_born_observable_is_decomposed_once_per_process(capsys, monkeypatch):

@@ -39,6 +39,7 @@ from hvsim import (
     chsh_experiment,
     column_product_experiment,
     implications_demo,
+    implications_operators,
     pauli,
     peres_mermin,
     phase_distance,
@@ -282,6 +283,21 @@ class TestImplicationsDemo:
         assert report.mismatch == {"B1": False, "B2": False}
         assert not report.non_fc_witnessed
         assert report.post_collapse_consistent
+
+    @pytest.mark.parametrize("state", [None, basis_ket(4, 0)], ids=["entangled", "basis"])
+    @pytest.mark.parametrize("c", [0.3, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                                   0.7])
+    def test_sampled_readings_equal_scalar_predict(self, c, state):
+        # The demo reads its sampled scalars with predict_batch; at every
+        # sampled c, scalar predict on the collapsed state gives the same float.
+        report = implications_demo(c=float(c), state=state)
+        sampled = np.linspace(0.05, 0.95, report.sampled_c_count)
+        b1, b2, _ = implications_operators()
+        for op in (b1, b2):
+            want = {report.deduced[op.label], report.post_predictions[op.label]}
+            assert [type(v) for v in want] == [float]
+            for cv in sampled:
+                assert {predict(op, HiddenState(report.post_state, cv))} == want
 
     def test_dict_keys(self):
         payload = implications_demo().as_dict()

@@ -355,6 +355,16 @@ class TestImplicationsTriple:
         np.testing.assert_array_equal(np.diag(c.matrix).real, [1, 2, 3, 4])
         assert (b1.label, b2.label, c.label) == ("B1", "B2", "C")
 
+    def test_one_read_only_triple_per_process(self):
+        triple = implications_operators()
+        assert implications_operators() is triple
+        for op in triple:
+            assert op.spectrum() is op.spectrum()
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 2.0
+            with pytest.raises(AttributeError):
+                op.label = "Q"
+
     def test_pairwise_commuting(self):
         b1, b2, c = implications_operators()
         assert commutator_norm(b1, b2) == 0.0

@@ -462,6 +462,24 @@ class TestScalarSlotRule:
                 draw_hidden(source)
             assert source.position == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.0, -0.1])
+    def test_batch_values_outside_the_unit_interval_raise(self, bad):
+        # draw_hidden_batch keeps draw_hidden's contract, so tally counts no
+        # trial and case_blocks yields no block past a value outside [0, 1).
+        values = [0.25, 0.0, bad, 0.5]
+        source = _Stream(values)
+        with pytest.raises(HiddenDrawError):
+            draw_hidden_batch(source, 4)
+        assert source.position == 4
+        blocks = Blocks()
+        with pytest.raises(HiddenDrawError):
+            tally(pauli("z"), basis_ket(2, 0), _Stream(values), 4, sink=blocks)
+        assert blocks == []
+        with pytest.raises(HiddenDrawError):
+            next(case_blocks(_Stream(values), 2, 2))
+        assert draw_hidden_batch(_Stream(values), 2).tolist() == [0.25, 2.0**-54]
+        assert draw_hidden_batch(_Stream([]), 0).size == 0
+
     def test_scalar_chain_reads_the_slots_run_sequence_reads(self):
         # HiddenState.draw and chained measure on a live source holding exact
         # zeros arm each event with the c that draw_hidden_batch puts in its
