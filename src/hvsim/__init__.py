@@ -58,6 +58,7 @@ from .model import (
     measure,
     predict,
     predict_batch,
+    predict_each,
     substream,
     update,
 )

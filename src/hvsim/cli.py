@@ -5,7 +5,8 @@ A CSV report is streamed: its rows are written block by block as the driver
 hands each block of events to the sink, never held whole. With `--out PATH`
 naming a regular file or none, it is written to a file next to PATH that
 replaces PATH only once the run succeeds. A PATH naming the file stdout
-already writes to is written through stdout, as if `--out` were absent.
+already writes to is written through stdout, as if `--out` were absent, and
+a PATH naming an open descriptor (/dev/fd/N) through that descriptor.
 
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
@@ -397,6 +398,28 @@ def _named_stream(path):
     return None
 
 
+def _descriptor(path):
+    """The descriptor N that `path` names as /dev/fd/N or /proc/self/fd/N,
+    itself or through symlinks (/dev/stdin), or None. Opening such a path
+    by name would truncate, and staging would replace, the file the caller
+    opened the descriptor on and still writes to."""
+    for _ in range(40):  # as many symlinks as Linux follows in one path
+        head, tail = os.path.split(os.path.abspath(path))
+        if tail.isdigit() and any(_same_directory(head, d) for d in ("/dev/fd", "/proc/self/fd")):
+            return int(tail)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
+def _same_directory(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one missing, as /proc is off Linux
+        return False
+
+
 def _is_regular_file(path: str, target: str) -> bool:
     """Whether `path` is a regular file that `target`, its resolved name,
     names too (/dev/fd/N on a file since deleted is not)."""
@@ -407,12 +430,14 @@ def _is_regular_file(path: str, target: str) -> bool:
 class _Output:
     """Where a report goes: stdout, or the stream (stdout or stderr) whose
     own file PATH names, or PATH opened at the first write, so a run that
-    fails before writing leaves PATH alone. A CSV report bound for a regular
-    file, or for a new one, is staged in a file next to it that takes the
-    file's mode and replaces it only once the run succeeds, so a run that
-    fails mid-stream leaves PATH as it was. Any other PATH (the null device,
-    a FIFO, a terminal) is written directly, as is a json or text report,
-    which is written whole after the run."""
+    fails before writing leaves PATH alone. A PATH naming another open
+    descriptor is written through a copy of that descriptor, at its offset
+    and in its mode. A CSV report bound for a regular file, or for a new
+    one, is staged in a file next to it that takes the file's mode and
+    replaces it only once the run succeeds, so a run that fails mid-stream
+    leaves PATH as it was. Any other PATH (the null device, a FIFO, a
+    terminal) is written directly, as is a json or text report, which is
+    written whole after the run."""
 
     def __init__(self, path, stage):
         self.stream = sys.stdout if path is None else _named_stream(path)
@@ -430,6 +455,10 @@ class _Output:
         self.handle.write(text)
 
     def _open(self) -> None:
+        fd = _descriptor(self.path)
+        if fd is not None:
+            self.handle = os.fdopen(os.dup(fd), "w", encoding="utf-8")
+            return
         target = os.path.realpath(self.path)  # through symlinks, as open() would write
         exists = os.path.exists(self.path)
         if not self.stage or exists and not _is_regular_file(self.path, target):

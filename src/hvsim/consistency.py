@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
 from .model import (VALUE_TOL, Events, HiddenState, MeasurementTrace, ScriptedUniforms,
-                    case_blocks, measure, predict, predict_batch, run_sequence, substream)
+                    case_blocks, measure, predict, predict_batch, predict_each, run_sequence,
+                    substream)
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -55,8 +56,8 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState) -> Consistency
         raise DimensionMismatchError(
             f"expression dimension {f.dim} != state dimension {hidden.state.dim}"
         )
-    lhs = predict(eval_operator(f), hidden)
-    leaf_values = {op: predict(op, hidden) for op in f.operators}
+    lhs, *leaves = predict_each((eval_operator(f), *f.operators), hidden)
+    leaf_values = dict(zip(f.operators, leaves))
     rhs = eval_real(f, leaf_values)
     labels = [_leaf_label(op, i) for i, op in enumerate(f.operators)]
     details = {

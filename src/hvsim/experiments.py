@@ -38,8 +38,8 @@ from .model import (
     case_blocks,
     display_label,
     measure,
-    predict,
     predict_batch,
+    predict_each,
     run_sequence,
     substream,
     tally,
@@ -287,8 +287,8 @@ class Table1Report:
         return Events(labels, case, case, np.array(c), np.array(value))
 
 
-def _predict_unit(op, hidden: HiddenState, what: str) -> int:
-    value = predict(op, hidden)
+def _unit(value: float, what: str) -> int:
+    """A predicted value as the integer +-1 it must be."""
     rounded = int(round(value))
     if abs(value - rounded) > VALUE_TOL or rounded not in (-1, 1):
         raise ReferenceRunMismatchError(f"{what}: prediction {value!r} is not +-1")
@@ -300,12 +300,14 @@ def replay_table1() -> Table1Report:
 
     Starting from |00> with c = 0.4 and scripted follow-up draws (0.1, 0.7),
     each iteration predicts the whole grid plus the six line products on the
-    current hidden state, then measures one third-column cell (bottom to
-    top) and collapses. Every entry is compared against the frozen expected
-    run; any difference raises ReferenceRunMismatchError naming the first
-    mismatching entry.
+    current hidden state with one predict_each, then measures one
+    third-column cell (bottom to top) and collapses. Every entry is compared
+    against the frozen expected run; any difference raises
+    ReferenceRunMismatchError naming the first mismatching entry.
     """
     square = peres_mermin()
+    # Predicted in this order: the cells row by row, then the row and column products.
+    family = (*itertools.chain(*square.grid), *square.rows, *square.cols)
     script = ScriptedUniforms(TABLE1_CS[1:] + (_REFERENCE_PAD_DRAW,))
     hidden = HiddenState(basis_ket(4, 0), TABLE1_CS[0])
     iterations = []
@@ -321,11 +323,9 @@ def replay_table1() -> Table1Report:
             raise ReferenceRunMismatchError(
                 f"{where}: initial state deviates from the expected one"
             )
+        predicted = iter(predict_each(family, hidden))
         grid = tuple(
-            tuple(
-                _predict_unit(square.grid[r][c], hidden, f"{where}, cell ({r + 1},{c + 1})")
-                for c in range(3)
-            )
+            tuple(_unit(next(predicted), f"{where}, cell ({r + 1},{c + 1})") for c in range(3))
             for r in range(3)
         )
         for r in range(3):
@@ -335,14 +335,10 @@ def replay_table1() -> Table1Report:
                         f"{where}, grid cell ({r + 1},{c + 1}): got {grid[r][c]},"
                         f" expected {ref_grid[r][c]}"
                     )
-        row_values = tuple(
-            _predict_unit(square.rows[i], hidden, f"{where}, row product {i + 1}")
-            for i in range(3)
-        )
-        col_values = tuple(
-            _predict_unit(square.cols[j], hidden, f"{where}, column product {j + 1}")
-            for j in range(3)
-        )
+        row_values = tuple(_unit(next(predicted), f"{where}, row product {i + 1}")
+                           for i in range(3))
+        col_values = tuple(_unit(next(predicted), f"{where}, column product {j + 1}")
+                           for j in range(3))
         if row_values != _REFERENCE_ROW_VALUES:
             raise ReferenceRunMismatchError(
                 f"{where}: row products {row_values}, expected {_REFERENCE_ROW_VALUES}"
@@ -433,9 +429,8 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
         s = 1.0 / math.sqrt(2.0)
         state = PureState([0.0, s, s, 0.0])
     hidden = HiddenState(state, c)
-    direct = {
-        op.label: predict(op, hidden) for op in (b1, b2, partner)
-    }
+    direct = dict(zip((b1.label, b2.label, partner.label),
+                      predict_each((b1, b2, partner), hidden)))
     post = update(partner, hidden, direct[partner.label])
     sampled = np.linspace(0.05, 0.95, 19)
     deduced = {}

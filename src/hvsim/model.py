@@ -330,6 +330,57 @@ def predict(obs, hidden: HiddenState) -> float:
     return float(decomp.values[select(decomp, hidden.state.amplitudes, hidden.c)])
 
 
+@functools.lru_cache(maxsize=64)  # one per operator tuple: operators are immutable
+def _family_table(ops):
+    """(vectors, starts, slots, values): the tables predict_each reads `ops` with.
+
+    vectors stacks the operators' eigenvectors as (K, d, d), so one product
+    gives each operator its overlaps at its own (d, d) shape, with the bits of
+    its own weights; a (d, K * d) hstack would round them differently. starts
+    are the branch starts in the K * d overlaps laid end to end. Branch b of
+    operator k has the slot b * K + k of a (width, K) weight table, and
+    values[b, k] is its eigenvalue; both tables are zero below a column's
+    last branch.
+    """
+    if not ops:
+        raise ValueError("a family needs at least one operator")
+    decomps = [as_decomposition(op) for op in ops]
+    dim = decomps[0].dim
+    if any(d.dim != dim for d in decomps):
+        raise DimensionMismatchError("the operators of a family differ in dimension")
+    values = np.zeros((max(len(d.values) for d in decomps), len(ops)))
+    for k, d in enumerate(decomps):
+        values[:len(d.values), k] = d.values
+    starts = np.concatenate([k * dim + d.offsets[:-1] for k, d in enumerate(decomps)])
+    slots = np.concatenate([np.arange(len(d.values)) * len(ops) + k
+                            for k, d in enumerate(decomps)])
+    return np.stack([d.vectors for d in decomps]), starts, slots, values
+
+
+def predict_each(ops, hidden: HiddenState) -> list[float]:
+    """predict() of every observable in `ops` on one hidden state, bit for bit
+    [predict(op, hidden) for op in ops], with one product, one segment sum and
+    one selection rule for the whole family.
+
+    Each operator's branch weights fill one column of a table with as many
+    rows as the family's largest spectrum has branches. The zeros below a
+    shorter column act as a trailing zero-weight branch, whose edges _edges
+    reads as inf, so every column picks the branch select picks for that
+    operator alone.
+    """
+    vectors, starts, slots, values = _family_table(tuple(ops))
+    amps = hidden.state.amplitudes
+    if amps.shape != vectors.shape[1:2]:
+        raise DimensionMismatchError(
+            f"state of shape {amps.shape} does not match dimension {vectors.shape[1]}"
+        )
+    overlaps = (amps.conj() @ vectors).ravel()  # row k: conj(V_k^H psi)
+    weights = np.zeros(values.size)
+    weights[slots] = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, starts)
+    chosen = _choose(weights.reshape(values.shape), hidden.c)
+    return values[chosen, np.arange(len(chosen))].tolist()
+
+
 def _open_scalars(cs) -> np.ndarray:
     """`cs` as floats, every one strictly inside (0, 1)."""
     cs = np.asarray(cs, dtype=float)

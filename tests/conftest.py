@@ -36,6 +36,7 @@ FROZEN_COMMANDS = ("table1", "pm-square", "no-go", "strong-fc", "implications")
 # Deterministic reports at other arguments, pinned as tests/expected/<name>.json.
 ARGUED_COMMANDS = (
     ("implications-c0.7", ("implications", "--c", "0.7")),
+    ("strong-fc-c0.7", ("strong-fc", "--c", "0.7")),
 )
 
 

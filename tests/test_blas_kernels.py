@@ -5,7 +5,9 @@ for the CPU when it loads, and the OPENBLAS_CORETYPE environment variable
 overrides the pick. Kernels round differently, so a report that reads the
 last bit of an eigensolver result can change from host to host. For each
 kernel one subprocess reruns every pinned argument list through
-hvsim.cli.main; each pin is then its own test.
+hvsim.cli.main; each pin is then its own test. The same subprocess runs the
+predict_each differential of test_model, since whether a batched product
+keeps each operator's bits depends on the kernel.
 """
 
 import functools
@@ -34,12 +36,14 @@ for name, argv in MULTI_BLOCK_SHOTS + ARGUED_COMMANDS:
     PINS.append((f"tests/expected/{name}.json", (*argv, "--format", "json")))
 PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
 
-# Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout} and the
-# kernel OpenBLAS reports it chose.
+# Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout}, the
+# predict_each differential's (cases, mismatches) and the kernel OpenBLAS
+# reports it chose.
 _RERUN = """
 import contextlib, ctypes, glob, io, json, os, sys
 import numpy
 from hvsim.cli import main
+from test_model import predict_each_mismatches
 outputs = {}
 for pin, argv in json.load(sys.stdin):
     buffer = io.StringIO()
@@ -53,7 +57,8 @@ for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
     if get is not None:
         get.argtypes, get.restype = [], ctypes.c_char_p
         core = get().decode()
-json.dump({"outputs": outputs, "core": core}, sys.stdout)
+json.dump({"outputs": outputs, "predict_each": predict_each_mismatches(), "core": core},
+          sys.stdout)
 """
 
 
@@ -72,14 +77,15 @@ def _why_not_dynamic() -> str | None:
 def _rerun(kernel: str) -> dict:
     pins = [param.values for param in PINS]
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                                         os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _RERUN], input=json.dumps(pins), env=env,
                           capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(done.stdout)
     KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel} (OpenBLAS core {result['core']}):"
-                        f" {len(pins)} pinned reports rerun in one subprocess")
-    return result["outputs"]
+                        f" {len(pins)} pinned reports and {result['predict_each'][0]} predict_each"
+                        " cases rerun in one subprocess")
+    return result
 
 
 @functools.cache
@@ -96,7 +102,7 @@ def test_pinned_report_under_kernel(kernel, pin, argv):
     reason = _skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    got = _rerun(kernel)[pin].splitlines(keepends=True)
+    got = _rerun(kernel)["outputs"][pin].splitlines(keepends=True)
     want = (ROOT / pin).read_text(encoding="utf-8").splitlines(keepends=True)
     # Name the first differing line rather than diff two long reports.
     first = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b),
@@ -104,3 +110,12 @@ def test_pinned_report_under_kernel(kernel, pin, argv):
     same = got == want
     assert same, (f"{pin} under OPENBLAS_CORETYPE={kernel}: line {first + 1} reads"
                   f" {got[first:first + 1]}, pinned {want[first:first + 1]}")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_predict_each_matches_predict_under_kernel(kernel):
+    reason = _skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    cases, mismatches = _rerun(kernel)["predict_each"]
+    assert mismatches == [] and cases > 3000

@@ -250,6 +250,18 @@ def test_library_error_in_a_runner_exits_one(capsys, monkeypatch):
     assert err.startswith("error: iteration 1: row products (1, 1, 1)")
 
 
+def test_a_mismatched_grid_cell_is_named(capsys, monkeypatch):
+    # The grid comes from one predict_each per iteration; a wrong reference
+    # cell is still reported by its iteration and position.
+    (c, initial, grid, *rest), *later = experiments._REFERENCE_ITERATIONS
+    assert grid[1][2] == -1
+    grid = (grid[0], (grid[1][0], grid[1][1], 1), grid[2])
+    monkeypatch.setattr(experiments, "_REFERENCE_ITERATIONS", ((c, initial, grid, *rest), *later))
+    code, out, err = run(capsys, "table1", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == "error: iteration 1, grid cell (2,3): got -1, expected 1\n"
+
+
 def _emits_one_block_then_fails(cfg, state, obs, sink=None):
     """A born driver that hands its sink one block of two events, then fails."""
     sink(model.Events(("Z",), np.arange(2), np.zeros(2, dtype=int), np.array([0.25, 0.75]),
@@ -468,6 +480,36 @@ class TestOutFile:
         assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
         assert list(tmp_path.iterdir()) == [log]
 
+    @pytest.mark.parametrize("directory, fmt", [
+        ("/dev/fd", "csv"), ("/dev/fd", "json"), ("/dev/fd", "text"),
+        pytest.param("/proc/self/fd", "csv", marks=pytest.mark.skipif(
+            not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd on this platform")),
+    ])
+    def test_inherited_descriptor_opened_for_append_keeps_its_lines(self, tmp_path,
+                                                                   directory, fmt):
+        # `hvsim ... --out /dev/fd/3 3>> log` appends the report to log through
+        # descriptor 3: the file behind it is neither replaced nor truncated.
+        argv = ("weak-fc", "--trials", "5", "--format", fmt)
+        log = tmp_path / "log"
+        log.write_text("earlier line\n", encoding="utf-8")
+        with open(log, "a", encoding="utf-8") as handle:
+            fd = handle.fileno()
+            result = fresh(*argv, "--out", f"{directory}/{fd}", pass_fds=(fd,))
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+        assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
+        assert list(tmp_path.iterdir()) == [log]
+
+    def test_a_read_only_descriptor_is_refused_and_kept(self, tmp_path):
+        # `hvsim ... --out /dev/stdin < data`: /dev/stdin links to descriptor 0,
+        # which only reads, so writing fails; data is not truncated either.
+        data = tmp_path / "data"
+        data.write_text("input line\n", encoding="utf-8")
+        with open(data, encoding="utf-8") as stdin:
+            result = fresh("no-go", "--format", "json", "--out", "/dev/stdin", stdin=stdin)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: cannot write /dev/stdin: ")
+        assert data.read_text(encoding="utf-8") == "input line\n"
+
     def test_stdout_file_keeps_what_is_written_around_the_report(self, tmp_path):
         # ( echo header; hvsim ... --out /dev/stdout; echo footer ) > log
         log = tmp_path / "log"
@@ -500,15 +542,16 @@ class TestOutFile:
         assert not target.exists()
 
 
-def fresh(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def fresh(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **run_args):
     """Run `python -m hvsim argv` in a new process on the package under test,
-    capturing its stdout and stderr unless `stdout` or `stderr` names another file."""
+    capturing its stdout and stderr unless `stdout` or `stderr` names another
+    file; other keywords (stdin, pass_fds) go to subprocess.run."""
     src = str(Path(hvsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "hvsim", *argv],
         stdout=stdout, stderr=stderr, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path}, **run_args,
     )
 
 

@@ -21,7 +21,7 @@ from hvsim.errors import (
 )
 from hvsim import model
 from hvsim.cli import main
-from hvsim.expressions import peres_mermin
+from hvsim.expressions import implications_operators, peres_mermin
 from hvsim.model import (
     CSV_HEADER,
     MIN_BRANCH_WEIGHT,
@@ -39,6 +39,7 @@ from hvsim.model import (
     measure,
     predict,
     predict_batch,
+    predict_each,
     run_sequence,
     select,
     substream,
@@ -1075,3 +1076,74 @@ class TestRunSequenceAgainstMeasure:
         values = run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
                               np.ones((3, 2), int))
         assert values.shape == (3, 2)
+
+
+def _predict_each_families():
+    """(family, states) pairs for the predict_each differential: the square's
+    15 operators, the implications triple, a qubit family whose -1 branch
+    weighs exactly MIN_BRANCH_WEIGHT beside a one-branch operator, and for
+    dims 2, 3, 5 and 8 random Hermitians with a degenerate commuting family,
+    some given as decompositions, on Haar states and on states that zero
+    branches or put them below the cutoff."""
+    square = peres_mermin()
+    rng = np.random.default_rng(19)
+    four = [basis_ket(4, 0), normalized([0.0, 1.0, 1.0, 0.0]), normalized([1.0, 0.0, 0.0, 1.0]),
+            normalized([1.0, 1e-7, 1e-6, 0.0]), *map(PureState, _haar_starts(4, 3, rng))]
+    yield (*itertools.chain(*square.grid), *square.rows, *square.cols), four
+    yield implications_operators(), four
+    at_cutoff = PureState([np.sqrt(1.0 - 1e-12), 1e-6])
+    assert spectral(pauli("z")).weights(at_cutoff)[0] == MIN_BRANCH_WEIGHT
+    yield (pauli("z"), spectral(pauli("x")), identity(2)), [at_cutoff, basis_ket(2, 1)]
+    for dim in (2, 3, 5, 8) * 3:
+        spectra = rng.integers(-1, 2, size=(3, dim)).astype(float)  # repeated eigenvalues
+        shared = commuting_family(spectra, rng)
+        family = (random_hermitian(dim, rng), *shared[:2], spectral(shared[2]),
+                  spectral(random_hermitian(dim, rng)))
+        near = shared[0].spectrum().vectors @ np.r_[1.0, np.full(dim - 1, 1e-7)]
+        yield family, [*map(PureState, _haar_starts(dim, 6, rng)), normalized(near)]
+
+
+def predict_each_mismatches():
+    """(cases, mismatches): predict_each against [predict(op, h) for op in ops],
+    compared bit for bit for every family of _predict_each_families and each
+    of its states, at every operator's zeroed cumulative weights, one ulp
+    either side, and both ends of (0, 1). The kernel reruns call this too."""
+    cases, mismatches = 0, []
+    for number, (family, states) in enumerate(_predict_each_families()):
+        for state in states:
+            cs = [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+            for op in family:
+                for edge in _zeroed_cumulative(as_decomposition(op), state)[1]:
+                    cs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+            for c in np.unique([c for c in cs if 0.0 < c < 1.0]).tolist():
+                hidden = HiddenState(state, c)
+                got = [v.hex() for v in predict_each(family, hidden)]
+                want = [predict(op, hidden).hex() for op in family]
+                cases += 1
+                if got != want:
+                    mismatches.append(f"family {number}, c={c!r}: {got} != {want}")
+    return cases, mismatches
+
+
+class TestPredictEach:
+    def test_matches_predict_at_every_edge(self):
+        cases, mismatches = predict_each_mismatches()
+        assert mismatches == [] and cases > 3000
+
+    def test_operators_and_decompositions_mix(self):
+        family = [pauli("z"), spectral(pauli("x")), pauli("y").spectrum(), identity(2)]
+        hidden = HiddenState(normalized([1.0, 1j]), 0.3)
+        assert predict_each(family, hidden) == [predict(op, hidden) for op in family]
+        assert predict_each(iter(family), hidden) == predict_each(tuple(family), hidden)
+
+    def test_input_checks(self):
+        z = pauli("z")
+        with pytest.raises(DimensionMismatchError):  # as run_sequence refuses
+            predict_each([z, identity(4)], HiddenState(basis_ket(2, 0), 0.5))
+        wrong = HiddenState(basis_ket(4, 0), 0.5)
+        with pytest.raises(DimensionMismatchError):  # as SpectralDecomposition.weights refuses
+            spectral(z).weights(wrong.state)
+        with pytest.raises(DimensionMismatchError):
+            predict_each([z, pauli("x")], wrong)
+        with pytest.raises(ValueError):
+            predict_each([], HiddenState(basis_ket(2, 0), 0.5))
