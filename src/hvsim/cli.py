@@ -156,23 +156,26 @@ def _verdict(passed: bool, note: str = "") -> str:
 
 def _run_table1(args, sink):
     report = replay_table1()
-    lines = ["reference replay: 3 iterations, every entry matches the frozen run", ""]
-    labels = [[op.label for op in row] for row in peres_mermin().grid]
-    for it in report.iterations:
-        lines.append(f"iteration {it.index}: c={it.c:g}, state {_ket_string(it.initial_state)}")
-        for r in range(3):
-            cells = "  ".join(f"{labels[r][c]}={_sign(it.grid[r][c])}" for c in range(3))
-            lines.append(f"  {cells}")
-        rows = " ".join(f"R{i + 1}={_sign(v)}" for i, v in enumerate(it.row_values))
-        cols = " ".join(f"C{j + 1}={_sign(v)}" for j, v in enumerate(it.col_values))
-        lines.append(f"  row products: {rows}   column products: {cols}")
-        lines.append(f"  measured {it.measured_label} -> {_sign(it.measured_value)},"
-                     f" state after collapse: {_ket_string(it.final_state)}")
-        lines.append("")
-    text = "\n".join(lines) + _verdict(True)
     if sink is not None:
         sink(report.events)
-    return report.as_dict(), True, text
+
+    def text():
+        lines = ["reference replay: 3 iterations, every entry matches the frozen run", ""]
+        labels = [[op.label for op in row] for row in peres_mermin().grid]
+        for it in report.iterations:
+            lines.append(f"iteration {it.index}: c={it.c:g},"
+                         f" state {_ket_string(it.initial_state)}")
+            for r in range(3):
+                cells = "  ".join(f"{labels[r][c]}={_sign(it.grid[r][c])}" for c in range(3))
+                lines.append(f"  {cells}")
+            rows = " ".join(f"R{i + 1}={_sign(v)}" for i, v in enumerate(it.row_values))
+            cols = " ".join(f"C{j + 1}={_sign(v)}" for j, v in enumerate(it.col_values))
+            lines.append(f"  row products: {rows}   column products: {cols}")
+            lines.append(f"  measured {it.measured_label} -> {_sign(it.measured_value)},"
+                         f" state after collapse: {_ket_string(it.final_state)}")
+            lines.append("")
+        return "\n".join(lines) + _verdict(True)
+    return report.as_dict, True, text
 
 
 @functools.cache  # operators are immutable, so one Z and its decomposition serve every call
@@ -185,56 +188,63 @@ def _run_born(args, sink):
                            tolerance_sigma=args.tolerance_sigma)
     state = spin_state(args.theta)
     report = born_experiment(cfg, state, _born_observable(), sink)
-    payload = {"seed": cfg.seed, "theta": args.theta, **report.as_dict()}
-    lines = [
-        f"born statistics for {report.observable_label} on"
-        f" cos(theta)|0>+sin(theta)|1>, theta={args.theta:g}",
-        f"seed={cfg.seed} trials={cfg.trials}",
-        f"{'outcome':>8} {'expected':>12} {'observed':>12}",
-    ]
-    for value in sorted(report.expected_probabilities):
-        lines.append(f"{value:>8g} {report.expected(value):>12.6f}"
-                     f" {report.frequency(value):>12.6f}")
-    lines.append(f"max sigma deviation: {report.max_sigma_deviation:.3f}"
-                 f" (tolerance {report.tolerance_sigma:g})")
-    text = "\n".join(lines) + "\n" + _verdict(report.passed)
-    return payload, report.passed, text
+
+    def text():
+        lines = [
+            f"born statistics for {report.observable_label} on"
+            f" cos(theta)|0>+sin(theta)|1>, theta={args.theta:g}",
+            f"seed={cfg.seed} trials={cfg.trials}",
+            f"{'outcome':>8} {'expected':>12} {'observed':>12}",
+        ]
+        for value in sorted(report.expected_probabilities):
+            lines.append(f"{value:>8g} {report.expected(value):>12.6f}"
+                         f" {report.frequency(value):>12.6f}")
+        lines.append(f"max sigma deviation: {report.max_sigma_deviation:.3f}"
+                     f" (tolerance {report.tolerance_sigma:g})")
+        return "\n".join(lines) + "\n" + _verdict(report.passed)
+    return lambda: {"seed": cfg.seed, "theta": args.theta, **report.as_dict()}, report.passed, text
 
 
 def _run_pm_square(args):
     square = peres_mermin()
     max_comm = max(f.max_commutator_norm for f in square.lines)
     max_identity_gap = square.identity_deviation
-    payload = {
-        "grid": [[op.label for op in row] for row in square.grid],
-        "row_values": list(square.row_values),
-        "col_values": list(square.col_values),
-        "max_line_commutator_norm": max_comm,
-        "max_identity_deviation": max_identity_gap,
-    }
-    lines = ["two-qubit observable square"]
-    for row in square.grid:
-        lines.append("  " + " ".join(op.label for op in row))
-    lines.append("row products: " + " ".join(_sign(v) for v in square.row_values))
-    lines.append("column products: " + " ".join(_sign(v) for v in square.col_values))
-    lines.append(f"max commutator norm within a line: {max_comm:.3e}")
-    lines.append(f"max deviation of a line product from its scalar: {max_identity_gap:.3e}")
-    text = "\n".join(lines) + "\n" + _verdict(True)
+
+    def payload():
+        return {
+            "grid": [[op.label for op in row] for row in square.grid],
+            "row_values": list(square.row_values),
+            "col_values": list(square.col_values),
+            "max_line_commutator_norm": max_comm,
+            "max_identity_deviation": max_identity_gap,
+        }
+
+    def text():
+        lines = ["two-qubit observable square"]
+        for row in square.grid:
+            lines.append("  " + " ".join(op.label for op in row))
+        lines.append("row products: " + " ".join(_sign(v) for v in square.row_values))
+        lines.append("column products: " + " ".join(_sign(v) for v in square.col_values))
+        lines.append(f"max commutator norm within a line: {max_comm:.3e}")
+        lines.append(f"max deviation of a line product from its scalar: {max_identity_gap:.3e}")
+        return "\n".join(lines) + "\n" + _verdict(True)
     return payload, True, text
 
 
 def _run_no_go(args):
     result = no_go_search(peres_mermin())
     passed = result.satisfying_assignments == 0
-    lines = [
-        "global +-1 assignment census over the square",
-        f"assignments tested: {result.total_assignments}",
-        f"satisfying all six line constraints: {result.satisfying_assignments}",
-        f"meeting all row constraints (even parity): {result.parity_even_count}",
-        f"meeting all column constraints (odd parity): {result.parity_odd_count}",
-    ]
-    text = "\n".join(lines) + "\n" + _verdict(passed, "no global assignment exists")
-    return result.as_dict(), passed, text
+
+    def text():
+        lines = [
+            "global +-1 assignment census over the square",
+            f"assignments tested: {result.total_assignments}",
+            f"satisfying all six line constraints: {result.satisfying_assignments}",
+            f"meeting all row constraints (even parity): {result.parity_even_count}",
+            f"meeting all column constraints (odd parity): {result.parity_odd_count}",
+        ]
+        return "\n".join(lines) + "\n" + _verdict(passed, "no global assignment exists")
+    return result.as_dict, passed, text
 
 
 def _run_weak_fc(args, sink):
@@ -242,19 +252,20 @@ def _run_weak_fc(args, sink):
     f = square.column_expression(args.column)
     state = basis_ket(4, 0)
     summary = verify_proposition(f, state, args.trials, (args.seed, _WEAK_FC_TAG), sink=sink)
-    payload = {"seed": args.seed, "column": args.column,
-               "initial_state": amplitude_pairs(state.amplitudes),
-               **summary.as_dict()}
-    lines = [
-        "weak functional consistency sweep",
-        f"expression: {summary.expression} from state {_ket_string(state)}",
-        f"seed={args.seed} trials={summary.trials}"
-        f" permutations={summary.permutation_count}",
-        f"cases: {summary.cases}   passes: {summary.passes}"
-        f"   failures: {summary.failures}",
-    ]
-    text = "\n".join(lines) + "\n" + _verdict(summary.all_passed)
-    return payload, summary.all_passed, text
+
+    def text():
+        lines = [
+            "weak functional consistency sweep",
+            f"expression: {summary.expression} from state {_ket_string(state)}",
+            f"seed={args.seed} trials={summary.trials}"
+            f" permutations={summary.permutation_count}",
+            f"cases: {summary.cases}   passes: {summary.passes}"
+            f"   failures: {summary.failures}",
+        ]
+        return "\n".join(lines) + "\n" + _verdict(summary.all_passed)
+    return (lambda: {"seed": args.seed, "column": args.column,
+                     "initial_state": amplitude_pairs(state.amplitudes),
+                     **summary.as_dict()}), summary.all_passed, text
 
 
 def _run_strong_fc(args):
@@ -263,83 +274,91 @@ def _run_strong_fc(args):
     hidden = HiddenState(basis_ket(4, 0), args.c)
     report = check_strong_fc(f, hidden)
     witnessed = not report.holds
-    leaf_values = report.details["leaf_values"]
-    lines = [
-        "strong functional consistency probe",
-        f"expression: {report.scenario_label} on {_ket_string(hidden.state)}"
-        f" with c={args.c:g}",
-        "per-leaf predictions: " + " ".join(
-            f"{k}={_sign(v)}" for k, v in leaf_values.items()),
-        f"predict(expression operator) = {_sign(report.lhs_value)}",
-        f"expression of per-leaf predictions = {_sign(report.rhs_value)}",
-        f"holds: {'yes' if report.holds else 'no'}",
-    ]
-    text = "\n".join(lines) + "\n" + _verdict(witnessed, "inconsistency witnessed")
-    return report.as_dict(), witnessed, text
+
+    def text():
+        leaf_values = report.details["leaf_values"]
+        lines = [
+            "strong functional consistency probe",
+            f"expression: {report.scenario_label} on {_ket_string(hidden.state)}"
+            f" with c={args.c:g}",
+            "per-leaf predictions: " + " ".join(
+                f"{k}={_sign(v)}" for k, v in leaf_values.items()),
+            f"predict(expression operator) = {_sign(report.lhs_value)}",
+            f"expression of per-leaf predictions = {_sign(report.rhs_value)}",
+            f"holds: {'yes' if report.holds else 'no'}",
+        ]
+        return "\n".join(lines) + "\n" + _verdict(witnessed, "inconsistency witnessed")
+    return report.as_dict, witnessed, text
 
 
 def _run_implications(args):
     report = implications_demo(args.c)
     passed = report.post_collapse_consistent and report.non_fc_witnessed
-    mismatches = " ".join(
-        f"{k}={'yes' if v else 'no'}" for k, v in report.mismatch.items())
-    lines = [
-        "deduction vs direct prediction on the diagonal triple",
-        f"state: {_ket_string(report.initial_state)}, c={report.c:g}",
-        "direct predictions: " + " ".join(
-            f"{k}={v:g}" for k, v in report.direct.items()),
-        f"collapse on C={report.direct['C']:g} leaves"
-        f" {_ket_string(report.post_state)}",
-        "deduced from the C outcome: " + " ".join(
-            f"{k}={v:g}" for k, v in report.deduced.items()),
-        f"mismatch with direct: {mismatches}",
-        f"post-collapse predictions match the deduced values for all"
-        f" {report.sampled_c_count} sampled scalars:"
-        f" {'yes' if report.post_collapse_consistent else 'no'}",
-    ]
-    text = "\n".join(lines) + "\n" + _verdict(passed)
-    return report.as_dict(), passed, text
+
+    def text():
+        mismatches = " ".join(
+            f"{k}={'yes' if v else 'no'}" for k, v in report.mismatch.items())
+        lines = [
+            "deduction vs direct prediction on the diagonal triple",
+            f"state: {_ket_string(report.initial_state)}, c={report.c:g}",
+            "direct predictions: " + " ".join(
+                f"{k}={v:g}" for k, v in report.direct.items()),
+            f"collapse on C={report.direct['C']:g} leaves"
+            f" {_ket_string(report.post_state)}",
+            "deduced from the C outcome: " + " ".join(
+                f"{k}={v:g}" for k, v in report.deduced.items()),
+            f"mismatch with direct: {mismatches}",
+            f"post-collapse predictions match the deduced values for all"
+            f" {report.sampled_c_count} sampled scalars:"
+            f" {'yes' if report.post_collapse_consistent else 'no'}",
+        ]
+        return "\n".join(lines) + "\n" + _verdict(passed)
+    return report.as_dict, passed, text
 
 
 def _run_chsh(args, sink):
     cfg = ExperimentConfig(seed=args.seed, trials=args.trials)
     mode = "sequential" if args.sequential else "product"
     report = chsh_experiment(cfg, mode=mode, sink=sink)
-    payload = {"seed": cfg.seed, **report.as_dict()}
-    target = 2.0 * math.sqrt(2.0)
-    lines = [
-        f"four-setting correlation statistic ({report.mode} mode)",
-        f"seed={cfg.seed} trials per setting={report.trials_per_setting}",
-        "correlators: " + " ".join(
-            f"E[{k}]={v:+.6f}" for k, v in report.correlators.items()),
-        f"S = {report.s_value:.6f}   classical bound 2   quantum value"
-        f" 2*sqrt(2) = {target:.6f}",
-    ]
-    text = "\n".join(lines) + "\n" + _verdict(report.exceeds_classical,
-                                              "classical bound exceeded")
-    return payload, report.exceeds_classical, text
+
+    def text():
+        target = 2.0 * math.sqrt(2.0)
+        lines = [
+            f"four-setting correlation statistic ({report.mode} mode)",
+            f"seed={cfg.seed} trials per setting={report.trials_per_setting}",
+            "correlators: " + " ".join(
+                f"E[{k}]={v:+.6f}" for k, v in report.correlators.items()),
+            f"S = {report.s_value:.6f}   classical bound 2   quantum value"
+            f" 2*sqrt(2) = {target:.6f}",
+        ]
+        return "\n".join(lines) + "\n" + _verdict(report.exceeds_classical,
+                                                  "classical bound exceeded")
+    return lambda: {"seed": cfg.seed, **report.as_dict()}, report.exceeds_classical, text
 
 
 def _run_column_product(args, sink):
     report = column_product_experiment(index=args.index, trials=args.trials,
                                        seed=args.seed, axis=args.axis, sink=sink)
-    payload = {"seed": args.seed, **report.as_dict()}
-    lines = [
-        f"sequential product sweep on {report.axis} {report.index}",
-        f"seed={args.seed} trials={report.trials}"
-        f" permutations={report.permutation_count}",
-        f"forced product value: {_sign(report.forced_value)}",
-        f"cases: {report.cases}   passes: {report.passes}"
-        f"   failures: {report.failures}",
-    ]
-    text = "\n".join(lines) + "\n" + _verdict(report.all_passed)
-    return payload, report.all_passed, text
+
+    def text():
+        lines = [
+            f"sequential product sweep on {report.axis} {report.index}",
+            f"seed={args.seed} trials={report.trials}"
+            f" permutations={report.permutation_count}",
+            f"forced product value: {_sign(report.forced_value)}",
+            f"cases: {report.cases}   passes: {report.passes}"
+            f"   failures: {report.failures}",
+        ]
+        return "\n".join(lines) + "\n" + _verdict(report.all_passed)
+    return lambda: {"seed": args.seed, **report.as_dict()}, report.all_passed, text
 
 
 # Each command's runner and whether it streams CSV events. A runner that
 # does takes the parsed arguments and a sink for the report's blocks of
 # events (None unless --format csv); the others take the arguments alone.
-# Every runner returns (payload, passed, text).
+# Every runner returns (payload, passed, text): payload and text build the
+# JSON payload and the text report when called, and main calls only the one
+# its --format writes.
 _RUNNERS = {
     "table1": (_run_table1, True),
     "born": (_run_born, True),
@@ -505,13 +524,13 @@ def main(argv=None) -> int:
                 payload, passed, text = runner(args, sink)
             else:
                 payload, passed, text = runner(args)
+            if args.format == "json":
+                out.write(json.dumps(payload(), indent=2, sort_keys=True) + "\n")
+            elif args.format == "text":
+                out.write(text())
         except HvsimError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if args.format == "json":
-            out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        elif args.format == "text":
-            out.write(text)
         out.commit()
     except OSError as exc:
         if out.path is None:

@@ -287,12 +287,24 @@ class Table1Report:
         return Events(labels, case, case, np.array(c), np.array(value))
 
 
-def _unit(value: float, what: str) -> int:
-    """A predicted value as the integer +-1 it must be."""
-    rounded = int(round(value))
-    if abs(value - rounded) > VALUE_TOL or rounded not in (-1, 1):
-        raise ReferenceRunMismatchError(f"{what}: prediction {value!r} is not +-1")
-    return rounded
+def _first_fault(where: str, values: list, ref_grid) -> str:
+    """The message of the first check an iteration's 15 predictions fail, in
+    the order the checks run: each cell is +-1, the grid is the reference's,
+    each row and column product is +-1, the products are the reference's."""
+    units = [int(round(value)) for value in values]
+    names = [*(f"cell ({r},{c})" for r in (1, 2, 3) for c in (1, 2, 3)),
+             *(f"{line} product {i}" for line in ("row", "column") for i in (1, 2, 3))]
+    wrong = next((k for k in range(9) if units[k] != ref_grid[k // 3][k % 3]), None)
+    for k, (value, unit) in enumerate(zip(values, units)):
+        if k == 9 and wrong is not None:
+            r, c = divmod(wrong, 3)
+            return (f"{where}, grid cell ({r + 1},{c + 1}): got {units[wrong]},"
+                    f" expected {ref_grid[r][c]}")
+        if abs(value - unit) > VALUE_TOL or unit not in (-1, 1):
+            return f"{where}, {names[k]}: prediction {value!r} is not +-1"
+    if tuple(units[9:12]) != _REFERENCE_ROW_VALUES:
+        return f"{where}: row products {tuple(units[9:12])}, expected {_REFERENCE_ROW_VALUES}"
+    return f"{where}: column products {tuple(units[12:])}, expected {_REFERENCE_COL_VALUES}"
 
 
 def replay_table1() -> Table1Report:
@@ -323,30 +335,13 @@ def replay_table1() -> Table1Report:
             raise ReferenceRunMismatchError(
                 f"{where}: initial state deviates from the expected one"
             )
-        predicted = iter(predict_each(family, hidden))
-        grid = tuple(
-            tuple(_unit(next(predicted), f"{where}, cell ({r + 1},{c + 1})") for c in range(3))
-            for r in range(3)
-        )
-        for r in range(3):
-            for c in range(3):
-                if grid[r][c] != ref_grid[r][c]:
-                    raise ReferenceRunMismatchError(
-                        f"{where}, grid cell ({r + 1},{c + 1}): got {grid[r][c]},"
-                        f" expected {ref_grid[r][c]}"
-                    )
-        row_values = tuple(_unit(next(predicted), f"{where}, row product {i + 1}")
-                           for i in range(3))
-        col_values = tuple(_unit(next(predicted), f"{where}, column product {j + 1}")
-                           for j in range(3))
-        if row_values != _REFERENCE_ROW_VALUES:
-            raise ReferenceRunMismatchError(
-                f"{where}: row products {row_values}, expected {_REFERENCE_ROW_VALUES}"
-            )
-        if col_values != _REFERENCE_COL_VALUES:
-            raise ReferenceRunMismatchError(
-                f"{where}: column products {col_values}, expected {_REFERENCE_COL_VALUES}"
-            )
+        # Within VALUE_TOL of its reference +-1, a prediction passes every check.
+        expected = (*itertools.chain(*ref_grid), *_REFERENCE_ROW_VALUES, *_REFERENCE_COL_VALUES)
+        values = predict_each(family, hidden)
+        if not all(abs(value - ref) <= VALUE_TOL for value, ref in zip(values, expected)):
+            raise ReferenceRunMismatchError(_first_fault(where, values, ref_grid))
+        grid = (expected[0:3], expected[3:6], expected[6:9])
+        row_values, col_values = expected[9:12], expected[12:]
         row_i, col_j = measured_cell
         measured_op = square.grid[row_i - 1][col_j - 1]
         record, hidden = measure(measured_op, hidden, script)

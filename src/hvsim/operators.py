@@ -360,6 +360,6 @@ def commuting_family(spectra, rng: np.random.Generator) -> list[HermitianOperato
 
 def amplitude_pairs(amplitudes) -> list[list[float]]:
     """[[re, im], ...] encoding used by the JSON serializers."""
-    arr = np.asarray(amplitudes, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in arr]
+    arr = np.ascontiguousarray(amplitudes, dtype=complex)
+    return arr.view(np.float64).reshape(-1, 2).tolist()
 

@@ -39,6 +39,10 @@ ARGUED_COMMANDS = (
     ("strong-fc-c0.7", ("strong-fc", "--c", "0.7")),
 )
 
+# Every call pinned in json above, pinned in text too as tests/expected/<name>.txt.
+TEXT_PINS = (*((command, (command,)) for command in FROZEN_COMMANDS), *ARGUED_COMMANDS,
+             *SEEDED_SWEEPS, *SINGLE_SHOTS, *MULTI_BLOCK_SHOTS)
+
 
 class Blocks(list):
     """A sink that keeps every block of events a driver hands it, in order."""

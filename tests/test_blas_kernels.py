@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import (ARGUED_COMMANDS, FROZEN_COMMANDS, KERNEL_LINES, MULTI_BLOCK_SHOTS,
-                      SEEDED_SWEEPS, SINGLE_SHOTS)
+                      SEEDED_SWEEPS, SINGLE_SHOTS, TEXT_PINS)
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = ("Haswell", "Prescott")
@@ -34,6 +34,8 @@ for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS:
         PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt)))
 for name, argv in MULTI_BLOCK_SHOTS + ARGUED_COMMANDS:
     PINS.append((f"tests/expected/{name}.json", (*argv, "--format", "json")))
+for name, argv in TEXT_PINS:
+    PINS.append((f"tests/expected/{name}.txt", (*argv, "--format", "text")))
 PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
 
 # Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout}, the

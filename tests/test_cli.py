@@ -7,14 +7,15 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import hvsim
 from conftest import (ARGUED_COMMANDS, FROZEN_COMMANDS, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS,
-                      SINGLE_SHOTS)
-from hvsim import cli, experiments, model, operators
+                      SINGLE_SHOTS, TEXT_PINS)
+from hvsim import cli, consistency, experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.errors import HiddenDrawError
 from hvsim.expressions import Leaf, Scale, peres_mermin
@@ -140,6 +141,15 @@ def test_json_at_other_arguments_matches_frozen_bytes(capsys, name, argv):
     assert out == (SEEDED_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name, argv", [(name, list(argv)) for name, argv in TEXT_PINS])
+def test_text_matches_frozen_bytes(capsys, name, argv):
+    # Every call pinned in json is pinned in text as well, frozen from the
+    # code that built both reports on every run.
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out == (SEEDED_DIR / f"{name}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @SEEDED_CALLS
 def test_seeded_sequential_reports_match_frozen_bytes(capsys, name, argv, fmt):
@@ -260,6 +270,80 @@ def test_a_mismatched_grid_cell_is_named(capsys, monkeypatch):
     code, out, err = run(capsys, "table1", "--format", "csv")
     assert (code, out) == (1, "")
     assert err == "error: iteration 1, grid cell (2,3): got -1, expected 1\n"
+
+
+def _off_at(monkeypatch, position):
+    """Make every predict_each of table1 read 0.5 at `position` of its family."""
+    predict_each = experiments.predict_each
+
+    def off(family, hidden):
+        values = list(predict_each(family, hidden))
+        values[position] = 0.5
+        return values
+    monkeypatch.setattr(experiments, "predict_each", off)
+
+
+# Positions in the family: nine cells row by row, then three row and three column products.
+@pytest.mark.parametrize("position, name", [(5, "cell (2,3)"), (13, "column product 2")])
+def test_a_prediction_off_plus_minus_one_is_named(capsys, monkeypatch, position, name):
+    _off_at(monkeypatch, position)
+    code, out, err = run(capsys, "table1", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == f"error: iteration 1, {name}: prediction 0.5 is not +-1\n"
+
+
+def test_table1_checks_fail_in_their_order(capsys, monkeypatch):
+    # A line product off +-1 is named before a row product that differs from
+    # the reference, as the checks run cells, grid, line products, rows, columns.
+    _off_at(monkeypatch, 13)
+    monkeypatch.setattr(experiments, "_REFERENCE_ROW_VALUES", (1, 1, -1))
+    code, out, err = run(capsys, "table1", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == "error: iteration 1, column product 2: prediction 0.5 is not +-1\n"
+
+
+# Each subcommand at small arguments; chsh in both of its modes.
+EVERY_COMMAND = (["table1"], ["born", "--trials", "200"], ["pm-square"], ["no-go"],
+                 ["weak-fc", "--trials", "3"], ["strong-fc"], ["implications"],
+                 ["chsh", "--trials", "200"], ["chsh", "--sequential", "--trials", "4"],
+                 ["column-product", "--trials", "2"])
+
+
+def _refuse(monkeypatch, owner, name):
+    def refuse(*_args, **_kwargs):
+        pytest.fail(f"{name} was called for a report not written")
+    monkeypatch.setattr(owner, name, refuse)
+
+
+def refuse_text(monkeypatch):
+    for helper in ("_ket_string", "_sign", "_verdict"):
+        _refuse(monkeypatch, cli, helper)
+
+
+def refuse_payload(monkeypatch):
+    reports = [kind for module in (model, experiments, consistency)
+               for kind in vars(module).values()
+               if isinstance(kind, type) and "as_dict" in vars(kind)]
+    assert len(reports) >= 8
+    for kind in reports:
+        _refuse(monkeypatch, kind, "as_dict")
+    _refuse(monkeypatch, cli, "amplitude_pairs")
+    monkeypatch.setattr(cli, "json", SimpleNamespace())  # json.dumps fails as an AttributeError
+
+
+# What each format must not build: json no text, text no payload, csv neither.
+REFUSALS = {"json": (refuse_text,), "text": (refuse_payload,),
+            "csv": (refuse_text, refuse_payload)}
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    pytest.param(argv, fmt, id=f"{' '.join(argv)}-{fmt}")
+    for argv in EVERY_COMMAND for fmt in REFUSALS if fmt != "csv" or cli._RUNNERS[argv[0]][1]])
+def test_a_run_builds_only_the_report_it_writes(capsys, monkeypatch, argv, fmt):
+    want = run(capsys, *argv, "--format", fmt)
+    for refuse in REFUSALS[fmt]:
+        refuse(monkeypatch)
+    assert run(capsys, *argv, "--format", fmt) == want
 
 
 def _emits_one_block_then_fails(cfg, state, obs, sink=None):

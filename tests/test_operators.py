@@ -436,3 +436,16 @@ def test_amplitude_pairs_round_trip():
     pairs = amplitude_pairs(amps)
     assert pairs[0] == [0.5, 0.5]
     np.testing.assert_array_equal([complex(re, im) for re, im in pairs], amps)
+
+
+def test_amplitude_pairs_equal_the_per_element_floats():
+    # One tolist of the float view gives each part's bits, signed zeros
+    # included, for contiguous, strided, reversed and real inputs alike.
+    amps = np.array([0.5 - 0.0j, complex(-0.0, 1.0), complex(5e-324, -0.0), -0.0j - 0.0,
+                     np.sqrt(0.5) + 1e-17j, complex(-1.0, np.pi), 0.1 + 0.2j, -2.0**-60])
+    for given in (amps, amps[::2], amps[::-3], list(amps), amps.real, amps.reshape(2, 4)[:, 1]):
+        want = [[float(z.real), float(z.imag)] for z in np.asarray(given, dtype=complex)]
+        got = amplitude_pairs(given)
+        assert [[part.hex() for part in pair] for pair in got] == \
+            [[part.hex() for part in pair] for pair in want]
+        assert all(type(part) is float for pair in got for part in pair)
