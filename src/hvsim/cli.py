@@ -16,6 +16,7 @@ check fails or a library error surfaces, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -400,50 +401,36 @@ def _csv_sink(write):
     return sink
 
 
-def _named_stream(path):
-    """stdout or stderr if `path` is the file it already writes to
-    (/dev/stdout, /dev/stderr, or a file the shell redirected it to), which
-    reopening or replacing would cut; stdout first, None for any other path."""
-    try:
-        named = os.stat(path)
-    except (OSError, ValueError):  # no such file
-        return None
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if os.path.samestat(named, os.fstat(stream.fileno())):
-                return stream
-        except (OSError, ValueError):  # a stream with no descriptor
-            pass
-    return None
-
-
 def _descriptor(path):
-    """The descriptor N that `path` names as /dev/fd/N or /proc/self/fd/N,
-    itself or through symlinks (/dev/stdin), or None. Opening such a path
+    """The open descriptor `path` names, or None. That is N for /dev/fd/N or
+    /proc/self/fd/N, itself or through symlinks (/dev/stdin); otherwise it is
+    stdout's or stderr's descriptor, stdout first, if `path` is the file that
+    stream writes to (a file the shell redirected it to). Opening such a path
     by name would truncate, and staging would replace, the file the caller
     opened the descriptor on and still writes to."""
+    fd_directories = {os.path.realpath(d) for d in ("/dev/fd", "/proc/self/fd")}
+    link = path
     for _ in range(40):  # as many symlinks as Linux follows in one path
-        head, tail = os.path.split(os.path.abspath(path))
-        if tail.isdigit() and any(_same_directory(head, d) for d in ("/dev/fd", "/proc/self/fd")):
+        head, tail = os.path.split(os.path.abspath(link))
+        if tail.isdigit() and os.path.realpath(head) in fd_directories:
             return int(tail)
-        if not os.path.islink(path):
-            return None
-        path = os.path.join(head, os.readlink(path))
+        if not os.path.islink(link):
+            break
+        link = os.path.join(head, os.readlink(link))
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError, ValueError):  # no such file, or no descriptor
+            if os.path.samestat(os.stat(path), os.fstat(stream.fileno())):
+                return stream.fileno()
     return None
 
 
-def _same_directory(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # either one missing, as /proc is off Linux
-        return False
-
-
-def _is_regular_file(path: str, target: str) -> bool:
-    """Whether `path` is a regular file that `target`, its resolved name,
-    names too (/dev/fd/N on a file since deleted is not)."""
-    return (os.path.isfile(path) and os.path.exists(target)
-            and os.path.samefile(path, target))
+def _stream_on(fd):
+    """stdout or stderr if it writes to descriptor `fd`, stdout first, else None."""
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
+            if fd is not None and stream.fileno() == fd:
+                return stream
+    return None
 
 
 class _Output:
@@ -459,7 +446,8 @@ class _Output:
     written whole after the run."""
 
     def __init__(self, path, stage):
-        self.stream = sys.stdout if path is None else _named_stream(path)
+        self.fd = None if path is None else _descriptor(path)
+        self.stream = sys.stdout if path is None else _stream_on(self.fd)
         self.path = None if self.stream is not None else path
         self.stage = stage
         self.handle = None
@@ -474,13 +462,12 @@ class _Output:
         self.handle.write(text)
 
     def _open(self) -> None:
-        fd = _descriptor(self.path)
-        if fd is not None:
-            self.handle = os.fdopen(os.dup(fd), "w", encoding="utf-8")
+        if self.fd is not None:
+            self.handle = os.fdopen(os.dup(self.fd), "w", encoding="utf-8")
             return
         target = os.path.realpath(self.path)  # through symlinks, as open() would write
         exists = os.path.exists(self.path)
-        if not self.stage or exists and not _is_regular_file(self.path, target):
+        if not self.stage or exists and not os.path.isfile(target):
             self.handle = open(self.path, "w", encoding="utf-8")
             return
         if exists:

@@ -24,6 +24,8 @@ from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator
 
 import numpy as np
 
+FAILURE_EXAMPLES = 3  # failing cases of a sweep that keep a full report
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -152,7 +154,7 @@ class PropositionSummary:
 
 
 def verify_proposition(f: ObservableExpression, state, trials: int, key,
-                       max_failure_examples: int = 3, sink=None) -> PropositionSummary:
+                       sink=None) -> PropositionSummary:
     """Check weak functional consistency for an eigenstate of f's operator.
 
     Requires the initial state to be an eigenvector of the evaluated
@@ -160,7 +162,8 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     the sequential product forced); sweeps every permutation of the leaves
     for each trial. Case t * permutations + p runs permutation p on the slot
     of len(leaves) + 1 scalars it reads from substream(*key), where key is
-    (seed, *path); each kept failure records its replay key (seed, *path, case).
+    (seed, *path); the first FAILURE_EXAMPLES failing cases are kept, each with
+    its replay key (seed, *path, case).
     `sink`, if given, receives each block of cases' events, one per case:
     its first scalar and composed value, set to its permutation.
     """
@@ -192,7 +195,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
         rhs = eval_real_block(f, values)
         failed = np.flatnonzero(~(np.abs(lhs - rhs) <= VALUE_TOL))
         passes += len(cs) - len(failed)
-        for i in failed[:max(max_failure_examples - len(examples), 0)]:
+        for i in failed[:FAILURE_EXAMPLES - len(examples)]:
             case = first + int(i)
             examples.append(check_weak_fc(
                 f, HiddenState(state, cs[i, 0]), permutations[case % count],

@@ -195,8 +195,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs, sink=None) -> 
     )
 
 
-def born_scenario_sweep(count: int, trials: int, seed: int,
-                        tolerance_sigma: float = 5.0) -> list[StatReport]:
+def born_scenario_sweep(count: int, trials: int, seed: int) -> list[StatReport]:
     """born_experiment over `count` random (state, observable) scenarios.
 
     Scenario k draws its dimension, state, observable and child seed from
@@ -209,11 +208,7 @@ def born_scenario_sweep(count: int, trials: int, seed: int,
         dim = int(rng.integers(2, 9))  # 2 to 8
         state = haar_state(dim, rng)
         obs = random_hermitian(dim, rng, label=f"scenario{k}")
-        child_cfg = ExperimentConfig(
-            seed=int(rng.integers(0, 2**31)),
-            trials=trials,
-            tolerance_sigma=tolerance_sigma,
-        )
+        child_cfg = ExperimentConfig(seed=int(rng.integers(0, 2**31)), trials=trials)
         reports.append(born_experiment(child_cfg, state, obs))
     return reports
 

@@ -284,11 +284,16 @@ def _edges(weights) -> np.ndarray:
     return edges
 
 
+def _pick(edges, cs) -> np.ndarray:
+    """Each c in `cs` picks the number of `edges` below it: one column of
+    edges shared by every c, or one per c."""
+    return np.add.reduce(edges < cs, axis=0)
+
+
 def _choose(weights, cs) -> np.ndarray:
     """The selection rule on columns of branch weights (B, R): one column
-    shared by every c in `cs`, or one per c. Each c picks the number of
-    edges below it."""
-    return np.add.reduce(_edges(weights) < cs, axis=0)
+    shared by every c in `cs`, or one per c."""
+    return _pick(_edges(weights), cs)
 
 
 def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
@@ -330,17 +335,46 @@ def predict(obs, hidden: HiddenState) -> float:
     return float(decomp.values[select(decomp, hidden.state.amplitudes, hidden.c)])
 
 
+def _joint_basis(decomps):
+    """(U, keep): a joint eigenbasis U of the decompositions' operators, with
+    keep[b * K + k, j] = 1.0 where column j falls on branch b of decomposition
+    k of K, and 0.0 elsewhere; or None.
+
+    U diagonalises a fixed generic real combination of the operators, each
+    scaled to unit spectral radius. It is kept only if every column carries
+    at most JOINT_TOL of its weight off one branch of every decomposition
+    (weight >= 1 - JOINT_TOL on it); non-commuting operators, or an accidental
+    near-tie in the combination, fail this and get None.
+    """
+    mix = sum(d.reconstruct() / ((np.abs(d.values).max() or 1.0) * (k + np.pi))
+              for k, d in enumerate(decomps))
+    basis = np.linalg.eigh(mix)[1]
+    columns = np.arange(len(basis))
+    keep = np.zeros((max(len(d.values) for d in decomps), len(decomps), len(basis)))
+    for k, d in enumerate(decomps):
+        overlaps = d.vectors.conj().T @ basis
+        weight = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, d.offsets[:-1])
+        branch = np.argmax(weight, axis=0)
+        off = np.where(np.arange(len(d.values))[:, None] == branch, 0.0, weight).sum(axis=0)
+        if off.max() > JOINT_TOL:
+            return None
+        keep[branch, k, columns] = 1.0
+    return basis, keep.reshape(-1, len(basis))
+
+
 @functools.lru_cache(maxsize=64)  # one per operator tuple: operators are immutable
-def _family_table(ops):
-    """(vectors, starts, slots, values): the tables predict_each reads `ops` with.
+def _family(ops):
+    """(decomps, vectors, starts, slots, values, joint): the tables
+    predict_each and run_sequence read `ops` with.
 
     vectors stacks the operators' eigenvectors as (K, d, d), so one product
     gives each operator its overlaps at its own (d, d) shape, with the bits of
     its own weights; a (d, K * d) hstack would round them differently. starts
     are the branch starts in the K * d overlaps laid end to end. Branch b of
-    operator k has the slot b * K + k of a (width, K) weight table, and
-    values[b, k] is its eigenvalue; both tables are zero below a column's
-    last branch.
+    operator k has the slot b * K + k of a (width, K) table, and values[b, k]
+    is its eigenvalue, zero below a column's last branch. joint is
+    _joint_basis's (basis, keep) in the same slots, or None, so
+    |coefficients|^2 @ keep.T holds every slot's weight at once.
     """
     if not ops:
         raise ValueError("a family needs at least one operator")
@@ -354,7 +388,8 @@ def _family_table(ops):
     starts = np.concatenate([k * dim + d.offsets[:-1] for k, d in enumerate(decomps)])
     slots = np.concatenate([np.arange(len(d.values)) * len(ops) + k
                             for k, d in enumerate(decomps)])
-    return np.stack([d.vectors for d in decomps]), starts, slots, values
+    vectors = np.stack([d.vectors for d in decomps])
+    return decomps, vectors, starts, slots, values, _joint_basis(decomps)
 
 
 def predict_each(ops, hidden: HiddenState) -> list[float]:
@@ -368,7 +403,7 @@ def predict_each(ops, hidden: HiddenState) -> list[float]:
     reads as inf, so every column picks the branch select picks for that
     operator alone.
     """
-    vectors, starts, slots, values = _family_table(tuple(ops))
+    _, vectors, starts, slots, values, _ = _family(tuple(ops))
     amps = hidden.state.amplitudes
     if amps.shape != vectors.shape[1:2]:
         raise DimensionMismatchError(
@@ -410,7 +445,7 @@ def tally(obs, state, rng, trials: int, sink=None, labels=(), setting: int = 0) 
         cs = draw_hidden_batch(rng, min(TALLY_BLOCK, trials - first))
         reached += [cs.size] + [np.count_nonzero(cs > edge) for edge in edges]
         if sink is not None:
-            values = decomp.values[np.add.reduce(edges < cs, axis=0)]  # _choose's rule
+            values = decomp.values[_pick(edges, cs)]
             sink(Events(labels, np.arange(first, first + len(cs)), np.full(len(cs), setting),
                         cs, values))
     return -np.diff(reached, append=0)
@@ -457,68 +492,22 @@ def measure(obs, hidden: HiddenState, rng,
     return record, HiddenState(post, draw_hidden(rng))
 
 
-def _joint_basis(decomps):
-    """(U, labels): a joint eigenbasis U of the decompositions' operators, with
-    labels[k, j] the branch of decomposition k that column j falls on, or None.
-
-    U diagonalises a fixed generic real combination of the operators, each
-    scaled to unit spectral radius. It is kept only if every column carries
-    at most JOINT_TOL of its weight off one branch of every decomposition
-    (weight >= 1 - JOINT_TOL on it); non-commuting operators, or an accidental
-    near-tie in the combination, fail this and get None.
-    """
-    mix = sum(d.reconstruct() / ((np.abs(d.values).max() or 1.0) * (k + np.pi))
-              for k, d in enumerate(decomps))
-    basis = np.linalg.eigh(mix)[1]
-    labels = []
-    for d in decomps:
-        overlaps = d.vectors.conj().T @ basis
-        weight = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, d.offsets[:-1])
-        branch = np.argmax(weight, axis=0)
-        off = np.where(np.arange(len(d.values))[:, None] == branch, 0.0, weight).sum(axis=0)
-        if off.max() > JOINT_TOL:
-            return None
-        labels.append(branch)
-    return basis, np.array(labels)
-
-
-@functools.lru_cache(maxsize=64)  # one per operator tuple: operators are immutable
-def _sweep_basis(ops):
-    """(basis, values, keep): the tables run_sequence measures `ops` with in
-    their joint eigenbasis, or None where _joint_basis finds none.
-
-    Branch b of operator k has the eigenvalue values[k * width + b],
-    zero-padded to a common width, and keep[k * width + b, j] says whether
-    column j of the basis lies in that branch, so |coefficients|^2 @ keep.T
-    holds every operator's branch weights at once.
-    """
-    decomps = [as_decomposition(op) for op in ops]
-    joint = _joint_basis(decomps)
-    if joint is None:
-        return None
-    basis, labels = joint
-    width = max(len(d.values) for d in decomps)
-    values = np.zeros((len(ops), width))
-    for k, d in enumerate(decomps):
-        values[k, :len(d.values)] = d.values
-    keep = (labels[:, None, :] == np.arange(width)[:, None]).reshape(-1, len(basis))
-    return basis, values.ravel(), keep.astype(float)
-
-
 def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     """Measure N states at once, row n measuring ops[orders[n, s]] at step s
     under the hidden scalar cs[n, s]; by default every row measures `ops` in
     order. The one sequential kernel.
 
-    `amplitudes` is one unit state or an (N, d) stack of them. Row n reads
-    the values of chaining measure() from HiddenState(amplitudes[n], cs[n, 0])
-    over its order with cs[n, 1:] as the later draws. Where the operators
-    have a joint eigenbasis, rows enter it once as coefficients, and a step
-    takes every operator's branch weights for all rows, picks each row's
-    own, applies the selection rule, keeps the coefficients on the selected
-    branch and renormalises, as _collapse does for one state. Otherwise each
-    row is measured on the scalar reference itself, with select and
-    _collapse. Returns values[N, steps]: no caller reads the final states.
+    `amplitudes` is one unit state or an (N, d) stack of them. Where the
+    operators have a joint eigenbasis, rows enter it once as coefficients,
+    and a step takes every operator's branch weights for all rows, picks each
+    row's own, applies the selection rule, keeps the coefficients on the
+    selected branch and renormalises, as _collapse does for one state.
+    Otherwise each row is measured on the scalar reference itself, with
+    select and _collapse. Row n reads the values of chaining measure() from
+    HiddenState(amplitudes[n], cs[n, 0]) over its order with cs[n, 1:] as the
+    later draws, except that in the joint basis the weights round apart from
+    select's, so a c within a few ulps of an edge can read the neighbouring
+    branch. Returns values[N, steps]: no caller reads the final states.
     """
     cs = _open_scalars(cs)
     if orders is None:
@@ -531,12 +520,8 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
             raise ValueError(f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
         if orders.dtype.kind not in "iu" or not ((0 <= orders) & (orders < len(ops))).all():
             raise ValueError(f"orders must index the {len(ops)} operators")
-    decomps = [as_decomposition(op) for op in ops]
-    if not decomps:
-        raise ValueError("a sequence needs at least one operator")
+    decomps, _, _, _, table, joint = _family(tuple(ops))
     dim = decomps[0].dim
-    if any(d.dim != dim for d in decomps):
-        raise DimensionMismatchError("the operators of a sequence differ in dimension")
     amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
     if amps.shape[-1:] != (dim,) or amps.ndim > 2:
         raise DimensionMismatchError(f"states of shape {amps.shape} do not match dimension {dim}")
@@ -545,7 +530,6 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
         raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
     amps = np.broadcast_to(amps, (len(cs), dim))
     values = np.empty(cs.shape)
-    joint = _sweep_basis(tuple(ops))
     if joint is None:
         for n, order in enumerate(orders):
             state = PureState(amps[n])
@@ -554,17 +538,16 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
                 values[n, step] = decomps[k].values[index]
                 state = _collapse(decomps[k], state, index)
         return values
-    basis, table, keep = joint
-    width = len(table) // len(ops)
+    basis, keep = joint
     row_start = np.arange(len(cs)) * len(keep)
-    branch = np.arange(width)[:, None]
+    branch_slot = np.arange(len(table))[:, None] * len(ops)
     coef = amps @ basis.conj()
     for step in range(cs.shape[1]):
         op = orders[:, step]
         # Every operator's branch weights for every row, then each row's own: (width, N).
         every = (coef.real ** 2 + coef.imag ** 2) @ keep.T
-        weights = np.take(every, row_start + op * width + branch)
-        chosen = op * width + _choose(weights, cs[:, step])
+        weights = np.take(every, row_start + branch_slot + op)
+        chosen = _choose(weights, cs[:, step]) * len(ops) + op
         values[:, step] = np.take(table, chosen)
         kept = np.take(every, row_start + chosen)
         if (kept <= MIN_BRANCH_WEIGHT).any():

@@ -6,8 +6,8 @@ overrides the pick. Kernels round differently, so a report that reads the
 last bit of an eigensolver result can change from host to host. For each
 kernel one subprocess reruns every pinned argument list through
 hvsim.cli.main; each pin is then its own test. The same subprocess runs the
-predict_each differential of test_model, since whether a batched product
-keeps each operator's bits depends on the kernel.
+predict_each and run_sequence differentials of test_model, since whether a
+batched product keeps each operator's or each row's bits depends on the kernel.
 """
 
 import functools
@@ -39,13 +39,13 @@ for name, argv in TEXT_PINS:
 PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
 
 # Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout}, the
-# predict_each differential's (cases, mismatches) and the kernel OpenBLAS
-# reports it chose.
+# predict_each and run_sequence differentials' (cases, mismatches) and the
+# kernel OpenBLAS reports it chose.
 _RERUN = """
 import contextlib, ctypes, glob, io, json, os, sys
 import numpy
 from hvsim.cli import main
-from test_model import predict_each_mismatches
+from test_model import predict_each_mismatches, run_sequence_mismatches
 outputs = {}
 for pin, argv in json.load(sys.stdin):
     buffer = io.StringIO()
@@ -59,8 +59,8 @@ for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
     if get is not None:
         get.argtypes, get.restype = [], ctypes.c_char_p
         core = get().decode()
-json.dump({"outputs": outputs, "predict_each": predict_each_mismatches(), "core": core},
-          sys.stdout)
+json.dump({"outputs": outputs, "predict_each": predict_each_mismatches(),
+           "run_sequence": run_sequence_mismatches(), "core": core}, sys.stdout)
 """
 
 
@@ -85,8 +85,9 @@ def _rerun(kernel: str) -> dict:
                           capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(done.stdout)
     KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel} (OpenBLAS core {result['core']}):"
-                        f" {len(pins)} pinned reports and {result['predict_each'][0]} predict_each"
-                        " cases rerun in one subprocess")
+                        f" {len(pins)} pinned reports, {result['predict_each'][0]} predict_each"
+                        f" cases and {result['run_sequence'][0]} run_sequence rows rerun in one"
+                        " subprocess")
     return result
 
 
@@ -121,3 +122,12 @@ def test_predict_each_matches_predict_under_kernel(kernel):
         pytest.skip(reason)
     cases, mismatches = _rerun(kernel)["predict_each"]
     assert mismatches == [] and cases > 3000
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_run_sequence_matches_measure_under_kernel(kernel):
+    reason = _skip_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    cases, mismatches = _rerun(kernel)["run_sequence"]
+    assert mismatches == [] and cases == 1280

@@ -211,6 +211,11 @@ def pin(name, fmt):
     return (path if path.exists() else EXPECTED_DIR / path.name).read_text(encoding="utf-8")
 
 
+def weak_fc_pin(fmt):
+    """The pinned bytes of `weak-fc --trials 5 --format fmt`."""
+    return (SEEDED_DIR / f"weak-fc.{'txt' if fmt == 'text' else fmt}").read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name, argv", [(name, list(argv)) for name, argv in SEEDED_SWEEPS]
                          + [("table1", ["table1"])])
@@ -471,6 +476,9 @@ class TestUsageErrors:
             assert name in helptext
 
 
+FORMATS = ("csv", "json", "text")
+
+
 class TestOutFile:
     def test_json_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -538,50 +546,60 @@ class TestOutFile:
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout.decode("utf-8") == pin("weak-fc", "csv")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-    def test_stdout_file_opened_for_append_keeps_its_lines(self, tmp_path, fmt):
-        # `hvsim ... --out /dev/stdout >> log` appends to log as it would
-        # without --out: the file behind stdout is neither replaced nor truncated.
-        argv = ("weak-fc", "--trials", "5", "--format", fmt)
+    @pytest.mark.parametrize("fmt, out", [
+        *(pytest.param(fmt, "/dev/stdout", id=fmt) for fmt in FORMATS),
+        *(pytest.param(fmt, "log", id=f"{fmt}-plain-name") for fmt in FORMATS),
+    ])
+    def test_stdout_file_opened_for_append_keeps_its_lines(self, tmp_path, fmt, out):
+        # `hvsim ... --out /dev/stdout >> log`, or `--out log >> log`, appends
+        # to log as it would without --out: the file behind stdout is neither
+        # replaced nor truncated.
         log = tmp_path / "log"
         log.write_text("earlier line\n", encoding="utf-8")
         with open(log, "a", encoding="utf-8") as stdout:
-            result = fresh(*argv, "--out", "/dev/stdout", stdout=stdout)
+            result = fresh("weak-fc", "--trials", "5", "--format", fmt, "--out", out,
+                           stdout=stdout, cwd=tmp_path)
         assert (result.returncode, result.stderr) == (0, b"")
-        assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
+        assert log.read_bytes() == b"earlier line\n" + weak_fc_pin(fmt)
         assert list(tmp_path.iterdir()) == [log]
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_stderr_file_opened_for_append_keeps_its_lines(self, tmp_path, fmt):
         # `hvsim ... --out /dev/stderr 2>> log` appends the report to log: the
         # file behind stderr is neither replaced nor truncated either.
-        argv = ("weak-fc", "--trials", "5", "--format", fmt)
         log = tmp_path / "log"
         log.write_text("earlier line\n", encoding="utf-8")
         with open(log, "a", encoding="utf-8") as stderr:
-            result = fresh(*argv, "--out", "/dev/stderr", stderr=stderr)
+            result = fresh("weak-fc", "--trials", "5", "--format", fmt, "--out", "/dev/stderr",
+                           stderr=stderr)
         assert (result.returncode, result.stdout) == (0, b"")
-        assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
+        assert log.read_bytes() == b"earlier line\n" + weak_fc_pin(fmt)
         assert list(tmp_path.iterdir()) == [log]
 
-    @pytest.mark.parametrize("directory, fmt", [
-        ("/dev/fd", "csv"), ("/dev/fd", "json"), ("/dev/fd", "text"),
-        pytest.param("/proc/self/fd", "csv", marks=pytest.mark.skipif(
-            not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd on this platform")),
+    @pytest.mark.parametrize("directory, fmt, unlinked", [
+        *(pytest.param("/dev/fd", fmt, False, id=f"/dev/fd-{fmt}") for fmt in FORMATS),
+        *(pytest.param("/dev/fd", fmt, True, id=f"/dev/fd-{fmt}-unlinked") for fmt in FORMATS),
+        pytest.param("/proc/self/fd", "csv", False, id="/proc/self/fd-csv",
+                     marks=pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                              reason="no /proc/self/fd on this platform")),
     ])
     def test_inherited_descriptor_opened_for_append_keeps_its_lines(self, tmp_path,
-                                                                   directory, fmt):
+                                                                   directory, fmt, unlinked):
         # `hvsim ... --out /dev/fd/3 3>> log` appends the report to log through
-        # descriptor 3: the file behind it is neither replaced nor truncated.
-        argv = ("weak-fc", "--trials", "5", "--format", fmt)
+        # descriptor 3: the file behind it is neither replaced nor truncated,
+        # also once log is unlinked and no name leads to it.
         log = tmp_path / "log"
         log.write_text("earlier line\n", encoding="utf-8")
-        with open(log, "a", encoding="utf-8") as handle:
+        with open(log, "a", encoding="utf-8") as handle, open(log, "rb") as reader:
+            if unlinked:
+                log.unlink()
             fd = handle.fileno()
-            result = fresh(*argv, "--out", f"{directory}/{fd}", pass_fds=(fd,))
+            result = fresh("weak-fc", "--trials", "5", "--format", fmt,
+                           "--out", f"{directory}/{fd}", pass_fds=(fd,))
+            written = reader.read()
         assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
-        assert log.read_bytes() == b"earlier line\n" + fresh(*argv).stdout
-        assert list(tmp_path.iterdir()) == [log]
+        assert written == b"earlier line\n" + weak_fc_pin(fmt)
+        assert list(tmp_path.iterdir()) == ([] if unlinked else [log])
 
     def test_a_read_only_descriptor_is_refused_and_kept(self, tmp_path):
         # `hvsim ... --out /dev/stdin < data`: /dev/stdin links to descriptor 0,

@@ -181,11 +181,10 @@ class TestVerifyProposition:
                             lambda f, readings: eval_real_block(f, readings) + 1.0)
         f = column3_expression()
         state = basis_ket(4, 0)
-        summary = verify_proposition(f, state, trials=3, key=(8, 6),
-                                     max_failure_examples=2)
+        summary = verify_proposition(f, state, trials=3, key=(8, 6))
         assert (summary.passes, summary.failures) == (0, 18)
-        assert len(summary.failure_examples) == 2
-        for permutation, kept in zip([(0, 1, 2), (0, 2, 1)], summary.failure_examples):
+        assert len(summary.failure_examples) == consistency.FAILURE_EXAMPLES == 3
+        for permutation, kept in zip([(0, 1, 2), (0, 2, 1), (1, 0, 2)], summary.failure_examples):
             key = tuple(kept.details["key"])
             assert key[:2] == (8, 6)
             slot = case_slot(key, 4)
