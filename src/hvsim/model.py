@@ -40,6 +40,15 @@ COVERAGE_TOL = 1e-8
 CHAIN_TOL = 1e-10
 VALUE_TOL = 1e-9  # two outcome values agree within this
 JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
+# run_sequence's joint basis and the scalar reference round a row's branch
+# weights apart by about 2 * (d * eps + sqrt(JOINT_TOL)) / sqrt(kept): the
+# product and the basis err absolutely, and each collapse divides that error
+# by the root of the weight it keeps, kept being the weight the row has kept
+# since its start. With kept >= LIGHT_BRANCH that is below 2.1e-10 for
+# d <= 16, so a c further than EDGE_MARGIN from every cumulative weight picks
+# the same branch on both routes; every other row is replayed on the scalar one.
+EDGE_MARGIN = 1e-9
+LIGHT_BRANCH = 1e-4
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depends on it
 CSV_HEADER = "trial,setting,c,value\n"
@@ -502,12 +511,13 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     and a step takes every operator's branch weights for all rows, picks each
     row's own, applies the selection rule, keeps the coefficients on the
     selected branch and renormalises, as _collapse does for one state.
-    Otherwise each row is measured on the scalar reference itself, with
-    select and _collapse. Row n reads the values of chaining measure() from
-    HiddenState(amplitudes[n], cs[n, 0]) over its order with cs[n, 1:] as the
-    later draws, except that in the joint basis the weights round apart from
-    select's, so a c within a few ulps of an edge can read the neighbouring
-    branch. Returns values[N, steps]: no caller reads the final states.
+    A row whose c lies within EDGE_MARGIN of a step's cumulative weights, or
+    which keeps less than LIGHT_BRANCH of its weight, is then measured again
+    from its start on the scalar reference, select and _collapse; so is every
+    row of a family with no joint basis. So row n reads exactly the values of
+    chaining measure() from HiddenState(amplitudes[n], cs[n, 0]) over its
+    order with cs[n, 1:] as the later draws, whatever rows share its block.
+    Returns values[N, steps]: no caller reads the final states.
     """
     cs = _open_scalars(cs)
     if orders is None:
@@ -530,30 +540,35 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
         raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
     amps = np.broadcast_to(amps, (len(cs), dim))
     values = np.empty(cs.shape)
-    if joint is None:
-        for n, order in enumerate(orders):
-            state = PureState(amps[n])
-            for step, k in enumerate(order.tolist()):
-                index = int(select(decomps[k], state.amplitudes, cs[n, step]))
-                values[n, step] = decomps[k].values[index]
-                state = _collapse(decomps[k], state, index)
-        return values
+    replay = range(len(cs)) if joint is None else _run_joint(joint, table, amps, cs, orders, values)
+    for n in replay:
+        state = PureState(amps[n])
+        for step, k in enumerate(orders[n].tolist()):
+            index = int(select(decomps[k], state.amplitudes, cs[n, step]))
+            values[n, step] = decomps[k].values[index]
+            state = _collapse(decomps[k], state, index)
+    return values
+
+
+def _run_joint(joint, table, amps, cs, orders, values):
+    """run_sequence's joint-basis route: fills `values` and returns the rows
+    it leaves to the scalar reference, those near an edge or kept light."""
     basis, keep = joint
+    width, ops = table.shape
+    steps = cs.shape[1]
     row_start = np.arange(len(cs)) * len(keep)
-    branch_slot = np.arange(len(table))[:, None] * len(ops)
+    branch_slot = np.arange(width)[:, None] * ops
     coef = amps @ basis.conj()
-    for step in range(cs.shape[1]):
+    cums = np.empty((steps, width, len(cs)))  # each step's cumulative weights, the total last
+    kept = np.empty((steps, len(cs)))  # the weight each step keeps, at least MIN_BRANCH_WEIGHT
+    for step in range(steps):
         op = orders[:, step]
         # Every operator's branch weights for every row, then each row's own: (width, N).
         every = (coef.real ** 2 + coef.imag ** 2) @ keep.T
-        weights = np.take(every, row_start + branch_slot + op)
-        chosen = _choose(weights, cs[:, step]) * len(ops) + op
+        edges = _edges(np.take(every, row_start + branch_slot + op, out=cums[step]))
+        chosen = _pick(edges, cs[:, step]) * ops + op
         values[:, step] = np.take(table, chosen)
-        kept = np.take(every, row_start + chosen)
-        if (kept <= MIN_BRANCH_WEIGHT).any():
-            n = np.argmax(kept <= MIN_BRANCH_WEIGHT)
-            raise ZeroProbabilityBranchError(
-                f"state carries no weight on the branch with eigenvalue {values[n, step]:g}"
-            )
-        coef = coef * (np.take(keep, chosen, axis=0) / np.sqrt(kept)[:, None])
-    return values
+        weight = np.take(every, row_start + chosen, out=kept[step])
+        coef = coef * (np.take(keep, chosen, axis=0) / np.sqrt(weight)[:, None])
+    near = (np.abs(cums - cs.T[:, None, :]) < EDGE_MARGIN).any(axis=(0, 1))
+    return np.flatnonzero(near | (kept.prod(axis=0) < LIGHT_BRANCH)).tolist()

@@ -10,38 +10,58 @@ from hvsim import consistency, experiments, model
 ACCEPTANCE_LINES = []
 KERNEL_LINES = []
 
-# Seeded sequential sweeps pinned at seed 0 as tests/expected/<name>.{csv,json}.
+# Seeded sequential sweeps, pinned at seed 0.
 SEEDED_SWEEPS = (
     ("weak-fc", ("weak-fc", "--trials", "5")),
     ("column-product", ("column-product", "--trials", "3")),
     ("chsh-sequential", ("chsh", "--sequential", "--trials", "20")),
 )
 
-# Single-shot statistics pinned at seed 11 as tests/expected/<name>.{csv,json}.
+# Single-shot statistics, pinned at seed 11.
 SINGLE_SHOTS = (
     ("born", ("born", "--theta", "0.8", "--trials", "2000", "--seed", "11")),
     ("chsh", ("chsh", "--trials", "500", "--seed", "11")),
 )
 
-# Single-shot statistics over many tally blocks, pinned at seed 11 as
-# tests/expected/<name>.json only (their CSV would run to megabytes).
+# Single-shot statistics over many tally blocks, pinned at seed 11 in json and
+# text only (their CSV would run to megabytes).
 MULTI_BLOCK_SHOTS = (
     ("born-300000", ("born", "--theta", "0.8", "--trials", "300000", "--seed", "11")),
     ("chsh-200000", ("chsh", "--trials", "200000", "--seed", "11")),
 )
 
-# Deterministic reports pinned as perfbench/expected/<command>.json.
-FROZEN_COMMANDS = ("table1", "pm-square", "no-go", "strong-fc", "implications")
+# Deterministic reports at their default arguments; their json pins live in
+# perfbench/expected/, which the benchmark compares with too.
+FROZEN_COMMANDS = tuple((command, (command,)) for command in
+                        ("table1", "pm-square", "no-go", "strong-fc", "implications"))
 
-# Deterministic reports at other arguments, pinned as tests/expected/<name>.json.
+# Deterministic reports at other arguments.
 ARGUED_COMMANDS = (
     ("implications-c0.7", ("implications", "--c", "0.7")),
     ("strong-fc-c0.7", ("strong-fc", "--c", "0.7")),
 )
 
-# Every call pinned in json above, pinned in text too as tests/expected/<name>.txt.
-TEXT_PINS = (*((command, (command,)) for command in FROZEN_COMMANDS), *ARGUED_COMMANDS,
-             *SEEDED_SWEEPS, *SINGLE_SHOTS, *MULTI_BLOCK_SHOTS)
+# Every pinned report as (pin file relative to the repo root, argv): the one
+# table that the byte-for-byte checks read, which are test_cli's pin test,
+# test_blas_kernels' kernel reruns and CI's installed-script check. Every call
+# above is pinned in json and in text, the sweeps and single shots in csv too,
+# and so is table1's csv. test_cli checks that every file under tests/expected/
+# and perfbench/expected/ has exactly one row here.
+PINS = (
+    *((f"perfbench/expected/{name}.json", (*argv, "--format", "json"))
+      for name, argv in FROZEN_COMMANDS),
+    ("tests/expected/table1.csv", ("table1", "--format", "csv")),
+    *((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt))
+      for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS for fmt in ("csv", "json")),
+    *((f"tests/expected/{name}.json", (*argv, "--format", "json"))
+      for name, argv in MULTI_BLOCK_SHOTS + ARGUED_COMMANDS),
+    *((f"tests/expected/{name}.txt", (*argv, "--format", "text"))
+      for name, argv in FROZEN_COMMANDS + ARGUED_COMMANDS + SEEDED_SWEEPS + SINGLE_SHOTS
+      + MULTI_BLOCK_SHOTS),
+)
+
+# Parametrizes a test over PINS as (pin, argv), each case named by its pin file.
+PINNED = pytest.mark.parametrize("pin, argv", PINS, ids=[pin for pin, _ in PINS])
 
 
 class Blocks(list):

@@ -6,8 +6,9 @@ overrides the pick. Kernels round differently, so a report that reads the
 last bit of an eigensolver result can change from host to host. For each
 kernel one subprocess reruns every pinned argument list through
 hvsim.cli.main; each pin is then its own test. The same subprocess runs the
-predict_each and run_sequence differentials of test_model, since whether a
-batched product keeps each operator's or each row's bits depends on the kernel.
+predict_each and run_sequence differentials of test_model, at edge c too,
+since whether a batched product keeps each operator's or each row's bits
+depends on the kernel.
 """
 
 import functools
@@ -20,34 +21,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (ARGUED_COMMANDS, FROZEN_COMMANDS, KERNEL_LINES, MULTI_BLOCK_SHOTS,
-                      SEEDED_SWEEPS, SINGLE_SHOTS, TEXT_PINS)
+from conftest import KERNEL_LINES, PINNED, PINS
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("Haswell", "Prescott")
+KERNELS = ("Haswell", "Katmai")  # OPENBLAS_CORETYPE=Prescott loads the Katmai core too
+# test_model's run_sequence differentials at edge c, each returning (cases,
+# mismatches), with the number of cases each checks.
+EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mismatches": 1800,
+                      "row_independence_mismatches": 1800}
+DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS)
 
-PINS = [(f"perfbench/expected/{command}.json", (command, "--format", "json"))
-        for command in FROZEN_COMMANDS]
-PINS.append(("tests/expected/table1.csv", ("table1", "--format", "csv")))
-for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS:
-    for fmt in ("csv", "json"):
-        PINS.append((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt)))
-for name, argv in MULTI_BLOCK_SHOTS + ARGUED_COMMANDS:
-    PINS.append((f"tests/expected/{name}.json", (*argv, "--format", "json")))
-for name, argv in TEXT_PINS:
-    PINS.append((f"tests/expected/{name}.txt", (*argv, "--format", "text")))
-PINS = [pytest.param(pin, argv, id=pin) for pin, argv in PINS]
-
-# Reads (pin, argv) pairs as JSON on stdin; writes {pin: stdout}, the
-# predict_each and run_sequence differentials' (cases, mismatches) and the
-# kernel OpenBLAS reports it chose.
+# Reads (pin, argv) pairs and differential names as JSON on stdin; writes
+# {pin: stdout}, each differential's (cases, mismatches) and the kernel
+# OpenBLAS reports it chose.
 _RERUN = """
 import contextlib, ctypes, glob, io, json, os, sys
 import numpy
+import test_model
 from hvsim.cli import main
-from test_model import predict_each_mismatches, run_sequence_mismatches
+pins, differentials = json.load(sys.stdin)
 outputs = {}
-for pin, argv in json.load(sys.stdin):
+for pin, argv in pins:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         main(argv)
@@ -59,8 +53,9 @@ for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
     if get is not None:
         get.argtypes, get.restype = [], ctypes.c_char_p
         core = get().decode()
-json.dump({"outputs": outputs, "predict_each": predict_each_mismatches(),
-           "run_sequence": run_sequence_mismatches(), "core": core}, sys.stdout)
+json.dump({"outputs": outputs, "core": core,
+           "differentials": {name: getattr(test_model, name)() for name in differentials}},
+          sys.stdout)
 """
 
 
@@ -77,17 +72,17 @@ def _why_not_dynamic() -> str | None:
 
 @functools.cache
 def _rerun(kernel: str) -> dict:
-    pins = [param.values for param in PINS]
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                                         os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _RERUN], input=json.dumps(pins), env=env,
-                          capture_output=True, text=True, check=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", _RERUN], input=json.dumps([PINS, DIFFERENTIALS]),
+                          env=env, capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(done.stdout)
+    cases = ", ".join(f"{result['differentials'][name][0]} {name.removesuffix('_mismatches')}"
+                      for name in DIFFERENTIALS)
     KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel} (OpenBLAS core {result['core']}):"
-                        f" {len(pins)} pinned reports, {result['predict_each'][0]} predict_each"
-                        f" cases and {result['run_sequence'][0]} run_sequence rows rerun in one"
-                        " subprocess")
+                        f" {len(PINS)} pinned reports and differential cases ({cases}) rerun"
+                        " in one subprocess")
     return result
 
 
@@ -100,7 +95,7 @@ def _skip_reason() -> str | None:
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("pin, argv", PINS)
+@PINNED
 def test_pinned_report_under_kernel(kernel, pin, argv):
     reason = _skip_reason()
     if reason is not None:
@@ -115,19 +110,26 @@ def test_pinned_report_under_kernel(kernel, pin, argv):
                   f" {got[first:first + 1]}, pinned {want[first:first + 1]}")
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_predict_each_matches_predict_under_kernel(kernel):
+def _differential(kernel, name):
     reason = _skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    cases, mismatches = _rerun(kernel)["predict_each"]
-    assert mismatches == [] and cases > 3000
+    cases, mismatches = _rerun(kernel)["differentials"][name]
+    assert mismatches == []
+    return cases
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_predict_each_matches_predict_under_kernel(kernel):
+    assert _differential(kernel, "predict_each_mismatches") > 3000
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_run_sequence_matches_measure_under_kernel(kernel):
-    reason = _skip_reason()
-    if reason is not None:
-        pytest.skip(reason)
-    cases, mismatches = _rerun(kernel)["run_sequence"]
-    assert mismatches == [] and cases == 1280
+    assert _differential(kernel, "run_sequence_mismatches") == 1280
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name, cases", EDGE_DIFFERENTIALS.items())
+def test_run_sequence_at_edges_under_kernel(kernel, name, cases):
+    assert _differential(kernel, name) == cases

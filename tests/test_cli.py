@@ -13,17 +13,15 @@ import numpy as np
 import pytest
 
 import hvsim
-from conftest import (ARGUED_COMMANDS, FROZEN_COMMANDS, MULTI_BLOCK_SHOTS, SEEDED_SWEEPS,
-                      SINGLE_SHOTS, TEXT_PINS)
+from conftest import PINNED, PINS, SEEDED_SWEEPS, SINGLE_SHOTS
 from hvsim import cli, consistency, experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.errors import HiddenDrawError
 from hvsim.expressions import Leaf, Scale, peres_mermin
 
-EXPECTED_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
-SEEDED_DIR = Path(__file__).resolve().parent / "expected"
-SEEDED_CALLS = pytest.mark.parametrize(
-    "name, argv", [(name, list(argv)) for name, argv in SEEDED_SWEEPS])
+ROOT = Path(__file__).resolve().parents[1]
+EXPECTED_DIR = ROOT / "perfbench" / "expected"
+SEEDED_DIR = ROOT / "tests" / "expected"
 SINGLE_SHOT_CALLS = pytest.mark.parametrize(
     "name, argv", [(name, list(argv)) for name, argv in SINGLE_SHOTS])
 
@@ -126,56 +124,22 @@ class TestJsonOutput:
         }
 
 
-@pytest.mark.parametrize("command", FROZEN_COMMANDS)
-def test_json_matches_frozen_bytes(capsys, command):
-    # The deterministic reports are pinned byte for byte.
-    code, out, _ = run(capsys, command, "--format", "json")
+@PINNED
+def test_report_matches_its_pin(capsys, pin, argv):
+    # Every pinned report byte for byte, in json, csv or text: per-event hidden
+    # scalars and readings included.
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out == (EXPECTED_DIR / f"{command}.json").read_text(encoding="utf-8")
+    assert out == (ROOT / pin).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name, argv", ARGUED_COMMANDS)
-def test_json_at_other_arguments_matches_frozen_bytes(capsys, name, argv):
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.json").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name, argv", [(name, list(argv)) for name, argv in TEXT_PINS])
-def test_text_matches_frozen_bytes(capsys, name, argv):
-    # Every call pinned in json is pinned in text as well, frozen from the
-    # code that built both reports on every run.
-    code, out, _ = run(capsys, *argv, "--format", "text")
-    assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@SEEDED_CALLS
-def test_seeded_sequential_reports_match_frozen_bytes(capsys, name, argv, fmt):
-    # The sequential sweeps at seed 0 are pinned byte for byte, per-event
-    # hidden scalars and readings included.
-    code, out, _ = run(capsys, *argv, "--format", fmt)
-    assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@SINGLE_SHOT_CALLS
-def test_single_shot_reports_match_frozen_bytes(capsys, name, argv, fmt):
-    # Born counts and product-mode CHSH correlators, per-trial rows included.
-    code, out, _ = run(capsys, *argv, "--format", fmt)
-    assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name, argv", [(name, list(argv)) for name, argv in MULTI_BLOCK_SHOTS])
-def test_multi_block_single_shot_reports_match_frozen_bytes(capsys, name, argv):
-    # Trial counts that span several tally blocks, pinned from the code that
-    # drew every trial at once.
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 0
-    assert out == (SEEDED_DIR / f"{name}.json").read_text(encoding="utf-8")
+def test_every_pin_file_has_one_row():
+    pins = [pin for pin, _ in PINS]
+    files = {path.relative_to(ROOT).as_posix() for path in
+             [*SEEDED_DIR.iterdir(), *EXPECTED_DIR.iterdir()]}
+    assert len(set(pins)) == len(pins), "a pin file has two rows in PINS"
+    assert files - set(pins) == set(), "pin files with no row in PINS"
+    assert set(pins) - files == set(), "rows of PINS whose file is missing"
 
 
 def test_product_chsh_pins_replay_on_the_scalar_path():
@@ -196,13 +160,6 @@ def test_product_chsh_pins_replay_on_the_scalar_path():
         assert sum(values) / trials == pinned["correlators"][key]
         s_value += sign * pinned["correlators"][key]
     assert s_value == pinned["s_value"]
-
-
-def test_table1_csv_matches_frozen_bytes(capsys):
-    # The scripted reference run's events, c and value as the record holds them.
-    code, out, _ = run(capsys, "table1", "--format", "csv")
-    assert code == 0
-    assert out == (SEEDED_DIR / "table1.csv").read_text(encoding="utf-8")
 
 
 def pin(name, fmt):

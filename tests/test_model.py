@@ -1041,32 +1041,29 @@ class TestRunSequenceAgainstMeasure:
             np.testing.assert_array_equal(
                 values, [decomp.values[select(decomp, amps, c)] for amps in states])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: the joint basis rounds each row's branch weights apart from"
-        " select's, so at c on or one ulp beside a first-operator edge 619 / 611 / 662"
-        " of 2700 first-step readings differ under SkylakeX / Haswell / Prescott"))
     def test_first_step_at_edges_matches_one_state_select(self):
-        # The square's column tuples, 300 Haar states each, with the first c at
-        # the first operator's edge and one ulp either side.
-        rng = np.random.default_rng(20)
-        cases, mismatches = 0, 0
-        for ops in (peres_mermin().column_operators(j) for j in (1, 2, 3)):
-            decomp = as_decomposition(ops[0])
-            rows, firsts = [], []
-            starts = _haar_starts(4, 300, rng)
-            for n, amps in enumerate(starts):
-                for edge in _zeroed_cumulative(decomp, amps)[1][:-1]:
-                    for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-                        rows.append(n)
-                        firsts.append(c)
-            cs = rng.uniform(1e-6, 1 - 1e-6, size=(len(rows), len(ops)))
-            cs[:, 0] = firsts
-            got = run_sequence(ops, starts[rows], cs)[:, 0]
-            want = [decomp.values[select(decomp, starts[n], c)] for n, c in zip(rows, firsts)]
-            cases += len(rows)
-            mismatches += int(np.count_nonzero(got != want))
-        assert cases == 2700
-        assert mismatches == 0, f"{mismatches} of {cases} first-step readings differ"
+        cases, mismatches = first_step_edge_mismatches()
+        assert mismatches == [] and cases == 2700
+
+    def test_second_step_at_edges_matches_chained_measure(self):
+        cases, mismatches = second_step_edge_mismatches()
+        assert mismatches == [] and cases == 1800
+
+    def test_rows_do_not_depend_on_their_block(self):
+        cases, mismatches = row_independence_mismatches()
+        assert mismatches == [] and cases == 1800
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(2, 5).flatmap(lambda dim: st.lists(
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=dim, max_size=dim),
+        min_size=1, max_size=4)), st.integers(0, 10_000))
+    def test_rows_of_commuting_tuples_do_not_depend_on_their_block(self, spectra, seed):
+        # Repeated eigenvalues give degenerate branches; a tuple with no joint
+        # basis runs row by row and passes trivially.
+        rng = np.random.default_rng(seed)
+        ops = commuting_family(spectra, rng)
+        _, mismatches = _block_mismatches(ops, _haar_starts(len(spectra[0]), 6, rng), rng)
+        assert mismatches == []
 
     def test_zero_weight_collapse_raises(self):
         # The -1 branch weighs exactly MIN_BRANCH_WEIGHT: select keeps it and
@@ -1075,7 +1072,9 @@ class TestRunSequenceAgainstMeasure:
         assert spectral(pauli("z")).weights(state)[0] == MIN_BRANCH_WEIGHT
         with pytest.raises(ZeroProbabilityBranchError):
             measure(pauli("z"), HiddenState(state, 1e-13), ScriptedUniforms([0.5]))
-        with pytest.raises(ZeroProbabilityBranchError):
+        # The kernel leaves the row to the scalar reference, which raises; no
+        # floating-point warning comes first.
+        with pytest.raises(ZeroProbabilityBranchError), np.errstate(all="raise"):
             run_sequence([pauli("z")], np.array([[1.0, 0.0], state.amplitudes]),
                          np.array([[0.5], [1e-13]]))
 
@@ -1111,14 +1110,24 @@ class TestRunSequenceAgainstMeasure:
         assert values.shape == (3, 2)
 
 
-def _run_sequence_tuples():
-    """Operator tuples for the run_sequence differential: the square's six
-    lines and the four CHSH pairs, three degenerate commuting families (all
-    these take the joint basis) and three non-commuting triples (row by row)."""
+def _square_lines():
     square = peres_mermin()
     yield from (square.row_operators(i) for i in (1, 2, 3))
     yield from (square.column_operators(j) for j in (1, 2, 3))
+
+
+def _driver_tuples():
+    """The tuples the sequential drivers measure: the square's six lines
+    (weak-fc's columns among them) and the four CHSH pairs."""
+    yield from _square_lines()
     yield from (ops for *_, ops in experiments._chsh_settings())
+
+
+def _run_sequence_tuples():
+    """Operator tuples for the run_sequence differential: the driver tuples,
+    three degenerate commuting families (all these take the joint basis) and
+    three non-commuting triples (row by row)."""
+    yield from _driver_tuples()
     yield from (_degenerate_family(seed)[0] for seed in range(3))
     rng = np.random.default_rng(21)
     yield from ([random_hermitian(dim, rng) for _ in range(3)] for dim in (2, 3, 4))
@@ -1138,16 +1147,118 @@ def run_sequence_mismatches():
         cs = draw_hidden_batch(rng, orders.size).reshape(orders.shape)
         values = run_sequence(ops, starts, cs, orders)
         for n, order in enumerate(orders.tolist()):
-            hidden = HiddenState(starts[n], cs[n, 0])
-            script = ScriptedUniforms([*cs[n, 1:], 0.5])
-            want = []
-            for k in order:
-                record, hidden = measure(ops[k], hidden, script)
-                want.append(record.value.hex())
+            want = _chained(ops, starts[n], cs[n], order)
             got = [v.hex() for v in values[n].tolist()]
             cases += 1
             if got != want:
                 mismatches.append(f"tuple {number}, row {n}, order {order}: {got} != {want}")
+    return cases, mismatches
+
+
+def first_step_edge_mismatches():
+    """(cases, mismatches): the first readings of run_sequence against select
+    on the square's column tuples, 300 Haar states each, with the first c at
+    the first operator's edge and one ulp either side. The kernel reruns call
+    this too."""
+    rng = np.random.default_rng(20)
+    cases, mismatches = 0, []
+    for number, ops in enumerate(peres_mermin().column_operators(j) for j in (1, 2, 3)):
+        decomp = as_decomposition(ops[0])
+        rows, firsts = [], []
+        starts = _haar_starts(4, 300, rng)
+        for n, amps in enumerate(starts):
+            for edge in _zeroed_cumulative(decomp, amps)[1][:-1]:
+                for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    rows.append(n)
+                    firsts.append(c)
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=(len(rows), len(ops)))
+        cs[:, 0] = firsts
+        got = run_sequence(ops, starts[rows], cs)[:, 0]
+        for n, c, value in zip(rows, firsts, got.tolist()):
+            want = float(decomp.values[select(decomp, starts[n], c)])
+            cases += 1
+            if value != want:
+                mismatches.append(f"column {number + 1}, row {n}, c={c!r}: {value} != {want}")
+    return cases, mismatches
+
+
+def _chained(ops, start, cs, order):
+    """The readings of chaining measure() from HiddenState(start, cs[0]) over
+    `order`, with cs[1:] as the later draws, as float hex strings."""
+    hidden = HiddenState(start, cs[0])
+    script = ScriptedUniforms([*cs[1:], 0.5])
+    values = []
+    for k in order:
+        record, hidden = measure(ops[k], hidden, script)
+        values.append(record.value.hex())
+    return values
+
+
+def _edge_rows(ops, starts, step, rng):
+    """(rows, cs): for each of `starts`, c at every edge of ops[step] on the
+    state chaining measure() over ops[:step] leaves, and one ulp either
+    side, the row's other c uniform; rows[i] indexes the start of cs[i]."""
+    decomp = as_decomposition(ops[step])
+    rows, cs = [], []
+    for n, amps in enumerate(starts):
+        row = rng.uniform(1e-6, 1 - 1e-6, size=len(ops))
+        hidden = HiddenState(amps, row[0])
+        for k in range(step):
+            _, hidden = measure(ops[k], hidden, ScriptedUniforms([row[k + 1]]))
+        for edge in _zeroed_cumulative(decomp, hidden.state)[1][:-1]:
+            for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                if 0.0 < c < 1.0:
+                    rows.append(n)
+                    cs.append([*row[:step], c, *row[step + 1:]])
+    return rows, np.array(cs).reshape(-1, len(ops))
+
+
+def second_step_edge_mismatches():
+    """(cases, mismatches): run_sequence against chained measure(), every
+    reading of a row compared, on the square's six lines, 100 Haar states
+    each, with the second c at the second operator's edge on the state the
+    first measurement leaves and one ulp either side. The kernel reruns call
+    this too."""
+    rng = np.random.default_rng(22)
+    cases, mismatches = 0, []
+    for number, ops in enumerate(_square_lines()):
+        starts = _haar_starts(4, 100, rng)
+        rows, cs = _edge_rows(ops, starts, 1, rng)
+        got = run_sequence(ops, starts[rows], cs)
+        for n, row, values in zip(rows, cs, got.tolist()):
+            want = _chained(ops, starts[n], row, range(len(ops)))
+            cases += 1
+            if [v.hex() for v in values] != want:
+                mismatches.append(f"line {number}, row {n}: {values} != {want}")
+    return cases, mismatches
+
+
+def _block_mismatches(ops, starts, rng):
+    """(cases, mismatches): run_sequence of a block of rows against
+    run_sequence of each row alone, bit for bit, with c at the edges of the
+    first and of the second operator (_edge_rows) on `starts`."""
+    cases, mismatches = 0, []
+    for step in range(min(2, len(ops))):
+        rows, cs = _edge_rows(ops, starts, step, rng)
+        block = run_sequence(ops, starts[rows], cs)
+        for i, n in enumerate(rows):
+            alone = run_sequence(ops, starts[[n]], cs[i:i + 1])
+            cases += 1
+            if alone.tobytes() != block[i].tobytes():
+                mismatches.append(f"step {step}, row {n}: {block[i]} != {alone[0]}")
+    return cases, mismatches
+
+
+def row_independence_mismatches():
+    """(cases, mismatches): _block_mismatches over the driver tuples, 30 Haar
+    states each. The kernel reruns call this too."""
+    rng = np.random.default_rng(23)
+    cases, mismatches = 0, []
+    for number, ops in enumerate(_driver_tuples()):
+        starts = _haar_starts(as_decomposition(ops[0]).dim, 30, rng)
+        more, found = _block_mismatches(ops, starts, rng)
+        cases += more
+        mismatches += [f"tuple {number}, {line}" for line in found]
     return cases, mismatches
 
 
