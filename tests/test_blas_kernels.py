@@ -24,7 +24,7 @@ import pytest
 from conftest import KERNEL_LINES, PINNED, PINS
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("Haswell", "Katmai")  # OPENBLAS_CORETYPE=Prescott loads the Katmai core too
+KERNELS = ("Haswell", "Prescott")  # OPENBLAS_CORETYPE=Prescott loads OpenBLAS's Katmai core
 # test_model's run_sequence differentials at edge c, each returning (cases,
 # mismatches), with the number of cases each checks.
 EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mismatches": 1800,
