@@ -4,9 +4,9 @@ emits its report as text, JSON or CSV; the exit code states the verdict.
 A CSV report is streamed: its rows are written block by block as the driver
 hands each block of events to the sink, never held whole. With `--out PATH`
 naming a regular file or none, it is written to a file next to PATH that
-replaces PATH only once the run succeeds. A PATH naming the file stdout
-already writes to is written through stdout, as if `--out` were absent, and
-a PATH naming an open descriptor (/dev/fd/N) through that descriptor.
+replaces PATH only once the run succeeds. A PATH naming an open descriptor
+(/dev/fd/N, /dev/stdout, /dev/stderr) or the file stdout or stderr writes
+to is written through a copy of that descriptor.
 
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
@@ -373,18 +373,6 @@ _RUNNERS = {
 }
 
 
-def _to_stream(stream, text: str) -> None:
-    """Write and flush `text` to `stream`, stdout or stderr. Once the reader
-    has gone, the rest of the report goes to the null device, and the exit
-    code still states the verdict."""
-    try:
-        stream.write(text)
-        stream.flush()
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stream.fileno())
-
-
 def _csv_sink(write):
     """A sink that writes each block's CSV rows with `write`, the header
     before the first block's, so a run that fails before its first block
@@ -424,46 +412,38 @@ def _descriptor(path):
     return None
 
 
-def _stream_on(fd):
-    """stdout or stderr if it writes to descriptor `fd`, stdout first, else None."""
-    for stream in (sys.stdout, sys.stderr):
-        with contextlib.suppress(OSError, ValueError):  # a stream with no descriptor
-            if fd is not None and stream.fileno() == fd:
-                return stream
-    return None
-
-
 class _Output:
-    """Where a report goes: stdout, or the stream (stdout or stderr) whose
-    own file PATH names, or PATH opened at the first write, so a run that
-    fails before writing leaves PATH alone. A PATH naming another open
-    descriptor is written through a copy of that descriptor, at its offset
-    and in its mode. A CSV report bound for a regular file, or for a new
-    one, is staged in a file next to it that takes the file's mode and
-    replaces it only once the run succeeds, so a run that fails mid-stream
-    leaves PATH as it was. Any other PATH (the null device, a FIFO, a
-    terminal) is written directly, as is a json or text report, which is
-    written whole after the run."""
+    """Where a report goes, through one handle: stdout, or PATH opened at the
+    first write, so a run that fails before writing leaves PATH alone. A PATH
+    naming an open descriptor, stdout's or stderr's file included, is written
+    through a copy of that descriptor, at its offset and in its mode. A CSV
+    report bound for a regular file, or for a new one, is staged in a file
+    next to it that takes the file's mode and replaces it only once the run
+    succeeds, so a run that fails mid-stream leaves PATH as it was. Any other
+    PATH (the null device, a FIFO, a terminal) is written directly, as is a
+    json or text report, which is written whole after the run."""
 
     def __init__(self, path, stage):
-        self.fd = None if path is None else _descriptor(path)
-        self.stream = sys.stdout if path is None else _stream_on(self.fd)
-        self.path = None if self.stream is not None else path
-        self.stage = stage
-        self.handle = None
-        self.staged = None
+        self.path, self.stage, self.staged = path, stage, None
+        self.handle = sys.stdout if path is None else None
 
     def write(self, text: str) -> None:
-        if self.path is None:
-            _to_stream(self.stream, text)
-            return
+        """Write and flush `text`. Once the reader has gone, the rest of the
+        report goes to the null device; the exit code still states the verdict."""
         if self.handle is None:
             self._open()
-        self.handle.write(text)
+        try:
+            self.handle.write(text)
+            self.handle.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self.handle.fileno())
 
     def _open(self) -> None:
-        if self.fd is not None:
-            self.handle = os.fdopen(os.dup(self.fd), "w", encoding="utf-8")
+        fd = _descriptor(self.path)
+        if fd is not None:
+            sys.stdout.flush()  # what this process wrote to stdout goes first
+            self.handle = os.fdopen(os.dup(fd), "w", encoding="utf-8")
             return
         target = os.path.realpath(self.path)  # through symlinks, as open() would write
         exists = os.path.exists(self.path)
@@ -480,7 +460,7 @@ class _Output:
 
     def commit(self) -> None:
         """Close PATH, moving a staged report into place."""
-        if self.handle is not None:
+        if self.path is not None and self.handle is not None:
             self.handle.close()
         if self.staged is not None:
             os.replace(self.staged, self.target)
@@ -488,8 +468,9 @@ class _Output:
 
     def discard(self) -> None:
         """Close PATH and remove a staged report that was not committed."""
-        if self.handle is not None:
-            self.handle.close()
+        if self.path is not None and self.handle is not None:
+            with contextlib.suppress(OSError):  # a failed flush, not to be retried
+                self.handle.close()
         if self.staged is not None:
             os.unlink(self.staged)
 

@@ -41,12 +41,12 @@ CHAIN_TOL = 1e-10
 VALUE_TOL = 1e-9  # two outcome values agree within this
 JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 # run_sequence's joint basis and the scalar reference round a row's branch
-# weights apart by about 2 * (d * eps + sqrt(JOINT_TOL)) / sqrt(kept): the
-# product and the basis err absolutely, and each collapse divides that error
-# by the root of the weight it keeps, kept being the weight the row has kept
-# since its start. With kept >= LIGHT_BRANCH that is below 2.1e-10 for
-# d <= 16, so a c further than EDGE_MARGIN from every cumulative weight picks
-# the same branch on both routes; every other row is replayed on the scalar one.
+# weights apart by about 2 * (d * eps + sqrt(JOINT_TOL)) / sqrt(mass): the
+# entry product and the basis put the Born weights a row carries about
+# sqrt(mass) times that off, and a step divides them by mass, the weight the
+# row has kept since its start. With mass >= LIGHT_BRANCH that is below
+# 2.1e-10 for d <= 16, so a c further than EDGE_MARGIN from every cumulative
+# weight picks the same branch on both routes; the scalar one replays the rest.
 EDGE_MARGIN = 1e-9
 LIGHT_BRANCH = 1e-4
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
@@ -507,10 +507,10 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     order. The one sequential kernel.
 
     `amplitudes` is one unit state or an (N, d) stack of them. Where the
-    operators have a joint eigenbasis, rows enter it once as coefficients,
-    and a step takes every operator's branch weights for all rows, picks each
-    row's own, applies the selection rule, keeps the coefficients on the
-    selected branch and renormalises, as _collapse does for one state.
+    operators have a joint eigenbasis, rows carry their Born weights on the
+    joint columns. A step takes every operator's branch weights for all rows,
+    divides each row's own by the weight it has kept, applies the selection
+    rule and zeroes the columns off the selected branch, as _collapse projects.
     A row whose c lies within EDGE_MARGIN of a step's cumulative weights, or
     which keeps less than LIGHT_BRANCH of its weight, is then measured again
     from its start on the scalar reference, select and _collapse; so is every
@@ -555,20 +555,20 @@ def _run_joint(joint, table, amps, cs, orders, values):
     it leaves to the scalar reference, those near an edge or kept light."""
     basis, keep = joint
     width, ops = table.shape
-    steps = cs.shape[1]
     row_start = np.arange(len(cs)) * len(keep)
     branch_slot = np.arange(width)[:, None] * ops
     coef = amps @ basis.conj()
-    cums = np.empty((steps, width, len(cs)))  # each step's cumulative weights, the total last
-    kept = np.empty((steps, len(cs)))  # the weight each step keeps, at least MIN_BRANCH_WEIGHT
-    for step in range(steps):
+    born = coef.real ** 2 + coef.imag ** 2  # each row's Born weights on the joint columns
+    mass = np.ones(len(cs))  # the weight each row has kept since its start
+    cums = np.empty((cs.shape[1], width, len(cs)))  # each step's cumulative weights, total last
+    for step in range(cs.shape[1]):
         op = orders[:, step]
         # Every operator's branch weights for every row, then each row's own: (width, N).
-        every = (coef.real ** 2 + coef.imag ** 2) @ keep.T
-        edges = _edges(np.take(every, row_start + branch_slot + op, out=cums[step]))
-        chosen = _pick(edges, cs[:, step]) * ops + op
+        every = born @ keep.T
+        own = np.divide(np.take(every, row_start + branch_slot + op), mass, out=cums[step])
+        chosen = _pick(_edges(own), cs[:, step]) * ops + op
         values[:, step] = np.take(table, chosen)
-        weight = np.take(every, row_start + chosen, out=kept[step])
-        coef = coef * (np.take(keep, chosen, axis=0) / np.sqrt(weight)[:, None])
+        mass = np.take(every, row_start + chosen)
+        born *= np.take(keep, chosen, axis=0)
     near = (np.abs(cums - cs.T[:, None, :]) < EDGE_MARGIN).any(axis=(0, 1))
-    return np.flatnonzero(near | (kept.prod(axis=0) < LIGHT_BRANCH)).tolist()
+    return np.flatnonzero(near | (mass < LIGHT_BRANCH)).tolist()

@@ -1078,6 +1078,34 @@ class TestRunSequenceAgainstMeasure:
             run_sequence([pauli("z")], np.array([[1.0, 0.0], state.amplitudes]),
                          np.array([[0.5], [1e-13]]))
 
+    def test_only_a_row_kept_light_is_measured_again(self, monkeypatch):
+        # Z(x)I then I(x)Z on two rows whose first reading keeps 1e-2 of the
+        # weight. The light row's second keeps 5e-3 of that, 5e-5 < LIGHT_BRANCH
+        # in all, the other's 0.99 of it; every c lies at least 2.5e-3 from every
+        # edge, so only the light rule can send a row to the scalar reference,
+        # whose select runs once per step.
+        ops = [HermitianOperator(np.diag([1.0, 1.0, -1.0, -1.0])),
+               HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0]))]
+        assert _joint(ops) is not None
+        phases = np.exp(1j * np.array([0.3, 1.1, 2.0, 2.9]))
+        light = np.sqrt([0.5, 0.49, 0.00995, 0.00005]) * phases
+        heavy = np.sqrt([0.5, 0.49, 0.0099, 0.0001]) * phases
+        starts, cs = np.array([light, heavy]), np.array([[0.005, 0.0025], [0.005, 0.5]])
+        want = [_chained(ops, start, row, range(2)) for start, row in zip(starts, cs)]
+        assert want == [[(-1.0).hex()] * 2, [(-1.0).hex(), (1.0).hex()]]
+        calls = []
+
+        def counting(decomp, amplitudes, c):
+            calls.append(c)
+            return select(decomp, amplitudes, c)
+
+        monkeypatch.setattr(model, "select", counting)
+        for rows, replayed in (([0], [0.005, 0.0025]), ([1], []), ([0, 1], [0.005, 0.0025])):
+            calls.clear()
+            values = run_sequence(ops, starts[rows], cs[rows])
+            assert [[v.hex() for v in row] for row in values.tolist()] == [want[n] for n in rows]
+            assert calls == replayed
+
     def test_input_checks(self):
         z, x = pauli("z"), pauli("x")
         with pytest.raises(DimensionMismatchError):
