@@ -59,15 +59,14 @@ def check_strong_fc(f: ObservableExpression, hidden: HiddenState) -> Consistency
             f"expression dimension {f.dim} != state dimension {hidden.state.dim}"
         )
     lhs, *leaves = predict_each((eval_operator(f), *f.operators), hidden)
-    leaf_values = dict(zip(f.operators, leaves))
-    rhs = eval_real(f, leaf_values)
+    rhs = eval_real(f, leaves)
     labels = [_leaf_label(op, i) for i, op in enumerate(f.operators)]
     details = {
         "c": float(hidden.c),
         # Leaves sharing a label are told apart by their position.
         "leaf_values": {
-            (f"{label}[{i}]" if labels.count(label) > 1 else label): float(leaf_values[op])
-            for i, (label, op) in enumerate(zip(labels, f.operators))
+            (f"{label}[{i}]" if labels.count(label) > 1 else label): float(value)
+            for i, (label, value) in enumerate(zip(labels, leaves))
         },
     }
     return ConsistencyReport(
@@ -98,13 +97,13 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
     lhs = float(predict(eval_operator(f), initial))
     hidden = initial
     records = []
-    leaf_values = {}
+    leaf_values = [0.0] * len(ops)
     for position in permutation:
         op = ops[position]
         record, hidden = measure(op, hidden, rng,
                                  label=_leaf_label(op, position))
         records.append(record)
-        leaf_values[op] = record.value
+        leaf_values[position] = record.value
     rhs = float(eval_real(f, leaf_values))
     trace = MeasurementTrace(tuple(records), seed=key)
     details = {

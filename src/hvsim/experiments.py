@@ -464,11 +464,11 @@ class ChshReport:
     trials_per_setting: int
     correlators: dict
     s_value: float
-    classical_bound: float = 2.0
+    CLASSICAL_BOUND = 2.0  # the largest S a local hidden-variable model reaches
 
     @property
     def exceeds_classical(self) -> bool:
-        return self.s_value > self.classical_bound
+        return self.s_value > self.CLASSICAL_BOUND
 
     def as_dict(self) -> dict:
         return {
@@ -476,7 +476,7 @@ class ChshReport:
             "trials_per_setting": int(self.trials_per_setting),
             "correlators": {k: float(v) for k, v in self.correlators.items()},
             "s_value": float(self.s_value),
-            "classical_bound": float(self.classical_bound),
+            "classical_bound": self.CLASSICAL_BOUND,
             "exceeds_classical": self.exceeds_classical,
         }
 

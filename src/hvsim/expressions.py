@@ -51,26 +51,23 @@ class Leaf:
         return f"Leaf({self.op.label or '?'})"
 
 
-class Sum:
+class _Children:
     __slots__ = ("_children",)
 
     def __init__(self, *children):
         if not children:
-            raise ValueError("Sum needs at least one child")
+            raise ValueError(f"{type(self).__name__} needs at least one child")
         self._children = tuple(_check_node(c) for c in children)
 
     children = property(lambda self: self._children)
 
 
-class Product:
-    __slots__ = ("_children",)
+class Sum(_Children):
+    __slots__ = ()
 
-    def __init__(self, *children):
-        if not children:
-            raise ValueError("Product needs at least one child")
-        self._children = tuple(_check_node(c) for c in children)
 
-    children = property(lambda self: self._children)
+class Product(_Children):
+    __slots__ = ()
 
 
 class Scale:
@@ -84,11 +81,8 @@ class Scale:
     child = property(lambda self: self._child)
 
 
-Node = Leaf | Sum | Product | Scale
-
-
 def _check_node(node):
-    if not isinstance(node, (Leaf, Sum, Product, Scale)):
+    if not isinstance(node, (Leaf, _Children, Scale)):
         raise TypeError(f"expected an expression node, got {type(node).__name__}")
     return node
 
@@ -161,7 +155,7 @@ class ObservableExpression:
                 else:
                     leaf_slots[id(node)] = len(distinct)
                     distinct.append(node.op)
-        elif isinstance(node, (Sum, Product)):
+        elif isinstance(node, _Children):
             for child in node.children:
                 self._collect(child, distinct, leaf_slots)
         else:
@@ -217,19 +211,13 @@ def eval_operator(f: ObservableExpression) -> HermitianOperator:
     return f._operator
 
 
-def _resolve_leaf_value(mapping, op: HermitianOperator, leaves):
-    if op in mapping:
-        return mapping[op]
-    if op.label is not None and op.label in mapping:
-        if [leaf.label for leaf in leaves].count(op.label) > 1:
-            raise MissingLeafValueError(f"label {op.label!r} names several distinct leaves")
-        return mapping[op.label]
-    for key, value in mapping.items():
-        if isinstance(key, HermitianOperator) and operators_equal(key, op):
-            return value
-    raise MissingLeafValueError(
-        f"no value supplied for leaf {op.label or repr(op)}"
-    )
+def _by_leaf(f: ObservableExpression, readings) -> list:
+    """Each distinct leaf's readings, readings[..., k] for f.operators[k]:
+    floats from one row, columns from an (N, len(f.operators)) block."""
+    readings = np.asarray(readings, dtype=float)
+    if readings.shape[-1:] != (len(f.operators),):
+        raise MissingLeafValueError(f"readings {readings.shape} for {len(f.operators)} leaves")
+    return readings.tolist() if readings.ndim == 1 else list(readings.T)
 
 
 def _walk(f: ObservableExpression, resolved, node=None):
@@ -257,24 +245,17 @@ def _walk(f: ObservableExpression, resolved, node=None):
     return node.factor.real * _walk(f, resolved, node.child)
 
 
-def eval_real(f: ObservableExpression, leaf_values) -> float:
-    """Evaluate the expression numerically from per-leaf measured values.
-
-    `leaf_values` maps operators (or their labels) to real numbers; equal
-    leaves share one value, and a label key must name exactly one distinct
-    leaf. Scale factors must be real within 1e-12.
-    """
-    resolved = [
-        float(_resolve_leaf_value(leaf_values, op, f.operators)) for op in f.operators
-    ]
-    return float(_walk(f, resolved))
+def eval_real(f: ObservableExpression, values) -> float:
+    """Evaluate the expression numerically from one measured value per distinct
+    leaf, values[k] for leaf f.operators[k], as in one row of eval_real_block.
+    Scale factors must be real within 1e-12."""
+    return float(_walk(f, _by_leaf(f, values)))
 
 
 def eval_real_block(f: ObservableExpression, readings) -> np.ndarray:
     """eval_real for every row of `readings`, an (N, len(f.operators)) array
     whose column k holds leaf f.operators[k]'s values; equal bit for bit."""
-    readings = np.asarray(readings, dtype=float)
-    return np.array(_walk(f, list(readings.T)), dtype=float)
+    return np.array(_walk(f, _by_leaf(f, readings)), dtype=float)
 
 
 class PeresMerminSquare:

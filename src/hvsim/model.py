@@ -33,6 +33,7 @@ from .operators import (
     PureState,
     SpectralDecomposition,
     amplitude_pairs,
+    is_unit,
 )
 
 MIN_BRANCH_WEIGHT = 1e-12
@@ -94,6 +95,14 @@ def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     return u
 
 
+def hidden_scalar(c) -> float:
+    """`c` as a float strictly inside (0, 1), where hidden scalars lie; nan is not."""
+    c = float(c)
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"hidden scalar must lie strictly inside (0, 1), got {c!r}")
+    return c
+
+
 def case_blocks(rng: np.random.Generator, cases: int, width: int):
     """Yield (first case, slots) over consecutive blocks of at most SWEEP_BLOCK
     cases, slots holding each case's `width` hidden scalars, shape (count, width).
@@ -126,11 +135,7 @@ class ScriptedUniforms:
     """
 
     def __init__(self, values):
-        values = [float(v) for v in values]
-        for v in values:
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"scripted values must lie in (0, 1), got {v}")
-        self._values = values
+        self._values = [hidden_scalar(v) for v in values]
         self._next = 0
 
     def random(self) -> float:
@@ -147,13 +152,8 @@ class HiddenState:
     __slots__ = ("state", "c")
 
     def __init__(self, state, c: float):
-        if not isinstance(state, PureState):
-            state = PureState(state)
-        c = float(c)
-        if not 0.0 < c < 1.0:
-            raise ValueError(f"hidden scalar must lie strictly inside (0, 1), got {c}")
-        self.state = state
-        self.c = c
+        self.state = state if isinstance(state, PureState) else PureState(state)
+        self.c = hidden_scalar(c)
 
     @classmethod
     def draw(cls, state, rng) -> "HiddenState":
@@ -284,7 +284,7 @@ def _edges(weights) -> np.ndarray:
     for i in range(1, len(cum)):  # branch by branch, as np.cumsum adds
         cum[i] += cum[i - 1]
     cover = cum[-1].min(initial=1.0)
-    if cover < 1.0 - COVERAGE_TOL:
+    if not cover >= 1.0 - COVERAGE_TOL:  # nan fails too
         raise MalformedDecompositionError(
             f"branch weights cover only {cover:.12f} of the state"
         )
@@ -426,10 +426,11 @@ def predict_each(ops, hidden: HiddenState) -> list[float]:
 
 
 def _open_scalars(cs) -> np.ndarray:
-    """`cs` as floats, every one strictly inside (0, 1)."""
+    """`cs` as floats, every one a hidden_scalar."""
     cs = np.asarray(cs, dtype=float)
-    if cs.size and not (cs.min() > 0.0 and cs.max() < 1.0):  # nan fails both
-        raise ValueError("all hidden scalars must lie strictly inside (0, 1)")
+    if cs.size:  # a nan reaches both ends
+        hidden_scalar(cs.min())
+        hidden_scalar(cs.max())
     return cs
 
 
@@ -535,8 +536,7 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
     if amps.shape[-1:] != (dim,) or amps.ndim > 2:
         raise DimensionMismatchError(f"states of shape {amps.shape} do not match dimension {dim}")
-    norms = np.linalg.norm(amps, axis=-1)
-    if not (np.abs(norms - 1.0) <= NORM_TOL).all():  # nan fails too
+    if not is_unit(np.linalg.norm(amps, axis=-1)).all():
         raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
     amps = np.broadcast_to(amps, (len(cs), dim))
     values = np.empty(cs.shape)

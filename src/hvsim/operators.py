@@ -18,6 +18,11 @@ COMMUTE_TOL = 1e-10
 EQUALITY_TOL = 1e-10
 
 
+def is_unit(norm):
+    """Whether a norm, or each of an array of norms, is 1 within NORM_TOL; nan is not."""
+    return abs(norm - 1.0) <= NORM_TOL
+
+
 class PureState:
     """Unit-norm state vector; construction rejects unnormalized input."""
 
@@ -28,10 +33,8 @@ class PureState:
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("amplitudes must form a nonempty 1-d sequence")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}"
-            )
+        if not is_unit(norm):
+            raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         arr.setflags(write=False)
         self.amplitudes = arr
 
@@ -46,9 +49,9 @@ class PureState:
 def normalized(amplitudes) -> PureState:
     """Scale a nonzero amplitude sequence to unit norm and wrap it."""
     arr = np.array(amplitudes, dtype=complex)
-    norm = np.linalg.norm(arr)
-    if norm < 1e-12:
-        raise ValueError("cannot normalize a (numerically) zero vector")
+    norm = float(np.linalg.norm(arr))
+    if not 1e-12 <= norm < np.inf:  # nan fails too
+        raise ValueError(f"cannot normalize a vector of norm {norm!r}")
     return PureState(arr / norm)
 
 
@@ -69,8 +72,7 @@ class HermitianOperator:
     Hermiticity is enforced entrywise at construction (tolerance 1e-12).
     The default-tolerance spectral decomposition is computed lazily (by
     tensor, eagerly) and cached, since prediction repeatedly needs the same
-    branches. Operators are
-    immutable (relabel returns a new one), so shared ones serve every caller.
+    branches. Operators are immutable, so shared ones serve every caller.
     """
 
     __slots__ = ("_matrix", "_label", "_spectrum")
@@ -99,16 +101,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    def relabel(self, label: str | None) -> "HermitianOperator":
-        """The same matrix under a new label, keeping any cached decomposition
-        (whose values tensor may have made exact) under that label."""
-        op = HermitianOperator(self.matrix, label)
-        if self._spectrum is not None:
-            d = self._spectrum
-            op._spectrum = SpectralDecomposition(d.values, d.vectors, d.offsets,
-                                                 d.degeneracy_tol, label)
-        return op
-
     def expectation(self, state) -> float:
         amps = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
         return float(np.real(np.vdot(amps, self.matrix @ amps)))
@@ -125,12 +117,9 @@ class HermitianOperator:
         return f"HermitianOperator({name}, dim={self.dim})"
 
 
-def operators_equal(a: HermitianOperator, b: HermitianOperator,
-                    tol: float = EQUALITY_TOL) -> bool:
-    """Frobenius distance <= tol; labels are for display and lookup only."""
-    if a.dim != b.dim:
-        return False
-    return float(np.linalg.norm(a.matrix - b.matrix)) <= tol
+def operators_equal(a: HermitianOperator, b: HermitianOperator) -> bool:
+    """Frobenius distance <= EQUALITY_TOL; labels are for display only."""
+    return a.dim == b.dim and float(np.linalg.norm(a.matrix - b.matrix)) <= EQUALITY_TOL
 
 
 _PAULI_MATRICES = {
@@ -280,14 +269,14 @@ def spectral(a: HermitianOperator,
     return SpectralDecomposition(values, vectors, offsets, degeneracy_tol, a.label)
 
 
-def identity_scalar(matrix, tol: float = 1e-12) -> float:
-    """The s with matrix == s*I, or ValueError if no such scalar exists."""
+def identity_scalar(matrix) -> float:
+    """The s with matrix == s*I within 1e-12, or ValueError if there is none."""
     arr = np.asarray(matrix, dtype=complex)
     dim = arr.shape[0]
     s = complex(np.trace(arr)) / dim
-    if float(np.linalg.norm(arr - s * np.eye(dim))) > tol:
+    if float(np.linalg.norm(arr - s * np.eye(dim))) > 1e-12:
         raise ValueError("matrix is not a scalar multiple of the identity")
-    if abs(s.imag) > tol:
+    if abs(s.imag) > 1e-12:
         raise ValueError("identity coefficient has a nonzero imaginary part")
     return float(s.real)
 

@@ -113,7 +113,7 @@ class TestExpressionValidation:
         b = HermitianOperator(np.diag([1.0, -1.0]))
         expr = ObservableExpression(Sum(Leaf(a), Leaf(b)))
         assert expr.operators == (a,)
-        assert eval_real(expr, {a: 3.0}) == 6.0
+        assert eval_real(expr, [3.0]) == 6.0
 
     def test_labelled_leaves_dedupe_by_label(self):
         expr = ObservableExpression(Product(Leaf(pauli("z")), Leaf(pauli("z"))))
@@ -180,7 +180,7 @@ class TestEvalOperator:
         direct = s * a.matrix + t * (a.matrix @ a.matrix)
         np.testing.assert_allclose(expr.matrix, direct, atol=1e-10)
         v = float(rng.uniform(-2, 2))
-        assert eval_real(expr, {a: v}) == pytest.approx(s * v + t * v * v)
+        assert eval_real(expr, [v]) == pytest.approx(s * v + t * v * v)
 
 
 class TestEvalReal:
@@ -190,40 +190,32 @@ class TestEvalReal:
         self.expr = ObservableExpression(Product(Leaf(self.xx), Leaf(self.yy)))
 
     def test_resolves_by_operator_key(self):
-        assert eval_real(self.expr, {self.xx: 1.0, self.yy: -1.0}) == -1.0
-
-    def test_resolves_by_label(self):
-        assert eval_real(self.expr, {"XX": -1.0, "YY": -1.0}) == 1.0
-
-    def test_resolves_by_matrix_equality(self):
-        # Unlabelled keys with the right matrices still resolve.
-        keys = {
-            HermitianOperator(self.xx.matrix): 1.0,
-            HermitianOperator(self.yy.matrix): 1.0,
-        }
-        assert eval_real(self.expr, keys) == 1.0
+        # Value k belongs to leaf f.operators[k], so a caller holding values
+        # by operator lays them out in that order.
+        by_operator = {self.yy: -1.0, self.xx: 1.0}
+        assert self.expr.operators == (self.xx, self.yy)
+        assert eval_real(self.expr, [by_operator[op] for op in self.expr.operators]) == -1.0
 
     def test_missing_leaf_value(self):
-        with pytest.raises(MissingLeafValueError):
-            eval_real(self.expr, {"XX": 1.0})
+        for values in ([1.0], [1.0, 1.0, 1.0], 1.0):
+            with pytest.raises(MissingLeafValueError):
+                eval_real(self.expr, values)
 
     def test_shared_label_keeps_distinct_leaves(self):
-        # Two different matrices under one label stay two leaves; a label key
-        # cannot say which of them it means, so it is rejected.
+        # Two different matrices under one label stay two leaves, each with
+        # its own value.
         a1 = HermitianOperator(np.diag([1.0, -1.0]), "A")
         a2 = HermitianOperator(np.diag([2.0, 5.0]), "A")
         expr = ObservableExpression.of_sum(a1, a2)
         assert expr.operators == (a1, a2)
-        assert eval_real(expr, {a1: 1.0, a2: 2.0}) == 3.0
-        with pytest.raises(MissingLeafValueError):
-            eval_real(expr, {"A": 1.0})
+        assert eval_real(expr, [1.0, 2.0]) == 3.0
 
     def test_sum_scale_arithmetic(self):
         z = pauli("z")
         expr = ObservableExpression(
             Sum(Scale(0.5, Leaf(z)), Scale(-2.0, Product(Leaf(z), Leaf(z))))
         )
-        assert eval_real(expr, {"Z": -1.0}) == pytest.approx(-2.5)
+        assert eval_real(expr, [-1.0]) == pytest.approx(-2.5)
 
     def test_complex_factor_rejected_at_evaluation(self):
         # (i)(i)X = -X is Hermitian, so construction succeeds, but the
@@ -231,7 +223,7 @@ class TestEvalReal:
         expr = ObservableExpression(Scale(1j, Scale(1j, Leaf(pauli("x")))))
         np.testing.assert_allclose(expr.matrix, -pauli("x").matrix, atol=1e-15)
         with pytest.raises(ComplexFactorError):
-            eval_real(expr, {"X": 1.0})
+            eval_real(expr, [1.0])
         with pytest.raises(ComplexFactorError):
             eval_real_block(expr, np.ones((2, 1)))
 
@@ -246,11 +238,11 @@ class TestEvalReal:
                                   min_size=1, max_size=4))
         if has_complex_factor(root):
             with pytest.raises(ComplexFactorError):
-                eval_real(f, dict(zip(f.operators, rows[0])))
+                eval_real(f, rows[0])
             with pytest.raises(ComplexFactorError):
                 eval_real_block(f, np.array(rows))
             return
-        scalar = np.array([eval_real(f, dict(zip(f.operators, row))) for row in rows])
+        scalar = np.array([eval_real(f, row) for row in rows])
         block = eval_real_block(f, np.array(rows))
         assert block.dtype == np.float64
         assert block.tobytes() == scalar.tobytes()

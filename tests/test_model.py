@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,44 @@ class TestHiddenState:
     def test_draw(self):
         hs = HiddenState.draw(basis_ket(2, 0), ScriptedUniforms([0.7]))
         assert hs.c == 0.7
+
+
+NAN = float("nan")
+NAN_STATE = [NAN, 0.0]
+NAN_CASES = {
+    "PureState": lambda: PureState(NAN_STATE),
+    "predict": lambda: predict(pauli("z"), HiddenState(NAN_STATE, 0.5)),
+    "predict_each": lambda: predict_each((pauli("z"),), HiddenState(NAN_STATE, 0.5)),
+    "branch_indices": lambda: branch_indices(pauli("z"), NAN_STATE, [0.5]),
+    "predict_batch": lambda: predict_batch(pauli("z"), NAN_STATE, [0.5]),
+    "tally": lambda: tally(pauli("z"), NAN_STATE, substream(0), 10),
+    "measure": lambda: measure(pauli("z"), HiddenState(NAN_STATE, 0.5), substream(0)),
+    "update": lambda: update(pauli("z"), HiddenState(NAN_STATE, 0.5), 1.0),
+    "normalized": lambda: normalized(NAN_STATE),
+    "born_experiment": lambda: experiments.born_experiment(
+        experiments.ExperimentConfig(trials=10), NAN_STATE, pauli("z")),
+    "HiddenState c": lambda: HiddenState(basis_ket(2, 0), NAN),
+    "ScriptedUniforms": lambda: ScriptedUniforms([0.5, NAN]),
+}
+
+
+class TestNanInputs:
+    """A nan state or hidden scalar is refused at every entry point, before
+    numpy has warned about it; each of these but the last two took a nan
+    state once and answered it."""
+
+    @pytest.mark.parametrize("name", NAN_CASES)
+    def test_refused(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                NAN_CASES[name]()
+
+    def test_select_on_raw_amplitudes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MalformedDecompositionError):
+                select(pauli("z").spectrum(), np.array(NAN_STATE, dtype=complex), 0.5)
 
 
 class TestPredict:

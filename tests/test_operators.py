@@ -105,12 +105,6 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             HermitianOperator([[np.nan, 0], [0, 1]])
 
-    def test_relabel_keeps_matrix(self):
-        op = pauli("x")
-        renamed = op.relabel("first")
-        assert renamed.label == "first"
-        np.testing.assert_array_equal(renamed.matrix, op.matrix)
-
     def test_expectation(self):
         assert pauli("z").expectation(basis_ket(2, 0)) == pytest.approx(1.0)
         assert pauli("z").expectation(basis_ket(2, 1)) == pytest.approx(-1.0)
@@ -214,13 +208,6 @@ class TestExactTensorValues:
                 _assert_exact_product_values(op, left, right)
                 assert np.all(np.abs(op.spectrum().values) == 1.0)
 
-    def test_relabel_keeps_the_exact_decomposition(self):
-        joint = _chsh_settings()[2][4]  # X (x) W
-        renamed = joint.relabel("Q")
-        assert renamed.spectrum().label == "Q"
-        assert renamed.spectrum().values.tolist() == joint.spectrum().values.tolist() == [-1, 1]
-        np.testing.assert_array_equal(renamed.spectrum().vectors, joint.spectrum().vectors)
-
     def test_square_operators(self):
         factors = {"I": identity(2), "X": pauli("x"), "Y": pauli("y"), "Z": pauli("z")}
         for row in peres_mermin().grid:
@@ -282,7 +269,7 @@ class TestOperatorsEqual:
         b = HermitianOperator(np.diag([1.0, -1.0]), "same")
         assert not operators_equal(a, b)
         assert operators_equal(a, HermitianOperator(np.eye(2), "other"))
-        assert not operators_equal(pauli("z"), pauli("x").relabel("Z"))
+        assert not operators_equal(pauli("z"), HermitianOperator(pauli("x").matrix, "Z"))
 
     def test_matrix_fallback_when_unlabeled(self):
         a = HermitianOperator(np.eye(2))
