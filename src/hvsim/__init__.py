@@ -15,6 +15,7 @@ from .errors import (
     EigensolverError,
     HiddenDrawError,
     HvsimError,
+    InvalidArgumentError,
     MalformedDecompositionError,
     MissingLeafValueError,
     NoncommutingLeavesError,
@@ -86,7 +87,6 @@ from .consistency import (
 )
 from .experiments import (
     ChshReport,
-    ExperimentConfig,
     ImplicationsReport,
     LineProductReport,
     StatReport,

@@ -10,7 +10,9 @@ to is written through a copy of that descriptor.
 
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
-check fails or a library error surfaces, 2 for usage errors.
+check fails or a library error surfaces, 2 for usage errors. A run argument
+the library refuses (InvalidArgumentError) is one, with the library's message;
+each such rule fires before the first block of events, so PATH stays unopened.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import os
 import sys
 
 from .consistency import check_strong_fc, no_go_search, verify_proposition
-from .errors import HvsimError
+from .errors import HvsimError, InvalidArgumentError
 from .experiments import (
-    ExperimentConfig,
     born_experiment,
     chsh_experiment,
     column_product_experiment,
@@ -114,20 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if getattr(args, "seed", 0) < 0:
-        parser.error("--seed must be nonnegative")
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be positive")
-    if not 0.0 < getattr(args, "c", 0.5) < 1.0:
-        parser.error("--c must lie strictly between 0 and 1")
-    if not 0.0 < getattr(args, "tolerance_sigma", 1.0) < math.inf:
-        parser.error("--tolerance-sigma must be positive and finite")
-    theta = getattr(args, "theta", 0.0)
-    if not math.isfinite(theta):
-        parser.error("--theta must be finite")
-
-
 def _ket_string(state) -> str:
     amps = state.amplitudes
     dim = amps.size
@@ -185,16 +172,15 @@ def _born_observable():
 
 
 def _run_born(args, sink):
-    cfg = ExperimentConfig(seed=args.seed, trials=args.trials,
-                           tolerance_sigma=args.tolerance_sigma)
     state = spin_state(args.theta)
-    report = born_experiment(cfg, state, _born_observable(), sink)
+    report = born_experiment(state, _born_observable(), args.trials, args.seed,
+                             args.tolerance_sigma, sink)
 
     def text():
         lines = [
             f"born statistics for {report.observable_label} on"
             f" cos(theta)|0>+sin(theta)|1>, theta={args.theta:g}",
-            f"seed={cfg.seed} trials={cfg.trials}",
+            f"seed={args.seed} trials={report.trials}",
             f"{'outcome':>8} {'expected':>12} {'observed':>12}",
         ]
         for value in sorted(report.expected_probabilities):
@@ -203,7 +189,7 @@ def _run_born(args, sink):
         lines.append(f"max sigma deviation: {report.max_sigma_deviation:.3f}"
                      f" (tolerance {report.tolerance_sigma:g})")
         return "\n".join(lines) + "\n" + _verdict(report.passed)
-    return lambda: {"seed": cfg.seed, "theta": args.theta, **report.as_dict()}, report.passed, text
+    return lambda: {"seed": args.seed, "theta": args.theta, **report.as_dict()}, report.passed, text
 
 
 def _run_pm_square(args):
@@ -318,15 +304,14 @@ def _run_implications(args):
 
 
 def _run_chsh(args, sink):
-    cfg = ExperimentConfig(seed=args.seed, trials=args.trials)
     mode = "sequential" if args.sequential else "product"
-    report = chsh_experiment(cfg, mode=mode, sink=sink)
+    report = chsh_experiment(args.trials, args.seed, mode, sink)
 
     def text():
         target = 2.0 * math.sqrt(2.0)
         lines = [
             f"four-setting correlation statistic ({report.mode} mode)",
-            f"seed={cfg.seed} trials per setting={report.trials_per_setting}",
+            f"seed={args.seed} trials per setting={report.trials_per_setting}",
             "correlators: " + " ".join(
                 f"E[{k}]={v:+.6f}" for k, v in report.correlators.items()),
             f"S = {report.s_value:.6f}   classical bound 2   quantum value"
@@ -334,7 +319,7 @@ def _run_chsh(args, sink):
         ]
         return "\n".join(lines) + "\n" + _verdict(report.exceeds_classical,
                                                   "classical bound exceeded")
-    return lambda: {"seed": cfg.seed, **report.as_dict()}, report.exceeds_classical, text
+    return lambda: {"seed": args.seed, **report.as_dict()}, report.exceeds_classical, text
 
 
 def _run_column_product(args, sink):
@@ -478,7 +463,6 @@ class _Output:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
     runner, streams_events = _RUNNERS[args.command]
     if args.format == "csv" and not streams_events:
         print(f"error: csv output is not available for '{args.command}';"
@@ -496,6 +480,8 @@ def main(argv=None) -> int:
                 out.write(json.dumps(payload(), indent=2, sort_keys=True) + "\n")
             elif args.format == "text":
                 out.write(text())
+        except InvalidArgumentError as exc:
+            parser.error(str(exc))
         except HvsimError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatchError, NotAnEigenstateError
 from .model import (VALUE_TOL, Events, HiddenState, MeasurementTrace, ScriptedUniforms,
                     case_blocks, measure, predict, predict_batch, predict_each, run_sequence,
-                    substream)
+                    substream, whole)
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -166,8 +166,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     `sink`, if given, receives each block of cases' events, one per case:
     its first scalar and composed value, set to its permutation.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    trials = whole(trials, "trials", least=1)
     op = eval_operator(f)
     amps = state.amplitudes
     expectation = op.expectation(state)

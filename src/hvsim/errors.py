@@ -5,6 +5,10 @@ class HvsimError(Exception):
     """Base class for package-specific failures."""
 
 
+class InvalidArgumentError(HvsimError, ValueError):
+    """A run argument (seed, trials, hidden scalar, tolerance, angle) breaks its rule."""
+
+
 class DimensionMismatchError(HvsimError, ValueError):
     """Operands act on spaces of different dimension."""
 
@@ -22,7 +26,7 @@ class MalformedDecompositionError(HvsimError, ValueError):
 
 
 class HiddenDrawError(HvsimError, RuntimeError):
-    """The uniform source kept returning values outside the open interval (0, 1)."""
+    """The uniform source returned a value outside [0, 1), nan included."""
 
 
 class BranchNotFoundError(HvsimError, ValueError):

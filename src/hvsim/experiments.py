@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReferenceRunMismatchError
+from .errors import InvalidArgumentError, ReferenceRunMismatchError
 from .expressions import implications_operators, peres_mermin
 from .model import (
     Events,
@@ -44,6 +44,7 @@ from .model import (
     substream,
     tally,
     update,
+    whole,
 )
 from .operators import (
     HermitianOperator,
@@ -70,27 +71,10 @@ _LINE_PRODUCT_TAG = 5
 LINE_SLOT_WIDTH = 2 * 4 + 3
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Common knobs for the randomized experiments."""
-
-    seed: int = 0
-    trials: int = 100_000
-    tolerance_sigma: float = 5.0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if not 0.0 < self.tolerance_sigma < math.inf:
-            raise ValueError(
-                f"tolerance_sigma must be positive and finite, got {self.tolerance_sigma}"
-            )
-
-
 def spin_state(theta: float) -> PureState:
-    """cos(theta)|0> + sin(theta)|1>."""
+    """cos(theta)|0> + sin(theta)|1>, for a finite theta."""
+    if not math.isfinite(theta):
+        raise InvalidArgumentError(f"theta must be finite, got {theta!r}")
     return PureState([math.cos(theta), math.sin(theta)])
 
 
@@ -160,29 +144,35 @@ def _nearest_value(mapping: dict, value: float) -> float:
     return best
 
 
-def born_experiment(cfg: ExperimentConfig, state: PureState, obs, sink=None) -> StatReport:
+def born_experiment(state: PureState, obs, trials: int, seed: int, tolerance_sigma: float,
+                    sink=None) -> StatReport:
     """Monte Carlo check that prediction under uniform c reproduces Born
-    weights for one (state, observable) pair. `sink`, if given, receives
-    each block of trials' events."""
+    weights for one (state, observable) pair: each branch passes within
+    `tolerance_sigma` standard errors, a positive finite number. `sink`, if
+    given, receives each block of trials' events."""
+    trials = whole(trials, "trials", least=1)
+    if not 0.0 < tolerance_sigma < math.inf:
+        raise InvalidArgumentError(
+            f"tolerance_sigma must be positive and finite, got {tolerance_sigma!r}")
     decomp = as_decomposition(obs)
     label = display_label(decomp)
-    counts = tally(decomp, state, substream(cfg.seed, _BORN_TAG), cfg.trials, sink, (label,))
-    frequencies = counts / cfg.trials
+    counts = tally(decomp, state, substream(seed, _BORN_TAG), trials, sink, (label,))
+    frequencies = counts / trials
     # A weight may overshoot 1 by rounding (a state's norm is only checked to 1e-12).
     expected = np.clip(decomp.weights(state), 0.0, 1.0)
     max_dev = 0.0
     passed = True
     for p, freq in zip(expected, frequencies):
-        sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
+        sigma = math.sqrt(p * (1.0 - p) / trials)
         if sigma == 0.0:
             passed = passed and freq == p
         else:
             deviation = abs(freq - p) / sigma
             max_dev = max(max_dev, deviation)
-            passed = passed and deviation <= cfg.tolerance_sigma
+            passed = passed and deviation <= tolerance_sigma
     return StatReport(
         observable_label=label,
-        trials=cfg.trials,
+        trials=trials,
         outcome_frequencies={
             float(v): float(f) for v, f in zip(decomp.values, frequencies)
         },
@@ -190,7 +180,7 @@ def born_experiment(cfg: ExperimentConfig, state: PureState, obs, sink=None) -> 
             float(v): float(p) for v, p in zip(decomp.values, expected)
         },
         max_sigma_deviation=float(max_dev),
-        tolerance_sigma=cfg.tolerance_sigma,
+        tolerance_sigma=tolerance_sigma,
         passed=bool(passed),
     )
 
@@ -203,13 +193,13 @@ def born_scenario_sweep(count: int, trials: int, seed: int) -> list[StatReport]:
     isolation.
     """
     reports = []
-    for k in range(count):
+    for k in range(whole(count, "count")):
         rng = substream(seed, _SWEEP_TAG, k)
         dim = int(rng.integers(2, 9))  # 2 to 8
         state = haar_state(dim, rng)
         obs = random_hermitian(dim, rng, label=f"scenario{k}")
-        child_cfg = ExperimentConfig(seed=int(rng.integers(0, 2**31)), trials=trials)
-        reports.append(born_experiment(child_cfg, state, obs))
+        child_seed = int(rng.integers(0, 2**31))
+        reports.append(born_experiment(state, obs, trials, child_seed, tolerance_sigma=5.0))
     return reports
 
 
@@ -498,7 +488,7 @@ def _chsh_settings():
     )
 
 
-def chsh_experiment(cfg: ExperimentConfig, mode: str = "product", sink=None) -> ChshReport:
+def chsh_experiment(trials: int, seed: int, mode: str, sink=None) -> ChshReport:
     """Estimate S = E[ZW] + E[ZV] + E[XW] - E[XV] on the Bell state.
 
     W and V are the diagonal Pauli combinations (Z+X)/sqrt2 and (Z-X)/sqrt2.
@@ -509,8 +499,9 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product", sink=None) -> 
     `sink`, if given, receives each block of trials' events: in product mode
     one per trial, set to its setting; in sequential mode one per side.
     """
+    trials = whole(trials, "trials", least=1)
     if mode not in ("product", "sequential"):
-        raise ValueError(f"mode must be 'product' or 'sequential', got {mode!r}")
+        raise InvalidArgumentError(f"mode must be 'product' or 'sequential', got {mode!r}")
     state = bell_state()
     if mode == "product":
         labels = tuple(key for key, *_ in _chsh_settings())
@@ -521,16 +512,16 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product", sink=None) -> 
     for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
         if mode == "product":
             decomp = joint.spectrum()
-            counts = tally(decomp, state, substream(cfg.seed, _CHSH_PRODUCT_TAG, k),
-                           cfg.trials, sink, labels, k)
+            counts = tally(decomp, state, substream(seed, _CHSH_PRODUCT_TAG, k),
+                           trials, sink, labels, k)
             # The values are exactly +-1 (see tensor), so every partial sum is
             # an exact integer: this equals the mean of the per-trial values.
-            correlator = float(decomp.values @ counts) / cfg.trials
+            correlator = float(decomp.values @ counts) / trials
         else:
             total = 0.0
             settings = len(ops) * k + np.arange(len(ops))
-            rng = substream(cfg.seed, _CHSH_SEQUENTIAL_TAG, k)
-            for first, cs in case_blocks(rng, cfg.trials, len(ops)):
+            rng = substream(seed, _CHSH_SEQUENTIAL_TAG, k)
+            for first, cs in case_blocks(rng, trials, len(ops)):
                 values = run_sequence(ops, state, cs)
                 # Summed left to right (np.sum pairs terms), so no bit of a
                 # seeded report depends on the block size.
@@ -539,12 +530,12 @@ def chsh_experiment(cfg: ExperimentConfig, mode: str = "product", sink=None) -> 
                     case = np.arange(first, first + len(cs)).repeat(len(ops))
                     sink(Events(labels, case, np.tile(settings, len(cs)), cs.ravel(),
                                 values.ravel()))
-            correlator = float(total) / cfg.trials
+            correlator = float(total) / trials
         correlators[key] = correlator
         s_value += sign * correlator
     return ChshReport(
         mode=mode,
-        trials_per_setting=cfg.trials,
+        trials_per_setting=trials,
         correlators=correlators,
         s_value=float(s_value),
     )
@@ -589,9 +580,8 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
     Haar-random four-dimensional start states and check the reading product
     against the line's forced scalar. `sink`, if given, receives each block
     of cases' events, one per measurement."""
+    trials = whole(trials, "trials", least=1)
     square = peres_mermin()
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     forced = square.forced_value(axis, index)  # also rejects an unknown axis
     ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
     permutations = np.array(list(itertools.permutations(range(3))))

@@ -24,6 +24,7 @@ from .errors import (
     BranchNotFoundError,
     DimensionMismatchError,
     HiddenDrawError,
+    InvalidArgumentError,
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
@@ -55,13 +56,20 @@ TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depend
 CSV_HEADER = "trial,setting,c,value\n"
 
 
+def whole(n, name: str, least: int = 0) -> int:
+    """`n` as an int of at least `least`: the one rule for seeds, stream
+    paths, case indices and trial counts. A bool, a float (2.0 and nan
+    included) or anything else without __index__ is refused."""
+    value = None if isinstance(n, bool) else getattr(n, "__index__", lambda: None)()
+    if value is None or value < least:
+        raise InvalidArgumentError(f"{name} must be an integer of at least {least}, got {n!r}")
+    return value
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent child generator for the root seed and an index path."""
-    parts = (seed, *path)
-    for part in parts:
-        if int(part) != part or int(part) < 0:
-            raise ValueError(f"seed path entries must be nonnegative integers, got {part!r}")
-    return np.random.default_rng(tuple(int(p) for p in parts))
+    return np.random.default_rng((whole(seed, "seed"),
+                                  *(whole(p, "stream path entry") for p in path)))
 
 
 def draw_hidden(rng) -> float:
@@ -99,7 +107,7 @@ def hidden_scalar(c) -> float:
     """`c` as a float strictly inside (0, 1), where hidden scalars lie; nan is not."""
     c = float(c)
     if not 0.0 < c < 1.0:
-        raise ValueError(f"hidden scalar must lie strictly inside (0, 1), got {c!r}")
+        raise InvalidArgumentError(f"hidden scalar must lie strictly inside (0, 1), got {c!r}")
     return c
 
 
@@ -120,10 +128,8 @@ def case_slot(key, width: int) -> np.ndarray:
     """Replay one case from its key (seed, *path, case): the `width` uniforms
     that case reads from substream(seed, *path)."""
     *path, case = key
-    if int(case) != case or case < 0:
-        raise ValueError(f"case index must be a nonnegative integer, got {case!r}")
     rng = substream(*path)
-    rng.bit_generator.advance(int(case) * width)
+    rng.bit_generator.advance(whole(case, "case index") * width)
     return draw_hidden_batch(rng, width)
 
 

@@ -60,6 +60,31 @@ PINS = (
       + MULTI_BLOCK_SHOTS),
 )
 
+# Command lines that are usage errors, each refused by argparse or by the
+# library's rule for a run argument: the one table that test_cli's usage-error
+# test and CI's installed-script check read. Each must exit 2 with a usage
+# message, before anything is written to stdout or --out.
+USAGE_ERRORS = (
+    (),
+    ("unknown-command",),
+    ("born", "--seed", "-3"),
+    ("born", "--trials", "0"),
+    ("born", "--theta", "inf"),
+    ("born", "--tolerance-sigma", "-1"),
+    ("strong-fc", "--c", "0"),
+    ("strong-fc", "--c", "1"),
+    ("weak-fc", "--column", "4"),
+    ("column-product", "--axis", "diagonal"),
+    ("chsh", "--no-such-flag"),
+    ("born", "--tolerance-sigma", "nan"),
+    ("born", "--tolerance-sigma", "inf"),
+    ("born", "--trials", "0", "--format", "csv"),
+    ("weak-fc", "--trials", "0", "--format", "csv"),
+    ("column-product", "--seed", "-1", "--format", "csv"),
+    ("chsh", "--sequential", "--trials", "0", "--format", "csv"),
+    ("implications", "--c", "1"),
+)
+
 # Parametrizes a test over PINS as (pin, argv), each case named by its pin file.
 PINNED = pytest.mark.parametrize("pin, argv", PINS, ids=[pin for pin, _ in PINS])
 

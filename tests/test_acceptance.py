@@ -13,7 +13,6 @@ import pytest
 
 import conftest
 from hvsim import (
-    ExperimentConfig,
     HermitianOperator,
     HiddenState,
     Leaf,
@@ -154,9 +153,9 @@ def test_criterion_05_sequential_products_forced():
 def test_criterion_06_born_statistics():
     with criterion(6, "outcome frequencies track Born weights at 5 sigma",
                    budget=30.0):
-        cfg = ExperimentConfig(seed=0, trials=100_000)
-        report = born_experiment(cfg, spin_state(math.pi / 3), pauli("z"))
-        bound = 5.0 * math.sqrt(0.25 * 0.75 / cfg.trials)
+        trials = 100_000
+        report = born_experiment(spin_state(math.pi / 3), pauli("z"), trials, 0, 5.0)
+        bound = 5.0 * math.sqrt(0.25 * 0.75 / trials)
         assert abs(report.frequency(1.0) - 0.25) <= bound
         assert report.passed
         sweep = born_scenario_sweep(100, 20_000, seed=0)
@@ -219,7 +218,7 @@ def test_criterion_08_strong_consistency_on_shared_eigenkets():
 def test_criterion_09_correlation_statistic():
     with criterion(9, "four-setting statistic S sits at the quantum value",
                    budget=60.0):
-        report = chsh_experiment(ExperimentConfig(seed=0, trials=100_000))
+        report = chsh_experiment(100_000, 0, "product")
         assert abs(report.s_value - 2.0 * math.sqrt(2.0)) <= 0.02
         assert report.s_value > 2.0
 

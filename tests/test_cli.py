@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import hvsim
-from conftest import PINNED, PINS, SEEDED_SWEEPS, SINGLE_SHOTS
+from conftest import PINNED, PINS, SEEDED_SWEEPS, SINGLE_SHOTS, USAGE_ERRORS
 from hvsim import cli, consistency, experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.errors import HiddenDrawError
@@ -308,7 +309,7 @@ def test_a_run_builds_only_the_report_it_writes(capsys, monkeypatch, argv, fmt):
     assert run(capsys, *argv, "--format", fmt) == want
 
 
-def _emits_one_block_then_fails(cfg, state, obs, sink=None):
+def _emits_one_block_then_fails(state, obs, trials, seed, tolerance_sigma, sink=None):
     """A born driver that hands its sink one block of two events, then fails."""
     sink(model.Events(("Z",), np.arange(2), np.zeros(2, dtype=int), np.array([0.25, 0.75]),
                       np.array([-1.0, 1.0])))
@@ -404,26 +405,24 @@ class TestCsvOutput:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["unknown-command"],
-        ["born", "--seed", "-3"],
-        ["born", "--trials", "0"],
-        ["born", "--theta", "inf"],
-        ["born", "--tolerance-sigma", "-1"],
-        ["strong-fc", "--c", "0"],
-        ["strong-fc", "--c", "1"],
-        ["weak-fc", "--column", "4"],
-        ["column-product", "--axis", "diagonal"],
-        ["chsh", "--no-such-flag"],
-        ["born", "--tolerance-sigma", "nan"],
-        ["born", "--tolerance-sigma", "inf"],
-    ])
-    def test_exit_two(self, capsys, argv):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
+    def test_exit_two(self, tmp_path, capsys, argv):
+        # Run as it is, then with an --out PATH that exists and one that does not.
+        earlier = tmp_path / "earlier.txt"
+        earlier.write_text("an earlier report\n", encoding="utf-8")
+        new = tmp_path / "new.txt"
+        for out in ((), ("--out", str(earlier)), ("--out", str(new))):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, *out])
+            captured = capsys.readouterr()
+            assert info.value.code == 2
+            assert captured.out == ""
+            usage, *wrapped, error = captured.err.splitlines()
+            assert usage.startswith("usage: hvsim")
+            assert all(line.startswith(" ") for line in wrapped)
+            assert re.fullmatch(r"hvsim( [a-z0-9-]+)?: error: .+", error)
+        assert earlier.read_text(encoding="utf-8") == "an earlier report\n"
+        assert list(tmp_path.iterdir()) == [earlier]
 
     def test_parser_lists_all_commands(self):
         parser = build_parser()

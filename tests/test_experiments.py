@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Blocks, refuse_events, rows_of
 from hvsim import (
-    ExperimentConfig,
     HermitianOperator,
+    InvalidArgumentError,
     HiddenState,
     Leaf,
     ObservableExpression,
@@ -62,27 +62,40 @@ from hvsim.experiments import (
 ROOT2 = math.sqrt(2.0)
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = ExperimentConfig()
-        assert cfg.seed == 0
-        assert cfg.trials == 100_000
-        assert cfg.tolerance_sigma == 5.0
-        # The state is the caller's, so the config holds no angle.
-        assert list(vars(cfg)) == ["seed", "trials", "tolerance_sigma"]
+NAN = float("nan")
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(seed=-1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(trials=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(tolerance_sigma=0.0)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
-    def test_rejects_non_finite_tolerance(self, tolerance):
-        with pytest.raises(ValueError):
-            ExperimentConfig(tolerance_sigma=tolerance)
+def _refuse_block(events):
+    pytest.fail("a driver handed its sink a block before refusing an argument")
+
+
+# Each randomized driver as a call with valid arguments but the ones named.
+DRIVERS = {
+    "born": lambda trials=3, seed=0, tolerance_sigma=5.0: born_experiment(
+        spin_state(0.7), pauli("z"), trials, seed, tolerance_sigma, _refuse_block),
+    "chsh-product": lambda trials=3, seed=0: chsh_experiment(
+        trials, seed, "product", _refuse_block),
+    "chsh-sequential": lambda trials=3, seed=0: chsh_experiment(
+        trials, seed, "sequential", _refuse_block),
+    "verify_proposition": lambda trials=3, seed=0: verify_proposition(
+        peres_mermin().column_expression(3), basis_ket(4, 0), trials, (seed, 6), _refuse_block),
+    "column_product": lambda trials=3, seed=0: column_product_experiment(
+        trials=trials, seed=seed, sink=_refuse_block),
+    "born_scenario_sweep": lambda trials=3, seed=0: born_scenario_sweep(2, trials, seed),
+}
+BAD_ARGUMENTS = [
+    *((driver, name, value) for driver in DRIVERS
+      for name, values in (("trials", (0, 2.5, NAN)), ("seed", (-1, 1.5, NAN)))
+      for value in values),
+    *(("born", "tolerance_sigma", value) for value in (0.0, NAN, math.inf)),
+]
+
+
+@pytest.mark.parametrize("driver, name, value", BAD_ARGUMENTS,
+                         ids=[f"{d}-{n}={v}" for d, n, v in BAD_ARGUMENTS])
+def test_drivers_refuse_bad_arguments_before_any_block(driver, name, value):
+    with pytest.raises(InvalidArgumentError):
+        DRIVERS[driver](**{name: value})
 
 
 class TestStates:
@@ -90,6 +103,9 @@ class TestStates:
         s = spin_state(math.pi / 3)
         np.testing.assert_allclose(
             s.amplitudes, [0.5, math.sqrt(3) / 2], atol=1e-15)
+        for theta in (NAN, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError):
+                spin_state(theta)
 
     def test_bell_state(self):
         b = bell_state()
@@ -126,16 +142,14 @@ class TestStatReport:
 
 class TestBornExperiment:
     def test_eigenstate_is_deterministic(self):
-        cfg = ExperimentConfig(seed=3, trials=500)
-        report = born_experiment(cfg, basis_ket(2, 0), pauli("z"))
+        report = born_experiment(basis_ket(2, 0), pauli("z"), 500, 3, 5.0)
         assert report.frequency(1.0) == 1.0
         assert report.frequency(-1.0) == 0.0
         assert report.max_sigma_deviation == 0.0
         assert report.passed
 
     def test_frozen_seed_zero_run(self):
-        cfg = ExperimentConfig(seed=0, trials=20_000)
-        report = born_experiment(cfg, spin_state(math.pi / 3), pauli("z"))
+        report = born_experiment(spin_state(math.pi / 3), pauli("z"), 20_000, 0, 5.0)
         assert report.frequency(1.0) == pytest.approx(0.2522, abs=1e-12)
         assert report.expected(1.0) == pytest.approx(0.25, abs=1e-12)
         assert report.passed
@@ -144,23 +158,20 @@ class TestBornExperiment:
         # PureState accepts a norm within 1e-12 of 1, so a Born weight can
         # read 1 + 1e-12; it is clipped to 1 both in the report and in the
         # sigma rule, which must not take the root of p(1 - p) < 0.
-        cfg = ExperimentConfig(trials=1000)
-        report = born_experiment(cfg, PureState([1 + 5e-13, 0]), pauli("z"))
+        report = born_experiment(PureState([1 + 5e-13, 0]), pauli("z"), 1000, 0, 5.0)
         assert report.expected(1.0) == 1.0
         assert report.frequency(1.0) == 1.0
         assert report.max_sigma_deviation == 0.0
         assert report.passed
 
     def test_runs_are_reproducible(self):
-        cfg = ExperimentConfig(seed=7, trials=4000)
-        a = born_experiment(cfg, spin_state(0.7), pauli("x"))
-        b = born_experiment(cfg, spin_state(0.7), pauli("x"))
+        a = born_experiment(spin_state(0.7), pauli("x"), 4000, 7, 5.0)
+        b = born_experiment(spin_state(0.7), pauli("x"), 4000, 7, 5.0)
         assert a.as_dict() == b.as_dict()
 
     def test_trial_rows(self, monkeypatch):
-        cfg = ExperimentConfig(seed=1, trials=50)
         blocks = Blocks()
-        born_experiment(cfg, spin_state(0.9), pauli("z"), sink=blocks)
+        born_experiment(spin_state(0.9), pauli("z"), 50, 1, 5.0, sink=blocks)
         (events,) = blocks
         assert [len(a) for a in (events.case, events.setting, events.c, events.value)] == [50] * 4
         assert events.labels == ("Z",)
@@ -169,7 +180,7 @@ class TestBornExperiment:
         assert ((0.0 < events.c) & (events.c < 1.0)).all()
         assert set(events.value.tolist()) <= {-1.0, 1.0}
         refuse_events(monkeypatch)
-        assert born_experiment(cfg, spin_state(0.9), pauli("z")).passed
+        assert born_experiment(spin_state(0.9), pauli("z"), 50, 1, 5.0).passed
 
 
 class TestBornSweep:
@@ -310,8 +321,7 @@ class TestImplicationsDemo:
 
 class TestChsh:
     def test_frozen_product_run(self):
-        cfg = ExperimentConfig(seed=0, trials=20_000)
-        report = chsh_experiment(cfg)
+        report = chsh_experiment(20_000, 0, "product")
         assert report.mode == "product"
         assert report.s_value == pytest.approx(2.825, abs=1e-12)
         assert report.correlators["ZW"] == pytest.approx(0.7127, abs=1e-12)
@@ -320,8 +330,7 @@ class TestChsh:
         assert abs(report.s_value - 2.0 * ROOT2) < 0.02
 
     def test_sequential_cross_check(self):
-        cfg = ExperimentConfig(seed=0, trials=300)
-        report = chsh_experiment(cfg, mode="sequential")
+        report = chsh_experiment(300, 0, "sequential")
         assert report.mode == "sequential"
         assert report.s_value == pytest.approx(2.993333333333333, abs=1e-12)
         assert report.exceeds_classical
@@ -331,20 +340,18 @@ class TestChsh:
         # The settings, their joints and their sequential pairs are built
         # once, so a repeated run in either mode computes no spectrum and
         # reports the same correlators.
-        cfg = ExperimentConfig(seed=1, trials=50)
-        first = [chsh_experiment(cfg, mode=mode) for mode in ("product", "sequential")]
+        first = [chsh_experiment(50, 1, mode) for mode in ("product", "sequential")]
         computed = []
         spectral = operators.spectral
         monkeypatch.setattr(operators, "spectral",
                             lambda *args: computed.append(args) or spectral(*args))
-        again = [chsh_experiment(cfg, mode=mode) for mode in ("product", "sequential")]
+        again = [chsh_experiment(50, 1, mode) for mode in ("product", "sequential")]
         assert computed == []
         assert again == first
 
     def test_product_rows(self, monkeypatch):
-        cfg = ExperimentConfig(seed=2, trials=25)
         blocks = Blocks()
-        chsh_experiment(cfg, sink=blocks)
+        chsh_experiment(25, 2, "product", sink=blocks)
         rows = rows_of(blocks)
         assert len(rows) == 4 * 25
         settings = {row[1] for row in rows}
@@ -353,17 +360,16 @@ class TestChsh:
         # A joint's values are exact products of its factors' +-1 (see tensor).
         assert all(abs(row[3]) == 1.0 for row in rows)
         refuse_events(monkeypatch)
-        chsh_experiment(cfg)
+        chsh_experiment(25, 2, "product")
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**32), trials=st.integers(1, 3000))
     def test_branch_counts_equal_mean_of_trial_values(self, seed, trials):
         # A correlator is tallied from branch counts; it equals the mean of
         # the per-trial values bit for bit, and so does its CSV value column.
-        cfg = ExperimentConfig(seed=seed, trials=trials)
-        report = chsh_experiment(cfg)
+        report = chsh_experiment(trials, seed, "product")
         blocks = Blocks()
-        kept = chsh_experiment(cfg, sink=blocks)
+        kept = chsh_experiment(trials, seed, "product", sink=blocks)
         rows = _csv_rows(blocks)
         for k, (key, *_, joint, _) in enumerate(_chsh_settings()):
             cs = model.draw_hidden_batch(substream(seed, _CHSH_PRODUCT_TAG, k), trials)
@@ -373,9 +379,8 @@ class TestChsh:
             assert np.mean(column) == kept.as_dict()["correlators"][key] == mean
 
     def test_sequential_rows_record_both_halves(self, monkeypatch):
-        cfg = ExperimentConfig(seed=2, trials=5)
         blocks = Blocks()
-        chsh_experiment(cfg, mode="sequential", sink=blocks)
+        chsh_experiment(5, 2, "sequential", sink=blocks)
         rows = rows_of(blocks)
         assert len(rows) == 2 * 4 * 5
         assert rows[0][1] == "ZW/ZI"
@@ -383,14 +388,14 @@ class TestChsh:
         assert blocks.labels == ("ZW/ZI", "ZW/IW", "ZV/ZI", "ZV/IV",
                                         "XW/XI", "XW/IW", "XV/XI", "XV/IV")
         refuse_events(monkeypatch)
-        chsh_experiment(cfg, mode="sequential")
+        chsh_experiment(5, 2, "sequential")
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            chsh_experiment(ExperimentConfig(trials=10), mode="parallel")
+            chsh_experiment(10, 0, "parallel")
 
     def test_dict_keys(self):
-        payload = chsh_experiment(ExperimentConfig(seed=0, trials=100)).as_dict()
+        payload = chsh_experiment(100, 0, "product").as_dict()
         assert list(payload) == [
             "mode", "trials_per_setting", "correlators", "s_value",
             "classical_bound", "exceeds_classical",
@@ -465,8 +470,7 @@ class TestSingleShotTrialsReplayFromTheirKeys:
         trials = data.draw(st.integers(1, 300), label="trials")
         state = spin_state(theta)
         blocks = Blocks()
-        born_experiment(ExperimentConfig(seed=seed, trials=trials), state, pauli("z"),
-                        sink=blocks)
+        born_experiment(state, pauli("z"), trials, seed, 5.0, sink=blocks)
         rows = _csv_rows(blocks)
         for t in data.draw(st.lists(st.integers(0, trials - 1), min_size=1, max_size=5),
                            label="replayed"):
@@ -480,7 +484,7 @@ class TestSingleShotTrialsReplayFromTheirKeys:
     def test_product_chsh(self, seed, data):
         trials = data.draw(st.integers(1, 300), label="trials")
         blocks = Blocks()
-        chsh_experiment(ExperimentConfig(seed=seed, trials=trials), sink=blocks)
+        chsh_experiment(trials, seed, "product", sink=blocks)
         rows = _csv_rows(blocks)
         for k, t in data.draw(st.lists(st.tuples(st.integers(0, 3),
                                                  st.integers(0, trials - 1)),
@@ -523,7 +527,7 @@ class TestTallyAtBlockBoundaries:
         seed, state, obs = 4, spin_state(0.7), pauli("z")
         opened = _opened_streams(monkeypatch)
         blocks = Blocks()
-        report = born_experiment(ExperimentConfig(seed=seed, trials=trials), state, obs,
+        report = born_experiment(state, obs, trials, seed, 5.0,
                                  sink=blocks if with_sink else None)
         reference = substream(seed, _BORN_TAG)
         cs = model.draw_hidden_batch(reference, trials)
@@ -545,7 +549,7 @@ class TestTallyAtBlockBoundaries:
         seed = 6
         opened = _opened_streams(monkeypatch)
         blocks = Blocks()
-        report = chsh_experiment(ExperimentConfig(seed=seed, trials=trials),
+        report = chsh_experiment(trials, seed, "product",
                                  sink=blocks if with_sink else None)
         rows = _csv_rows(blocks)
         assert len(blocks) == (4 * -(-trials // 7) if with_sink else 0)
@@ -574,9 +578,8 @@ def _traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("run", [
-    lambda trials: born_experiment(ExperimentConfig(trials=4 * trials), spin_state(0.8),
-                                   pauli("z")),
-    lambda trials: chsh_experiment(ExperimentConfig(trials=trials)),
+    lambda trials: born_experiment(spin_state(0.8), pauli("z"), 4 * trials, 0, 5.0),
+    lambda trials: chsh_experiment(trials, 0, "product"),
 ], ids=["born", "chsh"])
 def test_single_shot_memory_stays_flat_in_trials(run):
     # Tallied as they are drawn, 4M born trials and 4 x 1M chsh trials hold
@@ -604,19 +607,19 @@ class TestSweepsReplayOnTheScalarPath:
     replayed from its key with one advance, in one block or in many."""
 
     def test_chsh_sequential(self):
-        cfg = ExperimentConfig(seed=5, trials=40)
+        seed, trials = 5, 40
         blocks = Blocks()
-        report = chsh_experiment(cfg, mode="sequential", sink=blocks)
+        report = chsh_experiment(trials, seed, "sequential", sink=blocks)
         rows = iter(rows_of(blocks))
         for k, (key, a, b, *_) in enumerate(_chsh_settings()):
             ops = (tensor(a, identity(2)), tensor(identity(2), b))
             total = 0.0
-            for t in range(cfg.trials):
+            for t in range(trials):
                 events = _chain(ops, bell_state(), case_slot(
-                    (cfg.seed, _CHSH_SEQUENTIAL_TAG, k, t), 2))
+                    (seed, _CHSH_SEQUENTIAL_TAG, k, t), 2))
                 assert [_case_c_value(next(rows)) for _ in ops] == [(t, c, v) for c, v in events]
                 total += events[0][1] * events[1][1]
-            assert report.correlators[key] == total / cfg.trials
+            assert report.correlators[key] == total / trials
 
     @pytest.mark.parametrize("axis, index", [("column", 3), ("row", 2)])
     def test_column_product(self, axis, index):

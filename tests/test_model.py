@@ -17,6 +17,7 @@ from hvsim.errors import (
     DimensionMismatchError,
     HiddenDrawError,
     HvsimError,
+    InvalidArgumentError,
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
@@ -73,10 +74,10 @@ class TestRandomness:
         assert not np.array_equal(a, c)
 
     def test_substream_rejects_negative(self):
-        with pytest.raises(ValueError):
-            substream(-1)
-        with pytest.raises(ValueError):
-            substream(0, -2)
+        # A bool and a float are refused too, even one with an integer value.
+        for path in ((-1,), (0, -2), (True,), (0, 2.0), (float("nan"),)):
+            with pytest.raises(InvalidArgumentError):
+                substream(*path)
 
     def test_draw_hidden_open_interval(self):
         rng = substream(0)
@@ -128,8 +129,7 @@ NAN_CASES = {
     "measure": lambda: measure(pauli("z"), HiddenState(NAN_STATE, 0.5), substream(0)),
     "update": lambda: update(pauli("z"), HiddenState(NAN_STATE, 0.5), 1.0),
     "normalized": lambda: normalized(NAN_STATE),
-    "born_experiment": lambda: experiments.born_experiment(
-        experiments.ExperimentConfig(trials=10), NAN_STATE, pauli("z")),
+    "born_experiment": lambda: experiments.born_experiment(NAN_STATE, pauli("z"), 10, 0, 5.0),
     "HiddenState c": lambda: HiddenState(basis_ket(2, 0), NAN),
     "ScriptedUniforms": lambda: ScriptedUniforms([0.5, NAN]),
 }
@@ -651,10 +651,9 @@ class TestCaseSlots:
         assert rng.bit_generator.random_raw() == substream(1, 6).bit_generator.random_raw(21)[20]
 
     def test_case_slot_rejects_bad_case(self):
-        with pytest.raises(ValueError):
-            case_slot((0, 6, -1), 4)
-        with pytest.raises(ValueError):
-            case_slot((0, 6, 1.5), 4)
+        for case in (-1, 1.5, float("nan")):
+            with pytest.raises(InvalidArgumentError):
+                case_slot((0, 6, case), 4)
 
 
 def _degenerate_family(seed):
