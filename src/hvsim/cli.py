@@ -11,8 +11,10 @@ to is written through a copy of that descriptor.
 Exit codes: 0 when the scenario's claim holds (for strong-fc that means the
 inconsistency witness appeared, which is the expected behavior), 1 when a
 check fails or a library error surfaces, 2 for usage errors. A run argument
-the library refuses (InvalidArgumentError) is one, with the library's message;
-each such rule fires before the first block of events, so PATH stays unopened.
+the library refuses (InvalidArgumentError) is one, reported as argparse reports
+its own refusals: under the subcommand's usage line, naming the flag, with the
+library's message. Each such rule fires before the first block of events, so
+PATH stays unopened.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(parser=p)  # main reports a refused run argument through it
         p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                        help="output format (default: text)")
         p.add_argument("--out", metavar="PATH",
@@ -481,7 +484,7 @@ def main(argv=None) -> int:
             elif args.format == "text":
                 out.write(text())
         except InvalidArgumentError as exc:
-            parser.error(str(exc))
+            args.parser.error(f"argument --{exc.argument.replace('_', '-')}: {exc}")
         except HvsimError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

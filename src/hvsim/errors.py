@@ -6,7 +6,12 @@ class HvsimError(Exception):
 
 
 class InvalidArgumentError(HvsimError, ValueError):
-    """A run argument (seed, trials, hidden scalar, tolerance, angle) breaks its rule."""
+    """A run argument breaks its rule; `argument` names it as the library's
+    parameter does (seed, trials, c, theta, tolerance_sigma)."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
 
 
 class DimensionMismatchError(HvsimError, ValueError):
@@ -34,7 +39,8 @@ class BranchNotFoundError(HvsimError, ValueError):
 
 
 class ZeroProbabilityBranchError(HvsimError, ValueError):
-    """Collapse was requested onto a branch of numerically zero weight."""
+    """update was asked to collapse onto a dead branch, one whose weight the
+    selection rule counts as zero. No other entry point raises it."""
 
 
 class NoncommutingLeavesError(HvsimError, ValueError):

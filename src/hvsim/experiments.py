@@ -74,7 +74,7 @@ LINE_SLOT_WIDTH = 2 * 4 + 3
 def spin_state(theta: float) -> PureState:
     """cos(theta)|0> + sin(theta)|1>, for a finite theta."""
     if not math.isfinite(theta):
-        raise InvalidArgumentError(f"theta must be finite, got {theta!r}")
+        raise InvalidArgumentError("theta", f"theta must be finite, got {theta!r}")
     return PureState([math.cos(theta), math.sin(theta)])
 
 
@@ -152,8 +152,8 @@ def born_experiment(state: PureState, obs, trials: int, seed: int, tolerance_sig
     given, receives each block of trials' events."""
     trials = whole(trials, "trials", least=1)
     if not 0.0 < tolerance_sigma < math.inf:
-        raise InvalidArgumentError(
-            f"tolerance_sigma must be positive and finite, got {tolerance_sigma!r}")
+        raise InvalidArgumentError("tolerance_sigma", "tolerance_sigma must be positive and"
+                                   f" finite, got {tolerance_sigma!r}")
     decomp = as_decomposition(obs)
     label = display_label(decomp)
     counts = tally(decomp, state, substream(seed, _BORN_TAG), trials, sink, (label,))
@@ -501,7 +501,7 @@ def chsh_experiment(trials: int, seed: int, mode: str, sink=None) -> ChshReport:
     """
     trials = whole(trials, "trials", least=1)
     if mode not in ("product", "sequential"):
-        raise InvalidArgumentError(f"mode must be 'product' or 'sequential', got {mode!r}")
+        raise InvalidArgumentError("mode", f"mode must be 'product' or 'sequential', got {mode!r}")
     state = bell_state()
     if mode == "product":
         labels = tuple(key for key, *_ in _chsh_settings())

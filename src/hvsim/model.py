@@ -62,7 +62,8 @@ def whole(n, name: str, least: int = 0) -> int:
     included) or anything else without __index__ is refused."""
     value = None if isinstance(n, bool) else getattr(n, "__index__", lambda: None)()
     if value is None or value < least:
-        raise InvalidArgumentError(f"{name} must be an integer of at least {least}, got {n!r}")
+        raise InvalidArgumentError(name, f"{name} must be an integer of at least {least},"
+                                         f" got {n!r}")
     return value
 
 
@@ -107,7 +108,7 @@ def hidden_scalar(c) -> float:
     """`c` as a float strictly inside (0, 1), where hidden scalars lie; nan is not."""
     c = float(c)
     if not 0.0 < c < 1.0:
-        raise InvalidArgumentError(f"hidden scalar must lie strictly inside (0, 1), got {c!r}")
+        raise InvalidArgumentError("c", f"hidden scalar must lie strictly inside (0, 1), got {c!r}")
     return c
 
 
@@ -280,13 +281,18 @@ def display_label(decomp: SpectralDecomposition) -> str:
     return decomp.label if decomp.label is not None else f"hermitian[{decomp.dim}]"
 
 
+def _dead(weights):
+    """Where branch weights count as zero: the one liveness rule, by which
+    the selection zeroes a branch and update refuses one."""
+    return weights < MIN_BRANCH_WEIGHT
+
+
 def _edges(weights) -> np.ndarray:
     """The selection rule's edges for columns of branch weights (B, R),
-    computed in place: with weights below MIN_BRANCH_WEIGHT zeroed, the
-    cumulative weights of all but the last branch, where an edge with no
-    weight above it reads inf."""
+    computed in place: with dead weights zeroed, the cumulative weights of
+    all but the last branch, where an edge with no weight above it reads inf."""
     cum = weights
-    cum[cum < MIN_BRANCH_WEIGHT] = 0.0
+    cum[_dead(cum)] = 0.0
     for i in range(1, len(cum)):  # branch by branch, as np.cumsum adds
         cum[i] += cum[i - 1]
     cover = cum[-1].min(initial=1.0)
@@ -305,38 +311,28 @@ def _pick(edges, cs) -> np.ndarray:
     return np.add.reduce(edges < cs, axis=0)
 
 
-def _choose(weights, cs) -> np.ndarray:
-    """The selection rule on columns of branch weights (B, R): one column
-    shared by every c in `cs`, or one per c."""
-    return _pick(_edges(weights), cs)
-
-
 def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
     """Branch index picked by each hidden scalar in `cs` on one state: the
     selection rule, which run_sequence applies to its rows' weights too.
 
-    Branch weights below MIN_BRANCH_WEIGHT are zeroed, then each c picks the
-    first branch whose cumulative weight reaches it, so the set of c choosing
+    Dead branch weights (_dead) are zeroed, then each c picks the first
+    branch whose cumulative weight reaches it, so the set of c choosing
     branch i is (cum[i-1], cum[i]]. A c above the last cumulative weight
     (rounding leaves cum[-1] a hair under 1) falls to the last branch that
-    carries weight, never onto a zeroed one. So the index counts the edges
-    cum[i] below c, an edge with no weight above it never counting. Callers
-    keep every c inside (0, 1), as HiddenState, branch_indices and
-    run_sequence enforce. The result has the shape of `cs`.
+    carries weight, never onto a zeroed one: the index counts the edges
+    cum[i] below c, an edge with no weight above it never counting, so every
+    branch picked is live. Callers keep every c inside (0, 1), as HiddenState,
+    branch_indices and run_sequence enforce. The result has the shape of `cs`.
     """
     weights = decomp.weights(amplitudes)
-    return _choose(weights.reshape((-1,) + (1,) * np.ndim(cs)), cs)
+    return _pick(_edges(weights.reshape((-1,) + (1,) * np.ndim(cs))), cs)
 
 
 def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:
-    """Normalized projection of `state` onto branch `index`."""
+    """Projection of `state` onto branch `index`, normalized by its own norm:
+    no weight check, as select picks only live branches and update checks."""
     projected = decomp.project(state, index)
-    weight = float(np.real(np.vdot(projected, projected)))
-    if weight <= MIN_BRANCH_WEIGHT:
-        raise ZeroProbabilityBranchError(
-            f"state carries no weight on the branch with eigenvalue {decomp.values[index]:g}"
-        )
-    return PureState(projected / np.sqrt(weight))
+    return PureState(projected / np.sqrt(float(np.real(np.vdot(projected, projected)))))
 
 
 def predict(obs, hidden: HiddenState) -> float:
@@ -427,7 +423,7 @@ def predict_each(ops, hidden: HiddenState) -> list[float]:
     overlaps = (amps.conj() @ vectors).ravel()  # row k: conj(V_k^H psi)
     weights = np.zeros(values.size)
     weights[slots] = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, starts)
-    chosen = _choose(weights.reshape(values.shape), hidden.c)
+    chosen = _pick(_edges(weights.reshape(values.shape)), hidden.c)
     return values[chosen, np.arange(len(chosen))].tolist()
 
 
@@ -476,9 +472,9 @@ def predict_batch(obs, state, cs) -> np.ndarray:
 def update(obs, hidden: HiddenState, value: float) -> PureState:
     """Projective collapse of the hidden state onto the branch for `value`.
 
-    The branch is matched by eigenvalue within the decomposition tolerance;
-    collapsing onto a branch the state has no weight on is an error rather
-    than a silent NaN.
+    The branch is matched by eigenvalue within the decomposition tolerance.
+    Here alone the caller names the branch, so here alone a dead one (_dead)
+    can be asked for, which raises rather than collapse onto rounding noise.
     """
     decomp = as_decomposition(obs)
     index = decomp.branch_index(value)
@@ -487,6 +483,9 @@ def update(obs, hidden: HiddenState, value: float) -> PureState:
             f"no eigenvalue branch matches value {value!r}"
             f" among {list(decomp.values)}"
         )
+    if _dead(decomp.weights(hidden.state)[index]):
+        raise ZeroProbabilityBranchError(
+            f"state carries no weight on the branch with eigenvalue {decomp.values[index]:g}")
     return _collapse(decomp, hidden.state, index)
 
 

@@ -61,29 +61,38 @@ PINS = (
 )
 
 # Command lines that are usage errors, each refused by argparse or by the
-# library's rule for a run argument: the one table that test_cli's usage-error
-# test and CI's installed-script check read. Each must exit 2 with a usage
-# message, before anything is written to stdout or --out.
+# library's rule for a run argument, as (argv, flag): the one table that
+# test_cli's usage-error test and CI's installed-script check read. Each must
+# exit 2 with a usage message, before anything is written to stdout or --out.
+# A row with a flag is refused by its subcommand, which names the flag; the
+# rows without one are refused by the top-level parser.
 USAGE_ERRORS = (
-    (),
-    ("unknown-command",),
-    ("born", "--seed", "-3"),
-    ("born", "--trials", "0"),
-    ("born", "--theta", "inf"),
-    ("born", "--tolerance-sigma", "-1"),
-    ("strong-fc", "--c", "0"),
-    ("strong-fc", "--c", "1"),
-    ("weak-fc", "--column", "4"),
-    ("column-product", "--axis", "diagonal"),
-    ("chsh", "--no-such-flag"),
-    ("born", "--tolerance-sigma", "nan"),
-    ("born", "--tolerance-sigma", "inf"),
-    ("born", "--trials", "0", "--format", "csv"),
-    ("weak-fc", "--trials", "0", "--format", "csv"),
-    ("column-product", "--seed", "-1", "--format", "csv"),
-    ("chsh", "--sequential", "--trials", "0", "--format", "csv"),
-    ("implications", "--c", "1"),
+    ((), None),
+    (("unknown-command",), None),
+    (("born", "--seed", "-3"), "--seed"),
+    (("born", "--trials", "0"), "--trials"),
+    (("born", "--theta", "inf"), "--theta"),
+    (("born", "--tolerance-sigma", "-1"), "--tolerance-sigma"),
+    (("strong-fc", "--c", "0"), "--c"),
+    (("strong-fc", "--c", "1"), "--c"),
+    (("weak-fc", "--column", "4"), "--column"),
+    (("column-product", "--axis", "diagonal"), "--axis"),
+    (("chsh", "--no-such-flag"), None),
+    (("born", "--tolerance-sigma", "nan"), "--tolerance-sigma"),
+    (("born", "--tolerance-sigma", "inf"), "--tolerance-sigma"),
+    (("born", "--trials", "0", "--format", "csv"), "--trials"),
+    (("weak-fc", "--trials", "0", "--format", "csv"), "--trials"),
+    (("column-product", "--seed", "-1", "--format", "csv"), "--seed"),
+    (("chsh", "--sequential", "--trials", "0", "--format", "csv"), "--trials"),
+    (("implications", "--c", "1"), "--c"),
 )
+
+
+def usage_error_prefixes(argv, flag):
+    """(usage, error): how the first stderr line and the error line of a
+    USAGE_ERRORS row begin, from the parser that refuses it."""
+    prog = f"hvsim {argv[0]}" if flag else "hvsim"
+    return f"usage: {prog} [-h] ", f"{prog}: error: " + (f"argument {flag}: " if flag else "")
 
 # Parametrizes a test over PINS as (pin, argv), each case named by its pin file.
 PINNED = pytest.mark.parametrize("pin, argv", PINS, ids=[pin for pin, _ in PINS])

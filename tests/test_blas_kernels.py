@@ -8,7 +8,8 @@ kernel one subprocess reruns every pinned argument list through
 hvsim.cli.main; each pin is then its own test. The same subprocess runs the
 predict_each and run_sequence differentials of test_model, at edge c too,
 since whether a batched product keeps each operator's or each row's bits
-depends on the kernel.
+depends on the kernel, and the cutoff differential, since the kernel rounds
+the branch weights that sit at MIN_BRANCH_WEIGHT.
 """
 
 import functools
@@ -31,7 +32,8 @@ KERNELS = ("Haswell", "Prescott")
 # mismatches), with the number of cases each checks.
 EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mismatches": 1800,
                       "row_independence_mismatches": 1800}
-DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS)
+DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS,
+                 "cutoff_mismatches")
 
 # Reads (pin, argv) pairs and differential names as JSON on stdin; writes
 # {pin: stdout}, each differential's (cases, mismatches) and the kernel
@@ -136,3 +138,8 @@ def test_run_sequence_matches_measure_under_kernel(kernel):
 @pytest.mark.parametrize("name, cases", EDGE_DIFFERENTIALS.items())
 def test_run_sequence_at_edges_under_kernel(kernel, name, cases):
     assert _differential(kernel, name) == cases
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_routes_agree_at_the_cutoff_under_kernel(kernel):
+    assert _differential(kernel, "cutoff_mismatches") > 2000

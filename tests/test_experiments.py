@@ -94,8 +94,9 @@ BAD_ARGUMENTS = [
 @pytest.mark.parametrize("driver, name, value", BAD_ARGUMENTS,
                          ids=[f"{d}-{n}={v}" for d, n, v in BAD_ARGUMENTS])
 def test_drivers_refuse_bad_arguments_before_any_block(driver, name, value):
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError) as info:
         DRIVERS[driver](**{name: value})
+    assert info.value.argument == name
 
 
 class TestStates:
@@ -104,8 +105,9 @@ class TestStates:
         np.testing.assert_allclose(
             s.amplitudes, [0.5, math.sqrt(3) / 2], atol=1e-15)
         for theta in (NAN, math.inf, -math.inf):
-            with pytest.raises(InvalidArgumentError):
+            with pytest.raises(InvalidArgumentError) as info:
                 spin_state(theta)
+            assert info.value.argument == "theta"
 
     def test_bell_state(self):
         b = bell_state()

@@ -59,10 +59,15 @@ from hvsim.operators import (
     pauli,
     phase_distance,
     random_hermitian,
+    random_unitary,
     spectral,
     tensor,
     identity,
 )
+
+# A qubit state whose |1> amplitude squares to exactly MIN_BRANCH_WEIGHT: Z's
+# -1 branch weighs exactly the cutoff on it.
+AT_CUTOFF = np.array([np.sqrt(1.0 - 1e-12), 1e-6])
 
 
 class TestRandomness:
@@ -105,8 +110,9 @@ class TestHiddenState:
     def test_bounds(self):
         HiddenState(basis_ket(2, 0), 0.5)
         for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidArgumentError) as info:
                 HiddenState(basis_ket(2, 0), bad)
+            assert info.value.argument == "c"
 
     def test_coerces_amplitudes(self):
         hs = HiddenState([1.0, 0.0], 0.5)
@@ -278,6 +284,20 @@ class TestUpdate:
     def test_zero_probability_branch(self):
         with pytest.raises(ZeroProbabilityBranchError):
             update(pauli("z"), HiddenState(basis_ket(2, 0), 0.5), -1.0)
+
+    def test_collapses_onto_a_branch_at_the_cutoff(self):
+        # The -1 branch weighs exactly MIN_BRANCH_WEIGHT, which is live.
+        state = PureState(AT_CUTOFF)
+        assert spectral(pauli("z")).weights(state)[0] == MIN_BRANCH_WEIGHT
+        post = update(pauli("z"), HiddenState(state, 0.5), -1.0)
+        assert post.amplitudes.tolist() == [0.0, 1.0]
+
+    def test_refuses_a_branch_one_step_below_the_cutoff(self):
+        below = np.nextafter(1e-6, 0.0)
+        state = PureState([np.sqrt(1.0 - below**2), below])
+        assert spectral(pauli("z")).weights(state)[0] < MIN_BRANCH_WEIGHT
+        with pytest.raises(ZeroProbabilityBranchError):
+            update(pauli("z"), HiddenState(state, 0.5), -1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -1103,18 +1123,23 @@ class TestRunSequenceAgainstMeasure:
         _, mismatches = _block_mismatches(ops, _haar_starts(len(spectra[0]), 6, rng), rng)
         assert mismatches == []
 
-    def test_zero_weight_collapse_raises(self):
-        # The -1 branch weighs exactly MIN_BRANCH_WEIGHT: select keeps it and
-        # c = 1e-13 picks it, but collapse finds no weight to keep.
-        state = PureState([np.sqrt(1.0 - 1e-12), 1e-6])
-        assert spectral(pauli("z")).weights(state)[0] == MIN_BRANCH_WEIGHT
-        with pytest.raises(ZeroProbabilityBranchError):
-            measure(pauli("z"), HiddenState(state, 1e-13), ScriptedUniforms([0.5]))
-        # The kernel leaves the row to the scalar reference, which raises; no
-        # floating-point warning comes first.
-        with pytest.raises(ZeroProbabilityBranchError), np.errstate(all="raise"):
-            run_sequence([pauli("z")], np.array([[1.0, 0.0], state.amplitudes]),
-                         np.array([[0.5], [1e-13]]))
+    def test_cutoff_branch_collapses_like_predict(self):
+        # The -1 branch weighs exactly MIN_BRANCH_WEIGHT, so it is live and
+        # c = 5e-13 picks it: every route reads -1 and collapses onto |1>, with
+        # no floating-point warning. The kernel leaves the light row to the
+        # scalar reference, whose second Z repeats the reading.
+        z, state = pauli("z"), PureState(AT_CUTOFF)
+        assert spectral(z).weights(state)[0] == MIN_BRANCH_WEIGHT
+        hidden = HiddenState(state, 5e-13)
+        with np.errstate(all="raise"):
+            assert predict(z, hidden) == -1.0
+            record, after = measure(z, hidden, ScriptedUniforms([0.5]))
+            post = update(z, hidden, -1.0)
+            values = run_sequence([z, z], np.array([[1.0, 0.0], AT_CUTOFF]),
+                                  np.array([[0.5, 0.5], [5e-13, 0.5]]))
+        assert record.value == -1.0
+        assert after.state.amplitudes.tolist() == post.amplitudes.tolist() == [0.0, 1.0]
+        assert values.tolist() == [[1.0, 1.0], [-1.0, -1.0]]
 
     def test_only_a_row_kept_light_is_measured_again(self, monkeypatch):
         # Z(x)I then I(x)Z on two rows whose first reading keeps 1e-2 of the
@@ -1341,7 +1366,7 @@ def _predict_each_families():
             normalized([1.0, 1e-7, 1e-6, 0.0]), *map(PureState, _haar_starts(4, 3, rng))]
     yield (*itertools.chain(*square.grid), *square.rows, *square.cols), four
     yield implications_operators(), four
-    at_cutoff = PureState([np.sqrt(1.0 - 1e-12), 1e-6])
+    at_cutoff = PureState(AT_CUTOFF)
     assert spectral(pauli("z")).weights(at_cutoff)[0] == MIN_BRANCH_WEIGHT
     yield (pauli("z"), spectral(pauli("x")), identity(2)), [at_cutoff, basis_ket(2, 1)]
     for dim in (2, 3, 5, 8) * 3:
@@ -1405,3 +1430,140 @@ class TestPredictEach:
             predict_each([z, pauli("x")], wrong)
         with pytest.raises(ValueError):
             predict_each([], HiddenState(basis_ket(2, 0), 0.5))
+
+
+CUTOFF_KINDS = ("random", "labelled", "near")
+
+
+def _cutoff_operator(kind, rng):
+    """An observable of one kind the cutoff rule is checked on: "random" has
+    repeated eigenvalues in a random_unitary basis; "labelled" is a cell of
+    the square, a Pauli or an implications operator; "near" has eigenvalues
+    5e-10 apart in a random basis and is given as its decomposition at the
+    default tolerance, which merges them, or at 1e-12, which keeps them
+    apart. The random ones have 3 <= d <= 16."""
+    if kind == "labelled":
+        ops = (*itertools.chain(*peres_mermin().grid), pauli("x"), pauli("y"), pauli("z"),
+               *implications_operators())
+        return ops[int(rng.integers(len(ops)))]
+    dim = int(rng.integers(3, 17))
+    if kind == "random":
+        spectrum = [-3.0, 3.0, *rng.integers(-2, 3, size=dim - 2)]
+    else:
+        spectrum = [0.0, 5e-10, 1.0, *rng.choice([0.0, 5e-10, 1.0, 1.0 + 5e-10], size=dim - 3)]
+    basis = random_unitary(dim, rng)
+    matrix = basis @ np.diag(spectrum) @ basis.conj().T
+    op = HermitianOperator((matrix + matrix.conj().T) / 2.0)
+    return op if kind == "random" else spectral(op, (None, 1e-12)[int(rng.integers(2))])
+
+
+def _cutoff_case(seed, kind, ulps):
+    """(observable, state, cs, ordinary): a _cutoff_operator of `kind`; a state
+    whose weight on one of its branches is aimed at MIN_BRANCH_WEIGHT moved
+    by `ulps` ulps, the rest of its weight spread over the other branches;
+    the hidden scalars one ulp either side of that branch's lower edge, at
+    its middle and at its upper edge and one ulp above; and two Haar states
+    of the same dimension.
+
+    The products that read the weight back round it by up to about 1e-10 of
+    itself in a rotated basis, selection and collapse each their own way.
+    Aiming a second time by the first reading takes out most of the bias, so
+    the readings fall on both sides of the cutoff."""
+    rng = np.random.default_rng(seed)
+    op = _cutoff_operator(kind, rng)
+    decomp = as_decomposition(op)
+    branch = int(rng.integers(len(decomp.values)))
+    inside = decomp.block_of_column == branch
+    z = rng.normal(size=decomp.dim) + 1j * rng.normal(size=decomp.dim)
+    target = MIN_BRANCH_WEIGHT + ulps * np.spacing(MIN_BRANCH_WEIGHT)
+
+    def spread(weight):
+        return PureState(decomp.vectors @ (z * np.where(
+            inside, np.sqrt(weight) / np.linalg.norm(z[inside]),
+            np.sqrt(1.0 - weight) / np.linalg.norm(z[~inside]))))
+
+    # Aim again by what the first state reads, which rounding put some ulps off.
+    state = spread(target**2 / decomp.weights(spread(target))[branch])
+    cum = _zeroed_cumulative(decomp, state)[1]
+    low = cum[branch - 1] if branch else 0.0
+    high = low + decomp.weights(state)[branch]
+    cs = [np.nextafter(low, 0.0), np.nextafter(low, 1.0), (low + high) / 2, high,
+          np.nextafter(high, 1.0)]
+    return op, state, [c for c in cs if 0.0 < c < 1.0], _haar_starts(decomp.dim, 2, rng)
+
+
+def _cutoff_disagreements(op, state, cs, ordinary):
+    """One line for each route that reads `op` on `state` at the hidden
+    scalars `cs` otherwise than predict does, a route that raises included:
+    predict_each, predict_batch, tally's events, measure, run_sequence with
+    the state's rows between the `ordinary` ones, and predict on the state
+    update leaves for predict's reading; and one for each c at which measure
+    and update collapse the state apart."""
+    hiddens = [HiddenState(state, c) for c in cs]
+    want = [predict(op, hidden) for hidden in hiddens]
+
+    def tallied():
+        blocks = Blocks()
+        tally(op, state, _Stream(cs), len(cs), blocks, ("x",))
+        return [value for events in blocks for value in events.value.tolist()]
+
+    def sequenced():
+        starts = np.array([ordinary[0], *[state.amplitudes] * len(cs), ordinary[1]])
+        return run_sequence([op], starts, np.array([0.5, *cs, 0.5])[:, None])[1:-1, 0].tolist()
+
+    routes = {
+        "predict_each": lambda: [predict_each((op,), hidden)[0] for hidden in hiddens],
+        "predict_batch": lambda: predict_batch(op, state, cs).tolist(),
+        "tally": tallied,
+        "measure": lambda: [measure(op, hidden, ScriptedUniforms([0.5]))[0].value
+                            for hidden in hiddens],
+        "run_sequence": sequenced,
+        "update": lambda: [predict(op, HiddenState(update(op, hidden, value), 0.5))
+                           for hidden, value in zip(hiddens, want)],
+    }
+    found = []
+    for name, route in routes.items():
+        try:
+            got = route()
+        except HvsimError as exc:
+            got = type(exc).__name__
+        if got != want:
+            found.append(f"{name} reads {got} where predict reads {want}")
+    if not found:
+        for hidden, value in zip(hiddens, want):
+            _, after = measure(op, hidden, ScriptedUniforms([0.5]))
+            if after.state.amplitudes.tobytes() != update(op, hidden, value).amplitudes.tobytes():
+                found.append(f"measure and update collapse apart at c={hidden.c!r}")
+    return found
+
+
+def cutoff_mismatches():
+    """(cases, mismatches): _cutoff_disagreements at each hidden scalar of
+    _cutoff_case for seeds 0-19 of every kind, the branch weight 4 ulps
+    either side of the cutoff and on it, and at c = 5e-13 on AT_CUTOFF under
+    Z. The kernel reruns call this too."""
+    cases, mismatches = 1, [f"Z at the cutoff: {line}" for line in _cutoff_disagreements(
+        pauli("z"), PureState(AT_CUTOFF), [5e-13], _haar_starts(2, 2, np.random.default_rng(0)))]
+    for kind in CUTOFF_KINDS:
+        for seed in range(20):
+            for ulps in range(-4, 5):
+                op, state, cs, ordinary = _cutoff_case(seed, kind, ulps)
+                cases += len(cs)
+                mismatches += [f"{kind}, seed {seed}, {ulps:+d} ulps: {line}"
+                               for line in _cutoff_disagreements(op, state, cs, ordinary)]
+    return cases, mismatches
+
+
+class TestCutoffRule:
+    """A branch that weighs MIN_BRANCH_WEIGHT or more is live on every route:
+    where a selection route reads it, measure, run_sequence and update read
+    it too, and collapse onto it."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(CUTOFF_KINDS), st.integers(-8, 8))
+    def test_routes_agree_near_the_cutoff(self, seed, kind, ulps):
+        assert _cutoff_disagreements(*_cutoff_case(seed, kind, ulps)) == []
+
+    def test_routes_agree_at_fixed_cases(self):
+        cases, mismatches = cutoff_mismatches()
+        assert mismatches == [] and cases > 2000
