@@ -1,5 +1,6 @@
 """Command line front end. Every subcommand runs one library scenario and
-emits its report as text, JSON or CSV; the exit code states the verdict.
+emits its report as text or JSON, or as CSV if its scenario streams events;
+the exit code states the verdict.
 
 A CSV report is streamed: its rows are written block by block as the driver
 hands each block of events to the sink, never held whole. With `--out PATH`
@@ -53,63 +54,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    # main calls run(args, sink). Every runner returns (payload, passed, text):
+    # payload and text build the JSON payload and the text report when called,
+    # and main calls only the one its --format writes. Only a command whose
+    # runner streams its events to sink (None unless --format csv) offers csv.
+    # A command given a default trial count also takes a seed.
+    def add_command(name: str, help_text: str, run, csv=False,
+                    trials=None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(parser=p)  # main reports a refused run argument through it
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text",
+        p.set_defaults(run=run, parser=p)  # main reports a refused run argument through p
+        formats = ("text", "json", "csv") if csv else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text",
                        help="output format (default: text)")
         p.add_argument("--out", metavar="PATH",
                        help="write the report to PATH instead of stdout")
+        if trials is not None:
+            p.add_argument("--seed", type=int, default=0, help="root RNG seed (default: 0)")
+            p.add_argument("--trials", type=int, default=trials,
+                           help=f"number of trials (default: {trials})")
         return p
 
-    def add_seed(p, default=0):
-        p.add_argument("--seed", type=int, default=default,
-                       help=f"root RNG seed (default: {default})")
+    add_command("table1", "replay the scripted three-iteration reference run", _run_table1,
+                csv=True)
 
-    def add_trials(p, default):
-        p.add_argument("--trials", type=int, default=default,
-                       help=f"number of trials (default: {default})")
-
-    add_command("table1", "replay the scripted three-iteration reference run")
-
-    born = add_command("born", "compare outcome frequencies against Born weights")
-    add_seed(born)
-    add_trials(born, 100_000)
+    born = add_command("born", "compare outcome frequencies against Born weights", _run_born,
+                       csv=True, trials=100_000)
     born.add_argument("--theta", type=float, default=math.pi / 3,
                       help="spin rotation angle in radians for the"
                            " cos(theta)|0>+sin(theta)|1> state (default: pi/3)")
     born.add_argument("--tolerance-sigma", type=float, default=5.0,
                       help="per-branch sigma tolerance (default: 5)")
 
-    add_command("pm-square", "build the observable square and verify its identities")
-    add_command("no-go", "enumerate global +-1 assignments against the square")
+    add_command("pm-square", "build the observable square and verify its identities",
+                _run_pm_square)
+    add_command("no-go", "enumerate global +-1 assignments against the square", _run_no_go)
 
-    weak = add_command("weak-fc", "sequential-measurement consistency sweep on one line")
-    add_seed(weak)
-    add_trials(weak, 1000)
+    weak = add_command("weak-fc", "sequential-measurement consistency sweep on one line",
+                       _run_weak_fc, csv=True, trials=1000)
     weak.add_argument("--column", type=int, choices=(1, 2, 3), default=3,
                       help="which column of the square to sweep (default: 3)")
 
-    strong = add_command("strong-fc", "single-state functional consistency probe")
+    strong = add_command("strong-fc", "single-state functional consistency probe",
+                         _run_strong_fc)
     strong.add_argument("--c", type=float, default=0.4,
                         help="hidden scalar to probe at (default: 0.4)")
 
     impl = add_command("implications",
-                       "deduction-vs-direct comparison on the diagonal triple")
+                       "deduction-vs-direct comparison on the diagonal triple",
+                       _run_implications)
     impl.add_argument("--c", type=float, default=0.4,
                       help="hidden scalar for the initial state (default: 0.4)")
 
-    chsh = add_command("chsh", "estimate the four-setting correlation statistic S")
-    add_seed(chsh)
-    add_trials(chsh, 100_000)
+    chsh = add_command("chsh", "estimate the four-setting correlation statistic S", _run_chsh,
+                       csv=True, trials=100_000)
     chsh.add_argument("--sequential", action="store_true",
                       help="measure the two sides one after the other"
                            " (slow cross-check) instead of the joint product")
 
     line = add_command("column-product",
-                       "sequential product sweep along one line of the square")
-    add_seed(line)
-    add_trials(line, 200)
+                       "sequential product sweep along one line of the square",
+                       _run_column_product, csv=True, trials=200)
     line.add_argument("--index", type=int, choices=(1, 2, 3), default=3,
                       help="which line to measure (default: 3)")
     line.add_argument("--axis", choices=("column", "row"), default="column",
@@ -195,7 +199,7 @@ def _run_born(args, sink):
     return lambda: {"seed": args.seed, "theta": args.theta, **report.as_dict()}, report.passed, text
 
 
-def _run_pm_square(args):
+def _run_pm_square(args, sink):
     square = peres_mermin()
     max_comm = max(f.max_commutator_norm for f in square.lines)
     max_identity_gap = square.identity_deviation
@@ -221,7 +225,7 @@ def _run_pm_square(args):
     return payload, True, text
 
 
-def _run_no_go(args):
+def _run_no_go(args, sink):
     result = no_go_search(peres_mermin())
     passed = result.satisfying_assignments == 0
 
@@ -238,8 +242,7 @@ def _run_no_go(args):
 
 
 def _run_weak_fc(args, sink):
-    square = peres_mermin()
-    f = square.column_expression(args.column)
+    f = peres_mermin().column_expression(args.column)
     state = basis_ket(4, 0)
     summary = verify_proposition(f, state, args.trials, (args.seed, _WEAK_FC_TAG), sink=sink)
 
@@ -258,9 +261,8 @@ def _run_weak_fc(args, sink):
                      **summary.as_dict()}), summary.all_passed, text
 
 
-def _run_strong_fc(args):
-    square = peres_mermin()
-    f = square.column_expression(3)
+def _run_strong_fc(args, sink):
+    f = peres_mermin().column_expression(3)
     hidden = HiddenState(basis_ket(4, 0), args.c)
     report = check_strong_fc(f, hidden)
     witnessed = not report.holds
@@ -281,7 +283,7 @@ def _run_strong_fc(args):
     return report.as_dict, witnessed, text
 
 
-def _run_implications(args):
+def _run_implications(args, sink):
     report = implications_demo(args.c)
     passed = report.post_collapse_consistent and report.non_fc_witnessed
 
@@ -340,25 +342,6 @@ def _run_column_product(args, sink):
         ]
         return "\n".join(lines) + "\n" + _verdict(report.all_passed)
     return lambda: {"seed": args.seed, **report.as_dict()}, report.all_passed, text
-
-
-# Each command's runner and whether it streams CSV events. A runner that
-# does takes the parsed arguments and a sink for the report's blocks of
-# events (None unless --format csv); the others take the arguments alone.
-# Every runner returns (payload, passed, text): payload and text build the
-# JSON payload and the text report when called, and main calls only the one
-# its --format writes.
-_RUNNERS = {
-    "table1": (_run_table1, True),
-    "born": (_run_born, True),
-    "pm-square": (_run_pm_square, False),
-    "no-go": (_run_no_go, False),
-    "weak-fc": (_run_weak_fc, True),
-    "strong-fc": (_run_strong_fc, False),
-    "implications": (_run_implications, False),
-    "chsh": (_run_chsh, True),
-    "column-product": (_run_column_product, True),
-}
 
 
 def _csv_sink(write):
@@ -464,21 +447,12 @@ class _Output:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    runner, streams_events = _RUNNERS[args.command]
-    if args.format == "csv" and not streams_events:
-        print(f"error: csv output is not available for '{args.command}';"
-              " use --format json or text", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     out = _Output(args.out, stage=args.format == "csv")
     try:
         try:
-            if streams_events:
-                sink = _csv_sink(out.write) if args.format == "csv" else None
-                payload, passed, text = runner(args, sink)
-            else:
-                payload, passed, text = runner(args)
+            sink = _csv_sink(out.write) if args.format == "csv" else None
+            payload, passed, text = args.run(args, sink)
             if args.format == "json":
                 out.write(json.dumps(payload(), indent=2, sort_keys=True) + "\n")
             elif args.format == "text":

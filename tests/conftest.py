@@ -10,6 +10,12 @@ from hvsim import consistency, experiments, model
 ACCEPTANCE_LINES = []
 KERNEL_LINES = []
 
+# Every subcommand, in the order the parser lists them, and those that offer
+# --format csv: the ones whose runs stream events.
+COMMANDS = ("table1", "born", "pm-square", "no-go", "weak-fc", "strong-fc", "implications",
+            "chsh", "column-product")
+CSV_COMMANDS = ("table1", "born", "weak-fc", "chsh", "column-product")
+
 # Seeded sequential sweeps, pinned at seed 0.
 SEEDED_SWEEPS = (
     ("weak-fc", ("weak-fc", "--trials", "5")),
@@ -85,6 +91,8 @@ USAGE_ERRORS = (
     (("column-product", "--seed", "-1", "--format", "csv"), "--seed"),
     (("chsh", "--sequential", "--trials", "0", "--format", "csv"), "--trials"),
     (("implications", "--c", "1"), "--c"),
+    *(((command, "--format", "csv"), "--format")
+      for command in COMMANDS if command not in CSV_COMMANDS),
 )
 
 

@@ -5,13 +5,15 @@ for the CPU when it loads, and the OPENBLAS_CORETYPE environment variable
 overrides the pick. Kernels round differently, so a report that reads the
 last bit of an eigensolver result can change from host to host. For each
 kernel one subprocess reruns every pinned argument list through
-hvsim.cli.main; each pin is then its own test. The same subprocess runs the
-predict_each and run_sequence differentials of test_model, at edge c too,
-since whether a batched product keeps each operator's or each row's bits
-depends on the kernel, and the cutoff differential, since the kernel rounds
-the branch weights that sit at MIN_BRANCH_WEIGHT.
+hvsim.cli.main, the kernels' subprocesses running at once; each pin is then
+its own test. The same subprocess runs the predict_each and run_sequence
+differentials of test_model, at edge c too, since whether a batched product
+keeps each operator's or each row's bits depends on the kernel, and the
+cutoff differential, since the kernel rounds the branch weights that sit at
+MIN_BRANCH_WEIGHT.
 """
 
+import contextlib
 import functools
 import json
 import os
@@ -35,15 +37,15 @@ EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mism
 DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS,
                  "cutoff_mismatches")
 
-# Reads (pin, argv) pairs and differential names as JSON on stdin; writes
-# {pin: stdout}, each differential's (cases, mismatches) and the kernel
-# OpenBLAS reports it chose.
+# Reads (pin, argv) pairs and differential names as JSON from its first
+# argument; writes {pin: stdout}, each differential's (cases, mismatches) and
+# the kernel OpenBLAS reports it chose.
 _RERUN = """
 import contextlib, ctypes, glob, io, json, os, sys
 import numpy
 import test_model
 from hvsim.cli import main
-pins, differentials = json.load(sys.stdin)
+pins, differentials = json.loads(sys.argv[1])
 outputs = {}
 for pin, argv in pins:
     buffer = io.StringIO()
@@ -75,20 +77,36 @@ def _why_not_dynamic() -> str | None:
 
 
 @functools.cache
-def _rerun(kernel: str) -> dict:
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
-                                                        os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _RERUN], input=json.dumps([PINS, DIFFERENTIALS]),
-                          env=env, capture_output=True, text=True, check=True, timeout=300)
-    result = json.loads(done.stdout)
-    cases = ", ".join(f"{result['differentials'][name][0]} {name.removesuffix('_mismatches')}"
-                      for name in DIFFERENTIALS)
-    core = kernel if result["core"] == kernel else f"{kernel} (reported as {result['core']})"
-    KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel}, OpenBLAS core {core}:"
-                        f" {len(PINS)} pinned reports and differential cases ({cases}) rerun"
-                        " in one subprocess")
-    return result
+def _reruns() -> dict:
+    """{kernel: what its subprocess wrote}. The subprocesses run at once. Each
+    takes its input on its command line, so none waits for the test process
+    to feed it, and each is killed if waiting for any of them fails."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
+                                         os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", _RERUN, json.dumps([PINS, DIFFERENTIALS])]
+    results = {}
+    with contextlib.ExitStack() as stack:
+        children = {}
+        for kernel in KERNELS:
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=path)
+            children[kernel] = stack.enter_context(subprocess.Popen(
+                argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True))
+            stack.callback(children[kernel].kill)  # a no-op once it has been waited for
+        for kernel, child in children.items():
+            out, err = child.communicate(timeout=300)
+            if child.returncode:
+                raise subprocess.CalledProcessError(child.returncode, argv[:2], out, err)
+            results[kernel] = json.loads(out)
+    for kernel, result in results.items():
+        cases = ", ".join(f"{result['differentials'][name][0]} {name.removesuffix('_mismatches')}"
+                          for name in DIFFERENTIALS)
+        core = kernel if result["core"] == kernel else f"{kernel} (reported as {result['core']})"
+        KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel}, OpenBLAS core {core}:"
+                            f" {len(PINS)} pinned reports and differential cases ({cases})"
+                            " rerun in one subprocess")
+    return results
 
 
 @functools.cache
@@ -105,7 +123,7 @@ def test_pinned_report_under_kernel(kernel, pin, argv):
     reason = _skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    got = _rerun(kernel)["outputs"][pin].splitlines(keepends=True)
+    got = _reruns()[kernel]["outputs"][pin].splitlines(keepends=True)
     want = (ROOT / pin).read_text(encoding="utf-8").splitlines(keepends=True)
     # Name the first differing line rather than diff two long reports.
     first = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b),
@@ -119,7 +137,7 @@ def _differential(kernel, name):
     reason = _skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    cases, mismatches = _rerun(kernel)["differentials"][name]
+    cases, mismatches = _reruns()[kernel]["differentials"][name]
     assert mismatches == []
     return cases
 

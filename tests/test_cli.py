@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import hvsim
-from conftest import PINNED, PINS, SEEDED_SWEEPS, SINGLE_SHOTS, USAGE_ERRORS, usage_error_prefixes
+from conftest import (COMMANDS, CSV_COMMANDS, PINNED, PINS, SEEDED_SWEEPS, SINGLE_SHOTS,
+                      USAGE_ERRORS, usage_error_prefixes)
 from hvsim import cli, consistency, experiments, model, operators
 from hvsim.cli import build_parser, main
 from hvsim.errors import HiddenDrawError
@@ -300,7 +302,7 @@ REFUSALS = {"json": (refuse_text,), "text": (refuse_payload,),
 
 @pytest.mark.parametrize("argv, fmt", [
     pytest.param(argv, fmt, id=f"{' '.join(argv)}-{fmt}")
-    for argv in EVERY_COMMAND for fmt in REFUSALS if fmt != "csv" or cli._RUNNERS[argv[0]][1]])
+    for argv in EVERY_COMMAND for fmt in REFUSALS if fmt != "csv" or argv[0] in CSV_COMMANDS])
 def test_a_run_builds_only_the_report_it_writes(capsys, monkeypatch, argv, fmt):
     want = run(capsys, *argv, "--format", fmt)
     for refuse in REFUSALS[fmt]:
@@ -389,19 +391,6 @@ class TestCsvOutput:
         assert lines[0] == "trial,setting,c,value"
         assert len(lines) == 51
 
-    @pytest.mark.parametrize("command", ["pm-square", "no-go", "strong-fc",
-                                         "implications"])
-    def test_unsupported_commands(self, capsys, monkeypatch, command):
-        # Refused before the command runs, so no error of its own can
-        # change the exit code.
-        monkeypatch.setitem(cli._RUNNERS, command,
-                            (lambda *_: pytest.fail(f"{command} ran for --format csv"), False))
-        code, out, err = run(capsys, command, "--format", "csv")
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: csv output is not available for '{command}';"
-                       " use --format json or text\n")
-
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag", USAGE_ERRORS,
@@ -425,12 +414,18 @@ class TestUsageErrors:
         assert earlier.read_text(encoding="utf-8") == "an earlier report\n"
         assert list(tmp_path.iterdir()) == [earlier]
 
-    def test_parser_lists_all_commands(self):
-        parser = build_parser()
-        helptext = parser.format_help()
-        for name in ("table1", "born", "pm-square", "no-go", "weak-fc",
-                     "strong-fc", "implications", "chsh", "column-product"):
-            assert name in helptext
+    def test_parser_lists_all_commands(self, capsys):
+        helptext = build_parser().format_help()
+        listed = re.findall(r"^    (\S+)", helptext, re.MULTILINE)  # a help line may wrap
+        assert listed == list(COMMANDS)
+        # Only the commands that stream events offer csv.
+        for name in COMMANDS:
+            with pytest.raises(SystemExit) as info:
+                main([name, "--help"])
+            assert info.value.code == 0
+            formats = "{text,json,csv}" if name in CSV_COMMANDS else "{text,json}"
+            usage = capsys.readouterr().out.splitlines()[0]
+            assert usage.startswith(f"usage: hvsim {name} [-h] [--format {formats}] ")
 
 
 FORMATS = ("csv", "json", "text")
@@ -640,7 +635,7 @@ def test_a_repeat_call_of_every_command_decomposes_nothing(capsys, monkeypatch):
     argvs = [["table1"], ["pm-square"], ["no-go"], ["strong-fc"], ["implications"],
              ["born", *trials], ["weak-fc", *trials], ["chsh", *trials],
              ["chsh", "--sequential", *trials], ["column-product", *trials]]
-    assert {argv[0] for argv in argvs} == set(cli._RUNNERS)
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
     first = [run(capsys, *argv) for argv in argvs]
     computed = []
     spectral = operators.spectral
