@@ -49,7 +49,6 @@ from .model import (
     Events,
     HiddenState,
     MeasurementRecord,
-    MeasurementTrace,
     ScriptedUniforms,
     as_decomposition,
     branch_indices,

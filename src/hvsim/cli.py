@@ -31,6 +31,7 @@ import sys
 from .consistency import check_strong_fc, no_go_search, verify_proposition
 from .errors import HvsimError, InvalidArgumentError
 from .experiments import (
+    _WEAK_FC_TAG,
     born_experiment,
     chsh_experiment,
     column_product_experiment,
@@ -41,8 +42,6 @@ from .experiments import (
 from .expressions import peres_mermin
 from .model import CSV_HEADER, HiddenState
 from .operators import amplitude_pairs, basis_ket, pauli
-
-_WEAK_FC_TAG = 6
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -158,16 +157,17 @@ def _run_table1(args, sink):
         lines = ["reference replay: 3 iterations, every entry matches the frozen run", ""]
         labels = [[op.label for op in row] for row in peres_mermin().grid]
         for it in report.iterations:
-            lines.append(f"iteration {it.index}: c={it.c:g},"
-                         f" state {_ket_string(it.initial_state)}")
+            record = it.record
+            lines.append(f"iteration {it.index}: c={record.c_used:g},"
+                         f" state {_ket_string(record.pre_state)}")
             for r in range(3):
                 cells = "  ".join(f"{labels[r][c]}={_sign(it.grid[r][c])}" for c in range(3))
                 lines.append(f"  {cells}")
             rows = " ".join(f"R{i + 1}={_sign(v)}" for i, v in enumerate(it.row_values))
             cols = " ".join(f"C{j + 1}={_sign(v)}" for j, v in enumerate(it.col_values))
             lines.append(f"  row products: {rows}   column products: {cols}")
-            lines.append(f"  measured {it.measured_label} -> {_sign(it.measured_value)},"
-                         f" state after collapse: {_ket_string(it.final_state)}")
+            lines.append(f"  measured {record.observable_label} -> {_sign(record.value)},"
+                         f" state after collapse: {_ket_string(record.post_state)}")
             lines.append("")
         return "\n".join(lines) + _verdict(True)
     return report.as_dict, True, text

@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import (VALUE_TOL, Events, HiddenState, MeasurementTrace, ScriptedUniforms,
-                    case_blocks, measure, predict, predict_batch, predict_each, run_sequence,
-                    substream, whole)
+from .model import (VALUE_TOL, Events, HiddenState, ScriptedUniforms, case_blocks, measure,
+                    predict, predict_batch, predict_each, run_sequence, substream, whole)
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -85,11 +84,10 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
 
     The first step consumes the initial hidden scalar; every later step runs
     on the collapsed state re-armed from `rng` (one draw per event). A case
-    `key` (seed, *path, case) that replays the run is recorded in the trace
-    and the details.
+    `key` (seed, *path, case) that replays the run is recorded in the details.
     """
     ops = f.operators
-    permutation = tuple(int(k) for k in permutation)
+    permutation = tuple(whole(k, "permutation entry") for k in permutation)
     if sorted(permutation) != list(range(len(ops))):
         raise ValueError(
             f"permutation {permutation} does not arrange {len(ops)} leaves"
@@ -105,12 +103,11 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
         records.append(record)
         leaf_values[position] = record.value
     rhs = float(eval_real(f, leaf_values))
-    trace = MeasurementTrace(tuple(records), seed=key)
     details = {
         "permutation": list(permutation),
         "initial_c": float(initial.c),
         "c_values": [float(r.c_used) for r in records],
-        "steps": [r.as_dict() for r in trace.records],
+        "steps": [r.as_dict() for r in records],
     }
     if key is not None:
         details["key"] = [int(k) for k in key]

@@ -31,7 +31,7 @@ from .expressions import implications_operators, peres_mermin
 from .model import (
     Events,
     HiddenState,
-    MeasurementTrace,
+    MeasurementRecord,
     ScriptedUniforms,
     VALUE_TOL,
     as_decomposition,
@@ -65,6 +65,7 @@ _SWEEP_TAG = 2
 _CHSH_PRODUCT_TAG = 3
 _CHSH_SEQUENTIAL_TAG = 4
 _LINE_PRODUCT_TAG = 5
+_WEAK_FC_TAG = 6  # the weak-fc command's sweep, verify_proposition(..., (seed, tag))
 
 # A column-product case slot: 8 uniforms for the Box-Muller start state on
 # two qubits, then the hidden scalars of its 3 measurements.
@@ -225,28 +226,25 @@ _REFERENCE_PAD_DRAW = 0.5
 @dataclass(frozen=True)
 class TableIteration:
     """One pass of the reference run: the full grid of predictions on the
-    current hidden state, then one measured cell with its collapse."""
+    current hidden state, then the record of one measured cell's event."""
 
     index: int
-    c: float
-    initial_state: PureState
+    record: MeasurementRecord
     grid: tuple
     row_values: tuple
     col_values: tuple
-    measured_label: str
-    measured_value: int
-    final_state: PureState
 
     def as_dict(self) -> dict:
+        record = self.record
         return {
             "index": int(self.index),
-            "c": float(self.c),
-            "initial_state": amplitude_pairs(self.initial_state.amplitudes),
+            "c": float(record.c_used),
+            "initial_state": amplitude_pairs(record.pre_state.amplitudes),
             "grid": [list(row) for row in self.grid],
             "row_values": list(self.row_values),
             "col_values": list(self.col_values),
-            "measured": {"label": self.measured_label, "value": int(self.measured_value)},
-            "final_state": amplitude_pairs(self.final_state.amplitudes),
+            "measured": {"label": record.observable_label, "value": int(round(record.value))},
+            "final_state": amplitude_pairs(record.post_state.amplitudes),
         }
 
 
@@ -256,17 +254,17 @@ class Table1Report:
     expected assignments."""
 
     iterations: tuple[TableIteration, ...]
-    trace: MeasurementTrace
 
     def as_dict(self) -> dict:
         return {
             "iterations": [it.as_dict() for it in self.iterations],
-            "trace": self.trace.as_dict(),
+            "trace": {"seed": None, "records": [it.record.as_dict() for it in self.iterations]},
         }
 
     @property
     def events(self) -> Events:
-        steps = [(r.observable_label, r.c_used, r.value) for r in self.trace.records]
+        steps = [(it.record.observable_label, it.record.c_used, it.record.value)
+                 for it in self.iterations]
         labels, c, value = zip(*steps)
         case = np.arange(len(steps))
         return Events(labels, case, case, np.array(c), np.array(value))
@@ -308,7 +306,6 @@ def replay_table1() -> Table1Report:
     script = ScriptedUniforms(TABLE1_CS[1:] + (_REFERENCE_PAD_DRAW,))
     hidden = HiddenState(basis_ket(4, 0), TABLE1_CS[0])
     iterations = []
-    records = []
     for it_index, reference in enumerate(_REFERENCE_ITERATIONS, start=1):
         ref_c, ref_initial, ref_grid, measured_cell, ref_value, ref_final = reference
         where = f"iteration {it_index}"
@@ -330,7 +327,6 @@ def replay_table1() -> Table1Report:
         row_i, col_j = measured_cell
         measured_op = square.grid[row_i - 1][col_j - 1]
         record, hidden = measure(measured_op, hidden, script)
-        records.append(record)
         measured_value = int(round(record.value))
         if measured_value != ref_value:
             raise ReferenceRunMismatchError(
@@ -342,19 +338,8 @@ def replay_table1() -> Table1Report:
             raise ReferenceRunMismatchError(
                 f"{where}: post-measurement state deviates from the expected one"
             )
-        iterations.append(TableIteration(
-            index=it_index,
-            c=record.c_used,
-            initial_state=record.pre_state,
-            grid=grid,
-            row_values=row_values,
-            col_values=col_values,
-            measured_label=record.observable_label,
-            measured_value=measured_value,
-            final_state=record.post_state,
-        ))
-    trace = MeasurementTrace(tuple(records), seed=None)
-    return Table1Report(iterations=tuple(iterations), trace=trace)
+        iterations.append(TableIteration(it_index, record, grid, row_values, col_values))
+    return Table1Report(tuple(iterations))
 
 
 @dataclass(frozen=True)
@@ -365,8 +350,9 @@ class ImplicationsReport:
     hidden state. Measuring C collapses onto a shared eigenvector whose B
     eigenvalues are `deduced`; `mismatch` marks each B observable whose direct
     prediction disagrees, which is exactly a failure of strong functional
-    consistency. `post_predictions` re-predicts after the collapse, where the
-    values must match the deduced ones for every hidden scalar.
+    consistency. The deduced values are the post-collapse predictions, which
+    every sampled hidden scalar must give alike (`post_collapse_consistent`);
+    as_dict writes them again as `post_predictions`.
     """
 
     c: float
@@ -376,7 +362,6 @@ class ImplicationsReport:
     mismatch: dict
     non_fc_witnessed: bool
     post_state: PureState
-    post_predictions: dict
     post_collapse_consistent: bool
     sampled_c_count: int
 
@@ -389,7 +374,7 @@ class ImplicationsReport:
             "mismatch": {k: bool(v) for k, v in self.mismatch.items()},
             "non_fc_witnessed": bool(self.non_fc_witnessed),
             "post_state": amplitude_pairs(self.post_state.amplitudes),
-            "post_predictions": {k: float(v) for k, v in self.post_predictions.items()},
+            "post_predictions": {k: float(v) for k, v in self.deduced.items()},
             "post_collapse_consistent": bool(self.post_collapse_consistent),
             "sampled_c_count": int(self.sampled_c_count),
         }
@@ -414,7 +399,6 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
     post = update(partner, hidden, direct[partner.label])
     sampled = np.linspace(0.05, 0.95, 19)
     deduced = {}
-    post_predictions = {}
     consistent = True
     for op in (b1, b2):
         residual = float(np.linalg.norm(
@@ -424,9 +408,7 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
         values = set(predict_batch(op, post, sampled).tolist())
         if len(values) != 1:
             consistent = False
-        value = values.pop()
-        deduced[op.label] = value
-        post_predictions[op.label] = value
+        deduced[op.label] = values.pop()
     mismatch = {
         label: abs(direct[label] - deduced[label]) > VALUE_TOL
         for label in deduced
@@ -439,7 +421,6 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
         mismatch=mismatch,
         non_fc_witnessed=any(mismatch.values()),
         post_state=post,
-        post_predictions=post_predictions,
         post_collapse_consistent=bool(consistent),
         sampled_c_count=len(sampled),
     )

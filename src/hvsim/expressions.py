@@ -19,6 +19,7 @@ from .errors import (
     NoncommutingLeavesError,
     NonHermitianError,
 )
+from .model import whole
 from .operators import (
     COMMUTE_TOL,
     HermitianOperator,
@@ -323,6 +324,9 @@ class PeresMerminSquare:
 
 
 def _line_index(index: int) -> int:
+    """The 0-based position of line `index`. whole refuses a bool, a float or
+    a negative index, and any other integer but 1, 2 or 3 raises IndexError."""
+    index = whole(index, "index")
     if index not in (1, 2, 3):
         raise IndexError(f"line index must be 1, 2 or 3, got {index}")
     return index - 1

@@ -39,7 +39,6 @@ from .operators import (
 
 MIN_BRANCH_WEIGHT = 1e-12
 COVERAGE_TOL = 1e-8
-CHAIN_TOL = 1e-10
 VALUE_TOL = 1e-9  # two outcome values agree within this
 JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 # run_sequence's joint basis and the scalar reference round a row's branch
@@ -58,8 +57,9 @@ CSV_HEADER = "trial,setting,c,value\n"
 
 def whole(n, name: str, least: int = 0) -> int:
     """`n` as an int of at least `least`: the one rule for seeds, stream
-    paths, case indices and trial counts. A bool, a float (2.0 and nan
-    included) or anything else without __index__ is refused."""
+    paths, case indices, trial counts, permutation entries and line indices.
+    A bool, a float (2.0 and nan included) or anything else without
+    __index__ is refused."""
     value = None if isinstance(n, bool) else getattr(n, "__index__", lambda: None)()
     if value is None or value < least:
         raise InvalidArgumentError(name, f"{name} must be an integer of at least {least},"
@@ -174,7 +174,9 @@ class HiddenState:
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One measurement event: which observable, under which scalar, and the
-    pre/post states around the collapse."""
+    pre/post states around the collapse. It is the scalar path's one
+    per-event record; chained measure calls give records whose pre_state is
+    the previous record's post_state object."""
 
     observable_label: str
     c_used: float
@@ -234,35 +236,6 @@ def _csv_field(text: str) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow((text, ""))
     return buffer.getvalue()[:-2]  # drop the empty second field's ",\n"
-
-
-@dataclass(frozen=True)
-class MeasurementTrace:
-    """An ordered chain of measurement records.
-
-    Each record's pre-state must equal the previous record's post-state
-    entrywise within CHAIN_TOL; a trace assembled from a genuine sequential
-    run satisfies this by construction.
-    """
-
-    records: tuple[MeasurementRecord, ...]
-    seed: int | tuple[int, ...] | None = None  # root seed or case key that replays the run
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        for prev, cur in zip(self.records, self.records[1:]):
-            gap = float(np.max(np.abs(cur.pre_state.amplitudes - prev.post_state.amplitudes)))
-            if gap > CHAIN_TOL:
-                raise ValueError(
-                    f"trace is not chained: a pre-state deviates from the"
-                    f" preceding post-state by {gap:.3e}"
-                )
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "records": [r.as_dict() for r in self.records],
-        }
 
 
 def as_decomposition(obs) -> SpectralDecomposition:

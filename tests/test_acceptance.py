@@ -77,9 +77,10 @@ def test_criterion_01_reference_replay():
                    budget=1.0):
         report = replay_table1()  # raises on the first mismatching entry
         assert len(report.iterations) == 3
-        assert [it.c for it in report.iterations] == [0.4, 0.1, 0.7]
-        assert [it.measured_label for it in report.iterations] == ["ZZ", "YY", "XX"]
-        assert [it.measured_value for it in report.iterations] == [1, -1, 1]
+        records = [it.record for it in report.iterations]
+        assert [r.c_used for r in records] == [0.4, 0.1, 0.7]
+        assert [r.observable_label for r in records] == ["ZZ", "YY", "XX"]
+        assert [r.value for r in records] == [1.0, -1.0, 1.0]
         grids = [it.grid for it in report.iterations]
         assert grids[0] == grids[1] == ((-1, -1, -1), (-1, -1, -1), (-1, -1, 1))
         assert grids[2] == ((1, 1, 1), (1, 1, -1), (1, 1, 1))
@@ -88,7 +89,7 @@ def test_criterion_01_reference_replay():
             assert it.col_values == (1, 1, -1)
         bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
         ket00 = np.array([1, 0, 0, 0], dtype=complex)
-        finals = [it.final_state for it in report.iterations]
+        finals = [r.post_state for r in records]
         assert phase_distance(finals[0], ket00) <= 1e-9
         assert phase_distance(finals[1], bell) <= 1e-9
         assert phase_distance(finals[2], bell) <= 1e-9

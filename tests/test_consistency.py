@@ -20,6 +20,7 @@ from hvsim import (
     Scale,
     Sum,
     ScriptedUniforms,
+    amplitude_pairs,
     basis_ket,
     case_slot,
     check_strong_fc,
@@ -148,13 +149,28 @@ class TestWeakFC:
             assert report.holds
             assert report.rhs_value == -1.0
 
-    def test_bad_permutation_rejected(self):
+    # Entries are read by whole, the one integer rule: a float or a bool is
+    # refused, not truncated into some arrangement.
+    @pytest.mark.parametrize("permutation", [(0, 1), (0, 0, 2), (0.5, 1.9, 2.2), (True, 0, 2),
+                                             (0.0, 1, 2), (-1, 0, 1)])
+    def test_bad_permutation_rejected(self, permutation):
         f = column3_expression()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), (0, 1), rng)
-        with pytest.raises(ValueError):
-            check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), (0, 0, 2), rng)
+            check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), permutation, rng)
+
+    @pytest.mark.parametrize("live", [False, True], ids=["scripted", "rng"])
+    def test_steps_chain(self, live):
+        # Step 0 starts from the initial state and every later step from the
+        # state the one before it left: measure hands each post state on.
+        initial = HiddenState(normalized([1.0, 2.0, 0.5, -1.0j]), 0.3)
+        rng = np.random.default_rng(5) if live else ScriptedUniforms((0.8, 0.2, 0.6))
+        report = check_weak_fc(column3_expression(), initial, (1, 2, 0), rng)
+        steps = report.details["steps"]
+        assert len(steps) == 3
+        assert steps[0]["pre_state"] == amplitude_pairs(initial.state.amplitudes)
+        for earlier, later in zip(steps, steps[1:]):
+            assert later["pre_state"] == earlier["post_state"]
 
     def test_single_leaf_consumes_one_draw(self):
         f = ObservableExpression.of(pauli("z"))

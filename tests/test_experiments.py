@@ -210,16 +210,17 @@ class TestReplay:
     def test_frozen_run(self):
         report = replay_table1()
         assert len(report.iterations) == 3
-        assert [it.c for it in report.iterations] == [0.4, 0.1, 0.7]
-        assert [it.measured_label for it in report.iterations] == ["ZZ", "YY", "XX"]
-        assert [it.measured_value for it in report.iterations] == [1, -1, 1]
+        records = [it.record for it in report.iterations]
+        assert [r.c_used for r in records] == [0.4, 0.1, 0.7]
+        assert [r.observable_label for r in records] == ["ZZ", "YY", "XX"]
+        assert [r.value for r in records] == [1.0, -1.0, 1.0]
         assert report.iterations[0].grid == GRID_FIRST
         assert report.iterations[1].grid == GRID_FIRST
         assert report.iterations[2].grid == GRID_LAST
         for it in report.iterations:
             assert it.row_values == (1, 1, 1)
             assert it.col_values == (1, 1, -1)
-        finals = [it.final_state for it in report.iterations]
+        finals = [r.post_state for r in records]
         assert phase_distance(finals[0], np.array([1, 0, 0, 0], dtype=complex)) <= 1e-9
         assert phase_distance(finals[1], np.array(BELL, dtype=complex)) <= 1e-9
         assert phase_distance(finals[2], np.array(BELL, dtype=complex)) <= 1e-9
@@ -232,10 +233,11 @@ class TestReplay:
             (1, "YY", 0.1, -1.0),
             (2, "XX", 0.7, 1.0),
         ]
-        records = report.trace.records
-        assert len(records) == 3
+        records = [it.record for it in report.iterations]
+        assert report.as_dict()["trace"] == {"seed": None,
+                                             "records": [r.as_dict() for r in records]}
         for earlier, later in zip(records, records[1:]):
-            assert phase_distance(earlier.post_state, later.pre_state) <= 1e-12
+            assert later.pre_state is earlier.post_state
 
     def test_dict_structure(self):
         payload = replay_table1().as_dict()
@@ -307,7 +309,7 @@ class TestImplicationsDemo:
         sampled = np.linspace(0.05, 0.95, report.sampled_c_count)
         b1, b2, _ = implications_operators()
         for op in (b1, b2):
-            want = {report.deduced[op.label], report.post_predictions[op.label]}
+            want = {report.deduced[op.label], report.as_dict()["post_predictions"][op.label]}
             assert [type(v) for v in want] == [float]
             for cv in sampled:
                 assert {predict(op, HiddenState(report.post_state, cv))} == want
@@ -496,6 +498,15 @@ class TestSingleShotTrialsReplayFromTheirKeys:
             trial, label, row_c, value = rows[k * trials + t]
             assert (int(trial), label, float(row_c)) == (t, key, c)
             assert float(value) == predict(joint, HiddenState(bell_state(), c))
+
+
+def test_stream_tags_are_distinct():
+    # Every driver's streams hang off substream(seed, tag, ...), so two
+    # drivers sharing a tag would read the same draws. All six live here.
+    tags = {name: tag for name, tag in vars(experiments).items() if name.endswith("_TAG")}
+    assert sorted(tags) == ["_BORN_TAG", "_CHSH_PRODUCT_TAG", "_CHSH_SEQUENTIAL_TAG",
+                            "_LINE_PRODUCT_TAG", "_SWEEP_TAG", "_WEAK_FC_TAG"]
+    assert len(set(tags.values())) == len(tags)
 
 
 # Trial counts at and around multiples of a tally block of 7 draws.

@@ -9,6 +9,7 @@ from hvsim import (
     ComplexFactorError,
     DimensionMismatchError,
     HermitianOperator,
+    InvalidArgumentError,
     Leaf,
     MissingLeafValueError,
     NoncommutingLeavesError,
@@ -18,6 +19,7 @@ from hvsim import (
     Product,
     Scale,
     Sum,
+    column_product_experiment,
     commutator_norm,
     eval_operator,
     eval_real,
@@ -269,6 +271,20 @@ class TestPeresMerminSquare:
             self.square.forced_value("diagonal", 1)
         with pytest.raises(IndexError):
             self.square.forced_value("row", 0)
+
+    # The one integer rule, whole, refuses a bool or a float; it and the
+    # range check guard every line accessor.
+    @pytest.mark.parametrize("index, error", [
+        (0, IndexError), (4, IndexError),
+        (True, InvalidArgumentError), (2.0, InvalidArgumentError),
+    ])
+    def test_bad_line_index(self, index, error):
+        for access in (self.square.row_operators, self.square.column_operators,
+                       self.square.row_expression, self.square.column_expression,
+                       lambda i: self.square.forced_value("column", i),
+                       lambda i: column_product_experiment(index=i, trials=1)):
+            with pytest.raises(error):
+                access(index)
 
     def test_line_accessors(self):
         row = self.square.row_operators(1)

@@ -30,7 +30,6 @@ from hvsim.model import (
     Events,
     HiddenState,
     MeasurementRecord,
-    MeasurementTrace,
     ScriptedUniforms,
     as_decomposition,
     branch_indices,
@@ -358,36 +357,23 @@ class TestMeasure:
 
 
 class TestTraceSerialization:
-    def _two_record_trace(self):
-        script = ScriptedUniforms([0.2, 0.8])
-        hs = HiddenState(basis_ket(4, 0), 0.4)
-        records = []
-        for op in (tensor(pauli("x"), pauli("x"), "XX"),
-                   tensor(pauli("y"), pauli("y"), "YY")):
-            record, hs = measure(op, hs, script)
-            records.append(record)
-        return MeasurementTrace(tuple(records), seed=42)
-
     def test_json_contract(self):
-        trace = self._two_record_trace()
-        doc = trace.as_dict()
-        assert set(doc.keys()) == {"seed", "records"}
-        assert doc["seed"] == 42
-        assert len(doc["records"]) == 2
-        first = doc["records"][0]
-        assert set(first.keys()) == {"label", "c", "value", "pre_state", "post_state"}
-        assert first["label"] == "XX"
-        assert first["c"] == 0.4
-        assert first["value"] == -1.0
-        assert first["pre_state"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        assert all(len(pair) == 2 for pair in first["post_state"])
-
-    def test_chain_validation(self):
-        trace = self._two_record_trace()
-        reversed_records = tuple(reversed(trace.records))
-        with pytest.raises(ValueError):
-            MeasurementTrace(reversed_records, seed=42)
-        assert len(MeasurementTrace(trace.records, seed=42).records) == 2
+        # table1's "trace" and weak-fc's "steps" write each event as its
+        # record's dict.
+        script = ScriptedUniforms([0.2])
+        xx = tensor(pauli("x"), pauli("x"), "XX")
+        record, _ = measure(xx, HiddenState(basis_ket(4, 0), 0.4), script)
+        assert isinstance(record, MeasurementRecord)
+        doc = record.as_dict()
+        assert list(doc) == ["label", "c", "value", "pre_state", "post_state"]
+        assert doc["label"] == "XX"
+        assert doc["c"] == 0.4
+        assert doc["value"] == -1.0
+        assert [type(doc[key]) for key in ("c", "value")] == [float, float]
+        assert doc["pre_state"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        half = 1 / np.sqrt(2)  # the projection of |00> onto XX = -1, (|00> - |11>)/sqrt2
+        np.testing.assert_allclose(doc["post_state"], [[half, 0], [0, 0], [0, 0], [-half, 0]],
+                                   atol=1e-12)
 
     def test_as_decomposition_coercion(self):
         decomp = spectral(pauli("x"))
