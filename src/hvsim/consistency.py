@@ -84,7 +84,8 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
 
     The first step consumes the initial hidden scalar; every later step runs
     on the collapsed state re-armed from `rng` (one draw per event). A case
-    `key` (seed, *path, case) that replays the run is recorded in the details.
+    `key` (seed, *path, case) of whole numbers that replays the run is
+    recorded in the details.
     """
     ops = f.operators
     permutation = tuple(whole(k, "permutation entry") for k in permutation)
@@ -110,7 +111,7 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
         "steps": [r.as_dict() for r in records],
     }
     if key is not None:
-        details["key"] = [int(k) for k in key]
+        details["key"] = [whole(k, "key entry") for k in key]
     return ConsistencyReport(
         scenario_label=f.describe(),
         lhs_value=lhs,

@@ -270,24 +270,27 @@ class Table1Report:
         return Events(labels, case, case, np.array(c), np.array(value))
 
 
-def _first_fault(where: str, values: list, ref_grid) -> str:
-    """The message of the first check an iteration's 15 predictions fail, in
-    the order the checks run: each cell is +-1, the grid is the reference's,
-    each row and column product is +-1, the products are the reference's."""
-    units = [int(round(value)) for value in values]
-    names = [*(f"cell ({r},{c})" for r in (1, 2, 3) for c in (1, 2, 3)),
-             *(f"{line} product {i}" for line in ("row", "column") for i in (1, 2, 3))]
-    wrong = next((k for k in range(9) if units[k] != ref_grid[k // 3][k % 3]), None)
-    for k, (value, unit) in enumerate(zip(values, units)):
-        if k == 9 and wrong is not None:
-            r, c = divmod(wrong, 3)
-            return (f"{where}, grid cell ({r + 1},{c + 1}): got {units[wrong]},"
-                    f" expected {ref_grid[r][c]}")
-        if abs(value - unit) > VALUE_TOL or unit not in (-1, 1):
-            return f"{where}, {names[k]}: prediction {value!r} is not +-1"
-    if tuple(units[9:12]) != _REFERENCE_ROW_VALUES:
-        return f"{where}: row products {tuple(units[9:12])}, expected {_REFERENCE_ROW_VALUES}"
-    return f"{where}: column products {tuple(units[12:])}, expected {_REFERENCE_COL_VALUES}"
+# The entries of one iteration that the reference holds, in the order the run
+# reaches them, each with its tolerance: a number's absolute difference, a
+# state's phase distance.
+_REFERENCE_ENTRIES = (
+    ("hidden scalar", 1e-12), ("initial state", 1e-9),
+    *((f"cell ({r},{c})", VALUE_TOL) for r in (1, 2, 3) for c in (1, 2, 3)),
+    *((f"{line} product {i}", VALUE_TOL) for line in ("row", "column") for i in (1, 2, 3)),
+    ("measured value", VALUE_TOL), ("final state", 1e-9),
+)
+
+
+def _check_entries(where: str, read: tuple, reference: tuple) -> None:
+    """Raise ReferenceRunMismatchError naming the first of _REFERENCE_ENTRIES
+    whose `read` value is off its `reference` by more than its tolerance."""
+    for (name, tolerance), got, ref in zip(_REFERENCE_ENTRIES, read, reference, strict=True):
+        state = isinstance(got, PureState)
+        off = phase_distance(got, ref) if state else abs(got - ref)
+        if not off <= tolerance:  # nan is off too
+            raise ReferenceRunMismatchError(f"{where}, {name}: " + (
+                f"phase distance {off!r} from the reference" if state
+                else f"read {float(got)!r}, reference {ref!r}"))
 
 
 def replay_table1() -> Table1Report:
@@ -297,8 +300,8 @@ def replay_table1() -> Table1Report:
     each iteration predicts the whole grid plus the six line products on the
     current hidden state with one predict_each, then measures one
     third-column cell (bottom to top) and collapses. Every entry is compared
-    against the frozen expected run; any difference raises
-    ReferenceRunMismatchError naming the first mismatching entry.
+    against the frozen expected run, in the order the run reaches it; the
+    first that differs raises ReferenceRunMismatchError naming it.
     """
     square = peres_mermin()
     # Predicted in this order: the cells row by row, then the row and column products.
@@ -308,36 +311,16 @@ def replay_table1() -> Table1Report:
     iterations = []
     for it_index, reference in enumerate(_REFERENCE_ITERATIONS, start=1):
         ref_c, ref_initial, ref_grid, measured_cell, ref_value, ref_final = reference
-        where = f"iteration {it_index}"
-        if abs(hidden.c - ref_c) > 1e-12:
-            raise ReferenceRunMismatchError(
-                f"{where}: hidden scalar {hidden.c!r}, expected {ref_c!r}"
-            )
-        if phase_distance(hidden.state, np.array(ref_initial, dtype=complex)) > 1e-9:
-            raise ReferenceRunMismatchError(
-                f"{where}: initial state deviates from the expected one"
-            )
-        # Within VALUE_TOL of its reference +-1, a prediction passes every check.
         expected = (*itertools.chain(*ref_grid), *_REFERENCE_ROW_VALUES, *_REFERENCE_COL_VALUES)
         values = predict_each(family, hidden)
-        if not all(abs(value - ref) <= VALUE_TOL for value, ref in zip(values, expected)):
-            raise ReferenceRunMismatchError(_first_fault(where, values, ref_grid))
-        grid = (expected[0:3], expected[3:6], expected[6:9])
-        row_values, col_values = expected[9:12], expected[12:]
         row_i, col_j = measured_cell
         measured_op = square.grid[row_i - 1][col_j - 1]
         record, hidden = measure(measured_op, hidden, script)
-        measured_value = int(round(record.value))
-        if measured_value != ref_value:
-            raise ReferenceRunMismatchError(
-                f"{where}: measured {measured_op.label} gave {measured_value},"
-                f" expected {ref_value}"
-            )
-        if phase_distance(record.post_state,
-                          np.array(ref_final, dtype=complex)) > 1e-9:
-            raise ReferenceRunMismatchError(
-                f"{where}: post-measurement state deviates from the expected one"
-            )
+        _check_entries(f"iteration {it_index}",
+                       (record.c_used, record.pre_state, *values, record.value, record.post_state),
+                       (ref_c, ref_initial, *expected, ref_value, ref_final))
+        grid = (expected[0:3], expected[3:6], expected[6:9])
+        row_values, col_values = expected[9:12], expected[12:]
         iterations.append(TableIteration(it_index, record, grid, row_values, col_values))
     return Table1Report(tuple(iterations))
 

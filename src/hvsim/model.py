@@ -73,28 +73,11 @@ def substream(seed: int, *path: int) -> np.random.Generator:
                                   *(whole(p, "stream path entry") for p in path)))
 
 
-def draw_hidden(rng) -> float:
-    """The next hidden scalar of `rng` by draw_hidden_batch's slot rule: one
-    .random() call, whose exact 0.0 reads 2**-54 so that zero-weight
-    branches stay unreachable; nothing is redrawn.
-
-    Accepts anything exposing .random(). A value outside [0, 1), nan
-    included, breaks the source's contract and raises HiddenDrawError.
-    """
-    u = float(rng.random())
-    if not 0.0 <= u < 1.0:  # nan fails too
-        raise HiddenDrawError(f"uniform source gave {u!r}, outside [0, 1)")
-    return u or 2.0**-54
-
-
-def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next `count` hidden scalars of a stream, one slot each: draw i is
-    the stream's i-th Generator.random value, except that an exact 0.0 reads
-    2**-54. Nothing is redrawn, so the stream moves by exactly `count`. As
-    in draw_hidden, a value outside [0, 1), nan included, raises
-    HiddenDrawError.
-    """
-    u = rng.random(count)
+def _slot_values(u: np.ndarray) -> np.ndarray:
+    """The slot rule on raw uniforms `u`, in place: an exact 0.0 reads 2**-54,
+    so that zero-weight branches stay unreachable, and a value outside
+    [0, 1), nan included, breaks the source's contract and raises
+    HiddenDrawError."""
     low, high = u.min(initial=0.5), u.max(initial=0.5)  # nan reaches both
     if not (low >= 0.0 and high < 1.0):
         bad = u[~((u >= 0.0) & (u < 1.0))][0]
@@ -102,6 +85,24 @@ def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     if low == 0.0:
         u[u == 0.0] = 2.0**-54
     return u
+
+
+def draw_hidden(rng) -> float:
+    """The next hidden scalar of `rng` by draw_hidden_batch's slot rule
+    (_slot_values): one .random() call, whose exact 0.0 reads 2**-54;
+    nothing is redrawn. Accepts anything exposing .random(); a value outside
+    [0, 1), nan included, raises HiddenDrawError."""
+    return float(_slot_values(np.array([float(rng.random())]))[0])
+
+
+def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` hidden scalars of a stream, one slot each: draw i is
+    the stream's i-th Generator.random value, read by the slot rule
+    (_slot_values): an exact 0.0 reads 2**-54 and a value outside [0, 1),
+    nan included, raises HiddenDrawError. Nothing is redrawn, so the stream
+    moves by exactly `count`.
+    """
+    return _slot_values(rng.random(count))
 
 
 def hidden_scalar(c) -> float:

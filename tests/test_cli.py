@@ -1,5 +1,6 @@
 """Exit codes and output contracts of the command line front end."""
 
+import dataclasses
 import json
 import os
 import re
@@ -221,19 +222,59 @@ def test_library_error_in_a_runner_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(experiments, "_REFERENCE_ROW_VALUES", (1, 1, -1))
     code, out, err = run(capsys, "table1", "--format", "csv")
     assert (code, out) == (1, "")
-    assert err.startswith("error: iteration 1: row products (1, 1, 1)")
+    assert err == "error: iteration 1, row product 3: read 1.0, reference -1\n"
+
+
+def _tamper(monkeypatch, iteration, field, value):
+    """Make `field` of the table1 reference's iteration `iteration` (from 1)
+    hold `value`. The fields are c, initial amplitudes, grid, measured cell,
+    measured value and final amplitudes."""
+    references = [list(reference) for reference in experiments._REFERENCE_ITERATIONS]
+    references[iteration - 1][field] = value
+    monkeypatch.setattr(experiments, "_REFERENCE_ITERATIONS", tuple(map(tuple, references)))
 
 
 def test_a_mismatched_grid_cell_is_named(capsys, monkeypatch):
     # The grid comes from one predict_each per iteration; a wrong reference
     # cell is still reported by its iteration and position.
-    (c, initial, grid, *rest), *later = experiments._REFERENCE_ITERATIONS
+    grid = experiments._REFERENCE_ITERATIONS[0][2]
     assert grid[1][2] == -1
-    grid = (grid[0], (grid[1][0], grid[1][1], 1), grid[2])
-    monkeypatch.setattr(experiments, "_REFERENCE_ITERATIONS", ((c, initial, grid, *rest), *later))
+    _tamper(monkeypatch, 1, 2, (grid[0], (grid[1][0], grid[1][1], 1), grid[2]))
     code, out, err = run(capsys, "table1", "--format", "csv")
     assert (code, out) == (1, "")
-    assert err == "error: iteration 1, grid cell (2,3): got -1, expected 1\n"
+    assert err == "error: iteration 1, cell (2,3): read -1.0, reference 1\n"
+
+
+# A state's message gives its phase distance, here sqrt(2 - sqrt2) between
+# |00> and the Bell state, matched to 8 digits so that no BLAS kernel's last
+# bits matter.
+@pytest.mark.parametrize("iteration, field, value, pattern", [
+    (1, 0, 0.41, r"iteration 1, hidden scalar: read 0\.4, reference 0\.41"),
+    (2, 1, experiments._BELL_AMPLITUDES,
+     r"iteration 2, initial state: phase distance 0\.76536686\d* from the reference"),
+    (3, 4, -1, r"iteration 3, measured value: read 1\.0, reference -1"),
+    (1, 5, experiments._BELL_AMPLITUDES,
+     r"iteration 1, final state: phase distance 0\.76536686\d* from the reference"),
+], ids=["hidden-scalar", "initial-state", "measured-value", "final-state"])
+def test_a_reference_entry_that_differs_is_named(capsys, monkeypatch, iteration, field, value,
+                                                 pattern):
+    _tamper(monkeypatch, iteration, field, value)
+    code, out, err = run(capsys, "table1", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(f"error: {pattern}\n", err), err
+
+
+def test_a_measured_value_off_plus_minus_one_is_named(capsys, monkeypatch):
+    # 0.6 rounds to the reference 1 but lies further than VALUE_TOL from it.
+    measure = experiments.measure
+
+    def off(obs, hidden, rng):
+        record, after = measure(obs, hidden, rng)
+        return dataclasses.replace(record, value=0.6), after
+    monkeypatch.setattr(experiments, "measure", off)
+    code, out, err = run(capsys, "table1", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == "error: iteration 1, measured value: read 0.6, reference 1\n"
 
 
 def _off_at(monkeypatch, position):
@@ -253,17 +294,19 @@ def test_a_prediction_off_plus_minus_one_is_named(capsys, monkeypatch, position,
     _off_at(monkeypatch, position)
     code, out, err = run(capsys, "table1", "--format", "csv")
     assert (code, out) == (1, "")
-    assert err == f"error: iteration 1, {name}: prediction 0.5 is not +-1\n"
+    reference = {5: -1, 13: 1}[position]  # iteration 1's cell (2,3) and column product 2
+    assert err == f"error: iteration 1, {name}: read 0.5, reference {reference}\n"
 
 
 def test_table1_checks_fail_in_their_order(capsys, monkeypatch):
-    # A line product off +-1 is named before a row product that differs from
-    # the reference, as the checks run cells, grid, line products, rows, columns.
+    # Entries are checked in the order the run reaches them, the predictions
+    # in predict_each's family order: a row product that differs from the
+    # reference is named before a column product off +-1.
     _off_at(monkeypatch, 13)
     monkeypatch.setattr(experiments, "_REFERENCE_ROW_VALUES", (1, 1, -1))
     code, out, err = run(capsys, "table1", "--format", "csv")
     assert (code, out) == (1, "")
-    assert err == "error: iteration 1, column product 2: prediction 0.5 is not +-1\n"
+    assert err == "error: iteration 1, row product 3: read 1.0, reference -1\n"
 
 
 # Each subcommand at small arguments; chsh in both of its modes.

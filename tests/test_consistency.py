@@ -14,6 +14,7 @@ from hvsim import (
     DimensionMismatchError,
     HermitianOperator,
     HiddenState,
+    InvalidArgumentError,
     NotAnEigenstateError,
     ObservableExpression,
     Leaf,
@@ -240,6 +241,22 @@ class TestVerifyProposition:
         report = check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), (0, 1, 2),
                                ScriptedUniforms((0.1, 0.7, 0.5)))
         assert "key" not in report.details
+
+    def test_numpy_key_entries_are_recorded_as_ints(self):
+        f = column3_expression()
+        key = (np.int64(8), np.uint8(6), np.intp(17))
+        report = check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), (0, 1, 2),
+                               ScriptedUniforms((0.1, 0.7, 0.5)), key=key)
+        assert report.details["key"] == [8, 6, 17]
+        assert all(type(k) is int for k in report.details["key"])
+
+    @pytest.mark.parametrize("key", [(0.5, True, 6.9), (8, 6, 6.9), (8, True, 17), (8, 6, -1)])
+    def test_a_key_entry_that_is_not_a_whole_number_is_refused(self, key):
+        # Truncating would record a key that replays another case.
+        f = column3_expression()
+        with pytest.raises(InvalidArgumentError, match="key entry"):
+            check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), (0, 1, 2),
+                          ScriptedUniforms((0.1, 0.7, 0.5)), key=key)
 
     def test_counts_and_rows(self):
         f = column3_expression()
