@@ -16,8 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import (VALUE_TOL, Events, HiddenState, ScriptedUniforms, case_blocks, measure,
-                    predict, predict_batch, predict_each, run_sequence, substream, whole)
+from .model import (VALUE_TOL, Events, HiddenState, ScriptedUniforms, SweepSummary, measure,
+                    predict, predict_batch, predict_each, run_sequence, substream, sweep, whole)
+from .operators import PureState
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -121,31 +122,17 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
     )
 
 
-@dataclass(frozen=True)
-class PropositionSummary:
+@dataclass(frozen=True, kw_only=True)
+class PropositionSummary(SweepSummary):
     """Aggregate result of sweeping weak consistency over trials x orders."""
 
     expression: str
-    trials: int
-    permutation_count: int
-    cases: int
-    passes: int
-    failures: int
     failure_examples: tuple[ConsistencyReport, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
 
     def as_dict(self) -> dict:
         return {
             "expression": self.expression,
-            "trials": int(self.trials),
-            "permutation_count": int(self.permutation_count),
-            "cases": int(self.cases),
-            "passes": int(self.passes),
-            "failures": int(self.failures),
-            "all_passed": self.all_passed,
+            **super().as_dict(),
             "failure_examples": [r.as_dict() for r in self.failure_examples],
         }
 
@@ -165,6 +152,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     its first scalar and composed value, set to its permutation.
     """
     trials = whole(trials, "trials", least=1)
+    state = state if isinstance(state, PureState) else PureState(state)
     op = eval_operator(f)
     amps = state.amplitudes
     expectation = op.expectation(state)
@@ -175,37 +163,29 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
             f" (residual {residual:.3e})"
         )
     ops = f.operators
-    permutations = np.array(list(itertools.permutations(range(len(ops)))))
+    permutations = list(itertools.permutations(range(len(ops))))
     names = tuple(f"perm({','.join(str(k) for k in p)})" for p in permutations)
-    count = len(permutations)
-    cases = trials * count
     passes = 0
     examples: list[ConsistencyReport] = []
     # Like HiddenState.draw plus one measure per leaf, a case takes
     # len(ops) + 1 scalars; the last decides nothing.
-    for first, cs in case_blocks(substream(*key), cases, len(ops) + 1):
+    for case, which, orders, cs in sweep(substream(*key), trials, len(ops) + 1, permutations):
         lhs = predict_batch(op, state, cs[:, 0])
-        orders = permutations[np.arange(first, first + len(cs)) % count]
         values = np.empty((len(cs), len(ops)))  # column k holds leaf k's reading
         np.put_along_axis(values, orders, run_sequence(ops, state, cs[:, :-1], orders), axis=1)
         rhs = eval_real_block(f, values)
         failed = np.flatnonzero(~(np.abs(lhs - rhs) <= VALUE_TOL))
         passes += len(cs) - len(failed)
         for i in failed[:FAILURE_EXAMPLES - len(examples)]:
-            case = first + int(i)
-            examples.append(check_weak_fc(
-                f, HiddenState(state, cs[i, 0]), permutations[case % count],
-                ScriptedUniforms(cs[i, 1:]), key=(*key, case)))
+            examples.append(check_weak_fc(f, HiddenState(state, cs[i, 0]), orders[i],
+                                          ScriptedUniforms(cs[i, 1:]), key=(*key, case[i])))
         if sink is not None:
-            case = np.arange(first, first + len(cs))
-            sink(Events(names, case, case % count, cs[:, 0], rhs))
+            sink(Events(names, case, which, cs[:, 0], rhs))
     return PropositionSummary(
         expression=f.describe(),
         trials=trials,
         permutation_count=len(permutations),
-        cases=cases,
         passes=passes,
-        failures=cases - passes,
         failure_examples=tuple(examples),
     )
 

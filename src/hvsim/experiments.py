@@ -10,7 +10,7 @@ its key. Identical (seed, trials) arguments reproduce identical reports.
 
 Each single-shot setting is one model.tally call, which counts trials as
 they are drawn, TALLY_BLOCK draws at a time, and sweeps read SWEEP_BLOCK
-cases at a time (model.case_blocks), so neither holds every draw at once.
+cases at a time (model.sweep), so neither holds every draw at once.
 A driver given a `sink` hands it each block's events as one Events record,
 labels included, as soon as the block is decided; with no sink it builds no
 events at all. The CSV report is written from those blocks as they arrive,
@@ -33,15 +33,16 @@ from .model import (
     HiddenState,
     MeasurementRecord,
     ScriptedUniforms,
+    SweepSummary,
     VALUE_TOL,
     as_decomposition,
-    case_blocks,
     display_label,
     measure,
     predict_batch,
     predict_each,
     run_sequence,
     substream,
+    sweep,
     tally,
     update,
     whole,
@@ -483,17 +484,15 @@ def chsh_experiment(trials: int, seed: int, mode: str, sink=None) -> ChshReport:
             correlator = float(decomp.values @ counts) / trials
         else:
             total = 0.0
-            settings = len(ops) * k + np.arange(len(ops))
             rng = substream(seed, _CHSH_SEQUENTIAL_TAG, k)
-            for first, cs in case_blocks(rng, trials, len(ops)):
-                values = run_sequence(ops, state, cs)
+            for case, _, steps, cs in sweep(rng, trials, len(ops), [range(len(ops))]):
+                values = run_sequence(ops, state, cs, steps)
                 # Summed left to right (np.sum pairs terms), so no bit of a
                 # seeded report depends on the block size.
                 total = np.cumsum(np.append(total, values[:, 0] * values[:, 1]))[-1]
                 if sink is not None:  # case t's events are its steps, in order
-                    case = np.arange(first, first + len(cs)).repeat(len(ops))
-                    sink(Events(labels, case, np.tile(settings, len(cs)), cs.ravel(),
-                                values.ravel()))
+                    sink(Events(labels, case.repeat(len(ops)), len(ops) * k + steps.ravel(),
+                                cs.ravel(), values.ravel()))
             correlator = float(total) / trials
         correlators[key] = correlator
         s_value += sign * correlator
@@ -505,8 +504,8 @@ def chsh_experiment(trials: int, seed: int, mode: str, sink=None) -> ChshReport:
     )
 
 
-@dataclass(frozen=True)
-class LineProductReport:
+@dataclass(frozen=True, kw_only=True)
+class LineProductReport(SweepSummary):
     """Sequential measurement sweep along one line of the square: the product
     of the three readings must equal the line's forced scalar in every case,
     for every measurement order, from every starting state."""
@@ -514,27 +513,13 @@ class LineProductReport:
     axis: str
     index: int
     forced_value: int
-    trials: int
-    permutation_count: int
-    cases: int
-    passes: int
-    failures: int
-
-    @property
-    def all_passed(self) -> bool:
-        return self.failures == 0
 
     def as_dict(self) -> dict:
         return {
             "axis": self.axis,
             "index": int(self.index),
             "forced_value": int(self.forced_value),
-            "trials": int(self.trials),
-            "permutation_count": int(self.permutation_count),
-            "cases": int(self.cases),
-            "passes": int(self.passes),
-            "failures": int(self.failures),
-            "all_passed": self.all_passed,
+            **super().as_dict(),
         }
 
 
@@ -548,16 +533,12 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
     square = peres_mermin()
     forced = square.forced_value(axis, index)  # also rejects an unknown axis
     ops = square.column_operators(index) if axis == "column" else square.row_operators(index)
-    permutations = np.array(list(itertools.permutations(range(3))))
-    count = len(permutations)
-    cases = trials * count  # case t * count + p runs permutation p
+    permutations = list(itertools.permutations(range(3)))
     labels = tuple(f"{axis}{index}:{op.label}" for op in ops)
     passes = 0
     rng = substream(seed, _LINE_PRODUCT_TAG)
-    for first, slots in case_blocks(rng, cases, LINE_SLOT_WIDTH):
+    for case, _, orders, slots in sweep(rng, trials, LINE_SLOT_WIDTH, permutations):
         starts, cs = haar_amplitudes(slots[:, :-3]), slots[:, -3:]
-        case = np.arange(first, first + len(cs))
-        orders = permutations[case % count]
         values = run_sequence(ops, starts, cs, orders)  # readings in measurement order
         passes += int(np.count_nonzero(np.abs(values.prod(axis=1) - forced) <= VALUE_TOL))
         if sink is not None:  # a case's events are its steps, each set to the leaf it measured
@@ -568,7 +549,5 @@ def column_product_experiment(index: int = 3, trials: int = 200, seed: int = 0,
         forced_value=forced,
         trials=trials,
         permutation_count=len(permutations),
-        cases=cases,
         passes=passes,
-        failures=cases - passes,
     )

@@ -34,7 +34,9 @@ from .operators import (
     PureState,
     SpectralDecomposition,
     amplitude_pairs,
+    amplitudes_of,
     is_unit,
+    whole,
 )
 
 MIN_BRANCH_WEIGHT = 1e-12
@@ -53,18 +55,6 @@ LIGHT_BRANCH = 1e-4
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
 TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depends on it
 CSV_HEADER = "trial,setting,c,value\n"
-
-
-def whole(n, name: str, least: int = 0) -> int:
-    """`n` as an int of at least `least`: the one rule for seeds, stream
-    paths, case indices, trial counts, permutation entries and line indices.
-    A bool, a float (2.0 and nan included) or anything else without
-    __index__ is refused."""
-    value = None if isinstance(n, bool) else getattr(n, "__index__", lambda: None)()
-    if value is None or value < least:
-        raise InvalidArgumentError(name, f"{name} must be an integer of at least {least},"
-                                         f" got {n!r}")
-    return value
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -113,17 +103,21 @@ def hidden_scalar(c) -> float:
     return c
 
 
-def case_blocks(rng: np.random.Generator, cases: int, width: int):
-    """Yield (first case, slots) over consecutive blocks of at most SWEEP_BLOCK
-    cases, slots holding each case's `width` hidden scalars, shape (count, width).
-
-    A sweep reads its cases in order from one stream, so case t owns the
-    draws [t * width, (t + 1) * width) of it: reading in blocks gives the
-    same rows as one read, and case_slot replays a case with one advance.
-    """
+def sweep(rng: np.random.Generator, trials: int, width: int, orders):
+    """Yield (case, which, rows, slots) per block of at most SWEEP_BLOCK cases
+    of `trials` passes over `orders`: the one sweep layout. Case
+    t * len(orders) + p runs orders[p] on the draws [case * width,
+    (case + 1) * width) of `rng`; `which` holds each case's p, `rows` its
+    orders[p] and `slots` its `width` hidden scalars. Cases are read in order
+    from one stream, so blocks read the rows one read would, and case_slot
+    replays a case with one advance."""
+    orders = np.asarray(orders)
+    cases = trials * len(orders)
     for first in range(0, cases, SWEEP_BLOCK):
-        count = min(SWEEP_BLOCK, cases - first)
-        yield first, draw_hidden_batch(rng, count * width).reshape(count, width)
+        case = np.arange(first, min(first + SWEEP_BLOCK, cases))
+        which = case % len(orders)
+        slots = draw_hidden_batch(rng, len(case) * width).reshape(len(case), width)
+        yield case, which, orders[which], slots
 
 
 def case_slot(key, width: int) -> np.ndarray:
@@ -133,6 +127,37 @@ def case_slot(key, width: int) -> np.ndarray:
     rng = substream(*path)
     rng.bit_generator.advance(whole(case, "case index") * width)
     return draw_hidden_batch(rng, width)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepSummary:
+    """A sweep's verdicts: `passes` of its trials * permutation_count cases passed."""
+
+    trials: int
+    permutation_count: int
+    passes: int
+
+    @property
+    def cases(self) -> int:
+        return self.trials * self.permutation_count
+
+    @property
+    def failures(self) -> int:
+        return self.cases - self.passes
+
+    @property
+    def all_passed(self) -> bool:
+        return self.failures == 0
+
+    def as_dict(self) -> dict:
+        return {
+            "trials": int(self.trials),
+            "permutation_count": int(self.permutation_count),
+            "cases": int(self.cases),
+            "passes": int(self.passes),
+            "failures": int(self.failures),
+            "all_passed": self.all_passed,
+        }
 
 
 class ScriptedUniforms:
@@ -389,11 +414,7 @@ def predict_each(ops, hidden: HiddenState) -> list[float]:
     operator alone.
     """
     _, vectors, starts, slots, values, _ = _family(tuple(ops))
-    amps = hidden.state.amplitudes
-    if amps.shape != vectors.shape[1:2]:
-        raise DimensionMismatchError(
-            f"state of shape {amps.shape} does not match dimension {vectors.shape[1]}"
-        )
+    amps = amplitudes_of(hidden.state, vectors.shape[1])
     overlaps = (amps.conj() @ vectors).ravel()  # row k: conj(V_k^H psi)
     weights = np.zeros(values.size)
     weights[slots] = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, starts)

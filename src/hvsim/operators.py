@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EigensolverError, NonHermitianError
+from .errors import (DimensionMismatchError, EigensolverError, InvalidArgumentError,
+                     NonHermitianError)
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -18,9 +19,30 @@ COMMUTE_TOL = 1e-10
 EQUALITY_TOL = 1e-10
 
 
+def whole(n, name: str, least: int | None = 0) -> int:
+    """`n` as an int of at least `least` (None: any int): the one rule for
+    seeds, stream paths, case indices, trial counts, permutation entries,
+    line indices and basis kets. A bool, a float (2.0 and nan included) or
+    anything else without __index__ is refused."""
+    value = None if isinstance(n, bool) else getattr(n, "__index__", lambda: None)()
+    if value is None or (least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise InvalidArgumentError(name, f"{name} must be an integer{bound}, got {n!r}")
+    return value
+
+
 def is_unit(norm):
     """Whether a norm, or each of an array of norms, is 1 within NORM_TOL; nan is not."""
     return abs(norm - 1.0) <= NORM_TOL
+
+
+def amplitudes_of(state, dim: int) -> np.ndarray:
+    """The amplitudes of `state`, a PureState or a sequence, as a complex
+    vector: the one shape rule, which refuses any shape but (dim,)."""
+    amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
+    if amps.shape != (dim,):
+        raise DimensionMismatchError(f"state of shape {amps.shape} does not match dimension {dim}")
+    return amps
 
 
 class PureState:
@@ -56,10 +78,10 @@ def normalized(amplitudes) -> PureState:
 
 
 def basis_ket(dim: int, index: int) -> PureState:
-    """Computational basis state |index> in C^dim."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if not 0 <= index < dim:
+    """Computational basis state |index> in C^dim, both whole numbers (whole);
+    an integer index outside [0, dim) raises IndexError."""
+    dim = whole(dim, "dim", least=1)
+    if not 0 <= whole(index, "index", least=None) < dim:
         raise IndexError(f"basis index {index} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
@@ -102,7 +124,7 @@ class HermitianOperator:
         return int(self.matrix.shape[0])
 
     def expectation(self, state) -> float:
-        amps = state.amplitudes if isinstance(state, PureState) else np.asarray(state)
+        amps = amplitudes_of(state, self.dim)
         return float(np.real(np.vdot(amps, self.matrix @ amps)))
 
     def spectrum(self) -> "SpectralDecomposition":
@@ -213,23 +235,15 @@ class SpectralDecomposition:
     def _block(self, index: int) -> np.ndarray:
         return self.vectors[:, self.offsets[index]:self.offsets[index + 1]]
 
-    def _amplitudes(self, state) -> np.ndarray:
-        amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-        if amps.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"state of shape {amps.shape} does not match dimension {self.dim}"
-            )
-        return amps
-
     def weights(self, state) -> np.ndarray:
         """Born weights ||P_a psi||^2 for each branch: segment sums of |V^H psi|^2."""
-        overlaps = self._amplitudes(state).conj() @ self.vectors  # conj(V^H psi)
+        overlaps = amplitudes_of(state, self.dim).conj() @ self.vectors  # conj(V^H psi)
         return np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, self.offsets[:-1])
 
     def project(self, state, index: int) -> np.ndarray:
         """Unnormalized P_index psi, computed as V_index (V_index^H psi)."""
         block = self._block(index)
-        return block @ (block.conj().T @ self._amplitudes(state))
+        return block @ (block.conj().T @ amplitudes_of(state, self.dim))
 
     def reconstruct(self) -> np.ndarray:
         """V diag(eigenvalues) V^H; equals the source matrix."""

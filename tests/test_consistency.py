@@ -312,6 +312,16 @@ class TestVerifyProposition:
         with pytest.raises(NotAnEigenstateError):
             verify_proposition(f, superposition, trials=1, key=(0, 6))
 
+    def test_state_read_like_every_entry_point(self):
+        # A unit amplitude list is a state, as born_experiment and tally take
+        # it; a state of the wrong dimension is refused by the shape rule.
+        f = column3_expression()
+        summary = verify_proposition(f, [1.0, 0.0, 0.0, 0.0], trials=2, key=(0, 6))
+        assert summary == verify_proposition(f, basis_ket(4, 0), trials=2, key=(0, 6))
+        for state in (basis_ket(2, 0), [1.0, 0.0]):
+            with pytest.raises(DimensionMismatchError, match="does not match dimension 4"):
+                verify_proposition(f, state, trials=2, key=(0, 6))
+
     def test_requires_positive_trials(self):
         f = column3_expression()
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from hvsim import (
     HermitianOperator,
     InvalidArgumentError,
     HiddenState,
+    LineProductReport,
     Leaf,
     ObservableExpression,
     Scale,
@@ -437,6 +438,18 @@ class TestLineProduct:
             column_product_experiment(trials=0)
         with pytest.raises(ValueError):
             column_product_experiment(axis="diagonal")
+
+    def test_failing_cases_are_counted(self):
+        # The counts a report derives from trials, permutation_count and passes.
+        report = LineProductReport(axis="column", index=3, forced_value=-1, trials=2,
+                                   permutation_count=6, passes=9)
+        assert (report.cases, report.passes, report.failures) == (12, 9, 3)
+        assert report.all_passed is False
+        payload = report.as_dict()
+        assert list(payload) == list(column_product_experiment(trials=2).as_dict())
+        assert (payload["cases"], payload["failures"], payload["all_passed"]) == (12, 3, False)
+        with pytest.raises(TypeError):
+            LineProductReport("column", 3, -1, 2, 6, 9)  # fields are keyword-only
 
     def test_dict_keys(self):
         payload = column_product_experiment(trials=2).as_dict()

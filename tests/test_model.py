@@ -33,7 +33,6 @@ from hvsim.model import (
     ScriptedUniforms,
     as_decomposition,
     branch_indices,
-    case_blocks,
     case_slot,
     draw_hidden,
     draw_hidden_batch,
@@ -44,6 +43,7 @@ from hvsim.model import (
     run_sequence,
     select,
     substream,
+    sweep,
     tally,
     update,
 )
@@ -511,7 +511,7 @@ class TestScalarSlotRule:
     @pytest.mark.parametrize("bad", [np.nan, 1.0, -0.1])
     def test_batch_values_outside_the_unit_interval_raise(self, bad):
         # draw_hidden_batch keeps draw_hidden's contract, so tally counts no
-        # trial and case_blocks yields no block past a value outside [0, 1).
+        # trial and sweep yields no block past a value outside [0, 1).
         values = [0.25, 0.0, bad, 0.5]
         source = _Stream(values)
         with pytest.raises(HiddenDrawError):
@@ -522,7 +522,7 @@ class TestScalarSlotRule:
             tally(pauli("z"), basis_ket(2, 0), _Stream(values), 4, sink=blocks)
         assert blocks == []
         with pytest.raises(HiddenDrawError):
-            next(case_blocks(_Stream(values), 2, 2))
+            next(sweep(_Stream(values), 2, 2, [(0,)]))
         assert draw_hidden_batch(_Stream(values), 2).tolist() == [0.25, 2.0**-54]
         assert draw_hidden_batch(_Stream([]), 0).size == 0
 
@@ -609,10 +609,26 @@ class TestCaseSlots:
 
     def test_blocks_read_the_same_rows(self, monkeypatch):
         monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
-        blocks = list(case_blocks(substream(3, 5), 50, 11))
-        assert [first for first, _ in blocks] == list(range(0, 50, 7))
-        np.testing.assert_array_equal(np.concatenate([slots for _, slots in blocks]),
+        blocks = list(sweep(substream(3, 5), 50, 11, [(0,)]))
+        assert [case[0] for case, *_ in blocks] == list(range(0, 50, 7))
+        np.testing.assert_array_equal(np.concatenate([slots for *_, slots in blocks]),
                                       draw_hidden_batch(substream(3, 5), 50 * 11).reshape(50, 11))
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
+    def test_case_runs_order_case_mod_orders(self, monkeypatch, trials):
+        # Case t * len(orders) + p runs orders[p] on its own slot, across
+        # block boundaries that fall inside a pass over the orders.
+        monkeypatch.setattr(model, "SWEEP_BLOCK", 4)
+        orders = list(itertools.permutations(range(3)))
+        blocks = list(sweep(substream(2, 6), trials, 4, orders))
+        case, which, rows, slots = (np.concatenate(part) for part in zip(*blocks))
+        assert [len(block[0]) for block in blocks] == [min(4, 6 * trials - first)
+                                                       for first in range(0, 6 * trials, 4)]
+        np.testing.assert_array_equal(case, np.arange(6 * trials))
+        np.testing.assert_array_equal(which, np.tile(np.arange(6), trials))
+        np.testing.assert_array_equal(rows, np.array(orders)[which])
+        for t in (0, len(case) - 1):
+            np.testing.assert_array_equal(slots[t], case_slot((2, 6, case[t]), 4))
 
     @pytest.mark.parametrize("trials", [1, 6, 7, 8, 13, 14, 15, 50])
     def test_tally_counts_blocks_of_one_stream(self, monkeypatch, trials):
@@ -653,7 +669,7 @@ class TestCaseSlots:
 
     def test_stream_advances_width_draws_per_case(self):
         rng = substream(1, 6)
-        list(case_blocks(rng, 5, 4))
+        list(sweep(rng, 5, 4, [(0,)]))
         assert rng.bit_generator.random_raw() == substream(1, 6).bit_generator.random_raw(21)[20]
 
     def test_case_slot_rejects_bad_case(self):

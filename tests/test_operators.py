@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvsim.errors import DimensionMismatchError, EigensolverError, NonHermitianError
+from hvsim.errors import (DimensionMismatchError, EigensolverError, InvalidArgumentError,
+                          NonHermitianError)
 from hvsim.experiments import _chsh_settings
 from hvsim.expressions import peres_mermin
 from hvsim.operators import (
@@ -83,8 +84,18 @@ class TestStates:
             basis_ket(4, 4)
         with pytest.raises(IndexError):
             basis_ket(4, -1)
+        for index in (-5, 2**70):  # any integer out of range, however far
+            with pytest.raises(IndexError):
+                basis_ket(4, index)
+        np.testing.assert_array_equal(basis_ket(np.int64(3), np.int8(2)).amplitudes, [0, 0, 1])
         with pytest.raises(ValueError):
             basis_ket(0, 0)
+
+    @pytest.mark.parametrize("dim, index", [(2, True), (2, False), (2, 1.0), (2.0, 1),
+                                            (True, 0), (2, np.nan), (2, "1")])
+    def test_basis_ket_takes_whole_numbers(self, dim, index):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            basis_ket(dim, index)
 
 
 class TestHermitianOperator:
@@ -108,6 +119,12 @@ class TestHermitianOperator:
     def test_expectation(self):
         assert pauli("z").expectation(basis_ket(2, 0)) == pytest.approx(1.0)
         assert pauli("z").expectation(basis_ket(2, 1)) == pytest.approx(-1.0)
+
+    def test_expectation_reads_any_state_of_its_dimension(self):
+        assert pauli("z").expectation([0.0, 1.0]) == -1.0
+        for state in (basis_ket(4, 0), [1.0, 0.0, 0.0], np.ones((2, 2)) / 2):
+            with pytest.raises(DimensionMismatchError, match="does not match dimension 2"):
+                pauli("z").expectation(state)
 
     def test_spectrum_is_cached(self):
         op = pauli("z")
