@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatchError, NotAnEigenstateError
 from .model import (VALUE_TOL, Events, HiddenState, ScriptedUniforms, SweepSummary, measure,
                     predict, predict_batch, predict_each, run_sequence, substream, sweep, whole)
-from .operators import PureState
+from .operators import as_state
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -152,7 +152,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     its first scalar and composed value, set to its permutation.
     """
     trials = whole(trials, "trials", least=1)
-    state = state if isinstance(state, PureState) else PureState(state)
+    state = as_state(state)
     op = eval_operator(f)
     amps = state.amplitudes
     expectation = op.expectation(state)

@@ -150,10 +150,11 @@ def born_experiment(state: PureState, obs, trials: int, seed: int, tolerance_sig
                     sink=None) -> StatReport:
     """Monte Carlo check that prediction under uniform c reproduces Born
     weights for one (state, observable) pair: each branch passes within
-    `tolerance_sigma` standard errors, a positive finite number. `sink`, if
-    given, receives each block of trials' events."""
+    `tolerance_sigma` standard errors, a positive finite number (not a bool,
+    which whole refuses too). `sink`, if given, receives each block of
+    trials' events."""
     trials = whole(trials, "trials", least=1)
-    if not 0.0 < tolerance_sigma < math.inf:
+    if isinstance(tolerance_sigma, bool) or not 0.0 < tolerance_sigma < math.inf:
         raise InvalidArgumentError("tolerance_sigma", "tolerance_sigma must be positive and"
                                    f" finite, got {tolerance_sigma!r}")
     decomp = as_decomposition(obs)

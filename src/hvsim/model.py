@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .operators import (
     SpectralDecomposition,
     amplitude_pairs,
     amplitudes_of,
+    as_state,
     is_unit,
     whole,
 )
@@ -53,6 +55,7 @@ JOINT_TOL = 1e-24  # weight a joint-basis column may carry off its branch
 EDGE_MARGIN = 1e-9
 LIGHT_BRANCH = 1e-4
 SWEEP_BLOCK = 4096  # cases a sweep holds at once; no output depends on it
+TREE_NODES = 1024  # states one shared-start tree holds; no output depends on it
 TALLY_BLOCK = 2**16  # draws a single-shot tally holds at once; no output depends on it
 CSV_HEADER = "trial,setting,c,value\n"
 
@@ -90,9 +93,9 @@ def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     the stream's i-th Generator.random value, read by the slot rule
     (_slot_values): an exact 0.0 reads 2**-54 and a value outside [0, 1),
     nan included, raises HiddenDrawError. Nothing is redrawn, so the stream
-    moves by exactly `count`.
+    moves by exactly `count`, a whole number (whole).
     """
-    return _slot_values(rng.random(count))
+    return _slot_values(rng.random(whole(count, "count")))
 
 
 def hidden_scalar(c) -> float:
@@ -185,7 +188,7 @@ class HiddenState:
     __slots__ = ("state", "c")
 
     def __init__(self, state, c: float):
-        self.state = state if isinstance(state, PureState) else PureState(state)
+        self.state = as_state(state)
         self.c = hidden_scalar(c)
 
     @classmethod
@@ -433,7 +436,7 @@ def _open_scalars(cs) -> np.ndarray:
 
 def branch_indices(obs, state, cs) -> np.ndarray:
     """Branch index chosen by each hidden scalar in `cs`: predict()'s rule, vectorized."""
-    state = state if isinstance(state, PureState) else PureState(state)
+    state = as_state(state)
     return select(as_decomposition(obs), state.amplitudes, _open_scalars(cs))
 
 
@@ -445,7 +448,7 @@ def tally(obs, state, rng, trials: int, sink=None, labels=(), setting: int = 0) 
     is handed each block's events, set to `setting` of `labels` and valued
     from the same edges by the selection rule."""
     decomp = as_decomposition(obs)
-    state = state if isinstance(state, PureState) else PureState(state)
+    state = as_state(state)
     edges = _edges(decomp.weights(state.amplitudes)[:, None])  # one column: (branches - 1, 1)
     reached = np.zeros(len(decomp.values), dtype=np.intp)  # trials whose branch is >= i
     for first in range(0, trials, TALLY_BLOCK):
@@ -507,18 +510,25 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     under the hidden scalar cs[n, s]; by default every row measures `ops` in
     order. The one sequential kernel.
 
-    `amplitudes` is one unit state or an (N, d) stack of them. Where the
-    operators have a joint eigenbasis, rows carry their Born weights on the
-    joint columns. A step takes every operator's branch weights for all rows,
-    divides each row's own by the weight it has kept, applies the selection
-    rule and zeroes the columns off the selected branch, as _collapse projects.
-    A row whose c lies within EDGE_MARGIN of a step's cumulative weights, or
-    which keeps less than LIGHT_BRANCH of its weight, is then measured again
-    from its start on the scalar reference, select and _collapse; so is every
-    row of a family with no joint basis. So row n reads exactly the values of
-    chaining measure() from HiddenState(amplitudes[n], cs[n, 0]) over its
-    order with cs[n, 1:] as the later draws, whatever rows share its block.
-    Returns values[N, steps]: no caller reads the final states.
+    `amplitudes` is one unit state or an (N, d) stack of them. Rows that
+    share one start walk its outcome tree (_Tree), whose every node is built
+    on the scalar reference, so no row is measured again; a block that would
+    grow the tree past TREE_NODES takes the stacked route instead.
+
+    On the stacked route, where the operators have a joint eigenbasis, rows
+    carry their Born weights on the joint columns. A step takes every
+    operator's branch weights for all rows, divides each row's own by the
+    weight it has kept, applies the selection rule and zeroes the columns off
+    the selected branch, as _collapse projects. A row whose c lies within
+    EDGE_MARGIN of a step's cumulative weights, or which keeps less than
+    LIGHT_BRANCH of its weight, is then measured again from its start on the
+    scalar reference, select and _collapse; so is every row of a family with
+    no joint basis.
+
+    So on either route row n reads exactly the values of chaining measure()
+    from HiddenState(amplitudes[n], cs[n, 0]) over its order with cs[n, 1:]
+    as the later draws, whatever rows share its block. Returns
+    values[N, steps]: no caller reads the final states.
     """
     cs = _open_scalars(cs)
     if orders is None:
@@ -531,15 +541,19 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
             raise ValueError(f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
         if orders.dtype.kind not in "iu" or not ((0 <= orders) & (orders < len(ops))).all():
             raise ValueError(f"orders must index the {len(ops)} operators")
-    decomps, _, _, _, table, joint = _family(tuple(ops))
+    ops = tuple(ops)
+    decomps, _, _, _, table, joint = _family(ops)
     dim = decomps[0].dim
-    amps = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
+    amps = amplitudes_of(amplitudes)
     if amps.shape[-1:] != (dim,) or amps.ndim > 2:
         raise DimensionMismatchError(f"states of shape {amps.shape} do not match dimension {dim}")
-    if not is_unit(np.linalg.norm(amps, axis=-1)).all():
-        raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
-    amps = np.broadcast_to(amps, (len(cs), dim))
     values = np.empty(cs.shape)
+    if amps.ndim == 2:
+        if not is_unit(np.linalg.norm(amps, axis=-1)).all():
+            raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
+    elif _tree(ops, amps.tobytes(), len(table)).walk(decomps, table, cs, orders, values):
+        return values  # one start, which as_state checked when its tree was made
+    amps = np.broadcast_to(amps, (len(cs), dim))
     replay = range(len(cs)) if joint is None else _run_joint(joint, table, amps, cs, orders, values)
     for n in replay:
         state = PureState(amps[n])
@@ -548,6 +562,73 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
             values[n, step] = decomps[k].values[index]
             state = _collapse(decomps[k], state, index)
     return values
+
+
+class _Tree:
+    """The outcome tree of one operator tuple on one start state. Node 0 is
+    the start; the child of node n under (operator k, branch b) is the state
+    measuring ops[k] on node n collapses onto when it reads branch b. Each
+    node is built on the scalar reference, once, when some row first reaches
+    it: its edges under ops[k] are _edges of its branch weights, padded with
+    inf to the family's width, and its children are _collapse's states. A
+    row then reads exactly the floats select and measure compare its c with.
+    """
+
+    def __init__(self, start: PureState, ops: int, width: int):
+        self.states = [start]
+        self.lock = threading.Lock()  # walks that share a tree grow it one at a time
+        # Row n * ops + k holds node n under ops[k]: its edges, whether they
+        # are built, and at [(n * ops + k) * width + b] its child, -1 until built.
+        self.edges = np.full((ops, width - 1), np.inf)
+        self.weighed = np.zeros(ops, dtype=bool)
+        self.child = np.full(ops * width, -1)
+
+    def walk(self, decomps, table, cs, orders, values) -> bool:
+        """Fill `values` as run_sequence does, each step one gather of every
+        row's edges, one _pick and one gather of its child; or return False if
+        that would grow the tree past TREE_NODES."""
+        ops, width = len(decomps), len(table)
+        node = 0  # every row starts at the start
+        with self.lock:
+            for step in range(cs.shape[1]):
+                op = orders[:, step]
+                pair = node * ops + op
+                if not self.weighed[pair].all():
+                    for p in sorted(set(pair[~self.weighed[pair]].tolist())):
+                        n, k = divmod(p, ops)
+                        edges = _edges(decomps[k].weights(self.states[n].amplitudes))
+                        self.edges[p, :len(edges)] = edges
+                        self.weighed[p] = True
+                chosen = _pick(self.edges[pair].T, cs[:, step])
+                values[:, step] = np.take(table, chosen * ops + op)
+                if step + 1 == cs.shape[1]:
+                    break  # no row reads the states its last step leaves
+                slot = pair * width + chosen
+                node = self.child[slot]
+                unbuilt = node < 0
+                if unbuilt.any():
+                    new = sorted(set(slot[unbuilt].tolist()))
+                    if len(self.states) + len(new) > TREE_NODES:
+                        return False
+                    self._add(len(new), ops, width)
+                    for q in new:
+                        n, k = divmod(q // width, ops)
+                        self.states.append(_collapse(decomps[k], self.states[n], q % width))
+                        self.child[q] = len(self.states) - 1
+                    node = self.child[slot]
+        return True
+
+    def _add(self, count: int, ops: int, width: int):
+        """Make room for `count` more nodes' rows."""
+        self.edges = np.concatenate([self.edges, np.full((count * ops, width - 1), np.inf)])
+        self.weighed = np.concatenate([self.weighed, np.zeros(count * ops, dtype=bool)])
+        self.child = np.concatenate([self.child, np.full(count * ops * width, -1)])
+
+
+@functools.lru_cache(maxsize=64)  # one per (operator tuple, start): operators are immutable
+def _tree(ops, start: bytes, width: int) -> _Tree:
+    """The outcome tree of `ops` on the state whose amplitudes' bytes are `start`."""
+    return _Tree(as_state(np.frombuffer(start, dtype=complex)), len(ops), width)
 
 
 def _run_joint(joint, table, amps, cs, orders, values):

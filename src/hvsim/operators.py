@@ -8,6 +8,8 @@ immutable after construction (arrays are marked read-only).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (DimensionMismatchError, EigensolverError, InvalidArgumentError,
@@ -36,11 +38,11 @@ def is_unit(norm):
     return abs(norm - 1.0) <= NORM_TOL
 
 
-def amplitudes_of(state, dim: int) -> np.ndarray:
+def amplitudes_of(state, dim: int | None = None) -> np.ndarray:
     """The amplitudes of `state`, a PureState or a sequence, as a complex
-    vector: the one shape rule, which refuses any shape but (dim,)."""
+    array; given `dim`, the one shape rule, which refuses any shape but (dim,)."""
     amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-    if amps.shape != (dim,):
+    if dim is not None and amps.shape != (dim,):
         raise DimensionMismatchError(f"state of shape {amps.shape} does not match dimension {dim}")
     return amps
 
@@ -66,6 +68,12 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
+
+
+def as_state(state) -> PureState:
+    """`state` itself if it is a PureState, else a PureState of its
+    amplitudes (amplitudes_of): the one state coercion."""
+    return state if isinstance(state, PureState) else PureState(amplitudes_of(state))
 
 
 def normalized(amplitudes) -> PureState:
@@ -160,7 +168,8 @@ def pauli(axis: str) -> HermitianOperator:
 
 
 def identity(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim, dtype=complex), "I")
+    """The identity on C^dim, dim a whole number of at least 1 (whole)."""
+    return HermitianOperator(np.eye(whole(dim, "dim", least=1), dtype=complex), "I")
 
 
 def tensor(a: HermitianOperator, b: HermitianOperator,
@@ -268,10 +277,16 @@ def spectral(a: HermitianOperator,
     The default tolerance scales with the operator: 1e-9 * max(1, ||a||_F).
     Consecutive gaps at or below the tolerance are chained into one group;
     each branch takes the group's mean eigenvalue and its eigenvector columns.
+    A given tolerance must be a finite number of at least 0: nan would merge
+    every branch into one whose mean is no eigenvalue, as would inf, and a
+    negative one would split an eigenspace along the eigensolver's basis.
     The eigensolver guarantees the invariants, so nothing is re-checked.
     """
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * max(1.0, float(np.linalg.norm(a.matrix)))
+    elif isinstance(degeneracy_tol, bool) or not 0.0 <= degeneracy_tol < math.inf:
+        raise InvalidArgumentError("degeneracy_tol", "degeneracy_tol must be a finite number"
+                                   f" of at least 0, got {degeneracy_tol!r}")
     try:
         eigenvalues, vectors = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
@@ -312,7 +327,9 @@ def phase_distance(a, b) -> float:
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state (normalized complex Gaussian vector)."""
+    """Haar-random pure state (normalized complex Gaussian vector); dim is a
+    whole number of at least 1 (whole)."""
+    dim = whole(dim, "dim", least=1)
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return normalized(z)
 
@@ -331,7 +348,9 @@ def haar_amplitudes(uniforms) -> np.ndarray:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the phase-of-R correction."""
+    """Haar-distributed unitary via QR with the phase-of-R correction; dim is
+    a whole number of at least 1 (whole)."""
+    dim = whole(dim, "dim", least=1)
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -340,7 +359,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator,
                      label: str | None = None) -> HermitianOperator:
-    """GUE-style random Hermitian matrix."""
+    """GUE-style random Hermitian matrix; dim is a whole number of at least 1 (whole)."""
+    dim = whole(dim, "dim", least=1)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator((g + g.conj().T) / 2.0, label)
 
@@ -350,10 +370,15 @@ def commuting_family(spectra, rng: np.random.Generator) -> list[HermitianOperato
 
     Each row of `spectra` lists the eigenvalues (in that shared basis) of one
     returned operator, so the family is mutually commuting by construction.
+    The table's operator count and dimension are whole numbers of at least 1
+    (whole).
     """
     spectra = np.atleast_2d(np.asarray(spectra, dtype=float))
-    dim = spectra.shape[1]
-    basis = random_unitary(dim, rng)
+    if spectra.ndim != 2:
+        raise InvalidArgumentError("spectra", "spectra must be a table of one row per operator,"
+                                   f" got shape {spectra.shape}")
+    whole(len(spectra), "operator count", least=1)
+    basis = random_unitary(spectra.shape[1], rng)
     ops = []
     for row in spectra:
         m = basis @ np.diag(row) @ basis.conj().T

@@ -36,6 +36,14 @@ MULTI_BLOCK_SHOTS = (
     ("chsh-200000", ("chsh", "--trials", "200000", "--seed", "11")),
 )
 
+# Sequential sweeps over many sweep blocks, pinned at seed 0 in json and text
+# only: chsh --sequential at its default trials reads 25 blocks per setting and
+# weak-fc at 1000 trials 2 blocks, so run_sequence's caches serve later blocks.
+MULTI_BLOCK_SWEEPS = (
+    ("chsh-sequential-100000", ("chsh", "--sequential")),
+    ("weak-fc-1000", ("weak-fc", "--trials", "1000")),
+)
+
 # Deterministic reports at their default arguments; their json pins live in
 # perfbench/expected/, which the benchmark compares with too.
 FROZEN_COMMANDS = tuple((command, (command,)) for command in
@@ -60,10 +68,10 @@ PINS = (
     *((f"tests/expected/{name}.{fmt}", (*argv, "--format", fmt))
       for name, argv in SEEDED_SWEEPS + SINGLE_SHOTS for fmt in ("csv", "json")),
     *((f"tests/expected/{name}.json", (*argv, "--format", "json"))
-      for name, argv in MULTI_BLOCK_SHOTS + ARGUED_COMMANDS),
+      for name, argv in MULTI_BLOCK_SHOTS + MULTI_BLOCK_SWEEPS + ARGUED_COMMANDS),
     *((f"tests/expected/{name}.txt", (*argv, "--format", "text"))
       for name, argv in FROZEN_COMMANDS + ARGUED_COMMANDS + SEEDED_SWEEPS + SINGLE_SHOTS
-      + MULTI_BLOCK_SHOTS),
+      + MULTI_BLOCK_SHOTS + MULTI_BLOCK_SWEEPS),
 )
 
 # Command lines that are usage errors, each refused by argparse or by the

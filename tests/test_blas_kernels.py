@@ -8,9 +8,10 @@ kernel one subprocess reruns every pinned argument list through
 hvsim.cli.main, the kernels' subprocesses running at once; each pin is then
 its own test. The same subprocess runs the predict_each and run_sequence
 differentials of test_model, at edge c too, since whether a batched product
-keeps each operator's or each row's bits depends on the kernel, and the
+keeps each operator's or each row's bits depends on the kernel; the
 cutoff differential, since the kernel rounds the branch weights that sit at
-MIN_BRANCH_WEIGHT.
+MIN_BRANCH_WEIGHT; and the shared-start differential, since the kernel
+rounds the weights and collapses its tree's nodes are built from.
 """
 
 import contextlib
@@ -35,7 +36,7 @@ KERNELS = ("Haswell", "Prescott")
 EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mismatches": 1800,
                       "row_independence_mismatches": 1800}
 DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS,
-                 "cutoff_mismatches")
+                 "cutoff_mismatches", "shared_start_mismatches")
 
 # Reads (pin, argv) pairs and differential names as JSON from its first
 # argument; writes {pin: stdout}, each differential's (cases, mismatches) and
@@ -161,3 +162,8 @@ def test_run_sequence_at_edges_under_kernel(kernel, name, cases):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_routes_agree_at_the_cutoff_under_kernel(kernel):
     assert _differential(kernel, "cutoff_mismatches") > 2000
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_shared_start_tree_matches_measure_under_kernel(kernel):
+    assert _differential(kernel, "shared_start_mismatches") > 1500

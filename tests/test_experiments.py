@@ -88,7 +88,7 @@ BAD_ARGUMENTS = [
     *((driver, name, value) for driver in DRIVERS
       for name, values in (("trials", (0, 2.5, NAN)), ("seed", (-1, 1.5, NAN)))
       for value in values),
-    *(("born", "tolerance_sigma", value) for value in (0.0, NAN, math.inf)),
+    *(("born", "tolerance_sigma", value) for value in (0.0, NAN, math.inf, True)),
 ]
 
 

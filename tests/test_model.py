@@ -93,6 +93,12 @@ class TestRandomness:
         assert values.shape == (10_000,)
         assert ((values > 0.0) & (values < 1.0)).all()
 
+    @pytest.mark.parametrize("count", [-1, 2.0, True, float("nan")])
+    def test_draw_hidden_batch_count_is_a_whole_number(self, count):
+        with pytest.raises(InvalidArgumentError) as info:
+            draw_hidden_batch(substream(3), count)
+        assert info.value.argument == "count"
+
     def test_scripted_uniforms(self):
         script = ScriptedUniforms([0.25, 0.75])
         assert script.random() == 0.25
@@ -1410,6 +1416,127 @@ class TestRunSequenceDifferential:
         assert mismatches == [] and cases == 1280
 
 
+def _shared_start_cases():
+    """(name, ops, start) for the shared-start differential, d <= 16: the
+    CHSH pairs on the Bell state and the square's lines on |00> (labelled and
+    commuting); two degenerate commuting families and a commuting d = 16
+    family with repeated eigenvalues, on Haar states; non-commuting random
+    Hermitians for d = 2, 3 and 16 on Haar states; and Z beside X on
+    AT_CUTOFF, where Z's -1 branch weighs exactly MIN_BRANCH_WEIGHT."""
+    for key, *_, ops in experiments._chsh_settings():
+        yield f"chsh {key}", ops, experiments.bell_state()
+    for number, ops in enumerate(_square_lines()):
+        yield f"line {number}", ops, basis_ket(4, 0)
+    for seed in range(2):
+        ops, rng = _degenerate_family(seed)
+        yield f"degenerate {seed}", ops, haar_state(4, rng)
+    rng = np.random.default_rng(24)
+    spectra = rng.integers(-2, 3, size=(3, 16)).astype(float)
+    yield "commuting d=16", commuting_family(spectra, rng), haar_state(16, rng)
+    for dim in (2, 3, 16):
+        ops = [random_hermitian(dim, rng) for _ in range(3)]
+        yield f"non-commuting d={dim}", ops, haar_state(dim, rng)
+    assert spectral(pauli("z")).weights(PureState(AT_CUTOFF))[0] == MIN_BRANCH_WEIGHT
+    yield "at the cutoff", [pauli("z"), pauli("x")], PureState(AT_CUTOFF)
+
+
+def shared_start_mismatches():
+    """(cases, mismatches): run_sequence on one shared start, one call per
+    case of _shared_start_cases, against _chained, compared bit for bit row
+    by row. Each case has 6 rows of per-row orders of 3 steps, repeats
+    allowed, at uniform c; and, for each of them and each step, the row
+    again with that step's c at every edge of the node the row reaches there
+    and one ulp either side. The kernel reruns call this too."""
+    rng = np.random.default_rng(25)
+    cases, mismatches = 0, []
+    for name, ops, start in _shared_start_cases():
+        orders = rng.integers(len(ops), size=(6, 3))
+        uniform = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        rows, cs = [], []
+        for n, order in enumerate(orders.tolist()):
+            rows.append(n)
+            cs.append(uniform[n])
+            hidden = HiddenState(start, uniform[n, 0])
+            for step, k in enumerate(order):
+                for edge in _zeroed_cumulative(as_decomposition(ops[k]), hidden.state)[1][:-1]:
+                    for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                        if 0.0 < c < 1.0:
+                            rows.append(n)
+                            cs.append([*uniform[n, :step], c, *uniform[n, step + 1:]])
+                _, hidden = measure(ops[k], hidden, ScriptedUniforms([*uniform[n, step + 1:], 0.5]))
+        cs = np.array(cs)
+        got = run_sequence(ops, start, cs, orders[rows])
+        for n, row, values in zip(rows, cs, got.tolist()):
+            want = _chained(ops, start, row, orders[n])
+            cases += 1
+            if [v.hex() for v in values] != want:
+                mismatches.append(f"{name}, row {n}, c={row.tolist()}: {values} != {want}")
+    return cases, mismatches
+
+
+def _tree_of(ops, start):
+    """The outcome tree run_sequence keeps for `ops` on `start`."""
+    ops = tuple(ops)
+    return model._tree(ops, start.amplitudes.tobytes(), len(model._family(ops)[4]))
+
+
+class TestSharedStartTree:
+    """Rows that share one start walk its outcome tree, whose nodes are built
+    on the scalar reference, and read what chained measure() reads."""
+
+    def test_matches_chained_measure_on_the_tree(self, monkeypatch):
+        walked = []
+        walk = model._Tree.walk
+
+        def recording(tree, *args):
+            walked.append(walk(tree, *args))
+            return walked[-1]
+
+        monkeypatch.setattr(model._Tree, "walk", recording)
+        cases, mismatches = shared_start_mismatches()
+        assert mismatches == [] and cases > 1500
+        assert walked == [True] * len(list(_shared_start_cases()))
+
+    def test_the_tree_cache_is_bounded(self):
+        z = pauli("z")
+        for n in range(100):
+            run_sequence([z], normalized([1.0, n + 1.0]), np.full((1, 1), 0.5))
+        info = model._tree.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+
+    def test_a_block_past_the_node_cap_takes_the_stacked_route(self, monkeypatch):
+        # A square line from a Haar start reaches 1 + 6 + 24 nodes before its
+        # last step; with room for 8 the block runs on the joint basis, and
+        # the tree keeps what it held. A block of one row still fits: it
+        # walks the tree.
+        monkeypatch.setattr(model, "TREE_NODES", 8)
+        joint = []
+        run_joint = model._run_joint
+        monkeypatch.setattr(model, "_run_joint", lambda *args: joint.append(1) or run_joint(*args))
+        rng = np.random.default_rng(26)
+        ops, start = peres_mermin().column_operators(2), haar_state(4, rng)
+        orders = np.array(list(itertools.permutations(range(3))) * 20)
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        values = run_sequence(ops, start, cs, orders)
+        assert joint == [1] and 1 < len(_tree_of(ops, start).states) <= 8
+        for n, order in enumerate(orders.tolist()):
+            assert [v.hex() for v in values[n].tolist()] == _chained(ops, start, cs[n], order)
+        assert run_sequence(ops, start, cs[:1], orders[:1]).tolist() == values[:1].tolist()
+        assert joint == [1] and len(_tree_of(ops, start).states) <= 8
+
+    def test_a_repeat_chsh_sequential_call_builds_no_node(self, capsys, monkeypatch):
+        argv = ["chsh", "--sequential", "--trials", "5000", "--format", "json"]
+        main(argv)
+        first = capsys.readouterr().out
+        built = []
+        for name in ("_edges", "_collapse"):
+            rule = getattr(model, name)
+            monkeypatch.setattr(model, name,
+                                lambda *args, rule=rule: built.append(args) or rule(*args))
+        main(argv)
+        assert capsys.readouterr().out == first and built == []
+
+
 class TestPredictEach:
     def test_matches_predict_at_every_edge(self):
         cases, mismatches = predict_each_mismatches()
@@ -1498,9 +1625,9 @@ def _cutoff_disagreements(op, state, cs, ordinary):
     """One line for each route that reads `op` on `state` at the hidden
     scalars `cs` otherwise than predict does, a route that raises included:
     predict_each, predict_batch, tally's events, measure, run_sequence with
-    the state's rows between the `ordinary` ones, and predict on the state
-    update leaves for predict's reading; and one for each c at which measure
-    and update collapse the state apart."""
+    the state's rows between the `ordinary` ones and on the state alone, and
+    predict on the state update leaves for predict's reading; and one for
+    each c at which measure and update collapse the state apart."""
     hiddens = [HiddenState(state, c) for c in cs]
     want = [predict(op, hidden) for hidden in hiddens]
 
@@ -1520,6 +1647,8 @@ def _cutoff_disagreements(op, state, cs, ordinary):
         "measure": lambda: [measure(op, hidden, ScriptedUniforms([0.5]))[0].value
                             for hidden in hiddens],
         "run_sequence": sequenced,
+        "run_sequence on one start": lambda: run_sequence([op], state,
+                                                          np.array(cs)[:, None])[:, 0].tolist(),
         "update": lambda: [predict(op, HiddenState(update(op, hidden, value), 0.5))
                            for hidden, value in zip(hiddens, want)],
     }

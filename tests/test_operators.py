@@ -16,6 +16,7 @@ from hvsim.operators import (
     PureState,
     SpectralDecomposition,
     amplitude_pairs,
+    as_state,
     basis_ket,
     commutator_norm,
     commuting_family,
@@ -96,6 +97,41 @@ class TestStates:
     def test_basis_ket_takes_whole_numbers(self, dim, index):
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             basis_ket(dim, index)
+
+    def test_as_state_coerces_once(self):
+        state = basis_ket(2, 1)
+        assert as_state(state) is state
+        assert as_state([0.0, 1.0]).amplitudes.tolist() == state.amplitudes.tolist()
+        for bad in ([[1.0, 0.0]], [], [0.5, 0.5]):  # not a 1-d unit vector
+            with pytest.raises(ValueError):
+                as_state(bad)
+
+
+# Each function that takes a dimension, called with it and a fresh generator.
+DIMENSIONED = {
+    "identity": lambda dim: identity(dim),
+    "haar_state": lambda dim: haar_state(dim, np.random.default_rng(0)),
+    "random_hermitian": lambda dim: random_hermitian(dim, np.random.default_rng(0)),
+    "random_unitary": lambda dim: random_unitary(dim, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", DIMENSIONED)
+@pytest.mark.parametrize("dim", [True, 2.0, 2.5, np.nan, 0, -1, "2"])
+def test_dimensions_are_whole_numbers(name, dim):
+    with pytest.raises(InvalidArgumentError) as info:
+        DIMENSIONED[name](dim)
+    assert info.value.argument == "dim"
+    assert DIMENSIONED[name](np.int64(3)) is not None
+
+
+def test_commuting_family_takes_a_table_of_whole_shape():
+    rng = np.random.default_rng(0)
+    for spectra, argument in (([[]], "dim"), (np.zeros((0, 3)), "operator count"),
+                              (np.zeros((2, 2, 2)), "spectra")):
+        with pytest.raises(InvalidArgumentError) as info:
+            commuting_family(spectra, rng)
+        assert info.value.argument == argument
 
 
 class TestHermitianOperator:
@@ -329,6 +365,15 @@ class TestSpectral:
         op = HermitianOperator(np.diag([0.0, 1e-12, 1.0]))
         decomp = spectral(op, degeneracy_tol=1e-15)
         assert len(decomp.values) == 3
+        assert len(spectral(op, 0.0).values) == 3 and len(spectral(op, 10).values) == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -0.5e-300, float("inf"), True])
+    def test_tolerance_is_finite_and_not_negative(self, tol):
+        # nan or inf would merge Z's branches into one valued 0.0, no
+        # eigenvalue of Z; -1 would split a degenerate eigenspace.
+        with pytest.raises(InvalidArgumentError) as info:
+            spectral(pauli("z"), tol)
+        assert info.value.argument == "degeneracy_tol"
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000), st.integers(2, 16))
