@@ -512,8 +512,11 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
 
     `amplitudes` is one unit state or an (N, d) stack of them. Rows that
     share one start walk its outcome tree (_Tree), whose every node is built
-    on the scalar reference, so no row is measured again; a block that would
-    grow the tree past TREE_NODES takes the stacked route instead.
+    on the scalar reference, so no row is measured again. The tree pays only
+    when calls repeat its operators and start, since a cold one costs more
+    than the stacked route at small row counts: so the first call on a tree
+    takes the stacked route and builds no node, and so does a block that
+    would grow the tree past TREE_NODES.
 
     On the stacked route, where the operators have a joint eigenbasis, rows
     carry their Born weights on the joint columns. A step takes every
@@ -541,6 +544,7 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
             raise ValueError(f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
         if orders.dtype.kind not in "iu" or not ((0 <= orders) & (orders < len(ops))).all():
             raise ValueError(f"orders must index the {len(ops)} operators")
+        orders = orders.astype(np.intp, copy=False)  # slot arithmetic must not wrap or turn float
     ops = tuple(ops)
     decomps, _, _, _, table, joint = _family(ops)
     dim = decomps[0].dim
@@ -551,7 +555,7 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     if amps.ndim == 2:
         if not is_unit(np.linalg.norm(amps, axis=-1)).all():
             raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
-    elif _tree(ops, amps.tobytes(), len(table)).walk(decomps, table, cs, orders, values):
+    elif _tree(ops, amps.tobytes()).walk(cs, orders, values):
         return values  # one start, which as_state checked when its tree was made
     amps = np.broadcast_to(amps, (len(cs), dim))
     replay = range(len(cs)) if joint is None else _run_joint(joint, table, amps, cs, orders, values)
@@ -574,22 +578,29 @@ class _Tree:
     row then reads exactly the floats select and measure compare its c with.
     """
 
-    def __init__(self, start: PureState, ops: int, width: int):
+    def __init__(self, ops, start: PureState):
+        self.decomps, _, _, _, self.table, _ = _family(ops)
+        width = len(self.table)
         self.states = [start]
+        self.met = False  # whether a call has asked for this tree before
         self.lock = threading.Lock()  # walks that share a tree grow it one at a time
-        # Row n * ops + k holds node n under ops[k]: its edges, whether they
-        # are built, and at [(n * ops + k) * width + b] its child, -1 until built.
-        self.edges = np.full((ops, width - 1), np.inf)
-        self.weighed = np.zeros(ops, dtype=bool)
-        self.child = np.full(ops * width, -1)
+        # Row n * K + k holds node n under ops[k]: its edges, whether they
+        # are built, and at [(n * K + k) * width + b] its child, -1 until built.
+        self.edges = np.full((len(ops), width - 1), np.inf)
+        self.weighed = np.zeros(len(ops), dtype=bool)
+        self.child = np.full(len(ops) * width, -1)
 
-    def walk(self, decomps, table, cs, orders, values) -> bool:
+    def walk(self, cs, orders, values) -> bool:
         """Fill `values` as run_sequence does, each step one gather of every
-        row's edges, one _pick and one gather of its child; or return False if
-        that would grow the tree past TREE_NODES."""
+        row's edges, one _pick and one gather of its child; or return False on
+        the tree's first call, or if that would grow it past TREE_NODES."""
+        decomps, table = self.decomps, self.table
         ops, width = len(decomps), len(table)
         node = 0  # every row starts at the start
         with self.lock:
+            if not self.met:
+                self.met = True
+                return False
             for step in range(cs.shape[1]):
                 op = orders[:, step]
                 pair = node * ops + op
@@ -626,9 +637,9 @@ class _Tree:
 
 
 @functools.lru_cache(maxsize=64)  # one per (operator tuple, start): operators are immutable
-def _tree(ops, start: bytes, width: int) -> _Tree:
+def _tree(ops, start: bytes) -> _Tree:
     """The outcome tree of `ops` on the state whose amplitudes' bytes are `start`."""
-    return _Tree(as_state(np.frombuffer(start, dtype=complex)), len(ops), width)
+    return _Tree(ops, as_state(np.frombuffer(start, dtype=complex)))
 
 
 def _run_joint(joint, table, amps, cs, orders, values):

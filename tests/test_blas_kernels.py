@@ -166,4 +166,4 @@ def test_routes_agree_at_the_cutoff_under_kernel(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_shared_start_tree_matches_measure_under_kernel(kernel):
-    assert _differential(kernel, "shared_start_mismatches") > 1500
+    assert _differential(kernel, "shared_start_mismatches") > 3000

@@ -1051,6 +1051,9 @@ class TestRunSequenceAgainstMeasure:
         # The 4 CHSH pairs, the 6 square lines and the 3 weak-fc columns all
         # take the vectorised route, never the row-by-row one. weak-fc's
         # columns are the square's shared column tuples: 10 distinct tuples.
+        # Each run_sequence call reads the family once, and each new outcome
+        # tree once more: 4 CHSH starts and 3 weak-fc ones.
+        model._tree.cache_clear()
         seen = []
         family = model._family
 
@@ -1066,7 +1069,7 @@ class TestRunSequenceAgainstMeasure:
         for command in commands:
             assert main([*command, "--trials", "2", "--format", "json"]) == 0
         capsys.readouterr()
-        assert len(seen) == 13 and len({ops for ops, _ in seen}) == 10
+        assert len(seen) == 13 + 7 and len({ops for ops, _ in seen}) == 10
         assert all(table[-1] is not None for _, table in seen)
 
     @pytest.mark.parametrize("commuting", [True, False])
@@ -1441,12 +1444,14 @@ def _shared_start_cases():
 
 
 def shared_start_mismatches():
-    """(cases, mismatches): run_sequence on one shared start, one call per
-    case of _shared_start_cases, against _chained, compared bit for bit row
-    by row. Each case has 6 rows of per-row orders of 3 steps, repeats
-    allowed, at uniform c; and, for each of them and each step, the row
-    again with that step's c at every edge of the node the row reaches there
-    and one ulp either side. The kernel reruns call this too."""
+    """(cases, mismatches): run_sequence on one shared start, two calls per
+    case of _shared_start_cases on new trees, so the first takes the stacked
+    route and the second walks the tree, against _chained, compared bit for
+    bit row by row. Each case has 6 rows of per-row orders of 3 steps,
+    repeats allowed, at uniform c; and, for each of them and each step, the
+    row again with that step's c at every edge of the node the row reaches
+    there and one ulp either side. The kernel reruns call this too."""
+    model._tree.cache_clear()
     rng = np.random.default_rng(25)
     cases, mismatches = 0, []
     for name, ops, start in _shared_start_cases():
@@ -1465,19 +1470,20 @@ def shared_start_mismatches():
                             cs.append([*uniform[n, :step], c, *uniform[n, step + 1:]])
                 _, hidden = measure(ops[k], hidden, ScriptedUniforms([*uniform[n, step + 1:], 0.5]))
         cs = np.array(cs)
-        got = run_sequence(ops, start, cs, orders[rows])
-        for n, row, values in zip(rows, cs, got.tolist()):
-            want = _chained(ops, start, row, orders[n])
-            cases += 1
-            if [v.hex() for v in values] != want:
-                mismatches.append(f"{name}, row {n}, c={row.tolist()}: {values} != {want}")
+        for call in ("first", "second"):
+            got = run_sequence(ops, start, cs, orders[rows])
+            for n, row, values in zip(rows, cs, got.tolist()):
+                want = _chained(ops, start, row, orders[n])
+                cases += 1
+                if [v.hex() for v in values] != want:
+                    mismatches.append(f"{name}, {call} call, row {n}, c={row.tolist()}:"
+                                      f" {values} != {want}")
     return cases, mismatches
 
 
 def _tree_of(ops, start):
     """The outcome tree run_sequence keeps for `ops` on `start`."""
-    ops = tuple(ops)
-    return model._tree(ops, start.amplitudes.tobytes(), len(model._family(ops)[4]))
+    return model._tree(tuple(ops), start.amplitudes.tobytes())
 
 
 class TestSharedStartTree:
@@ -1494,8 +1500,8 @@ class TestSharedStartTree:
 
         monkeypatch.setattr(model._Tree, "walk", recording)
         cases, mismatches = shared_start_mismatches()
-        assert mismatches == [] and cases > 1500
-        assert walked == [True] * len(list(_shared_start_cases()))
+        assert mismatches == [] and cases > 3000
+        assert walked == [False, True] * len(list(_shared_start_cases()))
 
     def test_the_tree_cache_is_bounded(self):
         z = pauli("z")
@@ -1505,10 +1511,11 @@ class TestSharedStartTree:
         assert info.maxsize == 64 and info.currsize == 64
 
     def test_a_block_past_the_node_cap_takes_the_stacked_route(self, monkeypatch):
-        # A square line from a Haar start reaches 1 + 6 + 24 nodes before its
-        # last step; with room for 8 the block runs on the joint basis, and
-        # the tree keeps what it held. A block of one row still fits: it
-        # walks the tree.
+        # The tree's first call runs on the joint basis and builds no node. A
+        # square line from a Haar start reaches 1 + 6 + 24 nodes before its
+        # last step; with room for 8 the second call runs on the joint basis
+        # too, and the tree keeps what it held. A block of one row still
+        # fits: it walks the tree.
         monkeypatch.setattr(model, "TREE_NODES", 8)
         joint = []
         run_joint = model._run_joint
@@ -1518,11 +1525,35 @@ class TestSharedStartTree:
         orders = np.array(list(itertools.permutations(range(3))) * 20)
         cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
         values = run_sequence(ops, start, cs, orders)
-        assert joint == [1] and 1 < len(_tree_of(ops, start).states) <= 8
+        assert joint == [1] and len(_tree_of(ops, start).states) == 1
+        assert run_sequence(ops, start, cs, orders).tolist() == values.tolist()
+        assert joint == [1, 1] and 1 < len(_tree_of(ops, start).states) <= 8
         for n, order in enumerate(orders.tolist()):
             assert [v.hex() for v in values[n].tolist()] == _chained(ops, start, cs[n], order)
         assert run_sequence(ops, start, cs[:1], orders[:1]).tolist() == values[:1].tolist()
-        assert joint == [1] and len(_tree_of(ops, start).states) <= 8
+        assert joint == [1, 1] and len(_tree_of(ops, start).states) <= 8
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64])
+    def test_orders_of_any_integer_dtype(self, dtype):
+        # Nine operators of 16 branches each: node 0's slot 8 * 16 + b wraps
+        # in int8, and uint64 beside a signed index turns float. The shared
+        # start is measured row by row, then walks the tree; stacked starts
+        # on a commuting family take the joint basis.
+        model._tree.cache_clear()
+        rng = np.random.default_rng(27)
+        orders = np.array([[8, 8, 8], [8, 0, 5], [3, 8, 1], [0, 1, 2]], dtype=dtype)
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        ops, start = [random_hermitian(16, rng) for _ in range(9)], haar_state(16, rng)
+        for call in range(2):
+            values = run_sequence(ops, start, cs, orders)
+            for n, order in enumerate(orders.tolist()):
+                assert [v.hex() for v in values[n].tolist()] == _chained(ops, start, cs[n], order)
+        ops = commuting_family(rng.normal(size=(9, 16)), rng)
+        starts = _haar_starts(16, len(cs), rng)
+        assert _joint(ops) is not None
+        values = run_sequence(ops, starts, cs, orders)
+        for n, order in enumerate(orders.tolist()):
+            assert [v.hex() for v in values[n].tolist()] == _chained(ops, starts[n], cs[n], order)
 
     def test_a_repeat_chsh_sequential_call_builds_no_node(self, capsys, monkeypatch):
         argv = ["chsh", "--sequential", "--trials", "5000", "--format", "json"]
