@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, NotAnEigenstateError
-from .model import (VALUE_TOL, Events, HiddenState, ScriptedUniforms, SweepSummary, measure,
-                    predict, predict_batch, predict_each, run_sequence, substream, sweep, whole)
-from .operators import as_state
+from .errors import DimensionMismatchError, InvalidArgumentError, NotAnEigenstateError
+from .model import (VALUE_TOL, Events, HiddenState, SweepSummary, chain, draw_hidden, predict,
+                    predict_batch, predict_each, run_sequence, substream, sweep, whole)
+from .operators import EIGEN_TOL, as_state
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
 
@@ -84,27 +84,31 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
     f(measured values) with predicting f's operator on the initial state.
 
     The first step consumes the initial hidden scalar; every later step runs
-    on the collapsed state re-armed from `rng` (one draw per event). A case
+    on the collapsed state re-armed from `rng`, one draw per event, so the
+    call reads len(permutation) draws and the last decides nothing. A case
     `key` (seed, *path, case) of whole numbers that replays the run is
     recorded in the details.
     """
-    ops = f.operators
     permutation = tuple(whole(k, "permutation entry") for k in permutation)
-    if sorted(permutation) != list(range(len(ops))):
-        raise ValueError(
-            f"permutation {permutation} does not arrange {len(ops)} leaves"
-        )
+    if sorted(permutation) != list(range(len(f.operators))):
+        raise InvalidArgumentError("permutation", f"permutation {permutation} does not"
+                                   f" arrange {len(f.operators)} leaves")
+    draws = [draw_hidden(rng) for _ in permutation]
+    return _weak_fc_report(f, initial.state, permutation, (initial.c, *draws[:-1]), key)
+
+
+def _weak_fc_report(f: ObservableExpression, state, permutation, cs,
+                    key=None) -> ConsistencyReport:
+    """check_weak_fc's report: the leaves measured on `state` in the order of
+    `permutation`, a tuple of whole numbers, step s decided by cs[s]."""
+    ops = f.operators
+    initial = HiddenState(state, cs[0])
     lhs = float(predict(eval_operator(f), initial))
-    hidden = initial
-    records = []
-    leaf_values = [0.0] * len(ops)
-    for position in permutation:
-        op = ops[position]
-        record, hidden = measure(op, hidden, rng,
-                                 label=_leaf_label(op, position))
-        records.append(record)
-        leaf_values[position] = record.value
-    rhs = float(eval_real(f, leaf_values))
+    records = chain([ops[p] for p in permutation], initial.state, cs,
+                    [_leaf_label(ops[p], p) for p in permutation])
+    values = np.empty(len(ops))  # entry k holds leaf k's reading
+    values[list(permutation)] = [r.value for r in records]
+    rhs = eval_real(f, values)
     details = {
         "permutation": list(permutation),
         "initial_c": float(initial.c),
@@ -113,13 +117,8 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
     }
     if key is not None:
         details["key"] = [whole(k, "key entry") for k in key]
-    return ConsistencyReport(
-        scenario_label=f.describe(),
-        lhs_value=lhs,
-        rhs_value=rhs,
-        holds=abs(lhs - rhs) <= VALUE_TOL,
-        details=details,
-    )
+    return ConsistencyReport(scenario_label=f.describe(), lhs_value=lhs, rhs_value=rhs,
+                             holds=abs(lhs - rhs) <= VALUE_TOL, details=details)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -154,21 +153,17 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     trials = whole(trials, "trials", least=1)
     state = as_state(state)
     op = eval_operator(f)
-    amps = state.amplitudes
-    expectation = op.expectation(state)
-    residual = float(np.linalg.norm(op.matrix @ amps - expectation * amps))
-    if residual > 1e-9:
-        raise NotAnEigenstateError(
-            f"state is not an eigenvector of the expression operator"
-            f" (residual {residual:.3e})"
-        )
+    residual = op.eigen_residual(state)
+    if residual > EIGEN_TOL:
+        raise NotAnEigenstateError("state is not an eigenvector of the expression operator"
+                                   f" (residual {residual:.3e})")
     ops = f.operators
     permutations = list(itertools.permutations(range(len(ops))))
     names = tuple(f"perm({','.join(str(k) for k in p)})" for p in permutations)
     passes = 0
     examples: list[ConsistencyReport] = []
-    # Like HiddenState.draw plus one measure per leaf, a case takes
-    # len(ops) + 1 scalars; the last decides nothing.
+    # Like HiddenState.draw plus check_weak_fc's one draw per leaf, a case
+    # takes len(ops) + 1 scalars; the last decides nothing.
     for case, which, orders, cs in sweep(substream(*key), trials, len(ops) + 1, permutations):
         lhs = predict_batch(op, state, cs[:, 0])
         values = np.empty((len(cs), len(ops)))  # column k holds leaf k's reading
@@ -177,8 +172,8 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
         failed = np.flatnonzero(~(np.abs(lhs - rhs) <= VALUE_TOL))
         passes += len(cs) - len(failed)
         for i in failed[:FAILURE_EXAMPLES - len(examples)]:
-            examples.append(check_weak_fc(f, HiddenState(state, cs[i, 0]), orders[i],
-                                          ScriptedUniforms(cs[i, 1:]), key=(*key, case[i])))
+            examples.append(_weak_fc_report(f, state, tuple(orders[i].tolist()), cs[i, :-1],
+                                            key=(*key, case[i])))
         if sink is not None:
             sink(Events(names, case, which, cs[:, 0], rhs))
     return PropositionSummary(

@@ -32,12 +32,11 @@ from .model import (
     Events,
     HiddenState,
     MeasurementRecord,
-    ScriptedUniforms,
     SweepSummary,
     VALUE_TOL,
     as_decomposition,
+    chain,
     display_label,
-    measure,
     predict_batch,
     predict_each,
     run_sequence,
@@ -48,6 +47,7 @@ from .model import (
     whole,
 )
 from .operators import (
+    EIGEN_TOL,
     HermitianOperator,
     PureState,
     amplitude_pairs,
@@ -222,7 +222,6 @@ _REFERENCE_ITERATIONS = (
 )
 _REFERENCE_ROW_VALUES = (1, 1, 1)
 _REFERENCE_COL_VALUES = (1, 1, -1)
-_REFERENCE_PAD_DRAW = 0.5
 
 
 @dataclass(frozen=True)
@@ -298,26 +297,23 @@ def _check_entries(where: str, read: tuple, reference: tuple) -> None:
 def replay_table1() -> Table1Report:
     """Deterministic worked example on the two-qubit square.
 
-    Starting from |00> with c = 0.4 and scripted follow-up draws (0.1, 0.7),
-    each iteration predicts the whole grid plus the six line products on the
-    current hidden state with one predict_each, then measures one
-    third-column cell (bottom to top) and collapses. Every entry is compared
-    against the frozen expected run, in the order the run reaches it; the
-    first that differs raises ReferenceRunMismatchError naming it.
+    One chain from |00> under the hidden scalars TABLE1_CS measures the
+    third-column cells bottom to top. Each iteration is one of its events:
+    one predict_each on the event's state and c predicts the whole grid plus
+    the six line products. Every entry is compared against the frozen
+    expected run, in the order the run reaches it; the first that differs
+    raises ReferenceRunMismatchError naming it.
     """
     square = peres_mermin()
     # Predicted in this order: the cells row by row, then the row and column products.
     family = (*itertools.chain(*square.grid), *square.rows, *square.cols)
-    script = ScriptedUniforms(TABLE1_CS[1:] + (_REFERENCE_PAD_DRAW,))
-    hidden = HiddenState(basis_ket(4, 0), TABLE1_CS[0])
+    cells = [square.grid[row - 1][col - 1] for _, _, _, (row, col), _, _ in _REFERENCE_ITERATIONS]
+    records = chain(cells, basis_ket(4, 0), TABLE1_CS)
     iterations = []
-    for it_index, reference in enumerate(_REFERENCE_ITERATIONS, start=1):
-        ref_c, ref_initial, ref_grid, measured_cell, ref_value, ref_final = reference
+    for it_index, (record, reference) in enumerate(zip(records, _REFERENCE_ITERATIONS), start=1):
+        ref_c, ref_initial, ref_grid, _, ref_value, ref_final = reference
         expected = (*itertools.chain(*ref_grid), *_REFERENCE_ROW_VALUES, *_REFERENCE_COL_VALUES)
-        values = predict_each(family, hidden)
-        row_i, col_j = measured_cell
-        measured_op = square.grid[row_i - 1][col_j - 1]
-        record, hidden = measure(measured_op, hidden, script)
+        values = predict_each(family, HiddenState(record.pre_state, record.c_used))
         _check_entries(f"iteration {it_index}",
                        (record.c_used, record.pre_state, *values, record.value, record.post_state),
                        (ref_c, ref_initial, *expected, ref_value, ref_final))
@@ -386,18 +382,10 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
     deduced = {}
     consistent = True
     for op in (b1, b2):
-        residual = float(np.linalg.norm(
-            op.matrix @ post.amplitudes
-            - op.expectation(post) * post.amplitudes))
-        consistent = consistent and residual <= 1e-9
         values = set(predict_batch(op, post, sampled).tolist())
-        if len(values) != 1:
-            consistent = False
+        consistent = consistent and len(values) == 1 and op.eigen_residual(post) <= EIGEN_TOL
         deduced[op.label] = values.pop()
-    mismatch = {
-        label: abs(direct[label] - deduced[label]) > VALUE_TOL
-        for label in deduced
-    }
+    mismatch = {label: abs(direct[label] - deduced[label]) > VALUE_TOL for label in deduced}
     return ImplicationsReport(
         c=float(c),
         initial_state=state,

@@ -204,8 +204,8 @@ class HiddenState:
 class MeasurementRecord:
     """One measurement event: which observable, under which scalar, and the
     pre/post states around the collapse. It is the scalar path's one
-    per-event record; chained measure calls give records whose pre_state is
-    the previous record's post_state object."""
+    per-event record; chain gives records whose pre_state is the previous
+    record's post_state object."""
 
     observable_label: str
     c_used: float
@@ -390,7 +390,7 @@ def _family(ops):
     |coefficients|^2 @ keep.T holds every slot's weight at once.
     """
     if not ops:
-        raise ValueError("a family needs at least one operator")
+        raise InvalidArgumentError("ops", "a family needs at least one operator")
     decomps = [as_decomposition(op) for op in ops]
     dim = decomps[0].dim
     if any(d.dim != dim for d in decomps):
@@ -487,22 +487,33 @@ def update(obs, hidden: HiddenState, value: float) -> PureState:
     return _collapse(decomp, hidden.state, index)
 
 
+def chain(ops, start, cs, labels=None) -> list[MeasurementRecord]:
+    """Measure `ops` in turn on `start`, step s decided by the hidden scalar
+    cs[s]: select a branch, collapse onto it and record the event, named
+    labels[s] or display_label. The one chain of measurement events on the
+    scalar reference; each record's pre_state is the previous record's
+    post_state object. Callers keep every c inside (0, 1), as HiddenState
+    and run_sequence enforce."""
+    state = as_state(start)
+    records = []
+    for step, (obs, c) in enumerate(zip(ops, cs, strict=True)):
+        decomp = as_decomposition(obs)
+        index = int(select(decomp, state.amplitudes, c))
+        post = _collapse(decomp, state, index)
+        label = display_label(decomp) if labels is None else labels[step]
+        records.append(MeasurementRecord(label, c, float(decomp.values[index]), state, post))
+        state = post
+    return records
+
+
 def measure(obs, hidden: HiddenState, rng,
             label: str | None = None) -> tuple[MeasurementRecord, HiddenState]:
-    """One measurement event: select a branch, collapse onto it, re-arm.
-
-    The stored scalar hidden.c decides this event's value; the returned
-    HiddenState carries the collapsed state armed with a fresh draw from
-    `rng`, so chained calls consume exactly one draw per event.
+    """One measurement event, chain's one step under hidden.c, then a re-arm:
+    the returned HiddenState carries the collapsed state armed with a fresh
+    draw from `rng`, so chained calls consume exactly one draw per event.
     """
-    decomp = as_decomposition(obs)
-    index = int(select(decomp, hidden.state.amplitudes, hidden.c))
-    post = _collapse(decomp, hidden.state, index)
-    if label is None:
-        label = display_label(decomp)
-    record = MeasurementRecord(label, hidden.c, float(decomp.values[index]),
-                               hidden.state, post)
-    return record, HiddenState(post, draw_hidden(rng))
+    [record] = chain((obs,), hidden.state, (hidden.c,), None if label is None else (label,))
+    return record, HiddenState(record.post_state, draw_hidden(rng))
 
 
 def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
@@ -525,25 +536,25 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     the selected branch, as _collapse projects. A row whose c lies within
     EDGE_MARGIN of a step's cumulative weights, or which keeps less than
     LIGHT_BRANCH of its weight, is then measured again from its start on the
-    scalar reference, select and _collapse; so is every row of a family with
-    no joint basis.
+    scalar reference, chain; so is every row of a family with no joint basis.
 
-    So on either route row n reads exactly the values of chaining measure()
-    from HiddenState(amplitudes[n], cs[n, 0]) over its order with cs[n, 1:]
-    as the later draws, whatever rows share its block. Returns
-    values[N, steps]: no caller reads the final states.
+    So on either route row n reads exactly the values of chain over its
+    order from amplitudes[n] under cs[n], whatever rows share its block.
+    Returns values[N, steps]: no caller reads the final states.
     """
     cs = _open_scalars(cs)
     if orders is None:
         if cs.ndim != 2 or cs.shape[1] != len(ops):
-            raise ValueError(f"cs of shape {cs.shape} does not give one column per operator")
+            raise InvalidArgumentError(
+                "cs", f"cs of shape {cs.shape} does not give one column per operator")
         orders = np.broadcast_to(np.arange(len(ops)), cs.shape)
     else:
         orders = np.asarray(orders)
         if cs.ndim != 2 or orders.shape != cs.shape:
-            raise ValueError(f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
+            raise InvalidArgumentError(
+                "orders", f"orders of shape {orders.shape} do not match cs of shape {cs.shape}")
         if orders.dtype.kind not in "iu" or not ((0 <= orders) & (orders < len(ops))).all():
-            raise ValueError(f"orders must index the {len(ops)} operators")
+            raise InvalidArgumentError("orders", f"orders must index the {len(ops)} operators")
         orders = orders.astype(np.intp, copy=False)  # slot arithmetic must not wrap or turn float
     ops = tuple(ops)
     decomps, _, _, _, table, joint = _family(ops)
@@ -554,17 +565,15 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
     values = np.empty(cs.shape)
     if amps.ndim == 2:
         if not is_unit(np.linalg.norm(amps, axis=-1)).all():
-            raise ValueError(f"a state's norm deviates from 1 by more than {NORM_TOL}")
+            raise InvalidArgumentError(
+                "amplitudes", f"a state's norm deviates from 1 by more than {NORM_TOL}")
     elif _tree(ops, amps.tobytes()).walk(cs, orders, values):
         return values  # one start, which as_state checked when its tree was made
     amps = np.broadcast_to(amps, (len(cs), dim))
     replay = range(len(cs)) if joint is None else _run_joint(joint, table, amps, cs, orders, values)
     for n in replay:
-        state = PureState(amps[n])
-        for step, k in enumerate(orders[n].tolist()):
-            index = int(select(decomps[k], state.amplitudes, cs[n, step]))
-            values[n, step] = decomps[k].values[index]
-            state = _collapse(decomps[k], state, index)
+        values[n] = [r.value for r in chain([decomps[k] for k in orders[n].tolist()],
+                                            amps[n], cs[n])]
     return values
 
 
@@ -575,7 +584,7 @@ class _Tree:
     node is built on the scalar reference, once, when some row first reaches
     it: its edges under ops[k] are _edges of its branch weights, padded with
     inf to the family's width, and its children are _collapse's states. A
-    row then reads exactly the floats select and measure compare its c with.
+    row then reads exactly the floats select and chain compare its c with.
     """
 
     def __init__(self, ops, start: PureState):

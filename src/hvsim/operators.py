@@ -19,6 +19,7 @@ HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
 COMMUTE_TOL = 1e-10
 EQUALITY_TOL = 1e-10
+EIGEN_TOL = 1e-9  # the largest eigen_residual of an eigenvector
 
 
 def whole(n, name: str, least: int | None = 0) -> int:
@@ -134,6 +135,12 @@ class HermitianOperator:
     def expectation(self, state) -> float:
         amps = amplitudes_of(state, self.dim)
         return float(np.real(np.vdot(amps, self.matrix @ amps)))
+
+    def eigen_residual(self, state) -> float:
+        """||A psi - <A> psi||: the one eigenvector test, which an eigenvector
+        psi of A passes within EIGEN_TOL."""
+        amps = amplitudes_of(state, self.dim)
+        return float(np.linalg.norm(self.matrix @ amps - self.expectation(amps) * amps))
 
     def spectrum(self) -> "SpectralDecomposition":
         """The default-tolerance spectral decomposition, cached; spectral(op, tol)

@@ -266,12 +266,12 @@ def test_a_reference_entry_that_differs_is_named(capsys, monkeypatch, iteration,
 
 def test_a_measured_value_off_plus_minus_one_is_named(capsys, monkeypatch):
     # 0.6 rounds to the reference 1 but lies further than VALUE_TOL from it.
-    measure = experiments.measure
+    chain = experiments.chain
 
-    def off(obs, hidden, rng):
-        record, after = measure(obs, hidden, rng)
-        return dataclasses.replace(record, value=0.6), after
-    monkeypatch.setattr(experiments, "measure", off)
+    def off(ops, start, cs):
+        first, *rest = chain(ops, start, cs)
+        return [dataclasses.replace(first, value=0.6), *rest]
+    monkeypatch.setattr(experiments, "chain", off)
     code, out, err = run(capsys, "table1", "--format", "csv")
     assert (code, out) == (1, "")
     assert err == "error: iteration 1, measured value: read 0.6, reference 1\n"

@@ -1,7 +1,9 @@
 """Strong and weak functional consistency, plus the assignment census."""
 
 import itertools
+import json
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hvsim import (
     DimensionMismatchError,
     HermitianOperator,
     HiddenState,
+    HvsimError,
     InvalidArgumentError,
     NotAnEigenstateError,
     ObservableExpression,
@@ -35,6 +38,9 @@ from hvsim import (
     tensor,
     verify_proposition,
 )
+
+# Frozen full reports of library calls that no CLI pin covers.
+FROZEN_DIR = Path(__file__).resolve().parent / "frozen"
 
 
 def column3_expression():
@@ -151,19 +157,22 @@ class TestWeakFC:
             assert report.rhs_value == -1.0
 
     # Entries are read by whole, the one integer rule: a float or a bool is
-    # refused, not truncated into some arrangement.
+    # refused, not truncated into some arrangement. Every refusal is an
+    # InvalidArgumentError, so an HvsimError that stays a ValueError.
     @pytest.mark.parametrize("permutation", [(0, 1), (0, 0, 2), (0.5, 1.9, 2.2), (True, 0, 2),
                                              (0.0, 1, 2), (-1, 0, 1)])
     def test_bad_permutation_rejected(self, permutation):
         f = column3_expression()
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(HvsimError) as refused:
             check_weak_fc(f, HiddenState(basis_ket(4, 0), 0.4), permutation, rng)
+        assert isinstance(refused.value, ValueError)
+        assert refused.value.argument.startswith("permutation")
 
     @pytest.mark.parametrize("live", [False, True], ids=["scripted", "rng"])
     def test_steps_chain(self, live):
         # Step 0 starts from the initial state and every later step from the
-        # state the one before it left: measure hands each post state on.
+        # state the one before it left: chain hands each post state on.
         initial = HiddenState(normalized([1.0, 2.0, 0.5, -1.0j]), 0.3)
         rng = np.random.default_rng(5) if live else ScriptedUniforms((0.8, 0.2, 0.6))
         report = check_weak_fc(column3_expression(), initial, (1, 2, 0), rng)
@@ -172,6 +181,16 @@ class TestWeakFC:
         assert steps[0]["pre_state"] == amplitude_pairs(initial.state.amplitudes)
         for earlier, later in zip(steps, steps[1:]):
             assert later["pre_state"] == earlier["post_state"]
+        # The full report keeps its frozen bytes, and the draw that follows
+        # the call (null once the script is spent) shows that it read
+        # exactly one draw per leaf.
+        try:
+            following = rng.random()
+        except RuntimeError:  # every scripted scalar was read
+            following = None
+        payload = json.dumps({"report": report.as_dict(), "next_draw": following}, indent=2)
+        frozen = FROZEN_DIR / f"check_weak_fc-{'live' if live else 'scripted'}.json"
+        assert payload + "\n" == frozen.read_text(encoding="utf-8")
 
     def test_single_leaf_consumes_one_draw(self):
         f = ObservableExpression.of(pauli("z"))

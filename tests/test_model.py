@@ -959,11 +959,7 @@ def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
     assert values.shape == cs.shape
     for n, row in enumerate(cs):
         start = starts[n] if np.ndim(starts) == 2 else starts
-        hidden = HiddenState(start, row[0])
-        script = ScriptedUniforms(list(row[1:]) + [0.5])
-        for step, k in enumerate(orders[n]):
-            record, hidden = measure(ops[k], hidden, script)
-            assert values[n, step] == record.value
+        assert [v.hex() for v in values[n].tolist()] == _chained(ops, start, row, orders[n])
 
 
 def _haar_starts(dim, count, rng):
@@ -1210,6 +1206,27 @@ class TestRunSequenceAgainstMeasure:
         values = run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
                               np.ones((3, 2), int))
         assert values.shape == (3, 2)
+
+    # Each shape, index and norm refusal of run_sequence, and the empty
+    # family's, is an InvalidArgumentError naming its argument: an HvsimError
+    # that stays a ValueError.
+    @pytest.mark.parametrize("argument, call", [
+        ("ops", lambda z, x: run_sequence([], basis_ket(2, 0), np.full((3, 0), 0.5))),
+        ("ops", lambda z, x: predict_each([], HiddenState(basis_ket(2, 0), 0.5))),
+        ("cs", lambda z, x: run_sequence([z], basis_ket(2, 0), np.full((3, 2), 0.5))),
+        ("orders", lambda z, x: run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
+                                             np.zeros((3, 1), int))),
+        ("orders", lambda z, x: run_sequence([z, x], basis_ket(2, 0), np.full((3, 2), 0.5),
+                                             np.full((3, 2), 2))),
+        ("amplitudes", lambda z, x: run_sequence([z], np.array([[1.0, 0.0], [0.1, 0.0]]),
+                                                 np.full((2, 1), 0.9))),
+    ], ids=["empty-family", "empty-predict-each", "cs-shape", "orders-shape", "orders-index",
+            "stacked-norm"])
+    def test_refusals_name_their_argument(self, argument, call):
+        with pytest.raises(HvsimError) as refused:
+            call(pauli("z"), pauli("x"))
+        assert isinstance(refused.value, ValueError)
+        assert refused.value.argument == argument
 
 
 def _square_lines():
