@@ -16,6 +16,7 @@ from .errors import (
     HiddenDrawError,
     HvsimError,
     InvalidArgumentError,
+    InvalidTypeError,
     MalformedDecompositionError,
     MissingLeafValueError,
     NoncommutingLeavesError,

@@ -14,6 +14,10 @@ class InvalidArgumentError(HvsimError, ValueError):
         self.argument = argument
 
 
+class InvalidTypeError(HvsimError, TypeError):
+    """An argument is of a type the call does not take; a TypeError still."""
+
+
 class DimensionMismatchError(HvsimError, ValueError):
     """Operands act on spaces of different dimension."""
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     ComplexFactorError,
     DimensionMismatchError,
+    InvalidTypeError,
     MissingLeafValueError,
     NoncommutingLeavesError,
     NonHermitianError,
@@ -43,7 +44,7 @@ class Leaf:
 
     def __init__(self, op: HermitianOperator):
         if not isinstance(op, HermitianOperator):
-            raise TypeError(f"Leaf expects a HermitianOperator, got {type(op).__name__}")
+            raise InvalidTypeError(f"Leaf expects a HermitianOperator, got {type(op).__name__}")
         self._op = op
 
     op = property(lambda self: self._op)
@@ -84,7 +85,7 @@ class Scale:
 
 def _check_node(node):
     if not isinstance(node, (Leaf, _Children, Scale)):
-        raise TypeError(f"expected an expression node, got {type(node).__name__}")
+        raise InvalidTypeError(f"expected an expression node, got {type(node).__name__}")
     return node
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatchError,
     HiddenDrawError,
     InvalidArgumentError,
+    InvalidTypeError,
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
@@ -273,7 +274,7 @@ def as_decomposition(obs) -> SpectralDecomposition:
         return obs
     if isinstance(obs, HermitianOperator):
         return obs.spectrum()
-    raise TypeError(
+    raise InvalidTypeError(
         f"expected HermitianOperator or SpectralDecomposition, got {type(obs).__name__}"
     )
 
@@ -375,54 +376,70 @@ def _joint_basis(decomps):
     return basis, keep.reshape(-1, len(basis))
 
 
-@functools.lru_cache(maxsize=64)  # one per operator tuple: operators are immutable
-def _family(ops):
-    """(decomps, vectors, starts, slots, values, joint): the tables
-    predict_each and run_sequence read `ops` with.
+class _Family:
+    """The tables predict_each, run_sequence and _Tree read the operators
+    `ops` with: their decomps, their dimension dim, and values, (width, K),
+    whose [b, k] is the eigenvalue of branch b of operator k, zero below a
+    column's last branch.
 
-    vectors stacks the operators' eigenvectors as (K, d, d), so one product
-    gives each operator its overlaps at its own (d, d) shape, with the bits of
-    its own weights; a (d, K * d) hstack would round them differently. starts
-    are the branch starts in the K * d overlaps laid end to end. Branch b of
-    operator k has the slot b * K + k of a (width, K) table, and values[b, k]
-    is its eigenvalue, zero below a column's last branch. joint is
-    _joint_basis's (basis, keep) in the same slots, or None, so
-    |coefficients|^2 @ keep.T holds every slot's weight at once.
+    The eigenvectors are stacked as (K, d, d), so one product gives each
+    operator its overlaps at its own (d, d) shape, with the bits of its own
+    weights; a (d, K * d) hstack would round them differently.
     """
-    if not ops:
-        raise InvalidArgumentError("ops", "a family needs at least one operator")
-    decomps = [as_decomposition(op) for op in ops]
-    dim = decomps[0].dim
-    if any(d.dim != dim for d in decomps):
-        raise DimensionMismatchError("the operators of a family differ in dimension")
-    values = np.zeros((max(len(d.values) for d in decomps), len(ops)))
-    for k, d in enumerate(decomps):
-        values[:len(d.values), k] = d.values
-    starts = np.concatenate([k * dim + d.offsets[:-1] for k, d in enumerate(decomps)])
-    slots = np.concatenate([np.arange(len(d.values)) * len(ops) + k
-                            for k, d in enumerate(decomps)])
-    vectors = np.stack([d.vectors for d in decomps])
-    return decomps, vectors, starts, slots, values, _joint_basis(decomps)
+
+    def __init__(self, ops):
+        if not ops:
+            raise InvalidArgumentError("ops", "a family needs at least one operator")
+        self.decomps = [as_decomposition(op) for op in ops]
+        self.dim = self.decomps[0].dim
+        if any(d.dim != self.dim for d in self.decomps):
+            raise DimensionMismatchError("the operators of a family differ in dimension")
+        self.values = np.zeros((max(len(d.values) for d in self.decomps), len(ops)))
+        for k, d in enumerate(self.decomps):
+            self.values[:len(d.values), k] = d.values
+        self._vectors = np.stack([d.vectors for d in self.decomps])
+        # Branch starts in the K * d overlaps laid end to end, and the slot
+        # b * K + k of values that branch b of operator k fills.
+        self._starts = np.concatenate([k * self.dim + d.offsets[:-1]
+                                       for k, d in enumerate(self.decomps)])
+        self._slots = np.concatenate([np.arange(len(d.values)) * len(ops) + k
+                                      for k, d in enumerate(self.decomps)])
+
+    @functools.cached_property
+    def joint(self):
+        """_joint_basis's (basis, keep) in the slots of values, or None, so
+        |coefficients|^2 @ keep.T holds every slot's weight at once; only the
+        stacked route reads it."""
+        return _joint_basis(self.decomps)
+
+    def edges(self, amplitudes) -> np.ndarray:
+        """The edges of every operator on the (dim,) state `amplitudes`, a
+        (width - 1, K) array from one product, one segment sum and one _edges.
+
+        Each operator's branch weights fill one column of a table of values'
+        shape. The zeros below a shorter column act as a trailing zero-weight
+        branch, whose edges _edges reads as inf, so column k is, bit for bit,
+        _edges(decomps[k].weights(amplitudes)) padded with inf.
+        """
+        overlaps = (amplitudes.conj() @ self._vectors).ravel()  # row k: conj(V_k^H psi)
+        weights = np.zeros(self.values.size)
+        weights[self._slots] = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2,
+                                               self._starts)
+        return _edges(weights.reshape(self.values.shape))
+
+
+_family = functools.lru_cache(maxsize=64)(_Family)  # one per tuple: operators are immutable
 
 
 def predict_each(ops, hidden: HiddenState) -> list[float]:
     """predict() of every observable in `ops` on one hidden state, bit for bit
-    [predict(op, hidden) for op in ops], with one product, one segment sum and
-    one selection rule for the whole family.
-
-    Each operator's branch weights fill one column of a table with as many
-    rows as the family's largest spectrum has branches. The zeros below a
-    shorter column act as a trailing zero-weight branch, whose edges _edges
-    reads as inf, so every column picks the branch select picks for that
+    [predict(op, hidden) for op in ops], with one selection rule on
+    _Family.edges, whose every column picks the branch select picks for that
     operator alone.
     """
-    _, vectors, starts, slots, values, _ = _family(tuple(ops))
-    amps = amplitudes_of(hidden.state, vectors.shape[1])
-    overlaps = (amps.conj() @ vectors).ravel()  # row k: conj(V_k^H psi)
-    weights = np.zeros(values.size)
-    weights[slots] = np.add.reduceat(overlaps.real ** 2 + overlaps.imag ** 2, starts)
-    chosen = _pick(_edges(weights.reshape(values.shape)), hidden.c)
-    return values[chosen, np.arange(len(chosen))].tolist()
+    family = _family(tuple(ops))
+    chosen = _pick(family.edges(amplitudes_of(hidden.state, family.dim)), hidden.c)
+    return family.values[chosen, np.arange(len(chosen))].tolist()
 
 
 def _open_scalars(cs) -> np.ndarray:
@@ -523,11 +540,8 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
 
     `amplitudes` is one unit state or an (N, d) stack of them. Rows that
     share one start walk its outcome tree (_Tree), whose every node is built
-    on the scalar reference, so no row is measured again. The tree pays only
-    when calls repeat its operators and start, since a cold one costs more
-    than the stacked route at small row counts: so the first call on a tree
-    takes the stacked route and builds no node, and so does a block that
-    would grow the tree past TREE_NODES.
+    on the scalar reference, so no row is measured again; a block that would
+    grow the tree past TREE_NODES takes the stacked route instead.
 
     On the stacked route, where the operators have a joint eigenbasis, rows
     carry their Born weights on the joint columns. A step takes every
@@ -557,22 +571,21 @@ def run_sequence(ops, amplitudes, cs, orders=None) -> np.ndarray:
             raise InvalidArgumentError("orders", f"orders must index the {len(ops)} operators")
         orders = orders.astype(np.intp, copy=False)  # slot arithmetic must not wrap or turn float
     ops = tuple(ops)
-    decomps, _, _, _, table, joint = _family(ops)
-    dim = decomps[0].dim
+    family = _family(ops)
     amps = amplitudes_of(amplitudes)
-    if amps.shape[-1:] != (dim,) or amps.ndim > 2:
-        raise DimensionMismatchError(f"states of shape {amps.shape} do not match dimension {dim}")
+    if amps.shape[-1:] != (family.dim,) or amps.ndim > 2:
+        raise DimensionMismatchError(
+            f"states of shape {amps.shape} do not match dimension {family.dim}")
+    if not is_unit(np.linalg.norm(amps, axis=-1)).all():
+        raise InvalidArgumentError(
+            "amplitudes", f"a state's norm deviates from 1 by more than {NORM_TOL}")
     values = np.empty(cs.shape)
-    if amps.ndim == 2:
-        if not is_unit(np.linalg.norm(amps, axis=-1)).all():
-            raise InvalidArgumentError(
-                "amplitudes", f"a state's norm deviates from 1 by more than {NORM_TOL}")
-    elif _tree(ops, amps.tobytes()).walk(cs, orders, values):
-        return values  # one start, which as_state checked when its tree was made
-    amps = np.broadcast_to(amps, (len(cs), dim))
-    replay = range(len(cs)) if joint is None else _run_joint(joint, table, amps, cs, orders, values)
+    if amps.ndim == 1 and _tree(ops, amps.tobytes()).walk(cs, orders, values):
+        return values
+    amps = np.broadcast_to(amps, (len(cs), family.dim))
+    replay = _run_joint(family, amps, cs, orders, values) if family.joint else range(len(cs))
     for n in replay:
-        values[n] = [r.value for r in chain([decomps[k] for k in orders[n].tolist()],
+        values[n] = [r.value for r in chain([family.decomps[k] for k in orders[n].tolist()],
                                             amps[n], cs[n])]
     return values
 
@@ -581,46 +594,34 @@ class _Tree:
     """The outcome tree of one operator tuple on one start state. Node 0 is
     the start; the child of node n under (operator k, branch b) is the state
     measuring ops[k] on node n collapses onto when it reads branch b. Each
-    node is built on the scalar reference, once, when some row first reaches
-    it: its edges under ops[k] are _edges of its branch weights, padded with
-    inf to the family's width, and its children are _collapse's states. A
-    row then reads exactly the floats select and chain compare its c with.
+    node is built once, when some row first reaches it: its children are
+    _collapse's states, and its edges under every operator are one
+    _Family.edges call, each column select's edges of that operator. A row
+    then reads exactly the floats select and chain compare its c with.
     """
 
     def __init__(self, ops, start: PureState):
-        self.decomps, _, _, _, self.table, _ = _family(ops)
-        width = len(self.table)
+        self.family = _family(ops)
         self.states = [start]
-        self.met = False  # whether a call has asked for this tree before
         self.lock = threading.Lock()  # walks that share a tree grow it one at a time
-        # Row n * K + k holds node n under ops[k]: its edges, whether they
-        # are built, and at [(n * K + k) * width + b] its child, -1 until built.
-        self.edges = np.full((len(ops), width - 1), np.inf)
-        self.weighed = np.zeros(len(ops), dtype=bool)
-        self.child = np.full(len(ops) * width, -1)
+        # Row n * K + k holds node n's edges under ops[k], and
+        # [(n * K + k) * width + b] its child under branch b, -1 until built.
+        self.edges = self.family.edges(start.amplitudes).T
+        self.child = np.full(self.family.values.size, -1)
 
     def walk(self, cs, orders, values) -> bool:
         """Fill `values` as run_sequence does, each step one gather of every
-        row's edges, one _pick and one gather of its child; or return False on
-        the tree's first call, or if that would grow it past TREE_NODES."""
-        decomps, table = self.decomps, self.table
-        ops, width = len(decomps), len(table)
+        row's edges, one _pick and one gather of its child; or return False
+        if that would grow the tree past TREE_NODES."""
+        family = self.family
+        width, ops = family.values.shape
         node = 0  # every row starts at the start
         with self.lock:
-            if not self.met:
-                self.met = True
-                return False
             for step in range(cs.shape[1]):
                 op = orders[:, step]
                 pair = node * ops + op
-                if not self.weighed[pair].all():
-                    for p in sorted(set(pair[~self.weighed[pair]].tolist())):
-                        n, k = divmod(p, ops)
-                        edges = _edges(decomps[k].weights(self.states[n].amplitudes))
-                        self.edges[p, :len(edges)] = edges
-                        self.weighed[p] = True
                 chosen = _pick(self.edges[pair].T, cs[:, step])
-                values[:, step] = np.take(table, chosen * ops + op)
+                values[:, step] = np.take(family.values, chosen * ops + op)
                 if step + 1 == cs.shape[1]:
                     break  # no row reads the states its last step leaves
                 slot = pair * width + chosen
@@ -630,19 +631,15 @@ class _Tree:
                     new = sorted(set(slot[unbuilt].tolist()))
                     if len(self.states) + len(new) > TREE_NODES:
                         return False
-                    self._add(len(new), ops, width)
                     for q in new:
                         n, k = divmod(q // width, ops)
-                        self.states.append(_collapse(decomps[k], self.states[n], q % width))
+                        self.states.append(_collapse(family.decomps[k], self.states[n], q % width))
                         self.child[q] = len(self.states) - 1
+                    rows = [family.edges(s.amplitudes).T for s in self.states[-len(new):]]
+                    self.edges = np.concatenate([self.edges, *rows])
+                    self.child = np.concatenate([self.child, np.full(len(new) * width * ops, -1)])
                     node = self.child[slot]
         return True
-
-    def _add(self, count: int, ops: int, width: int):
-        """Make room for `count` more nodes' rows."""
-        self.edges = np.concatenate([self.edges, np.full((count * ops, width - 1), np.inf)])
-        self.weighed = np.concatenate([self.weighed, np.zeros(count * ops, dtype=bool)])
-        self.child = np.concatenate([self.child, np.full(count * ops * width, -1)])
 
 
 @functools.lru_cache(maxsize=64)  # one per (operator tuple, start): operators are immutable
@@ -651,11 +648,11 @@ def _tree(ops, start: bytes) -> _Tree:
     return _Tree(ops, as_state(np.frombuffer(start, dtype=complex)))
 
 
-def _run_joint(joint, table, amps, cs, orders, values):
+def _run_joint(family, amps, cs, orders, values):
     """run_sequence's joint-basis route: fills `values` and returns the rows
     it leaves to the scalar reference, those near an edge or kept light."""
-    basis, keep = joint
-    width, ops = table.shape
+    basis, keep = family.joint
+    width, ops = family.values.shape
     row_start = np.arange(len(cs)) * len(keep)
     branch_slot = np.arange(width)[:, None] * ops
     coef = amps @ basis.conj()
@@ -668,7 +665,7 @@ def _run_joint(joint, table, amps, cs, orders, values):
         every = born @ keep.T
         own = np.divide(np.take(every, row_start + branch_slot + op), mass, out=cums[step])
         chosen = _pick(_edges(own), cs[:, step]) * ops + op
-        values[:, step] = np.take(table, chosen)
+        values[:, step] = np.take(family.values, chosen)
         mass = np.take(every, row_start + chosen)
         born *= np.take(keep, chosen, axis=0)
     near = (np.abs(cums - cs.T[:, None, :]) < EDGE_MARGIN).any(axis=(0, 1))

@@ -10,8 +10,10 @@ its own test. The same subprocess runs the predict_each and run_sequence
 differentials of test_model, at edge c too, since whether a batched product
 keeps each operator's or each row's bits depends on the kernel; the
 cutoff differential, since the kernel rounds the branch weights that sit at
-MIN_BRANCH_WEIGHT; and the shared-start differential, since the kernel
-rounds the weights and collapses its tree's nodes are built from.
+MIN_BRANCH_WEIGHT; the shared-start differential, since the kernel
+rounds the weights and collapses its tree's nodes are built from; and the
+family-edges differential, since whether the stacked product keeps each
+operator's bits depends on the kernel too.
 """
 
 import contextlib
@@ -36,7 +38,7 @@ KERNELS = ("Haswell", "Prescott")
 EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mismatches": 1800,
                       "row_independence_mismatches": 1800}
 DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS,
-                 "cutoff_mismatches", "shared_start_mismatches")
+                 "cutoff_mismatches", "shared_start_mismatches", "family_edges_mismatches")
 
 # Reads (pin, argv) pairs and differential names as JSON from its first
 # argument; writes {pin: stdout}, each differential's (cases, mismatches) and
@@ -167,3 +169,8 @@ def test_routes_agree_at_the_cutoff_under_kernel(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_shared_start_tree_matches_measure_under_kernel(kernel):
     assert _differential(kernel, "shared_start_mismatches") > 3000
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_family_edges_match_each_operator_under_kernel(kernel):
+    assert _differential(kernel, "family_edges_mismatches") > 3000

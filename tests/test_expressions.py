@@ -10,6 +10,7 @@ from hvsim import (
     DimensionMismatchError,
     HermitianOperator,
     InvalidArgumentError,
+    InvalidTypeError,
     Leaf,
     MissingLeafValueError,
     NoncommutingLeavesError,
@@ -68,9 +69,12 @@ def has_complex_factor(node) -> bool:
 
 
 class TestNodes:
+    # A node of the wrong type is refused with an InvalidTypeError, an
+    # HvsimError that `except TypeError` still catches.
     def test_leaf_requires_operator(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as refused:
             Leaf(np.eye(2))
+        assert isinstance(refused.value, InvalidTypeError)
 
     def test_sum_and_product_require_children(self):
         with pytest.raises(ValueError):
@@ -79,10 +83,11 @@ class TestNodes:
             Product()
 
     def test_children_must_be_nodes(self):
-        with pytest.raises(TypeError):
-            Sum(pauli("z"))
-        with pytest.raises(TypeError):
-            Scale(2.0, "z")
+        for call in (lambda: Sum(pauli("z")), lambda: Product(Leaf(pauli("z")), 2.0),
+                     lambda: Scale(2.0, "z")):
+            with pytest.raises(TypeError) as refused:
+                call()
+            assert isinstance(refused.value, InvalidTypeError)
 
     def test_leaf_repr_uses_label(self):
         assert repr(Leaf(pauli("z"))) == "Leaf(Z)"

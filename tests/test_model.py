@@ -18,6 +18,7 @@ from hvsim.errors import (
     HiddenDrawError,
     HvsimError,
     InvalidArgumentError,
+    InvalidTypeError,
     MalformedDecompositionError,
     ZeroProbabilityBranchError,
 )
@@ -201,7 +202,7 @@ class TestPredict:
             predict(pauli("z"), HiddenState(basis_ket(4, 0), 0.5))
 
     def test_rejects_non_observable(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidTypeError):
             predict(np.eye(2), HiddenState(basis_ket(2, 0), 0.5))
 
     @settings(deadline=None, max_examples=30)
@@ -385,8 +386,9 @@ class TestTraceSerialization:
         decomp = spectral(pauli("x"))
         assert as_decomposition(decomp) is decomp
         assert as_decomposition(pauli("x")).dim == 2
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as refused:  # still a TypeError
             as_decomposition("Z")
+        assert isinstance(refused.value, InvalidTypeError)
 
 
 # Float64 bit patterns of both zeros, nan, both infinities, the smallest and
@@ -969,7 +971,7 @@ def _haar_starts(dim, count, rng):
 def _joint(ops):
     """The joint basis _family keeps for `ops`, or None, in which case
     run_sequence measures their rows on the scalar reference."""
-    return model._family(tuple(ops))[-1]
+    return model._family(tuple(ops)).joint
 
 
 class TestRunSequenceAgainstMeasure:
@@ -1066,7 +1068,7 @@ class TestRunSequenceAgainstMeasure:
             assert main([*command, "--trials", "2", "--format", "json"]) == 0
         capsys.readouterr()
         assert len(seen) == 13 + 7 and len({ops for ops, _ in seen}) == 10
-        assert all(table[-1] is not None for _, table in seen)
+        assert all(family.joint is not None for _, family in seen)
 
     @pytest.mark.parametrize("commuting", [True, False])
     def test_per_row_orders_equal_one_call_per_order(self, commuting):
@@ -1193,10 +1195,10 @@ class TestRunSequenceAgainstMeasure:
         with pytest.raises(ValueError):  # normalised, this row would read +1
             run_sequence([z], np.array([[1.0, 1.0]]), np.array([[0.9]]))
         for row in ([0.1, 0.0], [1.0 + 1e-11, 0.0], [np.nan, 0.0]):  # not unit vectors
-            with pytest.raises(ValueError):
-                run_sequence([z], np.array([[1.0, 0.0], row]), np.full((2, 1), 0.9))
-            with pytest.raises(ValueError):
-                run_sequence([z], np.array(row), np.full((2, 1), 0.9))
+            for amplitudes in (np.array([[1.0, 0.0], row]), np.array(row)):  # stacked, shared
+                with pytest.raises(InvalidArgumentError) as refused:
+                    run_sequence([z], amplitudes, np.full((2, 1), 0.9))
+                assert refused.value.argument == "amplitudes"
         within = np.array([1.0 + 1e-13, 0.0])  # inside NORM_TOL, like PureState
         assert run_sequence([z], within, np.full((2, 1), 0.9)).shape == (2, 1)
         for orders in (np.zeros((3, 1), int), np.zeros(2, int), [[0, 1]] * 2,
@@ -1220,8 +1222,9 @@ class TestRunSequenceAgainstMeasure:
                                              np.full((3, 2), 2))),
         ("amplitudes", lambda z, x: run_sequence([z], np.array([[1.0, 0.0], [0.1, 0.0]]),
                                                  np.full((2, 1), 0.9))),
+        ("amplitudes", lambda z, x: run_sequence([z], np.array([0.1, 0.0]), np.full((2, 1), 0.9))),
     ], ids=["empty-family", "empty-predict-each", "cs-shape", "orders-shape", "orders-index",
-            "stacked-norm"])
+            "stacked-norm", "shared-norm"])
     def test_refusals_name_their_argument(self, argument, call):
         with pytest.raises(HvsimError) as refused:
             call(pauli("z"), pauli("x"))
@@ -1462,12 +1465,13 @@ def _shared_start_cases():
 
 def shared_start_mismatches():
     """(cases, mismatches): run_sequence on one shared start, two calls per
-    case of _shared_start_cases on new trees, so the first takes the stacked
-    route and the second walks the tree, against _chained, compared bit for
-    bit row by row. Each case has 6 rows of per-row orders of 3 steps,
-    repeats allowed, at uniform c; and, for each of them and each step, the
-    row again with that step's c at every edge of the node the row reaches
-    there and one ulp either side. The kernel reruns call this too."""
+    case of _shared_start_cases on new trees, so the first builds the nodes
+    its rows reach and the second walks them built, against _chained,
+    compared bit for bit row by row. Each case has 6 rows of per-row orders
+    of 3 steps, repeats allowed, at uniform c; and, for each of them and
+    each step, the row again with that step's c at every edge of the node
+    the row reaches there and one ulp either side. The kernel reruns call
+    this too."""
     model._tree.cache_clear()
     rng = np.random.default_rng(25)
     cases, mismatches = 0, []
@@ -1518,7 +1522,8 @@ class TestSharedStartTree:
         monkeypatch.setattr(model._Tree, "walk", recording)
         cases, mismatches = shared_start_mismatches()
         assert mismatches == [] and cases > 3000
-        assert walked == [False, True] * len(list(_shared_start_cases()))
+        # The first call walks the tree too.
+        assert walked == [True, True] * len(list(_shared_start_cases()))
 
     def test_the_tree_cache_is_bounded(self):
         z = pauli("z")
@@ -1528,11 +1533,12 @@ class TestSharedStartTree:
         assert info.maxsize == 64 and info.currsize == 64
 
     def test_a_block_past_the_node_cap_takes_the_stacked_route(self, monkeypatch):
-        # The tree's first call runs on the joint basis and builds no node. A
-        # square line from a Haar start reaches 1 + 6 + 24 nodes before its
-        # last step; with room for 8 the second call runs on the joint basis
-        # too, and the tree keeps what it held. A block of one row still
-        # fits: it walks the tree.
+        # A square line from a Haar start reaches 1 + 6 + 24 nodes before its
+        # last step; with room for 8 a block of every order builds the 6
+        # nodes of its first step, then overflows and runs on the joint
+        # basis. A repeat of that block takes the joint basis too and leaves
+        # the tree's states as they were. A block of one row still fits: it
+        # walks the tree.
         monkeypatch.setattr(model, "TREE_NODES", 8)
         joint = []
         run_joint = model._run_joint
@@ -1542,20 +1548,34 @@ class TestSharedStartTree:
         orders = np.array(list(itertools.permutations(range(3))) * 20)
         cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
         values = run_sequence(ops, start, cs, orders)
-        assert joint == [1] and len(_tree_of(ops, start).states) == 1
-        assert run_sequence(ops, start, cs, orders).tolist() == values.tolist()
-        assert joint == [1, 1] and 1 < len(_tree_of(ops, start).states) <= 8
+        states = list(_tree_of(ops, start).states)
+        assert joint == [1] and len(states) == 7
         for n, order in enumerate(orders.tolist()):
             assert [v.hex() for v in values[n].tolist()] == _chained(ops, start, cs[n], order)
+        assert run_sequence(ops, start, cs, orders).tolist() == values.tolist()
+        assert joint == [1, 1] and _tree_of(ops, start).states == states
         assert run_sequence(ops, start, cs[:1], orders[:1]).tolist() == values[:1].tolist()
-        assert joint == [1, 1] and len(_tree_of(ops, start).states) <= 8
+        assert joint == [1, 1] and len(_tree_of(ops, start).states) == 8
+
+    def test_a_cold_two_block_sweep_walks_the_tree(self, capsys, monkeypatch):
+        # weak-fc at its default 1000 trials runs 6000 cases in two sweep
+        # blocks. On a new tree both walk it, the first building its nodes.
+        model._tree.cache_clear()
+        walked, joint = [], []
+        walk, run_joint = model._Tree.walk, model._run_joint
+        monkeypatch.setattr(model._Tree, "walk",
+                            lambda tree, *args: walked.append(walk(tree, *args)) or walked[-1])
+        monkeypatch.setattr(model, "_run_joint", lambda *args: joint.append(1) or run_joint(*args))
+        assert main(["weak-fc", "--trials", "1000", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert walked == [True, True] and joint == []
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint64])
     def test_orders_of_any_integer_dtype(self, dtype):
         # Nine operators of 16 branches each: node 0's slot 8 * 16 + b wraps
         # in int8, and uint64 beside a signed index turns float. The shared
-        # start is measured row by row, then walks the tree; stacked starts
-        # on a commuting family take the joint basis.
+        # start walks the tree, building its nodes, then walks them built;
+        # stacked starts on a commuting family take the joint basis.
         model._tree.cache_clear()
         rng = np.random.default_rng(27)
         orders = np.array([[8, 8, 8], [8, 0, 5], [3, 8, 1], [0, 1, 2]], dtype=dtype)
@@ -1608,6 +1628,68 @@ class TestPredictEach:
         with pytest.raises(ValueError):
             predict_each([], HiddenState(basis_ket(2, 0), 0.5))
 
+
+
+def _tree_states(ops, start):
+    """`start` and every state a prefix of len(ops) - 1 measurements of
+    `ops`, repeats allowed, collapses it onto through live branches: the
+    nodes an outcome tree of `ops` on `start` can build."""
+    states = layer = [start]
+    for _ in range(len(ops) - 1):
+        layer = [model._collapse(decomp, state, int(b)) for state in layer
+                 for decomp in map(as_decomposition, ops)
+                 for b in np.flatnonzero(~model._dead(decomp.weights(state)))]
+        states = states + layer
+    return states
+
+
+def _family_edges_cases():
+    """(name, ops, states) for the family-edges differential: the node states
+    of the three weak-fc column trees from |00>, the four CHSH trees from the
+    Bell state and the six square lines' trees from Haar starts; Haar states
+    of a commuting family with repeated eigenvalues and of a non-commuting
+    family whose spectra differ in length, for each 2 <= d <= 8."""
+    square = peres_mermin()
+    for j in (1, 2, 3):
+        ops = square.column_expression(j).operators
+        yield f"weak-fc column {j}", ops, _tree_states(ops, basis_ket(4, 0))
+    for key, *_, ops in experiments._chsh_settings():
+        yield f"chsh {key}", ops, _tree_states(ops, experiments.bell_state())
+    rng = np.random.default_rng(29)
+    for number, ops in enumerate(_square_lines()):
+        starts = [haar_state(4, rng) for _ in range(5)]
+        yield f"line {number}", ops, [s for start in starts for s in _tree_states(ops, start)]
+    for dim in range(2, 9):
+        spectra = rng.integers(-1, 2, size=(3, dim)).astype(float)  # repeated eigenvalues
+        shared = commuting_family(spectra, rng)
+        yield f"commuting d={dim}", shared, [haar_state(dim, rng) for _ in range(200)]
+        mixed = (random_hermitian(dim, rng), *shared[:2], random_hermitian(dim, rng))
+        yield f"non-commuting d={dim}", mixed, [haar_state(dim, rng) for _ in range(200)]
+
+
+def family_edges_mismatches():
+    """(cases, mismatches): _Family.edges against each operator's own
+    _edges(decomp.weights(state)), padded with inf to the family's width,
+    compared bit for bit on every state of _family_edges_cases. The kernel
+    reruns call this too."""
+    cases, mismatches = 0, []
+    for name, ops, states in _family_edges_cases():
+        family = model._family(tuple(ops))
+        for state in states:
+            want = np.full((len(family.values) - 1, len(ops)), np.inf)
+            for k, decomp in enumerate(family.decomps):
+                edges = model._edges(decomp.weights(state))
+                want[:len(edges), k] = edges
+            cases += 1
+            if family.edges(state.amplitudes).tobytes() != want.tobytes():
+                mismatches.append(f"{name}, state {state.amplitudes.tolist()}")
+    return cases, mismatches
+
+
+class TestFamilyEdges:
+    def test_matches_each_operators_edges(self):
+        cases, mismatches = family_edges_mismatches()
+        assert mismatches == [] and cases > 3000
 
 CUTOFF_KINDS = ("random", "labelled", "near")
 
