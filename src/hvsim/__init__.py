@@ -8,6 +8,8 @@ package layers expression algebra, functional-consistency checkers, a no-go
 enumeration and seeded experiments on top of that rule.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BranchNotFoundError,
     ComplexFactorError,
@@ -16,12 +18,14 @@ from .errors import (
     HiddenDrawError,
     HvsimError,
     InvalidArgumentError,
+    InvalidIndexError,
     InvalidTypeError,
     MalformedDecompositionError,
     MissingLeafValueError,
     NoncommutingLeavesError,
     NonHermitianError,
     NotAnEigenstateError,
+    OutcomeNotFoundError,
     ReferenceRunMismatchError,
     ZeroProbabilityBranchError,
 )
@@ -105,4 +109,7 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; importing them also binds the submodules, which
+# are not exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -14,6 +14,11 @@ class InvalidArgumentError(HvsimError, ValueError):
         self.argument = argument
 
 
+class InvalidIndexError(InvalidArgumentError, IndexError):
+    """An integer index lies outside the range its sequence has (a basis
+    ket's index, a line of the square); an IndexError still."""
+
+
 class InvalidTypeError(HvsimError, TypeError):
     """An argument is of a type the call does not take; a TypeError still."""
 
@@ -35,11 +40,16 @@ class MalformedDecompositionError(HvsimError, ValueError):
 
 
 class HiddenDrawError(HvsimError, RuntimeError):
-    """The uniform source returned a value outside [0, 1), nan included."""
+    """The uniform source returned a value outside [0, 1), nan included, or
+    a scripted source ran out of values."""
 
 
 class BranchNotFoundError(HvsimError, ValueError):
     """Requested value does not match any eigenvalue branch."""
+
+
+class OutcomeNotFoundError(HvsimError, KeyError):
+    """A report holds no outcome near the requested value; a KeyError still."""
 
 
 class ZeroProbabilityBranchError(HvsimError, ValueError):

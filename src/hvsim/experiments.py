@@ -23,10 +23,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ReferenceRunMismatchError
+from .errors import InvalidArgumentError, OutcomeNotFoundError, ReferenceRunMismatchError
 from .expressions import implications_operators, peres_mermin
 from .model import (
     Events,
@@ -58,6 +59,7 @@ from .operators import (
     pauli,
     phase_distance,
     random_hermitian,
+    real,
     tensor,
 )
 
@@ -74,9 +76,8 @@ LINE_SLOT_WIDTH = 2 * 4 + 3
 
 
 def spin_state(theta: float) -> PureState:
-    """cos(theta)|0> + sin(theta)|1>, for a finite theta."""
-    if not math.isfinite(theta):
-        raise InvalidArgumentError("theta", f"theta must be finite, got {theta!r}")
+    """cos(theta)|0> + sin(theta)|1>, for a finite real theta (real)."""
+    theta = real(theta, "theta")
     return PureState([math.cos(theta), math.sin(theta)])
 
 
@@ -96,7 +97,8 @@ class StatReport:
 
     A branch with expected probability p in (0, 1) passes when the observed
     frequency sits within tolerance_sigma * sqrt(p(1-p)/trials) of p;
-    deterministic branches (p of exactly 0 or 1) must match exactly.
+    deterministic branches (p of exactly 0 or 1) must match exactly. The
+    outcome frequencies must sum to 1 within 1e-9.
     """
 
     observable_label: str
@@ -109,8 +111,9 @@ class StatReport:
 
     def __post_init__(self):
         total = sum(self.outcome_frequencies.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"outcome frequencies sum to {total!r}, not 1")
+        if not abs(total - 1.0) <= 1e-9:  # nan fails too
+            raise InvalidArgumentError("outcome_frequencies",
+                                       f"outcome frequencies sum to {total!r}, not 1")
 
     def frequency(self, value: float) -> float:
         return _nearest_value(self.outcome_frequencies, value)
@@ -135,6 +138,9 @@ class StatReport:
 
 
 def _nearest_value(mapping: dict, value: float) -> float:
+    """The entry of `mapping` whose outcome is within VALUE_TOL of `value`, a
+    real number (real), or OutcomeNotFoundError, a KeyError."""
+    value = real(value, "value")
     best = None
     best_gap = math.inf
     for key, entry in mapping.items():
@@ -142,7 +148,7 @@ def _nearest_value(mapping: dict, value: float) -> float:
         if gap < best_gap:
             best, best_gap = entry, gap
     if best is None or best_gap > VALUE_TOL:
-        raise KeyError(f"no outcome near {value!r}")
+        raise OutcomeNotFoundError(f"no outcome near {value!r}")
     return best
 
 
@@ -150,13 +156,10 @@ def born_experiment(state: PureState, obs, trials: int, seed: int, tolerance_sig
                     sink=None) -> StatReport:
     """Monte Carlo check that prediction under uniform c reproduces Born
     weights for one (state, observable) pair: each branch passes within
-    `tolerance_sigma` standard errors, a positive finite number (not a bool,
-    which whole refuses too). `sink`, if given, receives each block of
-    trials' events."""
+    `tolerance_sigma` standard errors, a positive finite real (real). `sink`,
+    if given, receives each block of trials' events."""
     trials = whole(trials, "trials", least=1)
-    if isinstance(tolerance_sigma, bool) or not 0.0 < tolerance_sigma < math.inf:
-        raise InvalidArgumentError("tolerance_sigma", "tolerance_sigma must be positive and"
-                                   f" finite, got {tolerance_sigma!r}")
+    tolerance_sigma = real(tolerance_sigma, "tolerance_sigma", 0.0)
     decomp = as_decomposition(obs)
     label = display_label(decomp)
     counts = tally(decomp, state, substream(seed, _BORN_TAG), trials, sink, (label,))
@@ -387,7 +390,7 @@ def implications_demo(c: float = 0.4, state: PureState | None = None) -> Implica
         deduced[op.label] = values.pop()
     mismatch = {label: abs(direct[label] - deduced[label]) > VALUE_TOL for label in deduced}
     return ImplicationsReport(
-        c=float(c),
+        c=hidden.c,
         initial_state=state,
         direct=direct,
         deduced=deduced,
@@ -425,9 +428,21 @@ class ChshReport:
         }
 
 
+class _ChshSetting(NamedTuple):
+    """One CHSH setting: its key, the sides A and B, the sign of its
+    correlator in S, the joint A (x) B and the sides (A (x) I, I (x) B)."""
+
+    key: str
+    a: HermitianOperator
+    b: HermitianOperator
+    sign: float
+    joint: HermitianOperator
+    sides: tuple[HermitianOperator, HermitianOperator]
+
+
 @functools.cache
-def _chsh_settings():
-    """(key, A, B, sign, A (x) B, (A (x) I, I (x) B)) per setting, built once per process."""
+def _chsh_settings() -> tuple[_ChshSetting, ...]:
+    """The four settings, built once per process."""
     z = pauli("z")
     x = pauli("x")
     s = 1.0 / math.sqrt(2.0)
@@ -435,8 +450,8 @@ def _chsh_settings():
     v = HermitianOperator(s * (z.matrix - x.matrix), "V")
     one = identity(2)
     return tuple(
-        (key, a, b, sign, tensor(a, b, key),
-         (tensor(a, one, f"{a.label}I"), tensor(one, b, f"I{b.label}")))
+        _ChshSetting(key, a, b, sign, tensor(a, b, key),
+                     (tensor(a, one, f"{a.label}I"), tensor(one, b, f"I{b.label}")))
         for key, a, b, sign in (("ZW", z, w, 1.0), ("ZV", z, v, 1.0),
                                 ("XW", x, w, 1.0), ("XV", x, v, -1.0))
     )
@@ -458,14 +473,16 @@ def chsh_experiment(trials: int, seed: int, mode: str, sink=None) -> ChshReport:
         raise InvalidArgumentError("mode", f"mode must be 'product' or 'sequential', got {mode!r}")
     state = bell_state()
     if mode == "product":
-        labels = tuple(key for key, *_ in _chsh_settings())
+        labels = tuple(setting.key for setting in _chsh_settings())
     else:
-        labels = tuple(f"{key}/{op.label}" for key, *_, ops in _chsh_settings() for op in ops)
+        labels = tuple(f"{setting.key}/{op.label}" for setting in _chsh_settings()
+                       for op in setting.sides)
     correlators = {}
     s_value = 0.0
-    for k, (key, _, _, sign, joint, ops) in enumerate(_chsh_settings()):
+    for k, setting in enumerate(_chsh_settings()):
+        ops = setting.sides
         if mode == "product":
-            decomp = joint.spectrum()
+            decomp = setting.joint.spectrum()
             counts = tally(decomp, state, substream(seed, _CHSH_PRODUCT_TAG, k),
                            trials, sink, labels, k)
             # The values are exactly +-1 (see tensor), so every partial sum is
@@ -483,8 +500,8 @@ def chsh_experiment(trials: int, seed: int, mode: str, sink=None) -> ChshReport:
                     sink(Events(labels, case.repeat(len(ops)), len(ops) * k + steps.ravel(),
                                 cs.ravel(), values.ravel()))
             correlator = float(total) / trials
-        correlators[key] = correlator
-        s_value += sign * correlator
+        correlators[setting.key] = correlator
+        s_value += setting.sign * correlator
     return ChshReport(
         mode=mode,
         trials_per_setting=trials,

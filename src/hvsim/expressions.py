@@ -15,6 +15,8 @@ import numpy as np
 from .errors import (
     ComplexFactorError,
     DimensionMismatchError,
+    InvalidArgumentError,
+    InvalidIndexError,
     InvalidTypeError,
     MissingLeafValueError,
     NoncommutingLeavesError,
@@ -25,10 +27,12 @@ from .operators import (
     COMMUTE_TOL,
     HermitianOperator,
     commutator_norm,
+    complex_array,
     identity,
     identity_scalar,
     operators_equal,
     pauli,
+    reals,
     tensor,
 )
 
@@ -58,7 +62,8 @@ class _Children:
 
     def __init__(self, *children):
         if not children:
-            raise ValueError(f"{type(self).__name__} needs at least one child")
+            raise InvalidArgumentError("children",
+                                       f"{type(self).__name__} needs at least one child")
         self._children = tuple(_check_node(c) for c in children)
 
     children = property(lambda self: self._children)
@@ -76,7 +81,11 @@ class Scale:
     __slots__ = ("_factor", "_child")
 
     def __init__(self, factor, child):
-        self._factor = complex(factor)
+        number = complex_array(factor, "factor")
+        if number.ndim or not np.isfinite(number):
+            raise InvalidArgumentError("factor",
+                                       f"factor must be one finite number, got {factor!r}")
+        self._factor = complex(number)
         self._child = _check_node(child)
 
     factor = property(lambda self: self._factor)
@@ -119,7 +128,7 @@ class ObservableExpression:
         leaf_slots: dict[int, int] = {}
         self._collect(self._root, distinct, leaf_slots)
         if not distinct:
-            raise ValueError("expression contains no operator leaves")
+            raise InvalidArgumentError("root", "expression contains no operator leaves")
         dims = {op.dim for op in distinct}
         if len(dims) != 1:
             raise DimensionMismatchError(
@@ -213,10 +222,11 @@ def eval_operator(f: ObservableExpression) -> HermitianOperator:
     return f._operator
 
 
-def _by_leaf(f: ObservableExpression, readings) -> list:
-    """Each distinct leaf's readings, readings[..., k] for f.operators[k]:
-    floats from one row, columns from an (N, len(f.operators)) block."""
-    readings = np.asarray(readings, dtype=float)
+def _by_leaf(f: ObservableExpression, readings, name: str) -> list:
+    """Each distinct leaf's readings, finite reals (reals) named `name`,
+    readings[..., k] for f.operators[k]: floats from one row, columns from an
+    (N, len(f.operators)) block."""
+    readings = reals(readings, name)
     if readings.shape[-1:] != (len(f.operators),):
         raise MissingLeafValueError(f"readings {readings.shape} for {len(f.operators)} leaves")
     return readings.tolist() if readings.ndim == 1 else list(readings.T)
@@ -251,13 +261,13 @@ def eval_real(f: ObservableExpression, values) -> float:
     """Evaluate the expression numerically from one measured value per distinct
     leaf, values[k] for leaf f.operators[k], as in one row of eval_real_block.
     Scale factors must be real within 1e-12."""
-    return float(_walk(f, _by_leaf(f, values)))
+    return float(_walk(f, _by_leaf(f, values, "values")))
 
 
 def eval_real_block(f: ObservableExpression, readings) -> np.ndarray:
     """eval_real for every row of `readings`, an (N, len(f.operators)) array
     whose column k holds leaf f.operators[k]'s values; equal bit for bit."""
-    return np.array(_walk(f, _by_leaf(f, readings)), dtype=float)
+    return np.array(_walk(f, _by_leaf(f, readings, "readings")), dtype=float)
 
 
 class PeresMerminSquare:
@@ -277,7 +287,7 @@ class PeresMerminSquare:
     def __init__(self, grid):
         grid = tuple(tuple(row) for row in grid)
         if len(grid) != 3 or any(len(row) != 3 for row in grid):
-            raise ValueError("grid must be 3x3")
+            raise InvalidArgumentError("grid", "grid must be 3x3")
         self._grid = grid
         self._expressions = {
             axis: tuple(ObservableExpression.of_product(*line(i)) for i in (1, 2, 3))
@@ -288,8 +298,8 @@ class PeresMerminSquare:
         self._identity_deviation = max(gap for pairs in checked.values() for _, gap in pairs)
         expected = {"row": (1, 1, 1), "column": (1, 1, -1)}
         if self._values != expected:
-            raise ValueError(
-                f"row/column products {self.row_values}/{self.col_values} do not show"
+            raise InvalidArgumentError(
+                "grid", f"row/column products {self.row_values}/{self.col_values} do not show"
                 f" the expected parity pattern {expected}"
             )
 
@@ -319,17 +329,18 @@ class PeresMerminSquare:
 
     def forced_value(self, axis: str, index: int) -> int:
         """The scalar the given line's product is pinned to (+1 or -1)."""
-        if axis not in self._values:
-            raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+        if axis not in ("row", "column"):
+            raise InvalidArgumentError("axis", f"axis must be 'row' or 'column', got {axis!r}")
         return self._values[axis][_line_index(index)]
 
 
 def _line_index(index: int) -> int:
     """The 0-based position of line `index`. whole refuses a bool, a float or
-    a negative index, and any other integer but 1, 2 or 3 raises IndexError."""
+    a negative index, and any other integer but 1, 2 or 3 raises
+    InvalidIndexError, an IndexError."""
     index = whole(index, "index")
     if index not in (1, 2, 3):
-        raise IndexError(f"line index must be 1, 2 or 3, got {index}")
+        raise InvalidIndexError("index", f"line index must be 1, 2 or 3, got {index}")
     return index - 1
 
 
@@ -338,7 +349,8 @@ def _line_value(f: ObservableExpression) -> tuple[int, float]:
     scalar = identity_scalar(f.matrix)
     value = int(round(scalar))
     if abs(scalar - value) > 1e-12 or value not in (-1, 1):
-        raise ValueError(f"line product {f.describe()} is {scalar}, expected +1 or -1")
+        raise InvalidArgumentError("grid", f"line product {f.describe()} is {scalar},"
+                                   " expected +1 or -1")
     return value, abs(scalar - value)
 
 

@@ -39,6 +39,8 @@ from .operators import (
     amplitudes_of,
     as_state,
     is_unit,
+    real,
+    reals,
     whole,
 )
 
@@ -100,11 +102,13 @@ def draw_hidden_batch(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def hidden_scalar(c) -> float:
-    """`c` as a float strictly inside (0, 1), where hidden scalars lie; nan is not."""
-    c = float(c)
-    if not 0.0 < c < 1.0:
-        raise InvalidArgumentError("c", f"hidden scalar must lie strictly inside (0, 1), got {c!r}")
-    return c
+    """`c` as a float strictly inside (0, 1), where hidden scalars lie (real)."""
+    return real(c, "c", 0.0, 1.0)
+
+
+def _open_scalars(cs) -> np.ndarray:
+    """`cs` as a float array, every entry a hidden_scalar (reals)."""
+    return reals(cs, "c", 0.0, 1.0)
 
 
 def sweep(rng: np.random.Generator, trials: int, width: int, orders):
@@ -126,8 +130,11 @@ def sweep(rng: np.random.Generator, trials: int, width: int, orders):
 
 def case_slot(key, width: int) -> np.ndarray:
     """Replay one case from its key (seed, *path, case): the `width` uniforms
-    that case reads from substream(seed, *path)."""
+    that case reads from substream(seed, *path), `width` a whole number."""
     *path, case = key
+    width = whole(width, "width")
+    if not path:
+        raise InvalidArgumentError("key", f"a case key is (seed, *path, case), got {key!r}")
     rng = substream(*path)
     rng.bit_generator.advance(whole(case, "case index") * width)
     return draw_hidden_batch(rng, width)
@@ -177,7 +184,7 @@ class ScriptedUniforms:
 
     def random(self) -> float:
         if self._next >= len(self._values):
-            raise RuntimeError("scripted uniform sequence exhausted")
+            raise HiddenDrawError("scripted uniform sequence exhausted")
         v = self._values[self._next]
         self._next += 1
         return v
@@ -440,15 +447,6 @@ def predict_each(ops, hidden: HiddenState) -> list[float]:
     family = _family(tuple(ops))
     chosen = _pick(family.edges(amplitudes_of(hidden.state, family.dim)), hidden.c)
     return family.values[chosen, np.arange(len(chosen))].tolist()
-
-
-def _open_scalars(cs) -> np.ndarray:
-    """`cs` as floats, every one a hidden_scalar."""
-    cs = np.asarray(cs, dtype=float)
-    if cs.size:  # a nan reaches both ends
-        hidden_scalar(cs.min())
-        hidden_scalar(cs.max())
-    return cs
 
 
 def branch_indices(obs, state, cs) -> np.ndarray:

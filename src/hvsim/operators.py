@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import (DimensionMismatchError, EigensolverError, InvalidArgumentError,
-                     NonHermitianError)
+                     InvalidIndexError, NonHermitianError)
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -34,6 +34,62 @@ def whole(n, name: str, least: int | None = 0) -> int:
     return value
 
 
+def real(x, name: str, low: float = -math.inf, high: float = math.inf,
+         closed: bool = False) -> float:
+    """`x` as a float inside (low, high), or [low, high) if `closed`: the one
+    rule for a real argument (hidden scalars, theta, tolerances, outcome
+    values). A Python or numpy integer or float passes; a bool, a string, a
+    complex number or anything else is refused, and so are nan and +-inf,
+    which no open bound admits."""
+    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    try:
+        value = float(x) if number else math.nan
+    except OverflowError:  # an int beyond the largest float
+        value = math.inf
+    _check_bounds(value, x, name, low, high, closed)
+    return value
+
+
+def reals(xs, name: str, low: float = -math.inf, high: float = math.inf,
+          closed: bool = False) -> np.ndarray:
+    """`xs` as a float array whose every entry passes real's rule: an array of
+    integers or floats whose least and greatest entries pass it (a nan is
+    both). Any other dtype, bool and complex included, is refused."""
+    arr = np.asarray(xs)
+    if arr.dtype.kind not in "iuf":
+        _check_bounds(math.nan, arr.dtype, name, low, high, closed)
+    arr = arr.astype(float, copy=False)
+    for end in (float(arr.min()), float(arr.max())) if arr.size else ():
+        _check_bounds(end, end, name, low, high, closed)
+    return arr
+
+
+def _check_bounds(value: float, shown, name: str, low: float, high: float,
+                  closed: bool) -> None:
+    """Refuse `value`, read from `shown`, unless it lies inside (low, high),
+    or [low, high) if `closed`."""
+    if not (((low <= value) if closed else (low < value)) and value < high):
+        bounds = ("" if (low, high) == (-math.inf, math.inf)
+                  else f" in {'[' if closed else '('}{low:g}, {high:g})")
+        raise InvalidArgumentError(name, f"{name} must be a finite real number{bounds},"
+                                   f" got {shown!r}")
+
+
+def complex_array(values, name: str) -> np.ndarray:
+    """`values` as a complex array, a view where it already is one: the one
+    numeric conversion, for amplitudes (amplitudes_of), operator matrices and
+    scale factors. Integers, reals and complex numbers of one shape pass; a
+    string, a bool, None or a ragged sequence is refused."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "iufc":
+        raise InvalidArgumentError(name, f"{name} must be integer, real or complex numbers"
+                                   f" of one shape, got {values!r}")
+    return arr.astype(complex, copy=False)
+
+
 def is_unit(norm):
     """Whether a norm, or each of an array of norms, is 1 within NORM_TOL; nan is not."""
     return abs(norm - 1.0) <= NORM_TOL
@@ -41,25 +97,29 @@ def is_unit(norm):
 
 def amplitudes_of(state, dim: int | None = None) -> np.ndarray:
     """The amplitudes of `state`, a PureState or a sequence, as a complex
-    array; given `dim`, the one shape rule, which refuses any shape but (dim,)."""
-    amps = np.asarray(getattr(state, "amplitudes", state), dtype=complex)
+    array (complex_array); given `dim`, the one shape rule, which refuses any
+    shape but (dim,)."""
+    amps = complex_array(getattr(state, "amplitudes", state), "amplitudes")
     if dim is not None and amps.shape != (dim,):
         raise DimensionMismatchError(f"state of shape {amps.shape} does not match dimension {dim}")
     return amps
 
 
 class PureState:
-    """Unit-norm state vector; construction rejects unnormalized input."""
+    """Unit-norm state vector of a copy of `amplitudes` (amplitudes_of);
+    construction rejects unnormalized input."""
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        arr = np.array(amplitudes, dtype=complex)
+        arr = amplitudes_of(amplitudes).copy()
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("amplitudes must form a nonempty 1-d sequence")
+            raise InvalidArgumentError("amplitudes", "amplitudes must form a nonempty 1-d"
+                                       f" sequence, got shape {arr.shape}")
         norm = float(np.linalg.norm(arr))
         if not is_unit(norm):
-            raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
+            raise InvalidArgumentError("amplitudes", f"state norm {norm!r} deviates from 1"
+                                       f" by more than {NORM_TOL}")
         arr.setflags(write=False)
         self.amplitudes = arr
 
@@ -78,20 +138,20 @@ def as_state(state) -> PureState:
 
 
 def normalized(amplitudes) -> PureState:
-    """Scale a nonzero amplitude sequence to unit norm and wrap it."""
-    arr = np.array(amplitudes, dtype=complex)
+    """Scale a nonzero amplitude sequence (amplitudes_of) to unit norm and wrap it."""
+    arr = amplitudes_of(amplitudes)
     norm = float(np.linalg.norm(arr))
     if not 1e-12 <= norm < np.inf:  # nan fails too
-        raise ValueError(f"cannot normalize a vector of norm {norm!r}")
+        raise InvalidArgumentError("amplitudes", f"cannot normalize a vector of norm {norm!r}")
     return PureState(arr / norm)
 
 
 def basis_ket(dim: int, index: int) -> PureState:
     """Computational basis state |index> in C^dim, both whole numbers (whole);
-    an integer index outside [0, dim) raises IndexError."""
+    an integer index outside [0, dim) raises InvalidIndexError, an IndexError."""
     dim = whole(dim, "dim", least=1)
     if not 0 <= whole(index, "index", least=None) < dim:
-        raise IndexError(f"basis index {index} out of range for dimension {dim}")
+        raise InvalidIndexError("index", f"basis index {index} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return PureState(amps)
@@ -109,11 +169,7 @@ class HermitianOperator:
     __slots__ = ("_matrix", "_label", "_spectrum")
 
     def __init__(self, matrix, label: str | None = None):
-        arr = np.array(matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("operator matrix contains non-finite entries")
+        arr = _square_matrix(matrix).copy()
         deviation = float(np.max(np.abs(arr - arr.conj().T)))
         if deviation > HERMITICITY_TOL:
             raise NonHermitianError(
@@ -154,6 +210,17 @@ class HermitianOperator:
         return f"HermitianOperator({name}, dim={self.dim})"
 
 
+def _square_matrix(matrix) -> np.ndarray:
+    """`matrix` as a complex array (complex_array), refused unless it is a
+    nonempty square table of finite numbers."""
+    arr = complex_array(matrix, "matrix")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size < 1:
+        raise InvalidArgumentError("matrix", f"matrix must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("matrix", "matrix contains non-finite entries")
+    return arr
+
+
 def operators_equal(a: HermitianOperator, b: HermitianOperator) -> bool:
     """Frobenius distance <= EQUALITY_TOL; labels are for display only."""
     return a.dim == b.dim and float(np.linalg.norm(a.matrix - b.matrix)) <= EQUALITY_TOL
@@ -167,10 +234,10 @@ _PAULI_MATRICES = {
 
 
 def pauli(axis: str) -> HermitianOperator:
-    """Single-qubit Pauli operator for axis 'x', 'y' or 'z'."""
-    key = axis.lower()
+    """Single-qubit Pauli operator for axis 'x', 'y' or 'z' (either case)."""
+    key = axis.lower() if isinstance(axis, str) else None
     if key not in _PAULI_MATRICES:
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected one of x, y, z")
+        raise InvalidArgumentError("axis", f"unknown Pauli axis {axis!r}, expected one of x, y, z")
     return HermitianOperator(_PAULI_MATRICES[key], key.upper())
 
 
@@ -232,7 +299,7 @@ class SpectralDecomposition:
             arr.setflags(write=False)
         self._values, self._vectors, self._offsets = values, vectors, offsets
         self._block_of_column = block_of_column
-        self._degeneracy_tol = float(degeneracy_tol)
+        self._degeneracy_tol = real(degeneracy_tol, "degeneracy_tol", 0.0, closed=True)
         self._label = label
 
     # Read-only, like HermitianOperator's fields: an operator's cached
@@ -267,8 +334,8 @@ class SpectralDecomposition:
 
     def branch_index(self, value: float) -> int | None:
         """Index of the branch whose eigenvalue is within
-        max(degeneracy_tol, 1e-9) of `value`, or None."""
-        gaps = np.abs(self.values - float(value))
+        max(degeneracy_tol, 1e-9) of `value`, a real number (real), or None."""
+        gaps = np.abs(self.values - real(value, "value"))
         i = int(np.argmin(gaps))
         return i if gaps[i] <= max(self.degeneracy_tol, 1e-9) else None
 
@@ -284,16 +351,15 @@ def spectral(a: HermitianOperator,
     The default tolerance scales with the operator: 1e-9 * max(1, ||a||_F).
     Consecutive gaps at or below the tolerance are chained into one group;
     each branch takes the group's mean eigenvalue and its eigenvector columns.
-    A given tolerance must be a finite number of at least 0: nan would merge
-    every branch into one whose mean is no eigenvalue, as would inf, and a
-    negative one would split an eigenspace along the eigensolver's basis.
-    The eigensolver guarantees the invariants, so nothing is re-checked.
+    A given tolerance must be a finite real number of at least 0 (real): nan
+    would merge every branch into one whose mean is no eigenvalue, as would
+    inf, and a negative one would split an eigenspace along the eigensolver's
+    basis. The eigensolver guarantees the invariants, so nothing is re-checked.
     """
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * max(1.0, float(np.linalg.norm(a.matrix)))
-    elif isinstance(degeneracy_tol, bool) or not 0.0 <= degeneracy_tol < math.inf:
-        raise InvalidArgumentError("degeneracy_tol", "degeneracy_tol must be a finite number"
-                                   f" of at least 0, got {degeneracy_tol!r}")
+    else:
+        degeneracy_tol = real(degeneracy_tol, "degeneracy_tol", 0.0, closed=True)
     try:
         eigenvalues, vectors = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
@@ -306,14 +372,15 @@ def spectral(a: HermitianOperator,
 
 
 def identity_scalar(matrix) -> float:
-    """The s with matrix == s*I within 1e-12, or ValueError if there is none."""
-    arr = np.asarray(matrix, dtype=complex)
+    """The s with matrix == s*I within 1e-12, for a finite square matrix, or
+    InvalidArgumentError (a ValueError) if there is none."""
+    arr = _square_matrix(matrix)
     dim = arr.shape[0]
     s = complex(np.trace(arr)) / dim
     if float(np.linalg.norm(arr - s * np.eye(dim))) > 1e-12:
-        raise ValueError("matrix is not a scalar multiple of the identity")
+        raise InvalidArgumentError("matrix", "matrix is not a scalar multiple of the identity")
     if abs(s.imag) > 1e-12:
-        raise ValueError("identity coefficient has a nonzero imaginary part")
+        raise InvalidArgumentError("matrix", "identity coefficient has a nonzero imaginary part")
     return float(s.real)
 
 
@@ -324,8 +391,7 @@ def phase_distance(a, b) -> float:
     phases and subtracts directly; the analytically equal sqrt(2 - 2|o|) form
     cannot resolve distances below sqrt(machine epsilon).
     """
-    x = a.amplitudes if isinstance(a, PureState) else np.asarray(a, dtype=complex)
-    y = b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex)
+    x, y = amplitudes_of(a), amplitudes_of(b)
     if x.shape != y.shape:
         raise DimensionMismatchError("states differ in dimension")
     overlap = np.vdot(y, x)
@@ -347,9 +413,13 @@ def haar_amplitudes(uniforms) -> np.ndarray:
     Each pair (u, v) of a row becomes sqrt(-2 ln u) exp(2 pi i v), whose real
     and imaginary parts are independent standard normals (Box-Muller); a
     normalised row of them is a Haar-random state, as in haar_state.
-    Shape (..., 2d) -> (..., d).
+    Shape (..., 2d) -> (..., d), d at least 1; every uniform passes real's
+    rule for (0, 1) (reals), so no amplitude is 0 and no row's norm is.
     """
-    u = np.asarray(uniforms, dtype=float)
+    u = reals(uniforms, "uniforms", 0.0, 1.0)
+    if u.ndim < 1 or u.shape[-1] < 2 or u.shape[-1] % 2:
+        raise InvalidArgumentError("uniforms", "uniforms must come two per amplitude along"
+                                   f" their last axis, got shape {u.shape}")
     z = np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.exp(2j * np.pi * u[..., 1::2])
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
@@ -377,10 +447,10 @@ def commuting_family(spectra, rng: np.random.Generator) -> list[HermitianOperato
 
     Each row of `spectra` lists the eigenvalues (in that shared basis) of one
     returned operator, so the family is mutually commuting by construction.
-    The table's operator count and dimension are whole numbers of at least 1
-    (whole).
+    The table's entries are finite reals (reals), and its operator count and
+    dimension whole numbers of at least 1 (whole).
     """
-    spectra = np.atleast_2d(np.asarray(spectra, dtype=float))
+    spectra = np.atleast_2d(reals(spectra, "spectra"))
     if spectra.ndim != 2:
         raise InvalidArgumentError("spectra", "spectra must be a table of one row per operator,"
                                    f" got shape {spectra.shape}")
@@ -395,6 +465,6 @@ def commuting_family(spectra, rng: np.random.Generator) -> list[HermitianOperato
 
 def amplitude_pairs(amplitudes) -> list[list[float]]:
     """[[re, im], ...] encoding used by the JSON serializers."""
-    arr = np.ascontiguousarray(amplitudes, dtype=complex)
+    arr = np.ascontiguousarray(amplitudes_of(amplitudes))
     return arr.view(np.float64).reshape(-1, 2).tolist()
 

@@ -15,6 +15,7 @@ from hvsim import consistency
 from hvsim import (
     DimensionMismatchError,
     HermitianOperator,
+    HiddenDrawError,
     HiddenState,
     HvsimError,
     InvalidArgumentError,
@@ -144,8 +145,9 @@ class TestWeakFC:
         values = [step["value"] for step in report.details["steps"]]
         assert labels == ["ZZ", "YY", "XX"]
         assert values == [1.0, -1.0, 1.0]
-        with pytest.raises(RuntimeError):  # every scripted scalar was read
+        with pytest.raises(RuntimeError) as exhausted:  # every scripted scalar was read
             script.random()
+        assert isinstance(exhausted.value, HiddenDrawError)
 
     def test_every_order_gives_minus_one(self):
         f = column3_expression()
@@ -199,8 +201,9 @@ class TestWeakFC:
                                (0,), script)
         assert report.holds
         assert report.lhs_value == report.rhs_value == -1.0
-        with pytest.raises(RuntimeError):  # every scripted scalar was read
+        with pytest.raises(RuntimeError) as exhausted:  # every scripted scalar was read
             script.random()
+        assert isinstance(exhausted.value, HiddenDrawError)
 
 
 class TestVerifyProposition:

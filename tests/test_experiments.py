@@ -14,6 +14,7 @@ from conftest import Blocks, refuse_events, rows_of
 from hvsim import (
     HermitianOperator,
     InvalidArgumentError,
+    OutcomeNotFoundError,
     HiddenState,
     LineProductReport,
     Leaf,
@@ -126,16 +127,18 @@ class TestStatReport:
         )
 
     def test_frequencies_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             self.make({-1.0: 0.5, 1.0: 0.4})
+        assert refused.value.argument == "outcome_frequencies"
 
     def test_nearest_key_lookup(self):
         report = self.make({-1.0: 0.3, 1.0: 0.7})
         # Keys arrive as floats from eigensolves, so lookup tolerates jitter.
         assert report.frequency(1.0 + 1e-12) == 0.7
         assert report.expected(-1.0) == 0.5
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as refused:
             report.frequency(0.0)
+        assert isinstance(refused.value, OutcomeNotFoundError)
 
     def test_dict_uses_formatted_keys(self):
         payload = self.make({-1.0: 0.3, 1.0: 0.7}).as_dict()
@@ -436,8 +439,9 @@ class TestLineProduct:
     def test_validation(self):
         with pytest.raises(ValueError):
             column_product_experiment(trials=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             column_product_experiment(axis="diagonal")
+        assert refused.value.argument == "axis"
 
     def test_failing_cases_are_counted(self):
         # The counts a report derives from trials, permutation_count and passes.

@@ -10,6 +10,7 @@ from hvsim import (
     DimensionMismatchError,
     HermitianOperator,
     InvalidArgumentError,
+    InvalidIndexError,
     InvalidTypeError,
     Leaf,
     MissingLeafValueError,
@@ -77,10 +78,12 @@ class TestNodes:
         assert isinstance(refused.value, InvalidTypeError)
 
     def test_sum_and_product_require_children(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             Sum()
-        with pytest.raises(ValueError):
+        assert refused.value.argument == "children"
+        with pytest.raises(ValueError) as refused:
             Product()
+        assert refused.value.argument == "children"
 
     def test_children_must_be_nodes(self):
         for call in (lambda: Sum(pauli("z")), lambda: Product(Leaf(pauli("z")), 2.0),
@@ -272,10 +275,12 @@ class TestPeresMerminSquare:
     def test_forced_values(self):
         assert self.square.forced_value("row", 2) == 1
         assert self.square.forced_value("column", 3) == -1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             self.square.forced_value("diagonal", 1)
-        with pytest.raises(IndexError):
+        assert refused.value.argument == "axis"
+        with pytest.raises(IndexError) as refused:
             self.square.forced_value("row", 0)
+        assert isinstance(refused.value, InvalidIndexError)
 
     # The one integer rule, whole, refuses a bool or a float; it and the
     # range check guard every line accessor.
@@ -329,8 +334,9 @@ class TestPeresMerminSquare:
         assert self.square.cols[2].label == "(XX*YY*ZZ)"
 
     def test_grid_must_be_three_by_three(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             PeresMerminSquare(self.square.grid[:2])
+        assert refused.value.argument == "grid"
 
     def test_noncommuting_line_rejected(self):
         grid = [list(row) for row in self.square.grid]
@@ -342,22 +348,26 @@ class TestPeresMerminSquare:
         # II commutes with every cell, but leaves row 1 with XI*XX = IX.
         grid = [list(row) for row in self.square.grid]
         grid[0][0] = tensor(identity(2), identity(2), "II")
-        with pytest.raises(ValueError, match="not a scalar multiple of the identity"):
+        with pytest.raises(ValueError, match="not a scalar multiple of the identity") as refused:
             PeresMerminSquare(grid)
+        assert isinstance(refused.value, InvalidArgumentError)
 
     def test_line_product_of_another_scalar_rejected(self):
         grid = [list(row) for row in self.square.grid]
         grid[0][0] = HermitianOperator(2 * grid[0][0].matrix, "2IX")
-        with pytest.raises(ValueError, match=r"\(2IX\*XI\*XX\) is 2.0, expected \+1 or -1"):
+        with pytest.raises(ValueError,
+                           match=r"\(2IX\*XI\*XX\) is 2.0, expected \+1 or -1") as refused:
             PeresMerminSquare(grid)
+        assert refused.value.argument == "grid"
 
     def test_wrong_parity_pattern_rejected(self):
         # Negating the corner cell flips the row-3 and column-3 products,
         # which moves the odd line to the rows.
         grid = [list(row) for row in self.square.grid]
         grid[2][2] = HermitianOperator(-grid[2][2].matrix, "negZZ")
-        with pytest.raises(ValueError, match="parity pattern"):
+        with pytest.raises(ValueError, match="parity pattern") as refused:
             PeresMerminSquare(grid)
+        assert refused.value.argument == "grid"
 
 
 class TestImplicationsTriple:

@@ -104,8 +104,9 @@ class TestRandomness:
         script = ScriptedUniforms([0.25, 0.75])
         assert script.random() == 0.25
         assert script.random() == 0.75
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as exhausted:
             script.random()
+        assert isinstance(exhausted.value, HiddenDrawError)
         with pytest.raises(ValueError):
             ScriptedUniforms([0.0])
         with pytest.raises(ValueError):
@@ -156,8 +157,9 @@ class TestNanInputs:
     def test_refused(self, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as refused:
                 NAN_CASES[name]()
+            assert isinstance(refused.value, InvalidArgumentError)
 
     def test_select_on_raw_amplitudes(self):
         with warnings.catch_warnings():
@@ -330,8 +332,9 @@ class TestMeasure:
         assert record.c_used == 0.3
         assert record.value == -1.0
         assert after.c == 0.9
-        with pytest.raises(RuntimeError):  # the re-arm read the one scripted scalar
+        with pytest.raises(RuntimeError) as exhausted:  # the re-arm read the one scripted scalar
             script.random()
+        assert isinstance(exhausted.value, HiddenDrawError)
         np.testing.assert_allclose(after.state.amplitudes, [0.0, 1.0], atol=1e-12)
 
     def test_one_draw_per_event(self):
@@ -340,8 +343,9 @@ class TestMeasure:
         op = tensor(pauli("x"), pauli("x"), "XX")
         _, hs = measure(op, hs, script)
         _, hs = measure(op, hs, script)
-        with pytest.raises(RuntimeError):  # two events read two scalars
+        with pytest.raises(RuntimeError) as exhausted:  # two events read two scalars
             script.random()
+        assert isinstance(exhausted.value, HiddenDrawError)
 
     def test_record_label_falls_back_to_operator_label(self):
         record, _ = measure(pauli("z"), HiddenState(basis_ket(2, 0), 0.5),

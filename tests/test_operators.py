@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvsim.errors import (DimensionMismatchError, EigensolverError, InvalidArgumentError,
-                          NonHermitianError)
+                          InvalidIndexError, NonHermitianError)
 from hvsim.experiments import _chsh_settings
 from hvsim.expressions import peres_mermin
 from hvsim.operators import (
@@ -59,35 +59,52 @@ class TestStates:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    # A refused state raises InvalidArgumentError naming `amplitudes`, a
+    # ValueError still.
     def test_state_rejects_empty_and_matrix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             PureState([])
-        with pytest.raises(ValueError):
+        assert refused.value.argument == "amplitudes"
+        with pytest.raises(ValueError) as refused:
             PureState([[1, 0], [0, 1]])
+        assert refused.value.argument == "amplitudes"
 
     def test_pure_state_requires_unit_norm(self):
         PureState([1.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             PureState([1.0, 1.0])
-        with pytest.raises(ValueError):
+        assert refused.value.argument == "amplitudes"
+        with pytest.raises(ValueError) as refused:
             PureState([0.5, 0.5])
+        assert refused.value.argument == "amplitudes"
+
+    def test_state_copies_its_amplitudes(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        state = PureState(amps)
+        amps[0] = 0.0
+        assert state.amplitudes.tolist() == [1.0, 0.0]
+        assert amps.flags.writeable
 
     def test_normalized_scales(self):
         state = normalized([3.0, 4.0])
         np.testing.assert_allclose(state.amplitudes, [0.6, 0.8])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             normalized([0.0, 0.0])
+        assert refused.value.argument == "amplitudes"
 
     def test_basis_ket(self):
         state = basis_ket(4, 1)
         np.testing.assert_array_equal(state.amplitudes, [0, 1, 0, 0])
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as refused:
             basis_ket(4, 4)
+        assert isinstance(refused.value, InvalidIndexError)
         with pytest.raises(IndexError):
             basis_ket(4, -1)
         for index in (-5, 2**70):  # any integer out of range, however far
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError) as refused:
                 basis_ket(4, index)
+            assert isinstance(refused.value, InvalidIndexError)
+            assert refused.value.argument == "index"
         np.testing.assert_array_equal(basis_ket(np.int64(3), np.int8(2)).amplitudes, [0, 0, 1])
         with pytest.raises(ValueError):
             basis_ket(0, 0)
@@ -103,8 +120,9 @@ class TestStates:
         assert as_state(state) is state
         assert as_state([0.0, 1.0]).amplitudes.tolist() == state.amplitudes.tolist()
         for bad in ([[1.0, 0.0]], [], [0.5, 0.5]):  # not a 1-d unit vector
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as refused:
                 as_state(bad)
+            assert isinstance(refused.value, InvalidArgumentError)
 
 
 # Each function that takes a dimension, called with it and a fresh generator.
@@ -147,10 +165,12 @@ class TestHermitianOperator:
             HermitianOperator([[0, 1], [2, 0]])
 
     def test_rejects_non_square_and_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             HermitianOperator([[1, 0, 0], [0, 1, 0]])
-        with pytest.raises(ValueError):
+        assert refused.value.argument == "matrix"
+        with pytest.raises(ValueError) as refused:
             HermitianOperator([[np.nan, 0], [0, 1]])
+        assert refused.value.argument == "matrix"
 
     def test_expectation(self):
         assert pauli("z").expectation(basis_ket(2, 0)) == pytest.approx(1.0)
@@ -173,8 +193,9 @@ class TestPauliAndTensor:
         np.testing.assert_array_equal(pauli("y").matrix, Y_MATRIX)
         np.testing.assert_array_equal(pauli("z").matrix, Z_MATRIX)
         assert pauli("X").label == "X"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             pauli("w")
+        assert refused.value.argument == "axis"
 
     def test_pauli_algebra(self):
         for axis in "xyz":
@@ -437,8 +458,9 @@ class TestSpectral:
 class TestScalarAndPhase:
     def test_identity_scalar(self):
         assert identity_scalar(2.5 * np.eye(3)) == pytest.approx(2.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             identity_scalar(np.diag([1.0, 2.0]))
+        assert refused.value.argument == "matrix"
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000), st.floats(0.0, 2 * np.pi))
