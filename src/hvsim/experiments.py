@@ -138,13 +138,17 @@ class StatReport:
 
 
 def _nearest_value(mapping: dict, value: float) -> float:
-    """The entry of `mapping` whose outcome is within VALUE_TOL of `value`, a
-    real number (real), or OutcomeNotFoundError, a KeyError."""
-    value = real(value, "value")
+    """The entry of `mapping` whose outcome is within VALUE_TOL of `value`, or
+    OutcomeNotFoundError, a KeyError: also for a value real refuses (nan,
+    +-inf, a bool, a string), which lies near no outcome."""
+    try:
+        x = real(value, "value")
+    except InvalidArgumentError:
+        x = math.nan  # every gap is nan, so the lookup misses
     best = None
     best_gap = math.inf
     for key, entry in mapping.items():
-        gap = abs(key - value)
+        gap = abs(key - x)
         if gap < best_gap:
             best, best_gap = entry, gap
     if best is None or best_gap > VALUE_TOL:

@@ -9,6 +9,7 @@ immutable after construction (arrays are marked read-only).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -38,41 +39,38 @@ def real(x, name: str, low: float = -math.inf, high: float = math.inf,
          closed: bool = False) -> float:
     """`x` as a float inside (low, high), or [low, high) if `closed`: the one
     rule for a real argument (hidden scalars, theta, tolerances, outcome
-    values). A Python or numpy integer or float passes; a bool, a string, a
-    complex number or anything else is refused, and so are nan and +-inf,
-    which no open bound admits."""
-    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    values). A real number (numbers.Real: Python and numpy ints and floats,
+    Fractions) passes; a bool, a string, a complex number or anything else is
+    refused, and so are nan and +-inf, which no open bound admits."""
+    # float and int first: numbers.Real's own check is the slow one.
+    number = not isinstance(x, bool) and isinstance(x, (float, int, numbers.Real))
     try:
         value = float(x) if number else math.nan
-    except OverflowError:  # an int beyond the largest float
+    except OverflowError:  # a number beyond the largest float
         value = math.inf
-    _check_bounds(value, x, name, low, high, closed)
-    return value
-
-
-def reals(xs, name: str, low: float = -math.inf, high: float = math.inf,
-          closed: bool = False) -> np.ndarray:
-    """`xs` as a float array whose every entry passes real's rule: an array of
-    integers or floats whose least and greatest entries pass it (a nan is
-    both). Any other dtype, bool and complex included, is refused."""
-    arr = np.asarray(xs)
-    if arr.dtype.kind not in "iuf":
-        _check_bounds(math.nan, arr.dtype, name, low, high, closed)
-    arr = arr.astype(float, copy=False)
-    for end in (float(arr.min()), float(arr.max())) if arr.size else ():
-        _check_bounds(end, end, name, low, high, closed)
-    return arr
-
-
-def _check_bounds(value: float, shown, name: str, low: float, high: float,
-                  closed: bool) -> None:
-    """Refuse `value`, read from `shown`, unless it lies inside (low, high),
-    or [low, high) if `closed`."""
     if not (((low <= value) if closed else (low < value)) and value < high):
         bounds = ("" if (low, high) == (-math.inf, math.inf)
                   else f" in {'[' if closed else '('}{low:g}, {high:g})")
         raise InvalidArgumentError(name, f"{name} must be a finite real number{bounds},"
-                                   f" got {shown!r}")
+                                   f" got {x!r}")
+    return value
+
+
+def reals(xs, name: str, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
+    """`xs` as a float array whose every entry passes real's rule for (low,
+    high): an array of integers or floats whose least and greatest entries
+    pass it (a nan is both). A ragged sequence and any other dtype, bool,
+    complex and object included, are refused."""
+    try:
+        arr = np.asarray(xs)
+    except ValueError:  # a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        real(xs if arr is None else arr, name, low, high)  # refuses: no real number
+    arr = arr.astype(float, copy=False)
+    for end in (float(arr.min()), float(arr.max())) if arr.size else ():
+        real(end, name, low, high)
+    return arr
 
 
 def complex_array(values, name: str) -> np.ndarray:

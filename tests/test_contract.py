@@ -41,7 +41,8 @@ NOT_COUNTS = NOT_INTEGERS + (-1,)  # a whole number of at least 0
 NOT_POSITIVE = NOT_COUNTS + (0,)  # a whole number of at least 1
 NOT_REALS = (True, "0.4", 1j, NAN, INF, -INF, 10**400)
 NOT_SCALARS = NOT_REALS + (0.0, 1.0, -0.5, 1.5)  # a hidden scalar, inside (0, 1)
-NOT_SCALAR_ARRAYS = ([True], ["0.4"], [1j], [NAN], [INF], [0.0], [1.0], [0.5, -0.5])
+NOT_SCALAR_ARRAYS = ([True], ["0.4"], [1j], [NAN], [INF], [0.0], [1.0], [0.5, -0.5],
+                     [[0.5], [0.5, 0.5]])
 NOT_AMPLITUDES = ("ab", [None, 1.0], [[1.0], [1.0, 0.0]], [True, False])
 NOT_STATES = NOT_AMPLITUDES + ([], [[1.0, 0.0]], [1.0, 1.0], [NAN, 0.0], [INF, 0.0])
 NOT_MATRICES = ("x", [[1, "a"], ["a", 1]], [[1], [1, 0]], [[True, False], [False, True]],
@@ -94,7 +95,7 @@ ROWS = {
     "basis_ket": varied((2, 0), 0, NOT_POSITIVE) + varied((2, 0), 1, NOT_INTEGERS + (2, -1)),
     "commutator_norm": [bad(Z, identity(4))],
     "commuting_family": varied((None, rng()), 0, (
-        [["a"]], [[NAN, 1.0]], [[INF]], [[True]], [[1j]], [], [[[1.0]]])),
+        [["a"]], [[NAN, 1.0]], [[INF]], [[True]], [[1j]], [], [[[1.0]]], [[1.0], [1.0, 2.0]])),
     "haar_amplitudes": varied((None,), 0, NOT_SCALAR_ARRAYS + (
         [0.0, 0.5], [0.5], 0.5, [[0.5, 0.5, 0.5]], np.empty((2, 0)))),
     "haar_state": varied((2, rng()), 0, NOT_POSITIVE),
@@ -143,9 +144,10 @@ ROWS = {
     "eval_operator": [],
     "eval_real": varied((COLUMN3, None), 1, (
         ["a", "b", "c"], [NAN, 1.0, 1.0], [INF, 1.0, 1.0], [True, True, True],
-        [1j, 1.0, 1.0], [1.0, 1.0])),
+        [1j, 1.0, 1.0], [1.0, 1.0], [1.0, [1.0, 1.0], 1.0])),
     "eval_real_block": varied((COLUMN3, None), 1, (
-        [["a", "b", "c"]], [[NAN, 1.0, 1.0]], [[1.0, 1.0, -INF]], [[True] * 3], [[1.0, 1.0]])),
+        [["a", "b", "c"]], [[NAN, 1.0, 1.0]], [[1.0, 1.0, -INF]], [[True] * 3], [[1.0, 1.0]],
+        [[1.0, 1.0, 1.0], [1.0, 1.0]])),
     "implications_operators": [],
     "peres_mermin": [],
     # consistency

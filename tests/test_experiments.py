@@ -140,6 +140,15 @@ class TestStatReport:
             report.frequency(0.0)
         assert isinstance(refused.value, OutcomeNotFoundError)
 
+    # A value the real rule refuses lies near no outcome: still a KeyError.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1.0"])
+    def test_a_value_that_is_no_real_is_not_found(self, value):
+        report = self.make({-1.0: 0.3, 1.0: 0.7})
+        for lookup in (report.frequency, report.expected):
+            with pytest.raises(OutcomeNotFoundError) as refused:
+                lookup(value)
+            assert isinstance(refused.value, KeyError)
+
     def test_dict_uses_formatted_keys(self):
         payload = self.make({-1.0: 0.3, 1.0: 0.7}).as_dict()
         assert set(payload["outcome_frequencies"]) == {"-1", "1"}

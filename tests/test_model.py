@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -947,6 +948,15 @@ class TestEdgeCountSelection:
         for rule in (branch_indices, sequence):
             with pytest.raises(ValueError):
                 rule(pauli("z"), basis_ket(2, 0), cs)
+
+    def test_ragged_scalars_are_rejected(self):
+        with pytest.raises(InvalidArgumentError) as refused:
+            run_sequence([pauli("z")], basis_ket(2, 0), [[0.5], [0.5, 0.5]])
+        assert refused.value.argument == "c"
+
+    def test_any_real_number_is_a_hidden_scalar(self):
+        for c in (Fraction(2, 5), np.float32(0.4), np.float64(0.4)):
+            assert HiddenState(basis_ket(2, 0), c).c == float(c)
 
     def test_empty_scalars_are_accepted(self):
         state = normalized([1.0, 1.0])
