@@ -200,10 +200,14 @@ def born_scenario_sweep(count: int, trials: int, seed: int) -> list[StatReport]:
 
     Scenario k draws its dimension, state, observable and child seed from
     substream (seed, sweep-tag, k), so single scenarios can be replayed in
-    isolation.
+    isolation. `trials` and `seed` are read before the first scenario, so a
+    count of 0 refuses them as any other count does.
     """
+    count = whole(count, "count")
+    trials = whole(trials, "trials", least=1)
+    seed = whole(seed, "seed")
     reports = []
-    for k in range(whole(count, "count")):
+    for k in range(count):
         rng = substream(seed, _SWEEP_TAG, k)
         dim = int(rng.integers(2, 9))  # 2 to 8
         state = haar_state(dim, rng)

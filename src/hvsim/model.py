@@ -247,24 +247,29 @@ class Events:
         """Yield the block's rows of the report under CSV_HEADER, SWEEP_BLOCK
         rows per string: the only CSV renderer.
 
-        A string is one join of one flat list, four cells a row: the case
-        index; the setting's label between its commas, quoted once by the csv
-        module; the repr of c; and the repr of the value with the line end.
-        value holds few distinct numbers, so each distinct bit pattern is
-        formatted once; bits, unlike float equality, keep -0.0 apart from 0.0.
+        A string is one byte table, a row per event, compacted by one mask
+        and decoded once. A row's fields are the case index's digits; the
+        setting's label between its commas, quoted once by the csv module;
+        c as repr writes it (_c_text); and the repr of the value with the
+        line end. value holds few distinct numbers, so each distinct bit
+        pattern is formatted once; bits, unlike float equality, keep -0.0
+        apart from 0.0. Each field is a (table, keep) pair: its bytes in
+        columns, and which of them the row writes.
         """
-        labels = [f",{_csv_field(label)}," for label in self.labels]
+        labels = _text_table([f",{_csv_field(label)}," for label in self.labels])
         value = np.asarray(self.value, dtype=float)
         for first in range(0, len(value), SWEEP_BLOCK):
             block = slice(first, first + SWEEP_BLOCK)
             bits, which = np.unique(value[block].view(np.int64), return_inverse=True)
-            shown = [f",{v!r}\n" for v in bits.view(float).tolist()]
-            cells = [""] * (4 * len(which))
-            cells[0::4] = map(str, self.case[block].tolist())
-            cells[1::4] = map(labels.__getitem__, self.setting[block].tolist())
-            cells[2::4] = map(repr, self.c[block].tolist())
-            cells[3::4] = map(shown.__getitem__, which.tolist())
-            yield "".join(cells)
+            shown = _text_table([f",{v!r}\n" for v in bits.view(float).tolist()])
+            setting = np.asarray(self.setting[block])
+            fields = [_case_text(self.case[block]),
+                      [part.take(setting, axis=0) for part in labels],
+                      *_c_text(self.c[block]),
+                      [part.take(which, axis=0) for part in shown]]
+            table, keep = (np.concatenate(parts, axis=1) for parts in zip(*fields))
+            yield np.compress(keep.ravel(), table.ravel()).tobytes().decode(
+                "utf-8", "surrogatepass")
 
 
 def _csv_field(text: str) -> str:
@@ -273,6 +278,131 @@ def _csv_field(text: str) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow((text, ""))
     return buffer.getvalue()[:-2]  # drop the empty second field's ",\n"
+
+
+def _text_table(texts) -> tuple[np.ndarray, np.ndarray]:
+    """(table, keep) of strings: row i holds the UTF-8 bytes of texts[i],
+    and keep marks as many of its first columns as it has bytes. The widths
+    are kept rather than read from NUL padding, since a label may hold NUL."""
+    data = [text.encode("utf-8", "surrogatepass") for text in texts]
+    widths = np.array([len(d) for d in data], dtype=np.intp)
+    width = max(1, widths.max(initial=0))
+    table = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
+    return table, np.arange(width) < widths[:, None]
+
+
+@functools.cache
+def _digit_pairs() -> np.ndarray:
+    """The ASCII bytes of "00" to "99", one pair to an element."""
+    return np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+
+
+def _digits(n: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` decimal digits of each non-negative integer in `n`,
+    most significant first, as an (N, width) table of ASCII bytes: two digits
+    per division, their bytes taken from _digit_pairs."""
+    index = np.empty((-(-width // 2), len(n)), dtype=np.intp)
+    for row in index[::-1]:
+        higher = n // 100
+        row[:] = n - 100 * higher
+        n = higher
+    table = _digit_pairs().take(index.T).view(np.uint8)
+    return table[:, table.shape[1] - width:]
+
+
+def _case_text(case) -> tuple[np.ndarray, np.ndarray]:
+    """(table, keep) of str(case) for each case: its digits less leading
+    zeros for a non-negative integer, str() for anything else."""
+    case = np.asarray(case)
+    if case.dtype.kind not in "iu" or case.min(initial=0) < 0:
+        return _text_table(map(str, case.tolist()))
+    table = _digits(case, len(str(case.max(initial=0))))
+    keep = np.logical_or.accumulate(table != ord("0"), axis=1)
+    keep[:, -1] = True  # 0 is written "0"
+    return table, keep
+
+
+def _c_text(c) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Two (table, keep) fields holding repr(c) for each c between them:
+    "0." and the digits _shortest_digits gives for a float64 c in [1e-4, 1),
+    where repr writes no exponent, or repr itself for every other c."""
+    c = np.asarray(c)
+    fast = ((c >= 1e-4) & (c < 1.0) if c.dtype == np.float64
+            else np.zeros(c.shape, dtype=bool))
+    n, places = _shortest_digits(np.where(fast, c, 0.5))
+    width = places.max()
+    table = np.empty((len(c), 2 + width), dtype=np.uint8)
+    table[:, :2] = np.frombuffer(b"0.", dtype=np.uint8)
+    table[:, 2:] = _digits(n, width)
+    keep = np.empty(table.shape, dtype=bool)
+    keep[:, :2] = fast[:, None]
+    keep[:, 2:] = fast[:, None] & (np.arange(width) >= width - places[:, None])  # zfill(places)
+    slow = np.flatnonzero(~fast)
+    shown, shown_keep = _text_table(map(repr, c[slow].tolist()))
+    other = np.zeros((len(c), shown.shape[1]), dtype=np.uint8)
+    other_keep = np.zeros(other.shape, dtype=bool)
+    other[slow], other_keep[slow] = shown, shown_keep
+    return (table, keep), (other, other_keep)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly: Dekker's product,
+    each factor split into two 26-bit halves."""
+    def split(v):
+        t = 134217729.0 * v  # 2**27 + 1
+        high = t - (t - v)
+        return high, v - high
+    p = a * b
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, places), int64 arrays, with repr(x[i]) == "0." +
+    str(n[i]).zfill(places[i]) for every float x[i] in [1e-4, 1): Python's
+    shortest round-trip repr, computed exactly in float64 and int64.
+
+    With 10**a chosen so that v = x * 10**a lies in [1e16, 1e17), v is held
+    exactly as an int64 whole part and a float fraction. The reals that read
+    back as x lie within half an ulp of it; scaled by 10**a, the half-ulp is
+    the exact float h = ldexp(10**a, e - 54), below 12. repr writes the
+    multiple of the largest 10**k in (v - h, v + h) that lies nearest v, a
+    tie going to the even one; the nearest lies inside, as the interval is
+    symmetric about v.
+
+    Here, with x = m * 2**(e - 53), v +- h = 5**a * 2**(a + e - 54) * (2m +- 1)
+    and a + e - 54 < 0, so the interval's ends are never integers: whether
+    an end reads back as x never decides. Nor does the narrower gap below a
+    power of two 2**-j (j <= 13): v = 5**j * 10**(a - j) is then itself the
+    multiple written, as no multiple of 10**(a - j + 1) lies within
+    10**(a - j) >= 10**7 of it.
+    """
+    # 1e-3, 1e-2 and 0.1 are each the float just above its power of ten, so
+    # x >= 10**-j exactly where x >= that float.
+    above_tens = np.searchsorted(np.array([1e-3, 1e-2, 0.1]), x, side="right")
+    scale = np.array([1e20, 1e19, 1e18, 1e17])[above_tens]  # 10**a, exact
+    high, low = _two_product(x, scale)
+    whole = high.astype(np.int64) + np.floor(low).astype(np.int64)
+    fraction = low - np.floor(low)  # v = whole + fraction, exactly
+    half_ulp = np.ldexp(scale, np.frexp(x)[1] - 54)
+    # The least and the greatest integer in the interval, which is wider than 1.
+    first = whole + np.ceil(fraction - half_ulp).astype(np.int64)
+    last = whole + np.floor(fraction + half_ulp).astype(np.int64)
+    tens = 10 ** np.arange(17, dtype=np.int64)
+    k = np.zeros(len(x), dtype=np.intp)
+    for power in tens[1:]:  # an interval holding a multiple of 10**j holds one of 10**(j - 1)
+        more = last // power > (first - 1) // power
+        if not more.any():
+            break
+        k += more
+    unit = tens[k]
+    down = whole // unit  # the multiples of unit next to v, over unit: down and down + 1
+    # down + 1 is nearer v where 2 * fraction > unit - 2 * (whole - down * unit);
+    # the right side is an integer, clipped to +-4 to compare exactly.
+    twice = 2 * fraction
+    gap = np.clip(unit - 2 * (whole - down * unit), -4, 4).astype(float)
+    up = (twice > gap) | ((twice == gap) & (down % 2 == 1))
+    return down + up, 20 - above_tens - k
 
 
 def as_decomposition(obs) -> SpectralDecomposition:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -469,6 +471,44 @@ class TestEvents:
         pairs = itertools.zip_longest(_csv([events]).splitlines(True),
                                       _row_by_row_csv([events]).splitlines(True))
         assert [pair for pair in pairs if pair[0] != pair[1]][:1] == []
+
+
+
+def _repr_cases():
+    """Floats whose CSV c field is compared with repr: every j * 2**-b in
+    [1e-4, 1) for b <= 17; 10**4 random bit patterns in each binade from
+    2**-14 to 2**-1; the floats within 8 ulps of each power of two from
+    2**-14 to 1 and of 1e-4, 1e-3, 1e-2 and 0.1, nextafter(1, 0) among them;
+    and values repr writes itself: 2**-54, 5e-324, -0.0, nan and +-inf."""
+    dyadic = np.arange(1, 2**17) / 2**17
+    binades = np.arange(-14, 0)
+    mantissas = np.random.default_rng(36).integers(0, 2**52, size=(len(binades), 10**4))
+    patterns = (((binades + 1023) << 52)[:, None] | mantissas).view(np.float64).ravel()
+    marks = np.concatenate([2.0 ** np.arange(-14, 1), [1e-4, 1e-3, 1e-2, 0.1]])
+    neighbours = (marks.view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64).ravel()
+    fallback = [2.0**-54, 5e-324, -0.0, np.nan, np.inf, -np.inf]
+    return np.concatenate([dyadic[dyadic >= 1e-4], patterns, neighbours, fallback])
+
+
+class TestShortestDigits:
+    """The CSV writes c in [1e-4, 1) from model._shortest_digits and every
+    other c by repr; both must give repr's bytes."""
+
+    def test_the_kernel_is_repr(self):
+        x = _repr_cases()
+        x = x[(x >= 1e-4) & (x < 1.0)]
+        assert np.nextafter(1.0, 0.0) in x and len(x) > 2**17 + 10**5
+        n, places = model._shortest_digits(x)
+        written = ["0." + str(d).zfill(p) for d, p in zip(n.tolist(), places.tolist())]
+        assert [(v, w) for v, w in zip(x.tolist(), written) if repr(v) != w][:5] == []
+
+    def test_the_c_field_is_repr(self):
+        x = _repr_cases()
+        events = Events(("z",), np.arange(len(x)), np.zeros(len(x), dtype=int), x,
+                        np.zeros(len(x)))
+        fields = [line.split(",")[2] for line in _csv([events]).splitlines()[1:]]
+        assert len(fields) == len(x)
+        assert [(v, f) for v, f in zip(x.tolist(), fields) if repr(v) != f][:5] == []
 
 
 class TestZeroWeightClamp:
@@ -1605,6 +1645,42 @@ class TestSharedStartTree:
         values = run_sequence(ops, starts, cs, orders)
         for n, order in enumerate(orders.tolist()):
             assert [v.hex() for v in values[n].tolist()] == _chained(ops, starts[n], cs[n], order)
+
+    def test_threads_walking_one_tree_read_what_chain_reads(self):
+        # Four threads, more than the host has cores, walk one cached tree at
+        # once on their own cs, with the interpreter switching threads every
+        # microsecond. Their rows reach unbuilt nodes, so walks grow the tree
+        # while others read it; its lock lets one walk at a time in. A lost
+        # update would build a slot twice or point a row at the wrong node.
+        model._tree.cache_clear()
+        rng = np.random.default_rng(28)
+        ops, start = peres_mermin().column_operators(2), haar_state(4, rng)
+        tree = _tree_of(ops, start)
+        orders = rng.integers(3, size=(4, 40, 3))
+        cs = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
+        values = [None] * len(orders)
+        ready = threading.Barrier(len(orders))
+
+        def walk(t):
+            ready.wait(timeout=60)
+            values[t] = run_sequence(ops, start, cs[t], orders[t])
+
+        threads = [threading.Thread(target=walk, args=(t,)) for t in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert _tree_of(ops, start) is tree and len(tree.states) > 7
+        assert sorted(tree.child[tree.child >= 0].tolist()) == list(range(1, len(tree.states)))
+        for t, rows in enumerate(values):
+            for n, order in enumerate(orders[t].tolist()):
+                assert [v.hex() for v in rows[n].tolist()] == _chained(ops, start, cs[t, n], order)
 
     def test_a_repeat_chsh_sequential_call_builds_no_node(self, capsys, monkeypatch):
         argv = ["chsh", "--sequential", "--trials", "5000", "--format", "json"]
