@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, InvalidArgumentError, NotAnEigenstateError
 from .model import (VALUE_TOL, Events, HiddenState, SweepSummary, chain, draw_hidden, predict,
-                    predict_batch, predict_each, run_sequence, substream, sweep, whole)
+                    predict_batch, predict_each, run_sequence, stream_key, substream, sweep,
+                    whole)
 from .operators import EIGEN_TOL, as_state
 from .expressions import (ObservableExpression, PeresMerminSquare, eval_operator, eval_real,
                           eval_real_block)
@@ -90,6 +91,7 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
     recorded in the details.
     """
     permutation = tuple(whole(k, "permutation entry") for k in permutation)
+    key = None if key is None else stream_key(key, case=True)
     if sorted(permutation) != list(range(len(f.operators))):
         raise InvalidArgumentError("permutation", f"permutation {permutation} does not"
                                    f" arrange {len(f.operators)} leaves")
@@ -100,7 +102,8 @@ def check_weak_fc(f: ObservableExpression, initial: HiddenState, permutation,
 def _weak_fc_report(f: ObservableExpression, state, permutation, cs,
                     key=None) -> ConsistencyReport:
     """check_weak_fc's report: the leaves measured on `state` in the order of
-    `permutation`, a tuple of whole numbers, step s decided by cs[s]."""
+    `permutation`, a tuple of whole numbers, step s decided by cs[s]; `key`,
+    if given, is a case key already read by stream_key."""
     ops = f.operators
     initial = HiddenState(state, cs[0])
     lhs = float(predict(eval_operator(f), initial))
@@ -116,7 +119,7 @@ def _weak_fc_report(f: ObservableExpression, state, permutation, cs,
         "steps": [r.as_dict() for r in records],
     }
     if key is not None:
-        details["key"] = [whole(k, "key entry") for k in key]
+        details["key"] = list(key)
     return ConsistencyReport(scenario_label=f.describe(), lhs_value=lhs, rhs_value=rhs,
                              holds=abs(lhs - rhs) <= VALUE_TOL, details=details)
 
@@ -151,6 +154,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
     its first scalar and composed value, set to its permutation.
     """
     trials = whole(trials, "trials", least=1)
+    key = stream_key(key)
     state = as_state(state)
     op = eval_operator(f)
     residual = op.eigen_residual(state)
@@ -173,7 +177,7 @@ def verify_proposition(f: ObservableExpression, state, trials: int, key,
         passes += len(cs) - len(failed)
         for i in failed[:FAILURE_EXAMPLES - len(examples)]:
             examples.append(_weak_fc_report(f, state, tuple(orders[i].tolist()), cs[i, :-1],
-                                            key=(*key, case[i])))
+                                            key=(*key, int(case[i]))))
         if sink is not None:
             sink(Events(names, case, which, cs[:, 0], rhs))
     return PropositionSummary(

@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,15 +129,26 @@ def sweep(rng: np.random.Generator, trials: int, width: int, orders):
         yield case, which, orders[which], slots
 
 
+def stream_key(key, case: bool = False) -> tuple[int, ...]:
+    """`key` as a tuple of whole numbers (whole), the one key rule: a stream
+    prefix (seed, *path), or with `case` a case key (seed, *path, case). No
+    sequence raises InvalidTypeError; a key short of its seed or case, or a
+    bad entry ("key entry"; a prefix's seed is "seed"), InvalidArgumentError."""
+    entries = key.tolist() if isinstance(key, np.ndarray) else key
+    if not isinstance(entries, Sequence):
+        raise InvalidTypeError(f"a key is a sequence (seed, *path{', case' * case}), got {key!r}")
+    if len(entries) < 1 + case:
+        raise InvalidArgumentError("key", f"a key is (seed, *path{', case' * case}), got {key!r}")
+    return tuple(whole(k, "key entry" if i or case else "seed") for i, k in enumerate(entries))
+
+
 def case_slot(key, width: int) -> np.ndarray:
     """Replay one case from its key (seed, *path, case): the `width` uniforms
     that case reads from substream(seed, *path), `width` a whole number."""
-    *path, case = key
+    *path, case = stream_key(key, case=True)
     width = whole(width, "width")
-    if not path:
-        raise InvalidArgumentError("key", f"a case key is (seed, *path, case), got {key!r}")
     rng = substream(*path)
-    rng.bit_generator.advance(whole(case, "case index") * width)
+    rng.bit_generator.advance(case * width)
     return draw_hidden_batch(rng, width)
 
 
@@ -243,6 +255,21 @@ class Events:
     c: np.ndarray
     value: np.ndarray
 
+    def __post_init__(self):
+        """Hold each column as a 1-d array as long as case, and refuse a
+        setting that is not an integer index into labels."""
+        for name in ("case", "setting", "c", "value"):
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1 or len(column) != len(self.case):
+                raise InvalidArgumentError(name, f"Events column {name} must be 1-d and as long"
+                                           f" as case, got shape {column.shape}")
+            object.__setattr__(self, name, column)
+        setting = self.setting
+        if setting.dtype.kind not in "iu" or len(setting) and not (
+                setting.min() >= 0 and setting.max() < len(self.labels)):
+            raise InvalidArgumentError("setting", "Events setting must hold integer indices"
+                                       f" into its {len(self.labels)} labels, got {setting!r}")
+
     def csv_rows(self):
         """Yield the block's rows of the report under CSV_HEADER, SWEEP_BLOCK
         rows per string: the only CSV renderer.
@@ -252,24 +279,25 @@ class Events:
         setting's label between its commas, quoted once by the csv module;
         c as repr writes it (_c_text); and the repr of the value with the
         line end. value holds few distinct numbers, so each distinct bit
-        pattern is formatted once; bits, unlike float equality, keep -0.0
-        apart from 0.0. Each field is a (table, keep) pair: its bytes in
-        columns, and which of them the row writes.
+        pattern, read off the sorted bits, is formatted once; bits, unlike
+        float equality, keep -0.0 apart from 0.0. Each field is a (table,
+        keep) pair: its bytes in columns, and which of them the row writes.
         """
         labels = _text_table([f",{_csv_field(label)}," for label in self.labels])
         value = np.asarray(self.value, dtype=float)
         for first in range(0, len(value), SWEEP_BLOCK):
             block = slice(first, first + SWEEP_BLOCK)
-            bits, which = np.unique(value[block].view(np.int64), return_inverse=True)
-            shown = _text_table([f",{v!r}\n" for v in bits.view(float).tolist()])
-            setting = np.asarray(self.setting[block])
+            bits = value[block].view(np.int64)
+            ordered = np.sort(bits)
+            distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+            shown = _text_table([f",{v!r}\n" for v in distinct.view(float).tolist()])
+            which = np.searchsorted(distinct, bits)
             fields = [_case_text(self.case[block]),
-                      [part.take(setting, axis=0) for part in labels],
-                      *_c_text(self.c[block]),
+                      [part.take(self.setting[block], axis=0) for part in labels],
+                      _c_text(self.c[block]),
                       [part.take(which, axis=0) for part in shown]]
             table, keep = (np.concatenate(parts, axis=1) for parts in zip(*fields))
-            yield np.compress(keep.ravel(), table.ravel()).tobytes().decode(
-                "utf-8", "surrogatepass")
+            yield table[keep].tobytes().decode("utf-8", "surrogatepass")
 
 
 def _csv_field(text: str) -> str:
@@ -292,57 +320,56 @@ def _text_table(texts) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _digit_pairs() -> np.ndarray:
-    """The ASCII bytes of "00" to "99", one pair to an element."""
-    return np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+def _digit_quads() -> np.ndarray:
+    """The ASCII bytes of "0000" to "9999", four digits to an element."""
+    digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
 def _digits(n: np.ndarray, width: int) -> np.ndarray:
     """The last `width` decimal digits of each non-negative integer in `n`,
-    most significant first, as an (N, width) table of ASCII bytes: two digits
-    per division, their bytes taken from _digit_pairs."""
-    index = np.empty((-(-width // 2), len(n)), dtype=np.intp)
+    most significant first, as an (N, width) table of ASCII bytes: four
+    digits per division, their bytes taken from _digit_quads."""
+    index = np.empty((-(-width // 4), len(n)), dtype=np.intp)
     for row in index[::-1]:
-        higher = n // 100
-        row[:] = n - 100 * higher
+        higher = n // 10**4
+        row[:] = n - 10**4 * higher
         n = higher
-    table = _digit_pairs().take(index.T).view(np.uint8)
+    table = _digit_quads().take(index.T).view(np.uint8)
     return table[:, table.shape[1] - width:]
 
 
-def _case_text(case) -> tuple[np.ndarray, np.ndarray]:
+def _case_text(case: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(table, keep) of str(case) for each case: its digits less leading
     zeros for a non-negative integer, str() for anything else."""
-    case = np.asarray(case)
     if case.dtype.kind not in "iu" or case.min(initial=0) < 0:
         return _text_table(map(str, case.tolist()))
-    table = _digits(case, len(str(case.max(initial=0))))
-    keep = np.logical_or.accumulate(table != ord("0"), axis=1)
-    keep[:, -1] = True  # 0 is written "0"
-    return table, keep
+    case = case.astype(np.uint64)  # its powers of ten compare exactly
+    width = len(str(case.max(initial=0)))
+    more = np.searchsorted(10 ** np.arange(1, width, dtype=np.uint64), case, side="right")
+    columns = np.arange(width)  # a case with 1 + more digits keeps the last 1 + more
+    return _digits(case, width), (columns >= width - 1 - columns[:, None]).take(more, axis=0)
 
 
-def _c_text(c) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Two (table, keep) fields holding repr(c) for each c between them:
-    "0." and the digits _shortest_digits gives for a float64 c in [1e-4, 1),
-    where repr writes no exponent, or repr itself for every other c."""
-    c = np.asarray(c)
+def _c_text(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, keep) holding repr(c) for each c: "0." and the digits
+    _shortest_digits gives for a float64 c in [1e-4, 1), where repr writes
+    no exponent, or else repr itself from the field's first column."""
     fast = ((c >= 1e-4) & (c < 1.0) if c.dtype == np.float64
             else np.zeros(c.shape, dtype=bool))
     n, places = _shortest_digits(np.where(fast, c, 0.5))
-    width = places.max()
-    table = np.empty((len(c), 2 + width), dtype=np.uint8)
-    table[:, :2] = np.frombuffer(b"0.", dtype=np.uint8)
-    table[:, 2:] = _digits(n, width)
-    keep = np.empty(table.shape, dtype=bool)
-    keep[:, :2] = fast[:, None]
-    keep[:, 2:] = fast[:, None] & (np.arange(width) >= width - places[:, None])  # zfill(places)
     slow = np.flatnonzero(~fast)
     shown, shown_keep = _text_table(map(repr, c[slow].tolist()))
-    other = np.zeros((len(c), shown.shape[1]), dtype=np.uint8)
-    other_keep = np.zeros(other.shape, dtype=bool)
-    other[slow], other_keep[slow] = shown, shown_keep
-    return (table, keep), (other, other_keep)
+    width = places.max()
+    table = np.empty((len(c), max(2 + width, shown.shape[1])), dtype=np.uint8)
+    table[:, 0], table[:, 1] = b"0."  # a column at a time: a broadcast row is slower
+    table[:, 2:2 + width] = _digits(n, width)
+    columns = np.arange(table.shape[1])
+    first = 2 + width - np.arange(width + 1)[:, None]  # the first digit written, by places
+    keep = ((columns < 2) | ((columns >= first) & (columns < 2 + width))).take(places, axis=0)
+    keep[slow] = False
+    table[slow, :shown.shape[1]], keep[slow, :shown.shape[1]] = shown, shown_keep
+    return table, keep
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ excluded), and the table fails when an export has none. A row lists bad
 inputs for the callable's integer, real, string and state parameters, each a
 call with every other argument valid; each must raise an HvsimError with no
 warning. The kinds: a bool or a float where an integer belongs; nan and
-+-inf; a negative or out-of-range number; a wrong dimension; and a wrong
++-inf; a negative or out-of-range number; a wrong dimension or length; a
+stream key that is no sequence or lacks its seed or its case; and a wrong
 type (a string or a complex number where a real belongs, a non-numeric
 sequence where amplitudes or a matrix belong). Operator-, expression- and
 generator-typed parameters stay duck-typed and are out of the table, and so
@@ -47,6 +48,9 @@ NOT_AMPLITUDES = ("ab", [None, 1.0], [[1.0], [1.0, 0.0]], [True, False])
 NOT_STATES = NOT_AMPLITUDES + ([], [[1.0, 0.0]], [1.0, 1.0], [NAN, 0.0], [INF, 0.0])
 NOT_MATRICES = ("x", [[1, "a"], ["a", 1]], [[1], [1, 0]], [[True, False], [False, True]],
                 [1.0, 0.0], [[1.0, 0.0, 0.0]], [], [[NAN]], [[INF]])
+# A stream key (seed, *path), or a case key (seed, *path, case) that also
+# refuses a seed alone: no sequence, no seed, a float, a bool, a negative entry.
+NOT_KEYS = (5, None, np.array(5), (), (0.5, 0), (True, 0), (0, -1))
 
 Z = pauli("z")
 KET0 = basis_ket(2, 0)
@@ -196,6 +200,15 @@ ROWS = {
 # earlier case keeps its id. A count of 0 still refuses its other arguments.
 LATER_ROWS = {
     "born_scenario_sweep": varied((0, 10, 0), 1, NOT_POSITIVE) + varied((0, 10, 0), 2, NOT_COUNTS),
+    "Events": [bad(("a",), *columns) for columns in (
+        ([0, 1], [0], [0.5, 0.5], [1.0, 1.0]), ([0], [0], [0.5, 0.5], [1.0]),
+        ([0, 1], [0, 0], [0.5, 0.5], [1.0]), ([[0, 1]], [0, 0], [0.5, 0.5], [1.0, 1.0]),
+        (0, 0, 0.5, 1.0), ([0], [0], [[0.5]], [1.0]))]
+    + varied((("a", "b"), [0], [0], [0.5], [1.0]), 2, ([2], [-1], [0.0], [True], ["0"])),
+    "case_slot": [bad(key, 2) for key in NOT_KEYS + ((0,),)],
+    "check_weak_fc": [bad(COLUMN3, HiddenState(basis_ket(4, 0), 0.4), (0, 1, 2), rng(), key)
+                      for key in NOT_KEYS[:1] + NOT_KEYS[2:] + ((0,),)],  # None: no key
+    "verify_proposition": varied((COLUMN3, basis_ket(4, 0), 1, (0, 6)), 3, NOT_KEYS),
 }
 
 CASES = [(name, *entry) for rows in (ROWS, LATER_ROWS)

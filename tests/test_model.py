@@ -472,6 +472,67 @@ class TestEvents:
                                       _row_by_row_csv([events]).splitlines(True))
         assert [pair for pair in pairs if pair[0] != pair[1]][:1] == []
 
+    @pytest.mark.parametrize("case", [
+        np.array([0, 9, 10, 99, 100, 9999, 10**4, 10**8, 10**12, 2**63 - 1], dtype=np.int64),
+        np.array([2**64 - 1, 10**19, 10**19 - 1, 0, 9], dtype=np.uint64),
+        np.array([127, 5], dtype=np.int8),
+        np.array([True, False]), np.array([-1, 5]), np.array([1.5, 2.0])],
+        ids=["int64", "uint64", "int8", "bool", "negative", "float"])
+    def test_the_case_field_is_str(self, case):
+        # Digits counted against powers of ten in uint64, so that 10**19 - 1
+        # and 10**19 do not meet in float64; anything but a non-negative
+        # integer is written by str().
+        events = Events(("z",), case, np.zeros(len(case), dtype=int), np.full(len(case), 0.5),
+                        np.zeros(len(case)))
+        fields = [line.split(",")[0] for line in _csv([events]).splitlines()[1:]]
+        assert fields == [str(v) for v in case.tolist()]
+
+    @pytest.mark.parametrize("c", [
+        [1.2345678901234567e-05, 2.0**-54, 5e-324, np.nan, np.inf, -0.0, 1.0, 1e22],
+        [1.2345678901234567e-05, 0.5, 0.25, 0.125],
+        [np.nextafter(1e-4, 1.0), np.nan, 1e-05, 0.5]],
+        ids=["all-fallback", "fallback-widest", "fast-widest"])
+    def test_one_c_field_holds_both_kinds(self, c):
+        # A c repr writes itself shares the field with "0." and digits, at
+        # whichever width is the larger.
+        c = np.array(c)
+        events = Events(("z",), np.arange(len(c)), np.zeros(len(c), dtype=int), c,
+                        np.zeros(len(c)))
+        assert _csv([events]) == _row_by_row_csv([events])
+        assert [line.split(",")[2] for line in _csv([events]).splitlines()[1:]] == [
+            repr(v) for v in c.tolist()]
+
+    def test_a_block_of_distinct_values(self):
+        values = np.random.default_rng(37).standard_normal(model.SWEEP_BLOCK)
+        assert len(np.unique(values)) == model.SWEEP_BLOCK
+        events = Events(("z",), np.arange(len(values)), np.zeros(len(values), dtype=int),
+                        np.full(len(values), 0.5), values)
+        assert _csv([events]) == _row_by_row_csv([events])
+
+    def test_nan_payloads_and_both_zeros(self):
+        bits = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                0, 1 << 63]
+        values = np.resize(np.array(bits, dtype=np.uint64).view(np.float64), 20)
+        events = Events(("z",), np.arange(20), np.zeros(20, dtype=int), np.full(20, 0.5), values)
+        assert _csv([events]) == _row_by_row_csv([events])
+        assert [line.rsplit(",", 1)[1] for line in _csv([events]).splitlines()[1:7]] == [
+            "nan", "nan", "nan", "nan", "0.0", "-0.0"]
+
+    @pytest.mark.parametrize("columns, argument", [
+        (([0, 1], [0], [0.5, 0.5], [1.0, 1.0]), "setting"),
+        (([0, 1], [0, 0], [0.5], [1.0, 1.0]), "c"),
+        (([0, 1], [0, 0], [0.5, 0.5], [[1.0, 1.0]]), "value"),
+        ((0, 0, 0.5, 1.0), "case"),
+        (([0, 1], [0, 1], [0.5, 0.5], [1.0, 1.0]), "setting"),
+        (([0, 1], [0, -1], [0.5, 0.5], [1.0, 1.0]), "setting"),
+        (([0, 1], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]), "setting")])
+    def test_a_malformed_block_is_refused_naming_its_column(self, columns, argument):
+        # A setting of -1 used to write the last label; a short column ended
+        # in numpy's own error.
+        with pytest.raises(InvalidArgumentError) as refused:
+            Events(("a",), *columns)
+        assert refused.value.argument == argument
+
 
 
 def _repr_cases():
@@ -659,6 +720,19 @@ class TestCaseSlots:
         batch = draw_hidden_batch(substream(seed, *path), count * width).reshape(count, width)
         assert batch.shape == (count, width)
         np.testing.assert_array_equal(case_slot((seed, *path, case), width), batch[case])
+
+    @pytest.mark.parametrize("key, refusal, argument", [
+        (5, InvalidTypeError, None), (np.array(5), InvalidTypeError, None),
+        ((), InvalidArgumentError, "key"), ((3,), InvalidArgumentError, "key"),
+        ((3, 1.5, 0), InvalidArgumentError, "key entry")])
+    def test_a_case_key_is_read_by_one_rule(self, key, refusal, argument):
+        # No sequence is a TypeError, as unpacking one was; a key short of
+        # its seed or case names the key.
+        with pytest.raises(refusal) as refused:
+            case_slot(key, 2)
+        assert getattr(refused.value, "argument", None) == argument
+        np.testing.assert_array_equal(case_slot(np.array([3, 5, 2]), 2), case_slot((3, 5, 2), 2))
+        assert model.stream_key([np.int64(3)]) == (3,)
 
     def test_blocks_read_the_same_rows(self, monkeypatch):
         monkeypatch.setattr(model, "SWEEP_BLOCK", 7)
