@@ -354,10 +354,12 @@ def _case_text(case: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _c_text(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(table, keep) holding repr(c) for each c: "0." and the digits
     _shortest_digits gives for a float64 c in [1e-4, 1), where repr writes
-    no exponent, or else repr itself from the field's first column."""
+    no exponent, or else repr itself from the field's first column. Other
+    rows give _shortest_digits a stand-in whose repr needs all 17 digits,
+    so that it holds the power loop for no pass."""
     fast = ((c >= 1e-4) & (c < 1.0) if c.dtype == np.float64
             else np.zeros(c.shape, dtype=bool))
-    n, places = _shortest_digits(np.where(fast, c, 0.5))
+    n, places = _shortest_digits(np.where(fast, c, 0.30000000000000004))
     slow = np.flatnonzero(~fast)
     shown, shown_keep = _text_table(map(repr, c[slow].tolist()))
     width = places.max()
@@ -491,8 +493,8 @@ def select(decomp: SpectralDecomposition, amplitudes, cs) -> np.ndarray:
     branch picked is live. Callers keep every c inside (0, 1), as HiddenState,
     branch_indices and run_sequence enforce. The result has the shape of `cs`.
     """
-    weights = decomp.weights(amplitudes)
-    return _pick(_edges(weights.reshape((-1,) + (1,) * np.ndim(cs))), cs)
+    edges = _family((decomp,)).edges(amplitudes_of(amplitudes, decomp.dim))
+    return _pick(edges.reshape((-1,) + (1,) * np.ndim(cs)), cs)
 
 
 def _collapse(decomp: SpectralDecomposition, state: PureState, index: int) -> PureState:
@@ -541,8 +543,9 @@ def _joint_basis(decomps):
 
 
 class _Family:
-    """The tables predict_each, run_sequence and _Tree read the operators
-    `ops` with: their decomps, their dimension dim, and values, (width, K),
+    """The tables select, tally, predict_each, run_sequence and _Tree read
+    the operators `ops` with (select and tally on one operator, ops =
+    (decomp,)): their decomps, their dimension dim, and values, (width, K),
     whose [b, k] is the eigenvalue of branch b of operator k, zero below a
     column's last branch.
 
@@ -621,7 +624,7 @@ def tally(obs, state, rng, trials: int, sink=None, labels=(), setting: int = 0) 
     from the same edges by the selection rule."""
     decomp = as_decomposition(obs)
     state = as_state(state)
-    edges = _edges(decomp.weights(state.amplitudes)[:, None])  # one column: (branches - 1, 1)
+    edges = _family((decomp,)).edges(amplitudes_of(state, decomp.dim))  # (branches - 1, 1)
     reached = np.zeros(len(decomp.values), dtype=np.intp)  # trials whose branch is >= i
     for first in range(0, trials, TALLY_BLOCK):
         cs = draw_hidden_batch(rng, min(TALLY_BLOCK, trials - first))

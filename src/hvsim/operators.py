@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -26,9 +27,12 @@ EIGEN_TOL = 1e-9  # the largest eigen_residual of an eigenvector
 def whole(n, name: str, least: int | None = 0) -> int:
     """`n` as an int of at least `least` (None: any int): the one rule for
     seeds, stream paths, case indices, trial counts, permutation entries,
-    line indices and basis kets. A bool, a float (2.0 and nan included) or
-    anything else without __index__ is refused."""
-    value = None if isinstance(n, bool) else getattr(n, "__index__", lambda: None)()
+    line indices and basis kets. A bool and anything operator.index refuses
+    (a float, 2.0 and nan included, or an array that is not 0-d) are refused."""
+    try:
+        value = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        value = None
     if value is None or (least is not None and value < least):
         bound = "" if least is None else f" of at least {least}"
         raise InvalidArgumentError(name, f"{name} must be an integer{bound}, got {n!r}")

@@ -6,14 +6,12 @@ overrides the pick. Kernels round differently, so a report that reads the
 last bit of an eigensolver result can change from host to host. For each
 kernel one subprocess reruns every pinned argument list through
 hvsim.cli.main, the kernels' subprocesses running at once; each pin is then
-its own test. The same subprocess runs the predict_each and run_sequence
-differentials of test_model, at edge c too, since whether a batched product
-keeps each operator's or each row's bits depends on the kernel; the
-cutoff differential, since the kernel rounds the branch weights that sit at
-MIN_BRANCH_WEIGHT; the shared-start differential, since the kernel
-rounds the weights and collapses its tree's nodes are built from; and the
-family-edges differential, since whether the stacked product keeps each
-operator's bits depends on the kernel too.
+its own test. The same subprocess runs every row of test_model's route table,
+DIFFERENTIALS, with a nan warning an error as in-process: whether a stacked
+product keeps each operator's or each row's bits, how the branch weights at
+MIN_BRANCH_WEIGHT round, and the weights and collapses a shared start's tree
+is built from all depend on the kernel, and select, tally and predict_each
+read every state's edges through _Family.edges's stacked product.
 """
 
 import contextlib
@@ -28,27 +26,21 @@ import numpy as np
 import pytest
 
 from conftest import KERNEL_LINES, PINNED, PINS
+from test_model import assert_differential
 
 ROOT = Path(__file__).resolve().parents[1]
 # On x86-64 OpenBLAS, Prescott shares one kernel table with Katmai, Coppermine,
 # Northwood and Core2, and reports the first of them: Prescott (reported as Katmai).
 KERNELS = ("Haswell", "Prescott")
-# test_model's run_sequence differentials at edge c, each returning (cases,
-# mismatches), with the number of cases each checks.
-EDGE_DIFFERENTIALS = {"first_step_edge_mismatches": 2700, "second_step_edge_mismatches": 1800,
-                      "row_independence_mismatches": 1800}
-DIFFERENTIALS = ("predict_each_mismatches", "run_sequence_mismatches", *EDGE_DIFFERENTIALS,
-                 "cutoff_mismatches", "shared_start_mismatches", "family_edges_mismatches")
-
-# Reads (pin, argv) pairs and differential names as JSON from its first
-# argument; writes {pin: stdout}, each differential's (cases, mismatches) and
-# the kernel OpenBLAS reports it chose.
+# Reads (pin, argv) pairs as JSON from its first argument; writes {pin:
+# stdout}, each row of the route table's (readings, mismatches) and the
+# kernel OpenBLAS reports it chose.
 _RERUN = """
 import contextlib, ctypes, glob, io, json, os, sys
 import numpy
 import test_model
 from hvsim.cli import main
-pins, differentials = json.loads(sys.argv[1])
+pins = json.loads(sys.argv[1])
 outputs = {}
 for pin, argv in pins:
     buffer = io.StringIO()
@@ -63,7 +55,8 @@ for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
         get.argtypes, get.restype = [], ctypes.c_char_p
         core = get().decode()
 json.dump({"outputs": outputs, "core": core,
-           "differentials": {name: getattr(test_model, name)() for name in differentials}},
+           "differentials": {name: test_model.run_differential(name)
+                             for name in test_model.DIFFERENTIALS}},
           sys.stdout)
 """
 
@@ -86,7 +79,9 @@ def _reruns() -> dict:
     to feed it, and each is killed if waiting for any of them fails."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                          os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", _RERUN, json.dumps([PINS, DIFFERENTIALS])]
+    # The nan filter of pyproject's pytest settings; not a blanket "error", as
+    # importing hypothesis raises a DeprecationWarning.
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", _RERUN, json.dumps(PINS)]
     results = {}
     with contextlib.ExitStack() as stack:
         children = {}
@@ -103,8 +98,8 @@ def _reruns() -> dict:
                 raise subprocess.CalledProcessError(child.returncode, argv[:2], out, err)
             results[kernel] = json.loads(out)
     for kernel, result in results.items():
-        cases = ", ".join(f"{result['differentials'][name][0]} {name.removesuffix('_mismatches')}"
-                          for name in DIFFERENTIALS)
+        cases = ", ".join(f"{readings} {name}"
+                          for name, (readings, _) in result["differentials"].items())
         core = kernel if result["core"] == kernel else f"{kernel} (reported as {result['core']})"
         KERNEL_LINES.append(f"OPENBLAS_CORETYPE={kernel}, OpenBLAS core {core}:"
                             f" {len(PINS)} pinned reports and differential cases ({cases})"
@@ -137,40 +132,45 @@ def test_pinned_report_under_kernel(kernel, pin, argv):
 
 
 def _differential(kernel, name):
+    """Assert that the row `name` of the route table read no mismatch under
+    `kernel` and compared the readings the table sets for it."""
     reason = _skip_reason()
     if reason is not None:
         pytest.skip(reason)
-    cases, mismatches = _reruns()[kernel]["differentials"][name]
-    assert mismatches == []
-    return cases
+    assert_differential(name, _reruns()[kernel]["differentials"][name])
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_select_matches_binary_search_under_kernel(kernel):
+    _differential(kernel, "select")
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_predict_each_matches_predict_under_kernel(kernel):
-    assert _differential(kernel, "predict_each_mismatches") > 3000
+    _differential(kernel, "predict_each")
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_run_sequence_matches_measure_under_kernel(kernel):
-    assert _differential(kernel, "run_sequence_mismatches") == 1280
+    _differential(kernel, "run_sequence")
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("name, cases", EDGE_DIFFERENTIALS.items())
-def test_run_sequence_at_edges_under_kernel(kernel, name, cases):
-    assert _differential(kernel, name) == cases
+@pytest.mark.parametrize("name", ["first_step_edge", "second_step_edge", "row_independence"])
+def test_run_sequence_at_edges_under_kernel(kernel, name):
+    _differential(kernel, name)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_routes_agree_at_the_cutoff_under_kernel(kernel):
-    assert _differential(kernel, "cutoff_mismatches") > 2000
+    _differential(kernel, "cutoff")
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_shared_start_tree_matches_measure_under_kernel(kernel):
-    assert _differential(kernel, "shared_start_mismatches") > 3000
+    _differential(kernel, "shared_start")
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_family_edges_match_each_operator_under_kernel(kernel):
-    assert _differential(kernel, "family_edges_mismatches") > 3000
+    _differential(kernel, "family_edges")

@@ -4,10 +4,10 @@ Every callable that hvsim exports has one row in ROWS (exception classes
 excluded), and the table fails when an export has none. A row lists bad
 inputs for the callable's integer, real, string and state parameters, each a
 call with every other argument valid; each must raise an HvsimError with no
-warning. The kinds: a bool or a float where an integer belongs; nan and
-+-inf; a negative or out-of-range number; a wrong dimension or length; a
-stream key that is no sequence or lacks its seed or its case; and a wrong
-type (a string or a complex number where a real belongs, a non-numeric
+warning. The kinds: a bool, a float or an array where an integer belongs;
+nan and +-inf; a negative or out-of-range number; a wrong dimension or
+length; a stream key that is no sequence or lacks its seed or its case; and a
+wrong type (a string or a complex number where a real belongs, a non-numeric
 sequence where amplitudes or a matrix belong). Operator-, expression- and
 generator-typed parameters stay duck-typed and are out of the table, and so
 are free-text labels; a callable with nothing to refuse has an empty row.
@@ -37,7 +37,7 @@ NAN, INF = float("nan"), float("inf")
 SRC = Path(__file__).resolve().parent.parent / "src" / "hvsim"
 
 # Bad values by parameter kind; a row adds the out-of-range ones its bounds refuse.
-NOT_INTEGERS = (True, 2.0, 2.5, NAN, INF, "2", 1j)
+NOT_INTEGERS = (True, 2.0, 2.5, NAN, INF, "2", 1j, np.array([2]), np.array([2.0]))
 NOT_COUNTS = NOT_INTEGERS + (-1,)  # a whole number of at least 0
 NOT_POSITIVE = NOT_COUNTS + (0,)  # a whole number of at least 1
 NOT_REALS = (True, "0.4", 1j, NAN, INF, -INF, 10**400)
@@ -211,8 +211,11 @@ LATER_ROWS = {
     "verify_proposition": varied((COLUMN3, basis_ket(4, 0), 1, (0, 6)), 3, NOT_KEYS),
 }
 
-CASES = [(name, *entry) for rows in (ROWS, LATER_ROWS)
-         for name, entries in rows.items() for entry in entries]
+# The integer arrays joined NOT_INTEGERS after the table was first numbered:
+# their cases come last, in table order, so that every earlier case keeps its id.
+CASES = sorted([(name, *entry) for rows in (ROWS, LATER_ROWS)
+                for name, entries in rows.items() for entry in entries],
+               key=lambda case: any(arg is late for arg in case[2] for late in NOT_INTEGERS[-2:]))
 
 
 def exported_callables():

@@ -8,7 +8,9 @@ import itertools
 import sys
 import threading
 import warnings
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from hvsim.model import (
     as_decomposition,
     branch_indices,
     case_slot,
+    chain,
     draw_hidden,
     draw_hidden_batch,
     measure,
@@ -55,6 +58,7 @@ from hvsim.operators import (
     HermitianOperator,
     PureState,
     SpectralDecomposition,
+    amplitudes_of,
     basis_ket,
     commuting_family,
     haar_state,
@@ -980,18 +984,11 @@ def _bincount(obs, state, cs):
                        minlength=len(as_decomposition(obs).values))
 
 
-def _edge_neighbourhood(decomp, amplitudes):
-    """Every cumulative edge, one ulp either side of it, and both ends of (0, 1)."""
-    cs = [np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)]
-    for edge in _zeroed_cumulative(decomp, amplitudes)[1]:
-        cs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-    return np.array([c for c in cs if 0.0 < c < 1.0])
-
-
 def _selection_cases(seed):
-    """(decomposition, state) pairs: a random Hermitian, shared-eigenbasis
-    degenerate spectra, a near-degenerate diagonal, zero-weight branches and
-    amplitudes on both sides of the MIN_BRANCH_WEIGHT cutoff."""
+    """One-state cases ((decomposition,), state, cs), each state at its edges
+    (_at_edges): a random Hermitian, shared-eigenbasis degenerate spectra, a
+    near-degenerate diagonal, zero-weight branches and amplitudes on both
+    sides of the MIN_BRANCH_WEIGHT cutoff."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 7))
     cases = [(spectral(random_hermitian(dim, rng)), haar_state(dim, rng))]
@@ -1004,21 +1001,15 @@ def _selection_cases(seed):
     amps[int(rng.integers(4))] = 1.0
     for amplitudes in (amps, [1.0, 0.0, 1.0, 0.0], [1e-6, 1.0, 1e-6, 1.0]):
         cases.append((spectral(near), normalized(amplitudes)))
-    return cases
+    return [((decomp,), state, _at_edges((decomp,), state)) for decomp, state in cases]
 
 
 class TestEdgeCountSelection:
     """select counts the weighted edges below c; it must agree with the binary
     search it replaced at every edge, with scalar and array c."""
 
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(0, 10_000))
-    def test_matches_searchsorted_at_every_edge(self, seed):
-        for decomp, state in _selection_cases(seed):
-            cs = _edge_neighbourhood(decomp, state.amplitudes)
-            want = _searchsorted_select(decomp, state.amplitudes, cs)
-            np.testing.assert_array_equal(select(decomp, state.amplitudes, cs), want)
-            assert [int(select(decomp, state.amplitudes, float(c))) for c in cs] == list(want)
+    def test_matches_searchsorted_at_every_edge(self):
+        assert_differential("select")
 
     def test_near_degenerate_values_merge_or_stay_apart(self):
         # Eigenvalues 5e-10 apart merge into one branch under the default
@@ -1026,7 +1017,7 @@ class TestEdgeCountSelection:
         op = HermitianOperator(np.diag([0.0, 5e-10, 1.0, 1.0 + 5e-10]))
         state = normalized([1.0, 1e-6, 1.0, 1e-6])
         for decomp in (spectral(op), spectral(op, 1e-12)):
-            cs = _edge_neighbourhood(decomp, state.amplitudes)
+            cs = _at_edges((decomp,), state)
             np.testing.assert_array_equal(select(decomp, state.amplitudes, cs),
                                           _searchsorted_select(decomp, state.amplitudes, cs))
         assert len(spectral(op).values) == 2 and len(spectral(op, 1e-12).values) == 4
@@ -1037,8 +1028,7 @@ class TestEdgeCountSelection:
         # tally reads a scripted stream in blocks of 7 draws: every edge, one
         # ulp either side, an exact 0.0 and uniforms, shuffled.
         rng = np.random.default_rng(seed)
-        for decomp, state in _selection_cases(seed):
-            edges = _edge_neighbourhood(decomp, state.amplitudes)
+        for (decomp,), state, edges in _selection_cases(seed):
             values = np.concatenate(([0.0], edges, rng.uniform(size=size)))
             rng.shuffle(values)
             cs = draw_hidden_batch(_Stream(values), len(values))
@@ -1081,15 +1071,9 @@ class TestEdgeCountSelection:
 
 
 def _assert_sequence_matches_measure(ops, starts, cs, orders=None):
-    """run_sequence against chained scalar measure() on the same scalars, row
-    n measuring ops[orders[n, s]] at step s: values equal exactly."""
-    values = run_sequence(ops, starts, cs, orders)
-    if orders is None:
-        orders = np.broadcast_to(np.arange(len(ops)), cs.shape)
-    assert values.shape == cs.shape
-    for n, row in enumerate(cs):
-        start = starts[n] if np.ndim(starts) == 2 else starts
-        assert [v.hex() for v in values[n].tolist()] == _chained(ops, start, row, orders[n])
+    """run_sequence against chain on the same scalars, row n measuring
+    ops[orders[n, s]] at step s: values equal exactly."""
+    assert compare([(ops, starts, cs, orders)], ("run_sequence",)) == (len(cs), [])
 
 
 def _haar_starts(dim, count, rng):
@@ -1178,14 +1162,16 @@ class TestRunSequenceAgainstMeasure:
         # take the vectorised route, never the row-by-row one. weak-fc's
         # columns are the square's shared column tuples: 10 distinct tuples.
         # Each run_sequence call reads the family once, and each new outcome
-        # tree once more: 4 CHSH starts and 3 weak-fc ones.
+        # tree once more: 4 CHSH starts and 3 weak-fc ones. select reads a
+        # family of one operator, which is not recorded.
         model._tree.cache_clear()
         seen = []
         family = model._family
 
         def recording(ops):
-            seen.append((ops, family(ops)))
-            return seen[-1][1]
+            if len(ops) > 1:
+                seen.append((ops, family(ops)))
+            return family(ops)
 
         monkeypatch.setattr(model, "_family", recording)
         commands = [["chsh", "--sequential"]]
@@ -1237,16 +1223,13 @@ class TestRunSequenceAgainstMeasure:
                 values, [decomp.values[select(decomp, amps, c)] for amps in states])
 
     def test_first_step_at_edges_matches_one_state_select(self):
-        cases, mismatches = first_step_edge_mismatches()
-        assert mismatches == [] and cases == 2700
+        assert_differential("first_step_edge")
 
     def test_second_step_at_edges_matches_chained_measure(self):
-        cases, mismatches = second_step_edge_mismatches()
-        assert mismatches == [] and cases == 1800
+        assert_differential("second_step_edge")
 
     def test_rows_do_not_depend_on_their_block(self):
-        cases, mismatches = row_independence_mismatches()
-        assert mismatches == [] and cases == 1800
+        assert_differential("row_independence")
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 5).flatmap(lambda dim: st.lists(
@@ -1257,8 +1240,8 @@ class TestRunSequenceAgainstMeasure:
         # basis runs row by row and passes trivially.
         rng = np.random.default_rng(seed)
         ops = commuting_family(spectra, rng)
-        _, mismatches = _block_mismatches(ops, _haar_starts(len(spectra[0]), 6, rng), rng)
-        assert mismatches == []
+        cases = _edge_cases(ops, _haar_starts(len(spectra[0]), 6, rng), range(min(2, len(ops))), rng)
+        assert compare(cases, ("run_sequence", "row by row"))[1] == []
 
     def test_cutoff_branch_collapses_like_predict(self):
         # The -1 branch weighs exactly MIN_BRANCH_WEIGHT, so it is live and
@@ -1383,251 +1366,138 @@ def _run_sequence_tuples():
     yield from ([random_hermitian(dim, rng) for _ in range(3)] for dim in (2, 3, 4))
 
 
-def run_sequence_mismatches():
-    """(cases, mismatches): run_sequence against chained measure() at random
-    c, compared bit for bit row by row, 80 rows per tuple of
-    _run_sequence_tuples, each row measuring its own order. The kernel reruns
-    call this too."""
+def _uniform_rows():
+    """80 rows of Haar starts for each tuple of _run_sequence_tuples, each
+    row measuring its own permutation of the tuple at uniform c."""
     rng = np.random.default_rng(18)
-    cases, mismatches = 0, []
-    for number, ops in enumerate(_run_sequence_tuples()):
+    for ops in _run_sequence_tuples():
         permutations = np.array(list(itertools.permutations(range(len(ops)))))
         orders = permutations[rng.integers(len(permutations), size=80)]
         starts = _haar_starts(as_decomposition(ops[0]).dim, len(orders), rng)
-        cs = draw_hidden_batch(rng, orders.size).reshape(orders.shape)
-        values = run_sequence(ops, starts, cs, orders)
-        for n, order in enumerate(orders.tolist()):
-            want = _chained(ops, starts[n], cs[n], order)
-            got = [v.hex() for v in values[n].tolist()]
-            cases += 1
-            if got != want:
-                mismatches.append(f"tuple {number}, row {n}, order {order}: {got} != {want}")
-    return cases, mismatches
-
-
-def first_step_edge_mismatches():
-    """(cases, mismatches): the first readings of run_sequence against select
-    on the square's column tuples, 300 Haar states each, with the first c at
-    the first operator's edge and one ulp either side. The kernel reruns call
-    this too."""
-    rng = np.random.default_rng(20)
-    cases, mismatches = 0, []
-    for number, ops in enumerate(peres_mermin().column_operators(j) for j in (1, 2, 3)):
-        decomp = as_decomposition(ops[0])
-        rows, firsts = [], []
-        starts = _haar_starts(4, 300, rng)
-        for n, amps in enumerate(starts):
-            for edge in _zeroed_cumulative(decomp, amps)[1][:-1]:
-                for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-                    rows.append(n)
-                    firsts.append(c)
-        cs = rng.uniform(1e-6, 1 - 1e-6, size=(len(rows), len(ops)))
-        cs[:, 0] = firsts
-        got = run_sequence(ops, starts[rows], cs)[:, 0]
-        for n, c, value in zip(rows, firsts, got.tolist()):
-            want = float(decomp.values[select(decomp, starts[n], c)])
-            cases += 1
-            if value != want:
-                mismatches.append(f"column {number + 1}, row {n}, c={c!r}: {value} != {want}")
-    return cases, mismatches
+        yield ops, starts, draw_hidden_batch(rng, orders.size).reshape(orders.shape), orders
 
 
 def _chained(ops, start, cs, order):
-    """The readings of chaining measure() from HiddenState(start, cs[0]) over
-    `order`, with cs[1:] as the later draws, as float hex strings."""
-    hidden = HiddenState(start, cs[0])
-    script = ScriptedUniforms([*cs[1:], 0.5])
-    values = []
-    for k in order:
-        record, hidden = measure(ops[k], hidden, script)
-        values.append(record.value.hex())
-    return values
+    """The readings of chain over `order` from `start` under `cs`, as float hex."""
+    return [r.value.hex() for r in chain([ops[k] for k in order], start, cs)]
 
 
-def _edge_rows(ops, starts, step, rng):
-    """(rows, cs): for each of `starts`, c at every edge of ops[step] on the
-    state chaining measure() over ops[:step] leaves, and one ulp either
-    side, the row's other c uniform; rows[i] indexes the start of cs[i]."""
-    decomp = as_decomposition(ops[step])
-    rows, cs = [], []
-    for n, amps in enumerate(starts):
-        row = rng.uniform(1e-6, 1 - 1e-6, size=len(ops))
-        hidden = HiddenState(amps, row[0])
-        for k in range(step):
-            _, hidden = measure(ops[k], hidden, ScriptedUniforms([row[k + 1]]))
-        for edge in _zeroed_cumulative(decomp, hidden.state)[1][:-1]:
+def _at_step_edges(ops, start, cs, order, steps):
+    """The row (start, cs, order) with, for each of `steps`, cs[step] at
+    every edge below the last of ops[order[step]] on the state chain reaches
+    there, and one ulp either side: one hidden-scalar row per c."""
+    records = chain([ops[k] for k in order], start, cs)
+    rows = []
+    for step in steps:
+        decomp = as_decomposition(ops[order[step]])
+        for edge in _zeroed_cumulative(decomp, records[step].pre_state)[1][:-1]:
             for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
                 if 0.0 < c < 1.0:
-                    rows.append(n)
-                    cs.append([*row[:step], c, *row[step + 1:]])
-    return rows, np.array(cs).reshape(-1, len(ops))
+                    rows.append([*cs[:step], c, *cs[step + 1:]])
+    return rows
 
 
-def second_step_edge_mismatches():
-    """(cases, mismatches): run_sequence against chained measure(), every
-    reading of a row compared, on the square's six lines, 100 Haar states
-    each, with the second c at the second operator's edge on the state the
-    first measurement leaves and one ulp either side. The kernel reruns call
-    this too."""
-    rng = np.random.default_rng(22)
-    cases, mismatches = 0, []
-    for number, ops in enumerate(_square_lines()):
-        starts = _haar_starts(4, 100, rng)
-        rows, cs = _edge_rows(ops, starts, 1, rng)
-        got = run_sequence(ops, starts[rows], cs)
-        for n, row, values in zip(rows, cs, got.tolist()):
-            want = _chained(ops, starts[n], row, range(len(ops)))
-            cases += 1
-            if [v.hex() for v in values] != want:
-                mismatches.append(f"line {number}, row {n}: {values} != {want}")
-    return cases, mismatches
+def _edge_cases(ops, starts, steps, rng):
+    """Row cases of `ops` in order, one per step of `steps`: each start's row
+    at uniform c, that step's c at every edge (_at_step_edges)."""
+    for step in steps:
+        rows, cs = [], []
+        for n, start in enumerate(starts):
+            at = _at_step_edges(ops, start, rng.uniform(1e-6, 1 - 1e-6, size=len(ops)),
+                                range(len(ops)), (step,))
+            rows += [n] * len(at)
+            cs += at
+        yield ops, starts[rows], np.array(cs).reshape(-1, len(ops)), None
 
 
-def _block_mismatches(ops, starts, rng):
-    """(cases, mismatches): run_sequence of a block of rows against
-    run_sequence of each row alone, bit for bit, with c at the edges of the
-    first and of the second operator (_edge_rows) on `starts`."""
-    cases, mismatches = 0, []
-    for step in range(min(2, len(ops))):
-        rows, cs = _edge_rows(ops, starts, step, rng)
-        block = run_sequence(ops, starts[rows], cs)
-        for i, n in enumerate(rows):
-            alone = run_sequence(ops, starts[[n]], cs[i:i + 1])
-            cases += 1
-            if alone.tobytes() != block[i].tobytes():
-                mismatches.append(f"step {step}, row {n}: {block[i]} != {alone[0]}")
-    return cases, mismatches
+def _tuple_edges(tuples, count, steps, seed):
+    """_edge_cases of each tuple of `tuples` on `count` Haar starts."""
+    rng = np.random.default_rng(seed)
+    for ops in tuples:
+        yield from _edge_cases(ops, _haar_starts(as_decomposition(ops[0]).dim, count, rng),
+                               steps, rng)
 
 
-def row_independence_mismatches():
-    """(cases, mismatches): _block_mismatches over the driver tuples, 30 Haar
-    states each. The kernel reruns call this too."""
-    rng = np.random.default_rng(23)
-    cases, mismatches = 0, []
-    for number, ops in enumerate(_driver_tuples()):
-        starts = _haar_starts(as_decomposition(ops[0]).dim, 30, rng)
-        more, found = _block_mismatches(ops, starts, rng)
-        cases += more
-        mismatches += [f"tuple {number}, {line}" for line in found]
-    return cases, mismatches
+def _predict_each_cases():
+    """One-state cases for the predict_each differential, each state at
+    every operator's edges (_at_edges): the square's 15 operators, the
+    implications triple, a qubit family whose -1 branch weighs exactly
+    MIN_BRANCH_WEIGHT beside a one-branch operator, and for dims 2, 3, 5 and
+    8 random Hermitians with a degenerate commuting family, some given as
+    decompositions, on Haar states and on states that zero branches or put
+    them below the cutoff."""
+    def at_edges(family, states):
+        return ((family, state, _at_edges(family, state)) for state in states)
 
-
-def _predict_each_families():
-    """(family, states) pairs for the predict_each differential: the square's
-    15 operators, the implications triple, a qubit family whose -1 branch
-    weighs exactly MIN_BRANCH_WEIGHT beside a one-branch operator, and for
-    dims 2, 3, 5 and 8 random Hermitians with a degenerate commuting family,
-    some given as decompositions, on Haar states and on states that zero
-    branches or put them below the cutoff."""
     square = peres_mermin()
     rng = np.random.default_rng(19)
     four = [basis_ket(4, 0), normalized([0.0, 1.0, 1.0, 0.0]), normalized([1.0, 0.0, 0.0, 1.0]),
             normalized([1.0, 1e-7, 1e-6, 0.0]), *map(PureState, _haar_starts(4, 3, rng))]
-    yield (*itertools.chain(*square.grid), *square.rows, *square.cols), four
-    yield implications_operators(), four
+    yield from at_edges((*itertools.chain(*square.grid), *square.rows, *square.cols), four)
+    yield from at_edges(implications_operators(), four)
     at_cutoff = PureState(AT_CUTOFF)
     assert spectral(pauli("z")).weights(at_cutoff)[0] == MIN_BRANCH_WEIGHT
-    yield (pauli("z"), spectral(pauli("x")), identity(2)), [at_cutoff, basis_ket(2, 1)]
+    yield from at_edges((pauli("z"), spectral(pauli("x")), identity(2)),
+                        [at_cutoff, basis_ket(2, 1)])
     for dim in (2, 3, 5, 8) * 3:
         spectra = rng.integers(-1, 2, size=(3, dim)).astype(float)  # repeated eigenvalues
         shared = commuting_family(spectra, rng)
         family = (random_hermitian(dim, rng), *shared[:2], spectral(shared[2]),
                   spectral(random_hermitian(dim, rng)))
         near = shared[0].spectrum().vectors @ np.r_[1.0, np.full(dim - 1, 1e-7)]
-        yield family, [*map(PureState, _haar_starts(dim, 6, rng)), normalized(near)]
-
-
-def predict_each_mismatches():
-    """(cases, mismatches): predict_each against [predict(op, h) for op in ops],
-    compared bit for bit for every family of _predict_each_families and each
-    of its states, at every operator's zeroed cumulative weights, one ulp
-    either side, and both ends of (0, 1). The kernel reruns call this too."""
-    cases, mismatches = 0, []
-    for number, (family, states) in enumerate(_predict_each_families()):
-        for state in states:
-            cs = [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
-            for op in family:
-                for edge in _zeroed_cumulative(as_decomposition(op), state)[1]:
-                    cs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-            for c in np.unique([c for c in cs if 0.0 < c < 1.0]).tolist():
-                hidden = HiddenState(state, c)
-                got = [v.hex() for v in predict_each(family, hidden)]
-                want = [predict(op, hidden).hex() for op in family]
-                cases += 1
-                if got != want:
-                    mismatches.append(f"family {number}, c={c!r}: {got} != {want}")
-    return cases, mismatches
+        yield from at_edges(family, [*map(PureState, _haar_starts(dim, 6, rng)),
+                                     normalized(near)])
 
 
 class TestRunSequenceDifferential:
     def test_matches_chained_measure(self):
         # Both routes run: the joint basis and row by row.
         assert {_joint(ops) is None for ops in _run_sequence_tuples()} == {True, False}
-        cases, mismatches = run_sequence_mismatches()
-        assert mismatches == [] and cases == 1280
+        assert_differential("run_sequence")
 
 
 def _shared_start_cases():
-    """(name, ops, start) for the shared-start differential, d <= 16: the
-    CHSH pairs on the Bell state and the square's lines on |00> (labelled and
+    """(ops, start) for the shared-start differential, d <= 16: the CHSH
+    pairs on the Bell state and the square's lines on |00> (labelled and
     commuting); two degenerate commuting families and a commuting d = 16
     family with repeated eigenvalues, on Haar states; non-commuting random
     Hermitians for d = 2, 3 and 16 on Haar states; and Z beside X on
     AT_CUTOFF, where Z's -1 branch weighs exactly MIN_BRANCH_WEIGHT."""
-    for key, *_, ops in experiments._chsh_settings():
-        yield f"chsh {key}", ops, experiments.bell_state()
-    for number, ops in enumerate(_square_lines()):
-        yield f"line {number}", ops, basis_ket(4, 0)
+    for *_, ops in experiments._chsh_settings():
+        yield ops, experiments.bell_state()
+    for ops in _square_lines():
+        yield ops, basis_ket(4, 0)
     for seed in range(2):
         ops, rng = _degenerate_family(seed)
-        yield f"degenerate {seed}", ops, haar_state(4, rng)
+        yield ops, haar_state(4, rng)
     rng = np.random.default_rng(24)
     spectra = rng.integers(-2, 3, size=(3, 16)).astype(float)
-    yield "commuting d=16", commuting_family(spectra, rng), haar_state(16, rng)
+    yield commuting_family(spectra, rng), haar_state(16, rng)
     for dim in (2, 3, 16):
-        ops = [random_hermitian(dim, rng) for _ in range(3)]
-        yield f"non-commuting d={dim}", ops, haar_state(dim, rng)
+        yield [random_hermitian(dim, rng) for _ in range(3)], haar_state(dim, rng)
     assert spectral(pauli("z")).weights(PureState(AT_CUTOFF))[0] == MIN_BRANCH_WEIGHT
-    yield "at the cutoff", [pauli("z"), pauli("x")], PureState(AT_CUTOFF)
+    yield [pauli("z"), pauli("x")], PureState(AT_CUTOFF)
 
 
-def shared_start_mismatches():
-    """(cases, mismatches): run_sequence on one shared start, two calls per
-    case of _shared_start_cases on new trees, so the first builds the nodes
-    its rows reach and the second walks them built, against _chained,
-    compared bit for bit row by row. Each case has 6 rows of per-row orders
-    of 3 steps, repeats allowed, at uniform c; and, for each of them and
-    each step, the row again with that step's c at every edge of the node
-    the row reaches there and one ulp either side. The kernel reruns call
-    this too."""
+def _shared_start_rows():
+    """Each of _shared_start_cases twice on a new tree, so that the first
+    call builds the nodes its rows reach and the second walks them built: 6
+    rows of per-row orders of 3 steps, repeats allowed, at uniform c, and
+    each again with each step's c at every edge of the node it reaches there
+    (_at_step_edges)."""
     model._tree.cache_clear()
     rng = np.random.default_rng(25)
-    cases, mismatches = 0, []
-    for name, ops, start in _shared_start_cases():
+    for ops, start in _shared_start_cases():
         orders = rng.integers(len(ops), size=(6, 3))
         uniform = rng.uniform(1e-6, 1 - 1e-6, size=orders.shape)
         rows, cs = [], []
         for n, order in enumerate(orders.tolist()):
-            rows.append(n)
-            cs.append(uniform[n])
-            hidden = HiddenState(start, uniform[n, 0])
-            for step, k in enumerate(order):
-                for edge in _zeroed_cumulative(as_decomposition(ops[k]), hidden.state)[1][:-1]:
-                    for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-                        if 0.0 < c < 1.0:
-                            rows.append(n)
-                            cs.append([*uniform[n, :step], c, *uniform[n, step + 1:]])
-                _, hidden = measure(ops[k], hidden, ScriptedUniforms([*uniform[n, step + 1:], 0.5]))
-        cs = np.array(cs)
-        for call in ("first", "second"):
-            got = run_sequence(ops, start, cs, orders[rows])
-            for n, row, values in zip(rows, cs, got.tolist()):
-                want = _chained(ops, start, row, orders[n])
-                cases += 1
-                if [v.hex() for v in values] != want:
-                    mismatches.append(f"{name}, {call} call, row {n}, c={row.tolist()}:"
-                                      f" {values} != {want}")
-    return cases, mismatches
+            at = [uniform[n].tolist(), *_at_step_edges(ops, start, uniform[n], order, range(3))]
+            rows += [n] * len(at)
+            cs += at
+        case = ops, start, np.array(cs), orders[rows]
+        yield case
+        yield case
 
 
 def _tree_of(ops, start):
@@ -1637,7 +1507,7 @@ def _tree_of(ops, start):
 
 class TestSharedStartTree:
     """Rows that share one start walk its outcome tree, whose nodes are built
-    on the scalar reference, and read what chained measure() reads."""
+    on the scalar reference, and read what chain reads."""
 
     def test_matches_chained_measure_on_the_tree(self, monkeypatch):
         walked = []
@@ -1648,8 +1518,7 @@ class TestSharedStartTree:
             return walked[-1]
 
         monkeypatch.setattr(model._Tree, "walk", recording)
-        cases, mismatches = shared_start_mismatches()
-        assert mismatches == [] and cases > 3000
+        assert_differential("shared_start")
         # The first call walks the tree too.
         assert walked == [True, True] * len(list(_shared_start_cases()))
 
@@ -1771,8 +1640,7 @@ class TestSharedStartTree:
 
 class TestPredictEach:
     def test_matches_predict_at_every_edge(self):
-        cases, mismatches = predict_each_mismatches()
-        assert mismatches == [] and cases > 3000
+        assert_differential("predict_each")
 
     def test_operators_and_decompositions_mix(self):
         family = [pauli("z"), spectral(pauli("x")), pauli("y").spectrum(), identity(2)]
@@ -1793,7 +1661,6 @@ class TestPredictEach:
             predict_each([], HiddenState(basis_ket(2, 0), 0.5))
 
 
-
 def _tree_states(ops, start):
     """`start` and every state a prefix of len(ops) - 1 measurements of
     `ops`, repeats allowed, collapses it onto through live branches: the
@@ -1808,52 +1675,33 @@ def _tree_states(ops, start):
 
 
 def _family_edges_cases():
-    """(name, ops, states) for the family-edges differential: the node states
-    of the three weak-fc column trees from |00>, the four CHSH trees from the
+    """(ops, states) for the family-edges differential: the node states of
+    the three weak-fc column trees from |00>, the four CHSH trees from the
     Bell state and the six square lines' trees from Haar starts; Haar states
     of a commuting family with repeated eigenvalues and of a non-commuting
     family whose spectra differ in length, for each 2 <= d <= 8."""
     square = peres_mermin()
     for j in (1, 2, 3):
         ops = square.column_expression(j).operators
-        yield f"weak-fc column {j}", ops, _tree_states(ops, basis_ket(4, 0))
-    for key, *_, ops in experiments._chsh_settings():
-        yield f"chsh {key}", ops, _tree_states(ops, experiments.bell_state())
+        yield ops, _tree_states(ops, basis_ket(4, 0))
+    for *_, ops in experiments._chsh_settings():
+        yield ops, _tree_states(ops, experiments.bell_state())
     rng = np.random.default_rng(29)
-    for number, ops in enumerate(_square_lines()):
+    for ops in _square_lines():
         starts = [haar_state(4, rng) for _ in range(5)]
-        yield f"line {number}", ops, [s for start in starts for s in _tree_states(ops, start)]
+        yield ops, [s for start in starts for s in _tree_states(ops, start)]
     for dim in range(2, 9):
         spectra = rng.integers(-1, 2, size=(3, dim)).astype(float)  # repeated eigenvalues
         shared = commuting_family(spectra, rng)
-        yield f"commuting d={dim}", shared, [haar_state(dim, rng) for _ in range(200)]
+        yield shared, [haar_state(dim, rng) for _ in range(200)]
         mixed = (random_hermitian(dim, rng), *shared[:2], random_hermitian(dim, rng))
-        yield f"non-commuting d={dim}", mixed, [haar_state(dim, rng) for _ in range(200)]
-
-
-def family_edges_mismatches():
-    """(cases, mismatches): _Family.edges against each operator's own
-    _edges(decomp.weights(state)), padded with inf to the family's width,
-    compared bit for bit on every state of _family_edges_cases. The kernel
-    reruns call this too."""
-    cases, mismatches = 0, []
-    for name, ops, states in _family_edges_cases():
-        family = model._family(tuple(ops))
-        for state in states:
-            want = np.full((len(family.values) - 1, len(ops)), np.inf)
-            for k, decomp in enumerate(family.decomps):
-                edges = model._edges(decomp.weights(state))
-                want[:len(edges), k] = edges
-            cases += 1
-            if family.edges(state.amplitudes).tobytes() != want.tobytes():
-                mismatches.append(f"{name}, state {state.amplitudes.tolist()}")
-    return cases, mismatches
+        yield mixed, [haar_state(dim, rng) for _ in range(200)]
 
 
 class TestFamilyEdges:
     def test_matches_each_operators_edges(self):
-        cases, mismatches = family_edges_mismatches()
-        assert mismatches == [] and cases > 3000
+        assert_differential("family_edges")
+
 
 CUTOFF_KINDS = ("random", "labelled", "near")
 
@@ -1881,12 +1729,11 @@ def _cutoff_operator(kind, rng):
 
 
 def _cutoff_case(seed, kind, ulps):
-    """(observable, state, cs, ordinary): a _cutoff_operator of `kind`; a state
-    whose weight on one of its branches is aimed at MIN_BRANCH_WEIGHT moved
-    by `ulps` ulps, the rest of its weight spread over the other branches;
-    the hidden scalars one ulp either side of that branch's lower edge, at
-    its middle and at its upper edge and one ulp above; and two Haar states
-    of the same dimension.
+    """A one-state case ((op,), state, cs): a _cutoff_operator of `kind`; a
+    state whose weight on one of its branches is aimed at MIN_BRANCH_WEIGHT
+    moved by `ulps` ulps, the rest of its weight spread over the other
+    branches; and the hidden scalars one ulp either side of that branch's
+    lower edge, at its middle and at its upper edge and one ulp above.
 
     The products that read the weight back round it by up to about 1e-10 of
     itself in a rotated basis, selection and collapse each their own way.
@@ -1912,71 +1759,18 @@ def _cutoff_case(seed, kind, ulps):
     high = low + decomp.weights(state)[branch]
     cs = [np.nextafter(low, 0.0), np.nextafter(low, 1.0), (low + high) / 2, high,
           np.nextafter(high, 1.0)]
-    return op, state, [c for c in cs if 0.0 < c < 1.0], _haar_starts(decomp.dim, 2, rng)
+    return (op,), state, np.array([c for c in cs if 0.0 < c < 1.0])
 
 
-def _cutoff_disagreements(op, state, cs, ordinary):
-    """One line for each route that reads `op` on `state` at the hidden
-    scalars `cs` otherwise than predict does, a route that raises included:
-    predict_each, predict_batch, tally's events, measure, run_sequence with
-    the state's rows between the `ordinary` ones and on the state alone, and
-    predict on the state update leaves for predict's reading; and one for
-    each c at which measure and update collapse the state apart."""
-    hiddens = [HiddenState(state, c) for c in cs]
-    want = [predict(op, hidden) for hidden in hiddens]
-
-    def tallied():
-        blocks = Blocks()
-        tally(op, state, _Stream(cs), len(cs), blocks, ("x",))
-        return [value for events in blocks for value in events.value.tolist()]
-
-    def sequenced():
-        starts = np.array([ordinary[0], *[state.amplitudes] * len(cs), ordinary[1]])
-        return run_sequence([op], starts, np.array([0.5, *cs, 0.5])[:, None])[1:-1, 0].tolist()
-
-    routes = {
-        "predict_each": lambda: [predict_each((op,), hidden)[0] for hidden in hiddens],
-        "predict_batch": lambda: predict_batch(op, state, cs).tolist(),
-        "tally": tallied,
-        "measure": lambda: [measure(op, hidden, ScriptedUniforms([0.5]))[0].value
-                            for hidden in hiddens],
-        "run_sequence": sequenced,
-        "run_sequence on one start": lambda: run_sequence([op], state,
-                                                          np.array(cs)[:, None])[:, 0].tolist(),
-        "update": lambda: [predict(op, HiddenState(update(op, hidden, value), 0.5))
-                           for hidden, value in zip(hiddens, want)],
-    }
-    found = []
-    for name, route in routes.items():
-        try:
-            got = route()
-        except HvsimError as exc:
-            got = type(exc).__name__
-        if got != want:
-            found.append(f"{name} reads {got} where predict reads {want}")
-    if not found:
-        for hidden, value in zip(hiddens, want):
-            _, after = measure(op, hidden, ScriptedUniforms([0.5]))
-            if after.state.amplitudes.tobytes() != update(op, hidden, value).amplitudes.tobytes():
-                found.append(f"measure and update collapse apart at c={hidden.c!r}")
-    return found
-
-
-def cutoff_mismatches():
-    """(cases, mismatches): _cutoff_disagreements at each hidden scalar of
-    _cutoff_case for seeds 0-19 of every kind, the branch weight 4 ulps
-    either side of the cutoff and on it, and at c = 5e-13 on AT_CUTOFF under
-    Z. The kernel reruns call this too."""
-    cases, mismatches = 1, [f"Z at the cutoff: {line}" for line in _cutoff_disagreements(
-        pauli("z"), PureState(AT_CUTOFF), [5e-13], _haar_starts(2, 2, np.random.default_rng(0)))]
+def _cutoff_cases():
+    """Z on AT_CUTOFF at c = 5e-13, where its -1 branch weighs exactly
+    MIN_BRANCH_WEIGHT, and _cutoff_case for seeds 0-19 of every kind with the
+    branch weight 4 ulps either side of the cutoff and on it."""
+    yield (pauli("z"),), PureState(AT_CUTOFF), np.array([5e-13])
     for kind in CUTOFF_KINDS:
         for seed in range(20):
             for ulps in range(-4, 5):
-                op, state, cs, ordinary = _cutoff_case(seed, kind, ulps)
-                cases += len(cs)
-                mismatches += [f"{kind}, seed {seed}, {ulps:+d} ulps: {line}"
-                               for line in _cutoff_disagreements(op, state, cs, ordinary)]
-    return cases, mismatches
+                yield _cutoff_case(seed, kind, ulps)
 
 
 class TestCutoffRule:
@@ -1987,8 +1781,204 @@ class TestCutoffRule:
     @settings(deadline=None, max_examples=80)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(CUTOFF_KINDS), st.integers(-8, 8))
     def test_routes_agree_near_the_cutoff(self, seed, kind, ulps):
-        assert _cutoff_disagreements(*_cutoff_case(seed, kind, ulps)) == []
+        assert compare([_cutoff_case(seed, kind, ulps)], ONE_STATE)[1] == []
 
     def test_routes_agree_at_fixed_cases(self):
-        cases, mismatches = cutoff_mismatches()
-        assert mismatches == [] and cases > 2000
+        assert_differential("cutoff")
+
+
+# The route table: every batched route, read against its scalar or test-side
+# reference. A route takes one kind of case and gives one reading per hidden
+# scalar, row or state of it; each must equal its reference's reading bit for
+# bit (float hex or bytes).
+
+def _per_op(read):
+    """A one-state route from read(decomp, state, cs), one operator's values
+    at every c: a reading per c, every operator's value as float hex."""
+    def route(ops, state, cs):
+        columns = [np.asarray(read(as_decomposition(op), state, cs)).tolist() for op in ops]
+        return [[v.hex() for v in row] for row in zip(*columns)]
+    return route
+
+
+def _per_c(read):
+    """A one-state route from read(op, hidden), one operator's reading at one c."""
+    return lambda ops, state, cs: [[read(op, HiddenState(state, c)) for op in ops]
+                                   for c in cs.tolist()]
+
+
+def _tallied(decomp, state, cs):
+    """The values of tally's events when its stream yields `cs`."""
+    blocks = Blocks()
+    tally(decomp, state, _Stream(cs), len(cs), blocks, ("x",))
+    return np.concatenate([events.value for events in blocks])
+
+
+def _updated(op, hidden):
+    """chain's reading where update, given it, collapses the state onto
+    chain's post-state byte for byte, and "apart" where it does not."""
+    [record] = chain((op,), hidden.state, (hidden.c,))
+    post = update(op, hidden, record.value).amplitudes.tobytes()
+    return record.value.hex() if post == record.post_state.amplitudes.tobytes() else "apart"
+
+
+def _one_step(ops, state, cs, stacked):
+    """run_sequence on one-step rows, one per (c, operator): stacked between
+    two Haar rows (the stacked route), or all on the state (its tree)."""
+    steps, orders = np.repeat(cs, len(ops)), np.tile(np.arange(len(ops)), len(cs))
+    if stacked:
+        pad = _haar_starts(state.dim, 2, np.random.default_rng(0))
+        values = run_sequence(ops, np.vstack([pad[:1], np.tile(state.amplitudes, (len(steps), 1)),
+                                              pad[1:]]),
+                              np.r_[0.5, steps, 0.5][:, None], np.r_[0, orders, 0][:, None])[1:-1]
+    else:
+        values = run_sequence(ops, state, steps[:, None], orders[:, None])
+    return [[v.hex() for v in row] for row in values.reshape(-1, len(ops)).tolist()]
+
+
+def _rows(ops, starts, cs, orders):
+    """Each row's (start, hidden scalars, order): one start may serve every
+    row, and no orders measure `ops` in order."""
+    starts = np.broadcast_to(amplitudes_of(starts), (len(cs), as_decomposition(ops[0]).dim))
+    if orders is None:
+        orders = np.broadcast_to(np.arange(len(ops)), cs.shape)
+    return zip(starts, cs, np.asarray(orders).tolist())
+
+
+def _chain_rows(*case):
+    """The rows' reference: each row's readings on chain (_chained)."""
+    return [_chained(case[0], *row) for row in _rows(*case)]
+
+
+def _sequenced(ops, starts, cs, orders):
+    """run_sequence on the rows: the shared-start tree where one start serves
+    them all, the stacked route (the joint basis) where they are stacked."""
+    return [[v.hex() for v in row] for row in run_sequence(ops, starts, cs, orders).tolist()]
+
+
+def _weights_edges(ops, states):
+    """The family-edges reference: each operator's own _edges of its
+    decomp.weights, padded with inf to the widest operator's edges."""
+    decomps = [as_decomposition(op) for op in ops]
+    readings = []
+    for state in states:
+        edges = np.full((max(len(d.values) for d in decomps) - 1, len(ops)), np.inf)
+        for k, decomp in enumerate(decomps):
+            own = model._edges(decomp.weights(state))
+            edges[:len(own), k] = own
+        readings.append(edges.tobytes())
+    return readings
+
+
+# The one-state reference: each operator's value by binary search over its
+# zeroed cumulative decomp.weights.
+_searched = _per_op(lambda d, state, cs: d.values[_searchsorted_select(d, state, cs)])
+
+
+# Route name: (route, reference). One-state cases are (ops, state, cs), a
+# reading per c; row cases (ops, starts, cs, orders) with row n measuring
+# ops[orders[n, s]] at step s from its start (or one shared start) under
+# cs[n, s], orders None meaning in order, a reading per row; state cases
+# (ops, states), a reading per state.
+ROUTES = {
+    "select": (_per_op(lambda d, state, cs: d.values[select(d, state.amplitudes, cs)]), _searched),
+    "predict": (_per_c(lambda op, hidden: predict(op, hidden).hex()), _searched),
+    "predict_each": (lambda ops, state, cs: [
+        [v.hex() for v in predict_each(ops, HiddenState(state, c))] for c in cs.tolist()], _searched),
+    "predict_batch": (_per_op(predict_batch), _searched),
+    "tally": (_per_op(_tallied), _searched),
+    "measure": (_per_c(lambda op, hidden: measure(op, hidden, ScriptedUniforms([0.5]))[0]
+                       .value.hex()), _searched),
+    "update": (_per_c(_updated), _searched),
+    "stacked": (lambda ops, state, cs: _one_step(ops, state, cs, True), _searched),
+    "one start": (lambda ops, state, cs: _one_step(ops, state, cs, False), _searched),
+    "run_sequence": (_sequenced, _chain_rows),
+    "row by row": (lambda *case: [_sequenced(case[0], start[None], row[None], [order])[0]
+                                  for start, row, order in _rows(*case)], _chain_rows),
+    "family edges": (lambda ops, states: [model._family(tuple(ops)).edges(s.amplitudes).tobytes()
+                                          for s in states], _weights_edges),
+}
+
+ONE_STATE = ("select", "predict", "predict_each", "predict_batch", "tally", "measure", "update",
+             "stacked", "one start")
+
+
+def _at_edges(ops, state):
+    """Every operator's zeroed cumulative weights on `state`, one ulp either
+    side, and both ends of (0, 1): the hidden scalars at its edges, sorted."""
+    cs = [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+    for op in ops:
+        for edge in _zeroed_cumulative(as_decomposition(op), state)[1]:
+            cs += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    return np.unique([c for c in cs if 0.0 < c < 1.0])
+
+
+class Differential(NamedTuple):
+    """A row: its cases, the routes read on each, and the readings compared,
+    `count` or, with `floor`, more (rounding moves edges in and out of (0, 1))."""
+
+    cases: Callable
+    routes: tuple[str, ...]
+    count: int
+    floor: bool = False
+
+
+# Every batch-vs-scalar differential, one row each: run in-process by the
+# tests below and, under other BLAS kernels, by test_blas_kernels.
+DIFFERENTIALS = {
+    "select": Differential(lambda: itertools.chain.from_iterable(map(_selection_cases, range(30))),
+                           ONE_STATE, 1500, floor=True),
+    # measure, update and the stacked route, which the select and cutoff rows
+    # read at edges, would make this row take about five times as long.
+    "predict_each": Differential(_predict_each_cases, ("select", "predict", "predict_each",
+                                                       "predict_batch", "tally", "one start"),
+                                 3000, floor=True),
+    "cutoff": Differential(_cutoff_cases, ONE_STATE, 2000, floor=True),
+    "run_sequence": Differential(_uniform_rows, ("run_sequence",), 1280),
+    "first_step_edge": Differential(
+        lambda: _tuple_edges((peres_mermin().column_operators(j) for j in (1, 2, 3)), 300, (0,), 20),
+        ("run_sequence",), 2700),
+    "second_step_edge": Differential(lambda: _tuple_edges(_square_lines(), 100, (1,), 22),
+                                     ("run_sequence",), 1800),
+    "row_independence": Differential(lambda: _tuple_edges(_driver_tuples(), 30, (0, 1), 23),
+                                     ("run_sequence", "row by row"), 1800),
+    "shared_start": Differential(_shared_start_rows, ("run_sequence",), 3000, floor=True),
+    "family_edges": Differential(_family_edges_cases, ("family edges",), 3000, floor=True),
+}
+
+
+def compare(cases, routes):
+    """(readings, mismatches): every route of `routes` read on every case of
+    `cases` against its reference, a route that raises an HvsimError reading
+    the error's name; readings counts the reference's readings."""
+    count, mismatches = 0, []
+    for number, case in enumerate(cases):
+        wants = {}
+        for name in routes:
+            route, reference = ROUTES[name]
+            if reference not in wants:
+                wants[reference] = reference(*case)
+            want = wants[reference]
+            try:
+                got = route(*case)
+            except HvsimError as exc:
+                got = [type(exc).__name__] * len(want)
+            mismatches += [f"case {number}, {name}, reading {i}: {g} != {w}"
+                           for i, (g, w) in enumerate(zip(got, want, strict=True)) if g != w]
+        count += len(want)
+    return count, mismatches
+
+
+def run_differential(name):
+    """compare() on one row of DIFFERENTIALS, the one function that runs a row."""
+    row = DIFFERENTIALS[name]
+    return compare(row.cases(), row.routes)
+
+
+def assert_differential(name, result=None):
+    """Assert that the row `name` reads no mismatch and compares the readings
+    it sets: run here, or `result`, the (readings, mismatches) of a rerun."""
+    readings, mismatches = result or run_differential(name)
+    row = DIFFERENTIALS[name]
+    assert mismatches == [], mismatches[:5]
+    assert readings > row.count if row.floor else readings == row.count, readings
